@@ -19,11 +19,15 @@ test:
 test-race:
 	$(GO) test -race -shuffle=on ./...
 
-# fuzz-short is the hostile-input gate on the formula parser: formulas
-# arrive over HTTP, so every ci run hammers Parse for a few seconds on top
-# of the committed regression corpus (which plain `go test` replays).
+# fuzz-short is the hostile-input gate on the decoders that read network
+# bytes: formulas, wire-v2 graph streams (/certify) and submitted
+# certificate strings (/verify, /simulate). Every ci run hammers each for a
+# few seconds on top of the committed regression corpora (which plain
+# `go test` replays).
 fuzz-short:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=5s ./internal/logic
+	$(GO) test -run=FuzzDecodeGraphStream -fuzz=FuzzDecodeGraphStream -fuzztime=5s ./internal/wire
+	$(GO) test -run=FuzzAssignmentFromStrings -fuzz=FuzzAssignmentFromStrings -fuzztime=5s ./internal/wire
 
 # bench-smoke compiles and runs every benchmark exactly once: benchmarks
 # are the perf PRs' acceptance instruments, so they must not bit-rot

@@ -1,7 +1,8 @@
-// Command certify is a small CLI around the public API: generate a graph
-// family, pick a scheme, prove, verify (sequentially and on the sharded
-// simulated network), optionally run an adversarial tamper sweep, and
-// report certificate sizes.
+// Command certify is a small CLI around the certification engine:
+// generate a graph family, pick a scheme, prove and verify it through the
+// same runner the server uses (sequentially or on the sharded simulated
+// network), optionally attack the proof with flipped bits or an
+// adversarial tamper sweep, and report certificate sizes.
 //
 // The graph kinds come from the shared generator spec (internal/wire), the
 // scheme names and property lists come from the scheme registry, and the
@@ -24,13 +25,15 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"os/signal"
 	"strings"
 
 	compactcert "repro"
-	"repro/internal/cert"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/treewidth"
 	"repro/internal/wire"
 )
@@ -88,19 +91,22 @@ func run() int {
 		seed        = flag.Int64("seed", 1, "random seed")
 		density     = flag.Float64("density", 0, "extra-edge density for random-td / edge-keep probability for partial-k-tree (0 = default)")
 		tamper      = flag.Int("tamper", 0, "flip this many random certificate bits before verifying")
-		distributed = flag.Bool("distributed", true, "run the sharded network simulator after the sequential referee")
+		distributed = flag.Bool("distributed", true, "verify on the sharded network simulator instead of the sequential referee")
 		workers     = flag.Int("workers", 0, "simulator worker bound (0 = GOMAXPROCS)")
 		tamperKind  = flag.String("tamper-kind", "", "adversarial sweep: "+strings.Join(wire.TamperKinds(), " | "))
 		tamperK     = flag.Int("tamper-k", 0, "bits to flip per trial for -tamper-kind flip-bits (0 = 1)")
 		trials      = flag.Int("trials", 10, "trials per tamper for -tamper-kind sweeps")
 		decompose   = flag.Bool("decompose", false, "print the graph's tree decomposition summary (heuristics, exact when small)")
-		trace       = flag.Bool("trace", false, "print the phase span tree (compile/prove/verify/rounds) after the run")
+		trace       = flag.Bool("trace", false, "print the phase span tree (the server's span names: compile/decompose/prove/verify/sweep) after the run")
 		emitStream  = flag.String("emit-stream", "", "also write the graph to FILE in the binary stream format (wire v2)")
 		loadStream  = flag.String("load-stream", "", "load the graph from FILE (binary stream format) instead of generating; -graph/-n/-density are ignored")
 	)
 	flag.Parse()
 	rng := rand.New(rand.NewSource(*seed))
-	ctx, root := obs.Start(context.Background(), "certify")
+	// Ctrl-C cancels the run at the engine's next checkpoint.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	ctx, root := obs.Start(ctx, "certify")
 	// Deferred so error exits still close the root span; the trace would
 	// otherwise show a forever-running phase (and certlint flags it).
 	defer func() {
@@ -184,24 +190,18 @@ func run() int {
 			return 2
 		}
 	}
-	tamperSpec := wire.TamperSpec{Kind: *tamperKind, K: *tamperK, Trials: *trials, Seed: *seed}
+	var sweep *engine.TamperSweep
 	if *tamperKind != "" {
-		if err := tamperSpec.Validate(); err != nil {
+		spec := wire.TamperSpec{Kind: *tamperKind, K: *tamperK, Trials: *trials, Seed: *seed}
+		tampers, err := spec.Tampers()
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "certify: %v\n", err)
 			return 2
 		}
-	}
-	_, csp := obs.Start(ctx, "compile")
-	s, err := compactcert.BuildScheme(name, params)
-	csp.SetAttr("scheme", name)
-	csp.End()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "certify: %v\n", err)
-		return 1
+		sweep = &engine.TamperSweep{Tampers: tampers, Trials: spec.EffectiveTrials(), Seed: *seed}
 	}
 
 	root.SetAttr("graph", *graphKind)
-	root.SetAttr("n", g.N())
 
 	fmt.Printf("graph: %s n=%d m=%d\n", *graphKind, g.N(), g.M())
 	if *decompose {
@@ -226,71 +226,49 @@ func run() int {
 			fmt.Printf("decomposition (exact): treewidth=%d\n", w)
 		}
 	}
-	fmt.Printf("scheme: %s\n", s.Name())
-	_, psp := obs.Start(ctx, "prove")
-	a, err := s.Prove(g)
-	psp.End()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "certify: prove: %v\n", err)
-		return 1
-	}
-	_, vsp := obs.Start(ctx, "verify")
-	vsp.SetAttr("mode", "sequential")
-	res, err := cert.RunSequential(g, s, a)
-	vsp.End()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "certify: verify: %v\n", err)
-		return 1
-	}
-	fmt.Printf("certificates: max %d bits, total %d bits\n", a.MaxBits(), a.TotalBits())
-	fmt.Printf("sequential verification: accepted=%v\n", res.Accepted)
 
-	engine := &netsim.Engine{Workers: *workers}
+	// The honest pass and the tampered pass both run through the
+	// engine's certify runner, like every server endpoint.
+	cache := engine.NewCache(registry.Default())
+	cache.Decomps = engine.NewDecompCache()
+	sim := &netsim.Engine{Workers: *workers}
+	pipe := &engine.Pipeline{Cache: cache, Sim: sim}
+	job := engine.Job{Graph: g, Scheme: name, Params: params, Distributed: *distributed, Sweep: sweep}
+	res, a := pipe.Certify(ctx, job)
+	if res.Err != nil {
+		fmt.Fprintf(os.Stderr, "certify: %v\n", res.Err)
+		return 1
+	}
+	fmt.Printf("scheme: %s\n", res.Scheme)
+	fmt.Printf("certificates: max %d bits, total %d bits\n", res.MaxBits, res.TotalBits)
 	if *distributed {
-		dctx, dsp := obs.Start(ctx, "verify")
-		dsp.SetAttr("mode", "distributed")
-		rep, err := engine.Run(dctx, g, s, a)
-		dsp.End()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "certify: distributed run: %v\n", err)
-			return 1
-		}
 		fmt.Printf("distributed verification: accepted=%v (1 round, %d nodes, %d workers)\n",
-			rep.Accepted, g.N(), rep.Workers)
+			res.Accepted, g.N(), sim.EffectiveWorkers(g.N()))
+	} else {
+		fmt.Printf("sequential verification: accepted=%v\n", res.Accepted)
 	}
 
 	if *tamper > 0 {
-		bad := compactcert.FlipRandomBits(a, *tamper, rng)
-		tctx, tsp := obs.Start(ctx, "tampered-verify")
-		rep2, err := engine.Run(tctx, g, s, bad)
+		// Verify-only: the flipped assignment is refereed, not re-proven.
+		job.Certificates, job.Sweep = compactcert.FlipRandomBits(a, *tamper, rng), nil
+		tctx, tsp := obs.Start(ctx, "tamper")
+		tres, _ := pipe.Certify(tctx, job)
 		tsp.End()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "certify: tampered run: %v\n", err)
+		if tres.Err != nil {
+			fmt.Fprintf(os.Stderr, "certify: tampered run: %v\n", tres.Err)
 			return 1
 		}
 		fmt.Printf("after flipping %d bits: accepted=%v, rejecting nodes=%v\n",
-			*tamper, rep2.Accepted, rep2.Rejecters)
+			*tamper, tres.Accepted, tres.Rejecters)
 	}
 
-	if *tamperKind != "" {
-		tampers, err := tamperSpec.Tampers()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "certify: %v\n", err)
-			return 2
-		}
-		sctx, ssp := obs.Start(ctx, "sweep")
-		sweep, err := engine.Sweep(sctx, g, s, a, tampers, tamperSpec.EffectiveTrials(), *seed)
-		ssp.End()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "certify: sweep: %v\n", err)
-			return 1
-		}
-		fmt.Printf("adversarial sweep (%d trials per tamper):\n", tamperSpec.EffectiveTrials())
-		for _, st := range sweep.Stats {
+	if res.Sweep != nil {
+		fmt.Printf("adversarial sweep (%d trials per tamper):\n", sweep.Trials)
+		for _, st := range res.Sweep.Stats {
 			fmt.Printf("  %-12s mutated=%d detected=%d noops=%d rate=%.2f rejecters=%d\n",
 				st.Tamper, st.Mutated, st.Detected, st.NoOps, st.DetectionRate(), st.Rejecters)
 		}
-		if !sweep.AllDetected {
+		if !res.Sweep.AllDetected {
 			fmt.Println("  WARNING: some corrupted assignments were accepted (see undetected trial indices above)")
 		}
 	}

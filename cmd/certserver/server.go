@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cert"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -137,38 +136,76 @@ func (p paramsJSON) validate() error {
 	return wire.ValidateFormula(p.Formula)
 }
 
-// jobJSON is one certification request: a scheme plus either an explicit
-// graph or a server-side generator spec.
-type jobJSON struct {
-	Scheme    string              `json:"scheme"`
-	Params    paramsJSON          `json:"params"`
+// graphSource is the graph half of a request: an explicit graph or a
+// server-side generator spec, exactly one of them.
+type graphSource struct {
 	Graph     *wire.GraphJSON     `json:"graph,omitempty"`
 	Generator *wire.GeneratorSpec `json:"generator,omitempty"`
 }
 
-// resolve materializes the job's graph and scheme params. Generator-built
+// validate checks the source without building anything, so a bad spec
+// fails its request before any work is queued.
+func (src graphSource) validate() error {
+	switch {
+	case src.Graph != nil && src.Generator != nil:
+		return fmt.Errorf("graph and generator are mutually exclusive")
+	case src.Graph != nil:
+		return nil
+	case src.Generator != nil:
+		return src.Generator.Validate()
+	default:
+		return fmt.Errorf("no graph or generator given")
+	}
+}
+
+// build materializes the graph, plus the generator's witness for
+// generated graphs.
+func (src graphSource) build() (*graph.Graph, wire.Witness, error) {
+	if src.Graph != nil {
+		g, err := src.Graph.ToGraph()
+		return g, wire.Witness{}, err
+	}
+	return src.Generator.Build()
+}
+
+// jobJSON is one certification request: a scheme plus a graph source.
+type jobJSON struct {
+	Scheme string     `json:"scheme"`
+	Params paramsJSON `json:"params"`
+	graphSource
+}
+
+// job validates the request and builds its engine job. Explicit graphs
+// are parsed now; generated ones are built now, or — lazy, for batches —
+// inside a pipeline worker, which bounds residency by the worker count
+// and runs generation in parallel.
+func (j jobJSON) job(reg *registry.Registry, lazy bool) (engine.Job, error) {
+	if err := j.Params.validate(); err != nil {
+		return engine.Job{}, err
+	}
+	if err := j.graphSource.validate(); err != nil {
+		return engine.Job{}, err
+	}
+	job := engine.Job{Scheme: j.Scheme}
+	if lazy && j.Generator != nil {
+		job.Lazy = func() (*graph.Graph, registry.Params, error) { return j.materialize(reg) }
+		return job, nil
+	}
+	var err error
+	job.Graph, job.Params, err = j.materialize(reg)
+	return job, err
+}
+
+// materialize builds the job's graph and scheme params. Generator-built
 // graphs wire the generator's witness into the params so witness-driven
 // schemes prove in polynomial time — the elimination tree for
 // treedepth-style schemes, the tree decomposition for tw-mso; schemes
 // that cannot use either don't get one, keeping them cacheable.
-func (j jobJSON) resolve(reg *registry.Registry) (*graph.Graph, registry.Params, error) {
+func (j jobJSON) materialize(reg *registry.Registry) (*graph.Graph, registry.Params, error) {
+	g, witness, err := j.build()
 	params := j.Params.toParams()
-	if err := j.Params.validate(); err != nil {
-		return nil, params, err
-	}
-	switch {
-	case j.Graph != nil && j.Generator != nil:
-		return nil, params, fmt.Errorf("job has both a graph and a generator")
-	case j.Graph != nil:
-		g, err := j.Graph.ToGraph()
-		return g, params, err
-	case j.Generator != nil:
-		g, witness, err := j.Generator.Build()
-		attachWitness(&params, witness, reg, j.Scheme)
-		return g, params, err
-	default:
-		return nil, params, fmt.Errorf("job has neither a graph nor a generator")
-	}
+	attachWitness(&params, witness, reg, j.Scheme)
+	return g, params, err
 }
 
 // attachWitness copies the witness parts the named scheme declares it can
@@ -188,7 +225,7 @@ func attachWitness(params *registry.Params, w wire.Witness, reg *registry.Regist
 }
 
 // errorJSON is the uniform error envelope. Traceback is present only for
-// EMSO DP traceback failures (see writeProveError).
+// EMSO DP traceback failures (see writeFailure).
 type errorJSON struct {
 	Error     string         `json:"error"`
 	Traceback *tracebackJSON `json:"traceback,omitempty"`
@@ -203,53 +240,56 @@ type tracebackJSON struct {
 	Bag  []int  `json:"bag"`
 }
 
-// writeProveError maps prover failures onto responses. An EMSO DP
-// traceback error is an internal invariant violation (the DP's own
-// tables could not be walked back), not a property of the input, so it
-// surfaces as a 500 carrying the node kind and bag instead of an opaque
-// 422 — diagnosable straight from the response. Everything else keeps
-// the 422 contract: the graph cannot be certified as requested.
-func writeProveError(w http.ResponseWriter, err error) {
-	var te *treewidth.TracebackError
-	if errors.As(err, &te) {
-		writeJSON(w, http.StatusInternalServerError, errorJSON{
-			Error:     fmt.Sprintf("prove: %v", err),
-			Traceback: &tracebackJSON{Node: te.Node, Kind: te.Kind.String(), Bag: te.Bag},
-		})
-		return
-	}
-	writeError(w, http.StatusUnprocessableEntity, "prove: %v", err)
-}
-
 // statusClientClosedRequest is nginx's conventional 499: the client went
 // away and the server abandoned the work at a cancellation checkpoint
 // instead of finishing a response nobody will read.
 const statusClientClosedRequest = 499
 
-// writeCancelled maps cooperative-cancellation failures onto transport
-// statuses — 499 when the client disconnected, 503 when the deadline
-// budget expired — carrying the standard error envelope either way, and
-// counts the abandoned phase. It reports false for every other error so
-// callers fall through to their normal mapping.
-func (s *server) writeCancelled(w http.ResponseWriter, err error) bool {
-	if err == nil {
-		return false
-	}
+// writeFailure is the server's one mapping from a failed job (an
+// *engine.PhaseError, or a cancellation) onto a response:
+//
+//   - cancellations: 499 when the client disconnected, 503 when the
+//     deadline budget expired, naming the abandoned phase;
+//   - generate and compile failures: 400, the request cannot be built;
+//   - decompose and prove failures: 422, the graph cannot be certified as
+//     requested — except an EMSO DP traceback error, an internal invariant
+//     violation surfaced as a 500 carrying the node kind and bag;
+//   - verify failures: 400 when the client submitted the certificates
+//     (they do not fit the graph), else 500 like every other failure.
+func writeFailure(w http.ResponseWriter, err error, submitted bool) {
 	deadline := errors.Is(err, context.DeadlineExceeded)
-	if !deadline && !errors.Is(err, context.Canceled) {
-		return false
+	if deadline || errors.Is(err, context.Canceled) {
+		phase := "request"
+		if ce, ok := fault.Cancelled(err); ok {
+			phase = ce.Phase
+		}
+		if deadline {
+			writeError(w, http.StatusServiceUnavailable, "deadline exceeded during %s: %v", phase, err)
+		} else {
+			writeError(w, statusClientClosedRequest, "client closed request during %s: %v", phase, err)
+		}
+		return
 	}
-	phase := "request"
-	if ce, ok := fault.Cancelled(err); ok {
-		phase = ce.Phase
+	phase := ""
+	if pe := (*engine.PhaseError)(nil); errors.As(err, &pe) {
+		phase = pe.Phase
 	}
-	engine.CancelledCounter(s.obs, phase).Inc()
-	if deadline {
-		writeError(w, http.StatusServiceUnavailable, "deadline exceeded during %s: %v", phase, err)
-	} else {
-		writeError(w, statusClientClosedRequest, "client closed request during %s: %v", phase, err)
+	var te *treewidth.TracebackError
+	switch {
+	case phase == "generate", phase == "compile":
+		writeError(w, http.StatusBadRequest, "%v", err)
+	case errors.As(err, &te):
+		writeJSON(w, http.StatusInternalServerError, errorJSON{
+			Error:     err.Error(),
+			Traceback: &tracebackJSON{Node: te.Node, Kind: te.Kind.String(), Bag: te.Bag},
+		})
+	case phase == "decompose", phase == "prove":
+		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+	case phase == "verify" && submitted:
+		writeError(w, http.StatusBadRequest, "%v", err)
+	default:
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -324,7 +364,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // certifyRequest is the POST /certify payload.
 type certifyRequest struct {
 	jobJSON
-	// Distributed additionally runs the goroutine-per-node simulator.
+	// Distributed verifies on the sharded network simulator instead of
+	// the sequential referee (identical verdicts).
 	Distributed bool `json:"distributed,omitempty"`
 	// IncludeCertificates echoes the honest assignment in the response.
 	IncludeCertificates bool `json:"include_certificates,omitempty"`
@@ -342,6 +383,28 @@ type certifyResponse struct {
 	VerifyNS            int64 `json:"verify_ns"`
 }
 
+// newCertifyResponse renders a certified job.
+func newCertifyResponse(res engine.JobResult) certifyResponse {
+	return certifyResponse{
+		Scheme:      res.Scheme,
+		Result:      resultJSON(res),
+		CompileNS:   res.Compile.Nanoseconds(),
+		DecomposeNS: res.Decompose.Nanoseconds(),
+		ProveNS:     res.Prove.Nanoseconds(),
+		VerifyNS:    res.Verify.Nanoseconds(),
+	}
+}
+
+// resultJSON is the wire form of a job's verdict and certificate sizes.
+func resultJSON(res engine.JobResult) wire.ResultJSON {
+	return wire.ResultJSON{
+		Accepted:  res.Accepted,
+		Rejecters: res.Rejecters,
+		MaxBits:   res.MaxBits,
+		TotalBits: res.TotalBits,
+	}
+}
+
 func (s *server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	if mediaType(r) == streamContentType {
 		s.handleCertifyStream(w, r)
@@ -351,99 +414,25 @@ func (s *server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	ctx := r.Context()
-	rsp := obs.FromContext(ctx)
-	g, params, err := req.resolve(s.reg)
+	job, err := req.job(s.reg, false)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	t0 := time.Now()
-	scheme, err := s.cache.GetOrCompileCtx(ctx, req.Scheme, params)
-	compileNS := time.Since(t0).Nanoseconds()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	job.Distributed = req.Distributed
+	res, a := s.pipe.Certify(r.Context(), job)
+	if res.Err != nil {
+		writeFailure(w, res.Err, false)
 		return
 	}
-	rsp.SetAttr("scheme", scheme.Name())
-	rsp.SetAttr("n", g.N())
-	a, res, phases, ok := s.proveAndVerify(ctx, w, scheme, g)
-	if !ok {
-		return
-	}
-	rsp.SetAttr("accepted", res.Accepted)
-	resp := certifyResponse{
-		Scheme:      scheme.Name(),
-		Result:      wire.ResultToJSON(res, a),
-		CompileNS:   compileNS,
-		DecomposeNS: phases.decomposeNS,
-		ProveNS:     phases.proveNS,
-		VerifyNS:    phases.verifyNS,
-	}
+	resp := newCertifyResponse(res)
 	if req.IncludeCertificates {
 		resp.Certificates = wire.AssignmentToStrings(a)
 	}
 	if req.Distributed {
-		rep, err := s.sim.Run(ctx, g, scheme, a)
-		if err != nil {
-			if s.writeCancelled(w, err) {
-				return
-			}
-			writeError(w, http.StatusInternalServerError, "distributed: %v", err)
-			return
-		}
-		resp.DistributedAccepted = &rep.Accepted
+		resp.DistributedAccepted = &res.Accepted
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// certifyPhases carries the inline certify path's phase timings.
-type certifyPhases struct {
-	decomposeNS, proveNS, verifyNS int64
-}
-
-// proveAndVerify is the shared prove+verify tail of the JSON and stream
-// certify paths: prewarm the decomposition cache, prove, referee — each
-// phase under its weighted slice of the request deadline, cancellable at
-// the engine's checkpoints. On failure the response has been written
-// (499/503 for cancellations, the existing mappings otherwise) and ok is
-// false.
-func (s *server) proveAndVerify(ctx context.Context, w http.ResponseWriter, scheme cert.Scheme, g *graph.Graph) (cert.Assignment, cert.Result, certifyPhases, bool) {
-	var ph certifyPhases
-	dctx, dcancel := engine.PhaseBudget(ctx, "decompose")
-	ph.decomposeNS = s.cache.PrewarmDecomposition(dctx, scheme, g).Nanoseconds()
-	dcancel()
-	if err := ctx.Err(); err != nil {
-		s.writeCancelled(w, &fault.CancelledError{Phase: "decompose", Cause: err})
-		return nil, cert.Result{}, ph, false
-	}
-	pctx, pcancel := engine.PhaseBudget(ctx, "prove")
-	pctx, psp := obs.Start(pctx, "prove")
-	a, err := cert.ProveWithContext(pctx, scheme, g)
-	psp.End()
-	pcancel()
-	ph.proveNS = psp.Duration().Nanoseconds()
-	engine.PhaseHistogram(s.obs, "prove").Observe(psp.Duration())
-	if err != nil {
-		if !s.writeCancelled(w, err) {
-			writeProveError(w, err)
-		}
-		return nil, cert.Result{}, ph, false
-	}
-	vctx, vcancel := engine.PhaseBudget(ctx, "verify")
-	vctx, vsp := obs.Start(vctx, "verify")
-	res, err := cert.RunSequentialCtx(vctx, g, scheme, a)
-	vsp.End()
-	vcancel()
-	ph.verifyNS = vsp.Duration().Nanoseconds()
-	engine.PhaseHistogram(s.obs, "verify").Observe(vsp.Duration())
-	if err != nil {
-		if !s.writeCancelled(w, err) {
-			writeError(w, http.StatusInternalServerError, "verify: %v", err)
-		}
-		return nil, cert.Result{}, ph, false
-	}
-	return a, res, ph, true
 }
 
 // mediaType returns the request's Content-Type without parameters.
@@ -464,7 +453,6 @@ func mediaType(r *http.Request) string {
 // binary path, so include_certificates does not exist here.
 func (s *server) handleCertifyStream(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
-	rsp := obs.FromContext(ctx)
 	q := r.URL.Query()
 	p := paramsJSON{Property: q.Get("property"), Formula: q.Get("formula")}
 	if ts := q.Get("t"); ts != "" {
@@ -491,28 +479,25 @@ func (s *server) handleCertifyStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	t0 := time.Now()
-	scheme, err := s.cache.GetOrCompileCtx(ctx, schemeName, p.toParams())
-	compileNS := time.Since(t0).Nanoseconds()
+	res, _ := s.pipe.Certify(ctx, engine.Job{Graph: g, Scheme: schemeName, Params: p.toParams()})
+	if res.Err != nil {
+		writeFailure(w, res.Err, false)
+		return
+	}
+	writeJSON(w, http.StatusOK, newCertifyResponse(res))
+}
+
+// tamperSweep turns an optional wire tamper spec into the engine's sweep
+// request.
+func tamperSweep(spec *wire.TamperSpec) (*engine.TamperSweep, error) {
+	if spec == nil {
+		return nil, nil
+	}
+	tampers, err := spec.Tampers()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	rsp.SetAttr("scheme", scheme.Name())
-	rsp.SetAttr("n", g.N())
-	a, res, phases, ok := s.proveAndVerify(ctx, w, scheme, g)
-	if !ok {
-		return
-	}
-	rsp.SetAttr("accepted", res.Accepted)
-	writeJSON(w, http.StatusOK, certifyResponse{
-		Scheme:      scheme.Name(),
-		Result:      wire.ResultToJSON(res, a),
-		CompileNS:   compileNS,
-		DecomposeNS: phases.decomposeNS,
-		ProveNS:     phases.proveNS,
-		VerifyNS:    phases.verifyNS,
-	})
+	return &engine.TamperSweep{Tampers: tampers, Trials: spec.EffectiveTrials(), Seed: spec.Seed}, nil
 }
 
 // simulateRequest is the POST /simulate payload: run the sharded network
@@ -542,10 +527,11 @@ type simulateResponse struct {
 	Rounds  int `json:"rounds"`
 	Workers int `json:"workers"`
 	// Sweep is present when the request carried a tamper spec.
-	Sweep    *netsim.SweepReport `json:"sweep,omitempty"`
-	ProveNS  int64               `json:"prove_ns,omitempty"`
-	VerifyNS int64               `json:"verify_ns"`
-	SweepNS  int64               `json:"sweep_ns,omitempty"`
+	Sweep       *netsim.SweepReport `json:"sweep,omitempty"`
+	DecomposeNS int64               `json:"decompose_ns,omitempty"`
+	ProveNS     int64               `json:"prove_ns,omitempty"`
+	VerifyNS    int64               `json:"verify_ns"`
+	SweepNS     int64               `json:"sweep_ns,omitempty"`
 }
 
 func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -553,104 +539,43 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	if req.Tamper != nil {
-		if err := req.Tamper.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+	job, err := req.job(s.reg, false)
+	if err == nil {
+		job.Sweep, err = tamperSweep(req.Tamper)
 	}
-	ctx := r.Context()
-	rsp := obs.FromContext(ctx)
-	g, params, err := req.resolve(s.reg)
+	if err == nil && len(req.Certificates) > 0 {
+		job.Certificates, err = wire.AssignmentFromStrings(req.Certificates)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	scheme, err := s.cache.GetOrCompileCtx(ctx, req.Scheme, params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rsp.SetAttr("scheme", scheme.Name())
-	rsp.SetAttr("n", g.N())
-	resp := simulateResponse{Scheme: scheme.Name()}
-	var a cert.Assignment
-	if len(req.Certificates) > 0 {
-		a, err = wire.AssignmentFromStrings(req.Certificates)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if len(a) != g.N() {
-			writeError(w, http.StatusBadRequest, "%d certificates for %d vertices", len(a), g.N())
-			return
-		}
-	} else {
-		s.cache.PrewarmDecomposition(ctx, scheme, g)
-		pctx, psp := obs.Start(ctx, "prove")
-		a, err = cert.ProveWithContext(pctx, scheme, g)
-		psp.End()
-		engine.PhaseHistogram(s.obs, "prove").Observe(psp.Duration())
-		resp.ProveNS = psp.Duration().Nanoseconds()
-		if err != nil {
-			if !s.writeCancelled(w, err) {
-				writeProveError(w, err)
-			}
-			return
-		}
-	}
+	job.Distributed = true
 	// The shared engine serves the common case so its buffer pool stays
 	// warm; an explicit per-request worker bound gets its own engine
-	// (writing into the same registry).
-	sim := s.sim
+	// (writing into the same registry), as /batch does.
+	pipe, sim := s.pipe, s.sim
 	if req.Workers > 0 {
 		sim = &netsim.Engine{Workers: req.Workers, Obs: s.obs}
+		pipe = &engine.Pipeline{Cache: s.cache, Sim: sim}
 	}
-	vctx, vsp := obs.Start(ctx, "verify")
-	rep, err := sim.Run(vctx, g, scheme, a)
-	vsp.End()
-	engine.PhaseHistogram(s.obs, "verify").Observe(vsp.Duration())
-	resp.VerifyNS = vsp.Duration().Nanoseconds()
-	if err != nil {
-		if s.writeCancelled(w, err) {
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "simulate: %v", err)
+	res, _ := pipe.Certify(r.Context(), job)
+	if res.Err != nil {
+		writeFailure(w, res.Err, job.Certificates != nil)
 		return
 	}
-	rsp.SetAttr("accepted", rep.Accepted)
-	resp.Result = wire.ResultJSON{
-		Accepted:  rep.Accepted,
-		Rejecters: rep.Rejecters,
-		MaxBits:   a.MaxBits(),
-		TotalBits: a.TotalBits(),
-	}
-	resp.Rounds = rep.Rounds
-	resp.Workers = rep.Workers
-	// Sweep only an accepted baseline: attacking an assignment that is
-	// already rejected would produce meaningless detection statistics
-	// (the pipeline applies the same gate).
-	if req.Tamper != nil && rep.Accepted {
-		tampers, terr := req.Tamper.Tampers()
-		if terr != nil {
-			writeError(w, http.StatusBadRequest, "%v", terr)
-			return
-		}
-		sctx, ssp := obs.Start(ctx, "sweep")
-		sweep, serr := sim.Sweep(sctx, g, scheme, a, tampers, req.Tamper.EffectiveTrials(), req.Tamper.Seed)
-		ssp.End()
-		engine.PhaseHistogram(s.obs, "sweep").Observe(ssp.Duration())
-		resp.SweepNS = ssp.Duration().Nanoseconds()
-		if serr != nil {
-			if s.writeCancelled(w, serr) {
-				return
-			}
-			writeError(w, http.StatusInternalServerError, "sweep: %v", serr)
-			return
-		}
-		resp.Sweep = &sweep
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, simulateResponse{
+		Scheme: res.Scheme,
+		Result: resultJSON(res),
+		// A radius-1 scheme verifies in one exchange round.
+		Rounds:      1,
+		Workers:     sim.EffectiveWorkers(job.Graph.N()),
+		Sweep:       res.Sweep,
+		DecomposeNS: res.Decompose.Nanoseconds(),
+		ProveNS:     res.Prove.Nanoseconds(),
+		VerifyNS:    res.Verify.Nanoseconds(),
+		SweepNS:     res.SweepTime.Nanoseconds(),
+	})
 }
 
 // verifyRequest is the POST /verify payload: a graph, a scheme and a
@@ -665,37 +590,23 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	g, params, err := req.resolve(s.reg)
+	job, err := req.job(s.reg, false)
+	if err == nil {
+		job.Certificates, err = wire.AssignmentFromStrings(req.Certificates)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	a, err := wire.AssignmentFromStrings(req.Certificates)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx := r.Context()
-	scheme, err := s.cache.GetOrCompileCtx(ctx, req.Scheme, params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	vctx, vsp := obs.Start(ctx, "verify")
-	res, err := cert.RunSequentialCtx(vctx, g, scheme, a)
-	vsp.End()
-	engine.PhaseHistogram(s.obs, "verify").Observe(vsp.Duration())
-	if err != nil {
-		if s.writeCancelled(w, err) {
-			return
-		}
-		writeError(w, http.StatusBadRequest, "verify: %v", err)
+	res, _ := s.pipe.Certify(r.Context(), job)
+	if res.Err != nil {
+		writeFailure(w, res.Err, true)
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Scheme string          `json:"scheme"`
 		Result wire.ResultJSON `json:"result"`
-	}{scheme.Name(), wire.ResultToJSON(res, a)})
+	}{res.Scheme, resultJSON(res)})
 }
 
 // batchRequest is the POST /batch payload.
@@ -712,23 +623,9 @@ type batchRequest struct {
 	Tamper *wire.TamperSpec `json:"tamper,omitempty"`
 }
 
-// batchJobResult is the JSON form of engine.JobResult.
-type batchJobResult struct {
-	Index       int                 `json:"index"`
-	Scheme      string              `json:"scheme,omitempty"`
-	Accepted    bool                `json:"accepted"`
-	Rejecters   []int               `json:"rejecters,omitempty"`
-	MaxBits     int                 `json:"max_bits"`
-	TotalBits   int                 `json:"total_bits"`
-	GenerateNS  int64               `json:"generate_ns"`
-	CompileNS   int64               `json:"compile_ns"`
-	DecomposeNS int64               `json:"decompose_ns,omitempty"`
-	ProveNS     int64               `json:"prove_ns"`
-	VerifyNS    int64               `json:"verify_ns"`
-	Distributed bool                `json:"distributed,omitempty"`
-	Sweep       *netsim.SweepReport `json:"sweep,omitempty"`
-	Error       string              `json:"error,omitempty"`
-}
+// batchJobResult is the JSON form of one batch job: engine.JobResult
+// serializes its phase durations as *_ns integers itself.
+type batchJobResult = engine.JobResult
 
 // maxBatchJobs bounds a single batch; larger workloads should be split
 // across requests.
@@ -747,59 +644,20 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch has %d jobs (limit %d)", len(req.Jobs), maxBatchJobs)
 		return
 	}
-	var sweep *engine.TamperSweep
-	if req.Tamper != nil {
-		tampers, err := req.Tamper.Tampers()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		sweep = &engine.TamperSweep{Tampers: tampers, Trials: req.Tamper.EffectiveTrials(), Seed: req.Tamper.Seed}
+	sweep, err := tamperSweep(req.Tamper)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	jobs := make([]engine.Job, len(req.Jobs))
 	for i, jj := range req.Jobs {
-		if err := jj.Params.validate(); err != nil {
+		job, err := jj.job(s.reg, true)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, "job %d: %v", i, err)
 			return
 		}
-		switch {
-		case jj.Graph != nil && jj.Generator != nil:
-			writeError(w, http.StatusBadRequest, "job %d: has both a graph and a generator", i)
-			return
-		case jj.Graph != nil:
-			g, err := jj.Graph.ToGraph()
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "job %d: %v", i, err)
-				return
-			}
-			jobs[i] = engine.Job{Graph: g, Scheme: jj.Scheme, Params: jj.Params.toParams(), Distributed: req.Distributed, Sweep: sweep}
-		case jj.Generator != nil:
-			// Validate up front (so bad specs fail the whole request),
-			// but build inside a worker: residency stays bounded by the
-			// worker count and generation itself runs in parallel.
-			if err := jj.Generator.Validate(); err != nil {
-				writeError(w, http.StatusBadRequest, "job %d: %v", i, err)
-				return
-			}
-			gen, params, scheme := *jj.Generator, jj.Params.toParams(), jj.Scheme
-			jobs[i] = engine.Job{
-				Scheme:      jj.Scheme,
-				Distributed: req.Distributed,
-				Sweep:       sweep,
-				Lazy: func() (*graph.Graph, registry.Params, error) {
-					g, witness, err := gen.Build()
-					if err != nil {
-						return nil, params, err
-					}
-					p := params
-					attachWitness(&p, witness, s.reg, scheme)
-					return g, p, nil
-				},
-			}
-		default:
-			writeError(w, http.StatusBadRequest, "job %d: has neither a graph nor a generator", i)
-			return
-		}
+		job.Distributed, job.Sweep = req.Distributed, sweep
+		jobs[i] = job
 	}
 	pipe := s.pipe
 	if req.Workers > 0 {
@@ -812,30 +670,11 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	out := make([]batchJobResult, len(results))
-	for i, res := range results {
-		out[i] = batchJobResult{
-			Index:       res.Index,
-			Scheme:      res.Scheme,
-			Accepted:    res.Accepted,
-			Rejecters:   res.Rejecters,
-			MaxBits:     res.MaxBits,
-			TotalBits:   res.TotalBits,
-			GenerateNS:  res.Generate.Nanoseconds(),
-			CompileNS:   res.Compile.Nanoseconds(),
-			DecomposeNS: res.Decompose.Nanoseconds(),
-			ProveNS:     res.Prove.Nanoseconds(),
-			VerifyNS:    res.Verify.Nanoseconds(),
-			Distributed: res.Distributed,
-			Sweep:       res.Sweep,
-			Error:       res.Error,
-		}
-	}
 	writeJSON(w, http.StatusOK, struct {
-		Stats   engine.BatchStats `json:"stats"`
-		WallNS  int64             `json:"wall_ns"`
-		Results []batchJobResult  `json:"results"`
-	}{engine.Summarize(results), wallNS, out})
+		Stats   engine.BatchStats  `json:"stats"`
+		WallNS  int64              `json:"wall_ns"`
+		Results []engine.JobResult `json:"results"`
+	}{engine.Summarize(results), wallNS, results})
 }
 
 // decomposeRequest is the POST /decompose payload: compute a tree
@@ -843,8 +682,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // served artifact — the cacheable per-graph state the tw-mso workload is
 // built on, exposed directly.
 type decomposeRequest struct {
-	Graph     *wire.GraphJSON     `json:"graph,omitempty"`
-	Generator *wire.GeneratorSpec `json:"generator,omitempty"`
+	graphSource
 	// Method is "auto" (default: best heuristic through the shared
 	// decomposition cache), "min-fill", "min-degree", or "exact"
 	// (branch-and-bound, n <= treewidth.ExactLimit).
@@ -877,26 +715,24 @@ func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var g *graph.Graph
-	var err error
-	switch {
-	case req.Graph != nil && req.Generator != nil:
-		writeError(w, http.StatusBadRequest, "request has both a graph and a generator")
-		return
-	case req.Graph != nil:
-		g, err = req.Graph.ToGraph()
-	case req.Generator != nil:
-		g, _, err = req.Generator.Build()
-	default:
-		writeError(w, http.StatusBadRequest, "request has neither a graph nor a generator")
-		return
+	err := req.validate()
+	if err == nil {
+		g, _, err = req.build()
+	}
+	if err == nil && g.N() == 0 {
+		err = fmt.Errorf("graph is empty")
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if g.N() == 0 {
-		writeError(w, http.StatusBadRequest, "graph is empty")
-		return
+	// fail counts a cancelled phase here: /decompose computes outside the
+	// certify runner, which counts everything else.
+	fail := func(phase string, err error) {
+		if ce, ok := fault.Cancelled(err); ok {
+			engine.CancelledCounter(s.obs, ce.Phase).Inc()
+		}
+		writeFailure(w, &engine.PhaseError{Phase: phase, Err: err}, false)
 	}
 	method := req.Method
 	if method == "" {
@@ -919,10 +755,7 @@ func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	}
 	computeNS := time.Since(t0).Nanoseconds()
 	if err != nil {
-		if s.writeCancelled(w, err) {
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity, "decompose: %v", err)
+		fail("decompose", err)
 		return
 	}
 	resp := decomposeResponse{
@@ -935,12 +768,9 @@ func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		ComputeNS: computeNS,
 	}
 	if req.Nice {
-		nice, nerr := treewidth.MakeNiceCtx(r.Context(), d, 0)
-		if nerr != nil {
-			if s.writeCancelled(w, nerr) {
-				return
-			}
-			writeError(w, http.StatusInternalServerError, "nice: %v", nerr)
+		nice, err := treewidth.MakeNiceCtx(r.Context(), d, 0)
+		if err != nil {
+			fail("nice", err)
 			return
 		}
 		resp.NiceNodes = nice.NumNodes()

@@ -52,8 +52,7 @@ type Cache struct {
 	// no registry wiring.
 	Obs *obs.Registry
 
-	mu      sync.Mutex
-	flights map[string]*flight
+	flights flight[string, cert.Scheme]
 
 	hits     *obs.Counter
 	misses   *obs.Counter
@@ -78,14 +77,6 @@ type Cache struct {
 	}
 }
 
-// flight is one compilation: started by the first requester, awaited by
-// everyone else via the done channel.
-type flight struct {
-	done   chan struct{}
-	scheme cert.Scheme
-	err    error
-}
-
 // NewCache returns a cache compiling through the given registry, with
 // bare (unregistered) metric handles.
 func NewCache(reg *registry.Registry) *Cache {
@@ -98,7 +89,7 @@ func NewCacheObs(reg *registry.Registry, r *obs.Registry) *Cache {
 	c := &Cache{
 		reg:     reg,
 		Obs:     r,
-		flights: map[string]*flight{},
+		flights: flight[string, cert.Scheme]{name: "compile"},
 		canon:   map[string]string{},
 	}
 	if r == nil {
@@ -232,62 +223,33 @@ func (c *Cache) GetOrCompileCtx(ctx context.Context, name string, p registry.Par
 func (c *Cache) getOrCompile(name string, p registry.Params) (cert.Scheme, string, error) {
 	if !p.Cacheable() {
 		c.bypasses.Inc()
-		if err := compileBuild.Inject(); err != nil {
-			return nil, "bypass", err
-		}
-		s, err := c.reg.Build(name, p)
-		if err == nil {
-			c.attachDecompCache(s)
-		}
+		s, err := c.build(name, p)
 		return s, "bypass", err
 	}
 	key, err := c.Key(name, p)
 	if err != nil {
 		return nil, "error", err
 	}
-	c.mu.Lock()
-	if f, ok := c.flights[key]; ok {
-		c.mu.Unlock()
+	s, hit, err := c.flights.do(key, func() (cert.Scheme, error) { return c.build(name, p) }, nil)
+	if hit {
 		c.hits.Inc()
-		<-f.done
-		return f.scheme, "hit", f.err
+		return s, "hit", err
 	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
 	c.misses.Inc()
-	// Unpin and release waiters even if a panic (injected chaos, or a
-	// compiler bug) unwinds through the build: a flight whose done channel
-	// never closes would strand every later request for the key.
-	settled := false
-	defer func() {
-		if settled {
-			return
-		}
-		f.err = fmt.Errorf("engine: compile flight panicked")
-		c.mu.Lock()
-		delete(c.flights, key)
-		c.mu.Unlock()
-		close(f.done)
-	}()
-	if f.err = compileBuild.Inject(); f.err == nil {
-		f.scheme, f.err = c.reg.Build(name, p)
+	return s, "miss", err
+}
+
+// build compiles one scheme behind the compile fault point and attaches the
+// shared per-graph state before the scheme is published to anyone else.
+func (c *Cache) build(name string, p registry.Params) (cert.Scheme, error) {
+	if err := compileBuild.Inject(); err != nil {
+		return nil, err
 	}
-	if f.err == nil {
-		// Attach shared per-graph state before publishing to waiters.
-		c.attachDecompCache(f.scheme)
+	s, err := c.reg.Build(name, p)
+	if err == nil {
+		c.attachDecompCache(s)
 	}
-	settled = true
-	close(f.done)
-	if f.err != nil {
-		// Failed compiles are not pinned: a later request with the same
-		// key retries instead of replaying a stale error forever.
-		c.mu.Lock()
-		delete(c.flights, key)
-		c.mu.Unlock()
-	}
-	return f.scheme, "miss", f.err
+	return s, err
 }
 
 // Stats is a snapshot of cache effectiveness counters.
@@ -304,9 +266,7 @@ type Stats struct {
 
 // Stats returns current counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	size := len(c.flights)
-	c.mu.Unlock()
+	size := c.flights.len()
 	return Stats{
 		Hits:     c.hits.Value(),
 		Misses:   c.misses.Value(),
@@ -341,9 +301,7 @@ func (c *Cache) FormulaStats() FormulaStats {
 // Purge drops every cached scheme and memoized formula (counters are
 // kept).
 func (c *Cache) Purge() {
-	c.mu.Lock()
-	c.flights = map[string]*flight{}
-	c.mu.Unlock()
+	c.flights.purge()
 	c.canonMu.Lock()
 	c.canon = map[string]string{}
 	c.canonMu.Unlock()

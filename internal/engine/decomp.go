@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cert"
@@ -29,8 +28,7 @@ var decompCompute = fault.NewPoint("engine.decomp.compute")
 // collision would hand a scheme a decomposition of the wrong graph, which
 // the prover's validity check rejects instead of certifying garbage.
 type DecompCache struct {
-	mu      sync.Mutex
-	flights map[uint64]*decompFlight
+	flights flight[uint64, *treewidth.Decomposition]
 
 	hits   *obs.Counter
 	misses *obs.Counter
@@ -43,12 +41,6 @@ type DecompCache struct {
 		hits, misses obs.Counter
 		decompPhase  obs.Histogram
 	}
-}
-
-type decompFlight struct {
-	done   chan struct{}
-	decomp *treewidth.Decomposition
-	err    error
 }
 
 // maxDecompEntries bounds the cache: fingerprints are client-controlled
@@ -69,7 +61,7 @@ func NewDecompCache() *DecompCache {
 // Pass the same registry as the compile cache's so one exposition carries
 // all three cache families.
 func NewDecompCacheObs(r *obs.Registry) *DecompCache {
-	c := &DecompCache{flights: map[uint64]*decompFlight{}}
+	c := &DecompCache{flights: flight[uint64, *treewidth.Decomposition]{name: "decomposition", max: maxDecompEntries}}
 	if r == nil {
 		c.hits = &c.bare.hits
 		c.misses = &c.bare.misses
@@ -159,67 +151,23 @@ func (c *DecompCache) get(ctx context.Context, g *graph.Graph) (*treewidth.Decom
 	if g == nil {
 		return nil, false, fmt.Errorf("engine: decomposition cache: nil graph")
 	}
-	key := fingerprint(g)
-	for {
-		c.mu.Lock()
-		f, ok := c.flights[key]
-		if !ok {
-			break
+	return c.flights.do(fingerprint(g), func() (*treewidth.Decomposition, error) {
+		if err := decompCompute.Inject(); err != nil {
+			return nil, err
 		}
-		c.mu.Unlock()
-		<-f.done
-		if _, cancelled := fault.Cancelled(f.err); !cancelled {
-			return f.decomp, true, f.err
+		d, _, err := treewidth.HeuristicCtx(ctx, g)
+		return d, err
+	}, func(err error) error {
+		if _, cancelled := fault.Cancelled(err); !cancelled {
+			return err
 		}
-		// The computing request went away mid-flight. Its failure was
-		// unpinned before done closed, so looping re-claims the key —
+		// The computing request went away mid-flight: re-claim the key —
 		// unless this waiter is itself cancelled.
-		if err := ctx.Err(); err != nil {
-			return nil, true, &fault.CancelledError{Phase: "decompose", Cause: err}
+		if cerr := ctx.Err(); cerr != nil {
+			return &fault.CancelledError{Phase: "decompose", Cause: cerr}
 		}
-	}
-	if len(c.flights) >= maxDecompEntries {
-		for k := range c.flights {
-			delete(c.flights, k)
-			break
-		}
-	}
-	f := &decompFlight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	// A panic unwinding through the computing flight (injected chaos, or
-	// a heuristic bug) must not strand waiters on a never-closed channel:
-	// unpin the flight and release them with an error, then let the panic
-	// keep unwinding to the per-job/per-handler recovery above us.
-	settled := false
-	defer func() {
-		if settled {
-			return
-		}
-		f.err = fmt.Errorf("engine: decomposition flight panicked")
-		c.mu.Lock()
-		delete(c.flights, key)
-		c.mu.Unlock()
-		close(f.done)
-	}()
-
-	if err := decompCompute.Inject(); err != nil {
-		f.err = err
-	} else {
-		f.decomp, _, f.err = treewidth.HeuristicCtx(ctx, g)
-	}
-	settled = true
-	if f.err != nil {
-		// Failed computations are not pinned, mirroring the compile cache.
-		// The unpin happens before done closes so a retrying waiter finds
-		// the slot free instead of re-observing the dead flight.
-		c.mu.Lock()
-		delete(c.flights, key)
-		c.mu.Unlock()
-	}
-	close(f.done)
-	return f.decomp, false, f.err
+		return nil
+	})
 }
 
 // Provider adapts the cache to the scheme's DecompProvider slot. Unlike a
@@ -255,17 +203,13 @@ type DecompStats struct {
 
 // Stats returns current counters.
 func (c *DecompCache) Stats() DecompStats {
-	c.mu.Lock()
-	size := len(c.flights)
-	c.mu.Unlock()
+	size := c.flights.len()
 	return DecompStats{Hits: c.hits.Value(), Misses: c.misses.Value(), Size: size}
 }
 
 // Purge drops every cached decomposition (counters are kept).
 func (c *DecompCache) Purge() {
-	c.mu.Lock()
-	c.flights = map[uint64]*decompFlight{}
-	c.mu.Unlock()
+	c.flights.purge()
 }
 
 // attachDecompCache hands a freshly compiled tw-mso scheme the shared

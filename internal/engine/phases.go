@@ -26,7 +26,8 @@ const (
 	// worker pool is the bottleneck rather than any single phase.
 	MetricQueueDepth = "engine_queue_depth"
 	// MetricCancelled counts certification work abandoned at a cooperative
-	// cancellation checkpoint, labeled phase=decompose|prove|verify. A
+	// cancellation checkpoint, labeled by the abandoned phase
+	// (request, compile, decompose, prove or verify). A
 	// climbing decompose count under load means clients give up while
 	// their graphs are still being decomposed — raise the deadline or
 	// shrink the graphs.
@@ -48,9 +49,8 @@ func cacheCounter(r *obs.Registry, cache, result string) *obs.Counter {
 }
 
 // PhaseHistogram returns the latency histogram for one certification
-// phase. Exported so the serving layer records its inline phases into the
-// same family the pipeline writes. A nil registry yields a bare
-// unregistered histogram, like cacheCounter.
+// phase. A nil registry yields a bare unregistered histogram, like
+// cacheCounter.
 func PhaseHistogram(r *obs.Registry, phase string) *obs.Histogram {
 	if r == nil {
 		return new(obs.Histogram)
@@ -144,30 +144,4 @@ func PhaseBudget(ctx context.Context, phase string) (context.Context, context.Ca
 		share = remaining
 	}
 	return context.WithTimeout(ctx, share)
-}
-
-// Phase is one named phase duration of a certification request, in
-// pipeline order.
-type Phase struct {
-	Name string
-	D    time.Duration
-}
-
-// PhasesFor lists a result's non-zero phase durations in pipeline order —
-// the shape request logs and phase histograms share.
-func PhasesFor(r JobResult) []Phase {
-	all := []Phase{
-		{"generate", r.Generate},
-		{"compile", r.Compile},
-		{"decompose", r.Decompose},
-		{"prove", r.Prove},
-		{"verify", r.Verify},
-	}
-	out := all[:0]
-	for _, p := range all {
-		if p.D > 0 {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -31,8 +31,8 @@ type TamperSweep struct {
 	Seed int64
 }
 
-// Job is one unit of pipeline work: prove and verify one graph under one
-// scheme, optionally followed by an adversarial soundness sweep.
+// Job is one unit of certification work: prove and verify one graph
+// under one scheme, optionally followed by an adversarial soundness sweep.
 type Job struct {
 	// Graph is the instance to certify. Leave nil and set Lazy to
 	// materialize the instance inside a worker instead.
@@ -47,12 +47,16 @@ type Job struct {
 	// Params parameterise the scheme factory; ignored when Lazy is set
 	// (Lazy returns the effective params).
 	Params registry.Params
+	// Certificates, when set, makes the job verify-only: decompose and
+	// prove are skipped and this submitted assignment is verified instead
+	// of an honest proof.
+	Certificates cert.Assignment
 	// Distributed verifies on the sharded network simulator instead of
 	// the sequential referee (the verdicts are identical; the simulator
 	// additionally exercises the self-stabilization code path).
 	Distributed bool
 	// Sweep, when set, runs the adversarial soundness sweep after an
-	// accepted honest verification.
+	// accepted verification.
 	Sweep *TamperSweep
 }
 
@@ -63,7 +67,7 @@ type JobResult struct {
 	Index int `json:"index"`
 	// Scheme is the resolved scheme name (empty when compilation failed).
 	Scheme string `json:"scheme,omitempty"`
-	// Accepted reports whether every vertex accepted the honest proof.
+	// Accepted reports whether every vertex accepted the assignment.
 	Accepted bool `json:"accepted"`
 	// Rejecters lists rejecting vertex indices, when any.
 	Rejecters []int `json:"rejecters,omitempty"`
@@ -73,7 +77,8 @@ type JobResult struct {
 	// Generate, Compile, Decompose, Prove and Verify are the phase
 	// durations (Generate is zero for jobs submitted with an explicit
 	// graph; Decompose is zero unless the scheme draws its tree
-	// decomposition from the shared cache).
+	// decomposition from the shared cache; Decompose and Prove are zero
+	// for verify-only jobs).
 	Generate  time.Duration `json:"generate_ns"`
 	Compile   time.Duration `json:"compile_ns"`
 	Decompose time.Duration `json:"decompose_ns,omitempty"`
@@ -82,10 +87,13 @@ type JobResult struct {
 	// Distributed reports that verification ran on the network simulator.
 	Distributed bool `json:"distributed,omitempty"`
 	// Sweep is the adversarial soundness report, when the job asked for
-	// one and the honest verification accepted.
-	Sweep *netsim.SweepReport `json:"sweep,omitempty"`
-	// Err is the failure, if the job did not complete. It does not
-	// survive JSON; Error is the serializable form.
+	// one and the verification accepted; SweepTime is its duration.
+	Sweep     *netsim.SweepReport `json:"sweep,omitempty"`
+	SweepTime time.Duration       `json:"sweep_ns,omitempty"`
+	// Err is the failure, if the job did not complete: a *PhaseError
+	// naming the failed phase, or a *fault.CancelledError for a job whose
+	// context was done before it started. It does not survive JSON; Error
+	// is the serializable form.
 	Err error `json:"-"`
 	// Error is Err's text, populated at the pipeline layer so every
 	// consumer of serialized results sees the failure cause — not only
@@ -99,16 +107,29 @@ func (r *JobResult) fail(err error) {
 	r.Error = err.Error()
 }
 
-// Pipeline proves and verifies batches of jobs on a bounded worker pool,
-// compiling schemes through a shared cache.
+// PhaseError attributes a job failure to the phase that produced it —
+// generate, compile, decompose, prove, verify or sweep — so callers map
+// failures by phase instead of by message text.
+type PhaseError struct {
+	Phase string
+	Err   error
+}
+
+func (e *PhaseError) Error() string { return e.Phase + ": " + e.Err.Error() }
+
+func (e *PhaseError) Unwrap() error { return e.Err }
+
+// Pipeline certifies jobs — one at a time through Certify, or batches on
+// a bounded worker pool through Run — compiling schemes through a shared
+// cache.
 type Pipeline struct {
 	// Cache supplies compiled schemes; required.
 	Cache *Cache
-	// Workers bounds concurrency; <= 0 means GOMAXPROCS.
+	// Workers bounds Run's concurrency; <= 0 means GOMAXPROCS.
 	Workers int
 	// Sim runs distributed verifications and sweeps. When nil the
 	// pipeline lazily builds one engine writing its metrics into the
-	// cache's registry, so batch round latencies land next to the phase
+	// cache's registry, so round latencies land next to the phase
 	// histograms instead of in the package-level default registry.
 	Sim *netsim.Engine
 
@@ -164,7 +185,7 @@ func (p *Pipeline) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 			defer wg.Done()
 			for i := range idx {
 				depth.Dec()
-				results[i] = p.runOne(ctx, i, jobs[i])
+				results[i] = p.runJob(ctx, i, jobs[i])
 			}
 		}()
 	}
@@ -187,39 +208,49 @@ dispatch:
 	return results, nil
 }
 
-// runOne executes a single job: generate (when lazy), compile (through the
-// cache), decompose (prewarming the shared cache when the scheme reads
-// it), prove, verify (sequentially or on the network simulator), then
-// optionally run the adversarial soundness sweep. Each phase runs under a
-// child span of the job span, lands one sample in its phase histogram,
-// and receives its weighted slice of any request deadline (PhaseBudget).
-// A panicking job — a buggy scheme, an armed panic fault — is contained:
-// it fails its own result, never the worker or the process.
-func (p *Pipeline) runOne(ctx context.Context, i int, job Job) (res JobResult) {
-	res = JobResult{Index: i}
+// runJob certifies one batch job under its own "job" span. A panicking
+// job — a buggy scheme, an armed panic fault — is contained: it fails its
+// own result, never the worker or the process.
+func (p *Pipeline) runJob(ctx context.Context, i int, job Job) (res JobResult) {
+	ctx, sp := obs.Start(ctx, "job")
 	defer func() {
+		sp.End()
 		if r := recover(); r != nil {
+			res = JobResult{Index: i}
 			res.fail(fmt.Errorf("engine: job %d panicked: %v", i, r))
 		}
 	}()
-	if err := ctx.Err(); err != nil {
-		res.fail(err)
-		return res
-	}
+	res, _ = p.Certify(ctx, job)
+	res.Index = i
+	return res
+}
+
+// Certify runs one job through the certification sequence: generate (when
+// lazy), compile (through the cache), decompose (prewarming the shared
+// cache when the scheme reads it), prove, verify (sequentially or on the
+// network simulator), then optionally the adversarial soundness sweep. A
+// verify-only job (Certificates set) skips decompose and prove and
+// verifies the submitted assignment. It returns the result and the
+// assignment that was verified.
+//
+// Each phase runs under a child span of ctx's span, lands one sample in
+// its phase histogram, and receives its weighted slice of any deadline on
+// ctx (PhaseBudget); a cancelled phase fails the job with a
+// *fault.CancelledError counted under that phase. Panics propagate to the
+// caller: Run contains them per job, the server per request.
+func (p *Pipeline) Certify(ctx context.Context, job Job) (res JobResult, a cert.Assignment) {
 	reg := p.Cache.Obs
 	if reg == nil {
 		// A registry-less cache still runs fully instrumented; the
 		// pipeline metrics land in the process-wide default registry.
 		reg = obs.Default()
 	}
-	ctx, jsp := obs.Start(ctx, "job")
-	jsp.SetAttr("scheme", job.Scheme)
+	sp := obs.FromContext(ctx)
+	sp.SetAttr("scheme", job.Scheme)
 	completed := false
 	defer func() {
-		jsp.End()
-		// A panic unwinds through here before the recover above runs, so
-		// an uncompleted job counts as failed even while res.Err is still
-		// unset.
+		// A panic unwinds through here before any recovery runs, so an
+		// uncompleted job counts as failed even while res.Err is unset.
 		outcome := "accepted"
 		switch {
 		case res.Err != nil || !completed:
@@ -227,12 +258,16 @@ func (p *Pipeline) runOne(ctx context.Context, i int, job Job) (res JobResult) {
 		case !res.Accepted:
 			outcome = "rejected"
 		}
-		jsp.SetAttr("outcome", outcome)
+		sp.SetAttr("outcome", outcome)
 		jobCounter(reg, outcome).Inc()
 		if ce, ok := fault.Cancelled(res.Err); ok {
 			CancelledCounter(reg, ce.Phase).Inc()
 		}
 	}()
+	if err := ctx.Err(); err != nil {
+		res.fail(&fault.CancelledError{Phase: "request", Cause: err})
+		return res, nil
+	}
 	g, params := job.Graph, job.Params
 	if g == nil && job.Lazy != nil {
 		_, gsp := obs.Start(ctx, "generate")
@@ -242,80 +277,82 @@ func (p *Pipeline) runOne(ctx context.Context, i int, job Job) (res JobResult) {
 		res.Generate = gsp.Duration()
 		PhaseHistogram(reg, "generate").Observe(res.Generate)
 		if err != nil {
-			res.fail(fmt.Errorf("generate: %w", err))
-			return res
+			res.fail(&PhaseError{"generate", err})
+			return res, nil
 		}
 	}
 	if g == nil {
-		res.fail(fmt.Errorf("engine: job %d has no graph", i))
-		return res
+		res.fail(&PhaseError{"generate", fmt.Errorf("engine: job has no graph")})
+		return res, nil
 	}
-	cctx, ccancel := PhaseBudget(ctx, "compile")
+	// Compilation is memoized and not cancellable, so it runs on ctx
+	// itself; the check after it stops a request whose budget the
+	// compile used up from starting the expensive phases.
 	t0 := time.Now()
-	s, err := p.Cache.GetOrCompileCtx(cctx, job.Scheme, params)
-	ccancel()
+	s, err := p.Cache.GetOrCompileCtx(ctx, job.Scheme, params)
 	res.Compile = time.Since(t0)
 	if err != nil {
-		res.fail(err)
-		return res
+		res.fail(&PhaseError{"compile", err})
+		return res, nil
+	}
+	if err := ctx.Err(); err != nil {
+		res.fail(&PhaseError{"compile", &fault.CancelledError{Phase: "compile", Elapsed: res.Compile, Cause: err}})
+		return res, nil
 	}
 	res.Scheme = s.Name()
-	jsp.SetAttr("n", g.N())
-	dctx, dcancel := PhaseBudget(ctx, "decompose")
-	res.Decompose = p.Cache.PrewarmDecomposition(dctx, s, g)
-	dcancel()
-	if err := ctx.Err(); err != nil {
-		// The prewarm swallows errors by design; do not hand a cancelled
-		// job to the context-less fallback paths below.
-		res.fail(&fault.CancelledError{Phase: "decompose", Cause: err})
-		return res
-	}
-	if err := provePre.Inject(); err != nil {
-		res.fail(fmt.Errorf("prove: %w", err))
-		return res
-	}
-	pctx, pcancel := PhaseBudget(ctx, "prove")
-	pctx, psp := obs.Start(pctx, "prove")
-	a, err := cert.ProveWithContext(pctx, s, g)
-	psp.End()
-	pcancel()
-	res.Prove = psp.Duration()
-	PhaseHistogram(reg, "prove").Observe(res.Prove)
-	if err != nil {
-		res.fail(fmt.Errorf("prove: %w", err))
-		return res
+	sp.SetAttr("n", g.N())
+	a = job.Certificates
+	if a == nil {
+		dctx, dcancel := PhaseBudget(ctx, "decompose")
+		res.Decompose = p.Cache.PrewarmDecomposition(dctx, s, g)
+		dcancel()
+		if err := ctx.Err(); err != nil {
+			// The prewarm swallows errors by design; do not hand a
+			// cancelled job to the prover's fallback paths.
+			res.fail(&PhaseError{"decompose", &fault.CancelledError{Phase: "decompose", Elapsed: res.Decompose, Cause: err}})
+			return res, nil
+		}
+		if err := provePre.Inject(); err != nil {
+			res.fail(&PhaseError{"prove", err})
+			return res, nil
+		}
+		pctx, pcancel := PhaseBudget(ctx, "prove")
+		pctx, psp := obs.Start(pctx, "prove")
+		a, err = cert.ProveWithContext(pctx, s, g)
+		psp.End()
+		pcancel()
+		res.Prove = psp.Duration()
+		PhaseHistogram(reg, "prove").Observe(res.Prove)
+		if err != nil {
+			res.fail(&PhaseError{"prove", err})
+			return res, nil
+		}
 	}
 	res.MaxBits = a.MaxBits()
 	res.TotalBits = a.TotalBits()
+	// Verify is the last budgeted phase, so it is handed the whole
+	// remaining budget — verify-only jobs included.
 	vctx, vcancel := PhaseBudget(ctx, "verify")
 	vctx, vsp := obs.Start(vctx, "verify")
 	if job.Distributed {
 		vsp.SetAttr("mode", "distributed")
-		rep, rerr := p.sim().Run(vctx, g, s, a)
-		vsp.End()
-		vcancel()
-		res.Verify = vsp.Duration()
-		PhaseHistogram(reg, "verify").Observe(res.Verify)
-		if rerr != nil {
-			res.fail(fmt.Errorf("verify: %w", rerr))
-			return res
-		}
-		res.Distributed = true
-		res.Accepted = rep.Accepted
-		res.Rejecters = rep.Rejecters
+		var rep netsim.Report
+		rep, err = p.sim().Run(vctx, g, s, a)
+		res.Accepted, res.Rejecters = rep.Accepted, rep.Rejecters
 	} else {
 		vsp.SetAttr("mode", "sequential")
-		verdict, verr := cert.RunSequentialCtx(vctx, g, s, a)
-		vsp.End()
-		vcancel()
-		res.Verify = vsp.Duration()
-		PhaseHistogram(reg, "verify").Observe(res.Verify)
-		if verr != nil {
-			res.fail(fmt.Errorf("verify: %w", verr))
-			return res
-		}
-		res.Accepted = verdict.Accepted
-		res.Rejecters = verdict.Rejecters
+		var verdict cert.Result
+		verdict, err = cert.RunSequentialCtx(vctx, g, s, a)
+		res.Accepted, res.Rejecters = verdict.Accepted, verdict.Rejecters
+	}
+	vsp.End()
+	vcancel()
+	res.Verify = vsp.Duration()
+	res.Distributed = job.Distributed
+	PhaseHistogram(reg, "verify").Observe(res.Verify)
+	if err != nil {
+		res.fail(&PhaseError{"verify", err})
+		return res, a
 	}
 	if job.Sweep != nil && res.Accepted {
 		tampers := job.Sweep.Tampers
@@ -329,15 +366,16 @@ func (p *Pipeline) runOne(ctx context.Context, i int, job Job) (res JobResult) {
 		sctx, ssp := obs.Start(ctx, "sweep")
 		sweep, serr := p.sim().Sweep(sctx, g, s, a, tampers, trials, job.Sweep.Seed)
 		ssp.End()
-		PhaseHistogram(reg, "sweep").Observe(ssp.Duration())
+		res.SweepTime = ssp.Duration()
+		PhaseHistogram(reg, "sweep").Observe(res.SweepTime)
 		if serr != nil {
-			res.fail(fmt.Errorf("sweep: %w", serr))
-			return res
+			res.fail(&PhaseError{"sweep", serr})
+			return res, a
 		}
 		res.Sweep = &sweep
 	}
 	completed = true
-	return res
+	return res, a
 }
 
 // BatchStats aggregates a batch's results.

@@ -93,8 +93,9 @@ func Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.Assignment) 
 	return Default.Run(ctx, g, s, a)
 }
 
-// effectiveWorkers resolves the worker count for n vertices.
-func (e *Engine) effectiveWorkers(n int) int {
+// EffectiveWorkers resolves the worker count a round over n vertices
+// runs on (the Report's Workers for any n > 0).
+func (e *Engine) EffectiveWorkers(n int) int {
 	w := e.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -141,7 +142,7 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 		return Report{}, &fault.CancelledError{Phase: "verify", Cause: err}
 	}
 	m := e.metrics()
-	workers := e.effectiveWorkers(n)
+	workers := e.EffectiveWorkers(n)
 	if n == 0 {
 		m.rounds.Inc()
 		return Report{Accepted: true, Rounds: 1, Workers: 0}, nil

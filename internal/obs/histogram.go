@@ -150,7 +150,10 @@ func (s *HistogramSnapshot) quantile(q float64) int64 {
 				return lo
 			}
 			pos := float64(rank-cum) / float64(c)
-			return lo + int64(pos*float64(hi-lo))
+			// Interpolation spreads the bucket's samples over its whole
+			// range, but no sample exceeds the observed max: an estimate
+			// above it (p99 > max) would be reporting a latency nobody saw.
+			return min(lo+int64(pos*float64(hi-lo)), s.MaxNS)
 		}
 		cum += c
 	}

@@ -214,3 +214,26 @@ func TestHistogramCumulativeMonotone(t *testing.T) {
 		t.Fatalf("cumulative through last bucket %d != count %d", prev, s.Count)
 	}
 }
+
+// Quantiles never exceed the observed max. A sample set that sits at the
+// bottom of its log₂ bucket (all 1024ns, bucket [1024, 2047]) used to
+// interpolate p99 to ~2036ns — a latency no request ever had.
+func TestHistogramQuantileClampedToMax(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 100; i++ {
+		h.Observe(1024)
+	}
+	h.Observe(1100)
+	s := h.Snapshot()
+	if s.MaxNS != 1100 {
+		t.Fatalf("max = %d, want 1100", s.MaxNS)
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99, 0.999, 1} {
+		if got := s.Quantile(q); got > s.MaxNS {
+			t.Errorf("q%.3f = %dns exceeds max %dns", q, got, s.MaxNS)
+		}
+	}
+	if s.P99NS > s.MaxNS {
+		t.Errorf("P99NS = %d exceeds max %d", s.P99NS, s.MaxNS)
+	}
+}

@@ -3,26 +3,15 @@ package wire
 import (
 	"fmt"
 
-	"repro/internal/bitio"
 	"repro/internal/treewidth"
 )
 
-// Decomposition wire formats. JSON mirrors the in-memory shape — bags as
+// Decomposition wire format. JSON mirrors the in-memory shape — bags as
 // vertex-index lists plus the decomposition tree's edges:
 //
 //	{"bags": [[0,1,2],[1,2,3]], "edges": [[0,1]]}
-//
-// Binary (bit-level, packed MSB-first like the graph format):
-//
-//	uvarint nbags
-//	nbags x (uvarint size, size x uvarint delta)   bags, delta-coded ascending
-//	(nbags-1) x (uint w, uint w)                   tree edges, w = UintWidth(nbags-1)
-//
-// Both decoders apply the same hostile-header allocation guards as the
-// graph format: claimed counts are checked against the remaining payload
-// before anything is allocated.
 
-// MaxDecompositionBags bounds the bag count every decoder accepts.
+// MaxDecompositionBags bounds the bag count the decoder accepts.
 const MaxDecompositionBags = 1 << 22
 
 // DecompositionJSON is the JSON form of a tree decomposition.
@@ -68,106 +57,6 @@ func (j DecompositionJSON) ToDecomposition() (*treewidth.Decomposition, error) {
 		}
 		d.Adj[e[0]] = append(d.Adj[e[0]], e[1])
 		d.Adj[e[1]] = append(d.Adj[e[1]], e[0])
-	}
-	return d, nil
-}
-
-// EncodeDecomposition serializes d into the packed binary format.
-func EncodeDecomposition(d *treewidth.Decomposition) []byte {
-	var w bitio.Writer
-	nb := len(d.Bags)
-	w.WriteUvarint(uint64(nb))
-	for _, bag := range d.Bags {
-		w.WriteUvarint(uint64(len(bag)))
-		prev := 0
-		for i, v := range bag {
-			if i == 0 {
-				w.WriteUvarint(uint64(v))
-			} else {
-				w.WriteUvarint(uint64(v - prev - 1))
-			}
-			prev = v
-		}
-	}
-	width := 1
-	if nb > 0 {
-		width = bitio.UintWidth(uint64(nb - 1))
-	}
-	for b, nbrs := range d.Adj {
-		for _, c := range nbrs {
-			if b < c {
-				w.WriteUint(uint64(b), width)
-				w.WriteUint(uint64(c), width)
-			}
-		}
-	}
-	return Pack(w.Bits())
-}
-
-// DecodeDecomposition parses the packed binary decomposition format. The
-// encoder writes exactly nbags-1 tree edges; the decoder accordingly
-// expects a tree-shaped edge count.
-func DecodeDecomposition(data []byte) (*treewidth.Decomposition, error) {
-	r := bitio.NewReader(Unpack(data))
-	nb64, err := r.ReadUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("wire: decomposition header: %w", err)
-	}
-	if nb64 == 0 || nb64 > MaxDecompositionBags {
-		return nil, fmt.Errorf("wire: decomposition bag count %d out of range [1,%d]", nb64, MaxDecompositionBags)
-	}
-	nb := int(nb64)
-	// Every bag costs at least its one-bit size header; a count beyond the
-	// remaining payload is a hostile header, not a short read.
-	if nb > r.Remaining() {
-		return nil, fmt.Errorf("wire: decomposition claims %d bags, %d bits remain", nb, r.Remaining())
-	}
-	d := &treewidth.Decomposition{
-		Bags: make([][]int, nb),
-		Adj:  make([][]int, nb),
-	}
-	for b := 0; b < nb; b++ {
-		size, err := r.ReadUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("wire: bag %d: %w", b, err)
-		}
-		if size > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("wire: bag %d claims %d entries, %d bits remain", b, size, r.Remaining())
-		}
-		bag := make([]int, size)
-		prev := 0
-		for i := range bag {
-			v, err := r.ReadUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("wire: bag %d entry %d: %w", b, i, err)
-			}
-			if i == 0 {
-				prev = int(v)
-			} else {
-				prev = prev + int(v) + 1
-			}
-			bag[i] = prev
-		}
-		d.Bags[b] = bag
-	}
-	width := 1
-	if nb > 0 {
-		width = bitio.UintWidth(uint64(nb - 1))
-	}
-	for i := 0; i < nb-1; i++ {
-		b, err := r.ReadUint(width)
-		if err != nil {
-			return nil, fmt.Errorf("wire: decomposition edge %d: %w", i, err)
-		}
-		c, err := r.ReadUint(width)
-		if err != nil {
-			return nil, fmt.Errorf("wire: decomposition edge %d: %w", i, err)
-		}
-		if b >= uint64(nb) || c >= uint64(nb) || b == c {
-			return nil, fmt.Errorf("wire: decomposition edge %d: (%d,%d) invalid", i, b, c)
-		}
-		d.Adj[b] = append(d.Adj[b], int(c))
-		d.Adj[c] = append(d.Adj[c], int(b))
 	}
 	return d, nil
 }

@@ -16,11 +16,11 @@ import (
 // line noise would.
 var streamChunk = fault.NewPoint("wire.stream.chunk")
 
-// Streaming graph format (v2). Where the v1 format (EncodeGraph) is a
-// single bit-packed buffer — fine at thousands of vertices, hostile at a
-// million, where both sides would hold the whole payload plus the graph
-// in memory at once — v2 is byte-oriented and chunked so either side
-// works from a bounded window over an io.Reader / io.Writer:
+// Streaming graph format (v2). A single contiguous buffer is fine at
+// thousands of vertices and hostile at a million, where both sides would
+// hold the whole payload plus the graph in memory at once; v2 is
+// byte-oriented and chunked so either side works from a bounded window
+// over an io.Reader / io.Writer:
 //
 //	magic   "RGW2"            4 bytes
 //	flags   byte              bit 0: custom identifiers

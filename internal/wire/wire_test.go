@@ -1,11 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"testing"
 
-	"repro/internal/bitio"
 	"repro/internal/cert"
 	"repro/internal/graph"
 	"repro/internal/graphgen"
@@ -30,8 +30,8 @@ func sameGraph(t *testing.T, a, b *graph.Graph) {
 	}
 }
 
-// Binary graph encoding must round-trip structured and random graphs,
-// with and without custom identifiers.
+// The binary graph format (the wire-v2 stream) must round-trip
+// structured and random graphs, with and without custom identifiers.
 func TestGraphBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	graphs := []*graph.Graph{
@@ -49,34 +49,36 @@ func TestGraphBinaryRoundTrip(t *testing.T) {
 	custom.MustAddEdge(1, 2)
 	graphs = append(graphs, custom)
 
-	for i, g := range graphs {
-		data := EncodeGraph(g)
-		got, err := DecodeGraph(data)
-		if err != nil {
-			t.Fatalf("graph %d: decode: %v", i, err)
-		}
-		sameGraph(t, g, got)
+	for _, g := range graphs {
+		sameGraph(t, g, streamRoundTrip(t, g))
 	}
 }
 
-// The binary format is compact: a path on 1024 vertices needs about
-// 2*10 bits per edge, far below a naive 32-bit-per-endpoint encoding.
+// The binary format is compact: a path on 1024 vertices needs a few bytes
+// per edge, far below a naive 32-bit-per-endpoint encoding.
 func TestGraphBinaryCompact(t *testing.T) {
 	g := graphgen.Path(1024)
-	data := EncodeGraph(g)
+	var buf bytes.Buffer
+	if err := EncodeGraphStream(&buf, g); err != nil {
+		t.Fatal(err)
+	}
 	naive := 8 * g.M() // bytes for two 32-bit endpoints per edge
-	if len(data) >= naive {
-		t.Fatalf("encoded %d bytes, naive is %d — format is not compact", len(data), naive)
+	if buf.Len() >= naive {
+		t.Fatalf("encoded %d bytes, naive is %d — format is not compact", buf.Len(), naive)
 	}
 }
 
 func TestGraphBinaryErrors(t *testing.T) {
-	if _, err := DecodeGraph(nil); err == nil {
+	if _, err := DecodeGraphStream(bytes.NewReader(nil), StreamLimits{}); err == nil {
 		t.Fatal("decoded an empty payload")
 	}
 	// Truncate a valid encoding: must error, not panic or misread.
-	data := EncodeGraph(graphgen.Cycle(20))
-	if _, err := DecodeGraph(data[:len(data)/2]); err == nil {
+	var buf bytes.Buffer
+	if err := EncodeGraphStream(&buf, graphgen.Cycle(20)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if _, err := DecodeGraphStream(bytes.NewReader(data[:len(data)/2]), StreamLimits{}); err == nil {
 		t.Fatal("decoded a truncated payload")
 	}
 }
@@ -118,33 +120,15 @@ func TestGraphJSONErrors(t *testing.T) {
 	}
 }
 
-// Assignments round-trip through both the binary and the string form,
-// including empty certificates.
+// Assignments round-trip through the string form, including empty
+// certificates.
 func TestAssignmentRoundTrip(t *testing.T) {
 	a := cert.Assignment{
 		{1, 0, 1, 1, 0},
 		nil,
 		{0},
-		{1, 1, 1, 1, 1, 1, 1, 1, 1}, // crosses a byte boundary when packed
+		{1, 1, 1, 1, 1, 1, 1, 1, 1},
 	}
-	got, err := DecodeAssignment(EncodeAssignment(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(a) {
-		t.Fatalf("decoded %d certificates, want %d", len(got), len(a))
-	}
-	for i := range a {
-		if len(got[i]) != len(a[i]) {
-			t.Fatalf("certificate %d: %d bits, want %d", i, len(got[i]), len(a[i]))
-		}
-		for j := range a[i] {
-			if got[i][j] != a[i][j] {
-				t.Fatalf("certificate %d bit %d: %d, want %d", i, j, got[i][j], a[i][j])
-			}
-		}
-	}
-
 	strs := AssignmentToStrings(a)
 	if strs[0] != "10110" || strs[1] != "" || strs[2] != "0" {
 		t.Fatalf("AssignmentToStrings = %v", strs)
@@ -153,9 +137,17 @@ func TestAssignmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(back) != len(a) {
+		t.Fatalf("decoded %d certificates, want %d", len(back), len(a))
+	}
 	for i := range a {
 		if len(back[i]) != len(a[i]) {
-			t.Fatalf("string round trip: certificate %d has %d bits, want %d", i, len(back[i]), len(a[i]))
+			t.Fatalf("certificate %d: %d bits, want %d", i, len(back[i]), len(a[i]))
+		}
+		for j := range a[i] {
+			if back[i][j] != a[i][j] {
+				t.Fatalf("certificate %d bit %d: %d, want %d", i, j, back[i][j], a[i][j])
+			}
 		}
 	}
 }
@@ -164,56 +156,17 @@ func TestAssignmentErrors(t *testing.T) {
 	if _, err := AssignmentFromStrings([]string{"01x"}); err == nil {
 		t.Fatal("accepted a non-bit character")
 	}
-	data := EncodeAssignment(cert.Assignment{{1, 1, 1, 1, 1, 1, 1, 1}})
-	if _, err := DecodeAssignment(data[:1]); err == nil {
-		t.Fatal("decoded a truncated assignment")
+	if _, err := AssignmentFromStrings([]string{"01", "1 0"}); err == nil {
+		t.Fatal("accepted a space inside a certificate")
 	}
 }
 
-// A hostile header claiming far more certificates than the payload can
-// hold must be rejected before allocation, not trusted.
-func TestAssignmentHostileCount(t *testing.T) {
-	var w bitio.Writer
-	w.WriteUvarint(1 << 24) // claims 16M certificates in a few bytes
-	if _, err := DecodeAssignment(Pack(w.Bits())); err == nil {
-		t.Fatal("decoded an assignment whose count exceeds the payload")
-	}
-}
-
-// Same for a binary graph claiming custom identifiers it does not carry.
+// A binary graph claiming custom identifiers it does not carry must be
+// rejected, not trusted.
 func TestGraphHostileIDCount(t *testing.T) {
-	var w bitio.Writer
-	w.WriteUvarint(1 << 23) // n
-	w.WriteUvarint(0)       // m
-	w.WriteBool(true)       // customIDs, but no id data follows
-	if _, err := DecodeGraph(Pack(w.Bits())); err == nil {
+	payload := hostileStream(1, 1<<16, 0) // custom ids flag, n, m — and no ids
+	if _, err := DecodeGraphStream(bytes.NewReader(payload), StreamLimits{}); err == nil {
 		t.Fatal("decoded a graph whose id count exceeds the payload")
-	}
-}
-
-// Pack/Unpack are inverses up to byte-boundary padding.
-func TestPackUnpack(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(70)
-		bits := make([]byte, n)
-		for i := range bits {
-			bits[i] = byte(rng.Intn(2))
-		}
-		got := Unpack(Pack(bits))
-		if len(got) < n {
-			t.Fatalf("unpacked %d bits, want >= %d", len(got), n)
-		}
-		for i := 0; i < n; i++ {
-			if got[i] != bits[i] {
-				t.Fatalf("trial %d: bit %d = %d, want %d", trial, i, got[i], bits[i])
-			}
-		}
-		for i := n; i < len(got); i++ {
-			if got[i] != 0 {
-				t.Fatalf("trial %d: padding bit %d is set", trial, i)
-			}
-		}
 	}
 }
 
@@ -286,7 +239,7 @@ func TestGeneratorSpec(t *testing.T) {
 	}
 }
 
-// The decomposition wire formats round-trip and reject hostile headers.
+// The decomposition wire format round-trips and rejects hostile shapes.
 func TestDecompositionRoundTrip(t *testing.T) {
 	g, witness, err := GeneratorSpec{Kind: "partial-k-tree", N: 20, T: 2, Seed: 4}.Build()
 	if err != nil {
@@ -296,20 +249,6 @@ func TestDecompositionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Binary round trip.
-	blob := EncodeDecomposition(d)
-	got, err := DecodeDecomposition(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := treewidth.Validate(g, got); err != nil {
-		t.Fatalf("binary round trip lost validity: %v", err)
-	}
-	if got.Width() != d.Width() || got.NumBags() != d.NumBags() {
-		t.Fatalf("binary round trip changed shape: width %d/%d bags %d/%d",
-			got.Width(), d.Width(), got.NumBags(), d.NumBags())
-	}
-	// JSON round trip.
 	j := DecompositionToJSON(d)
 	if len(j.Edges) != d.NumTreeEdges() {
 		t.Fatalf("JSON has %d edges, want %d", len(j.Edges), d.NumTreeEdges())
@@ -321,19 +260,13 @@ func TestDecompositionRoundTrip(t *testing.T) {
 	if err := treewidth.Validate(g, back); err != nil {
 		t.Fatalf("JSON round trip lost validity: %v", err)
 	}
+	if back.Width() != d.Width() || back.NumBags() != d.NumBags() {
+		t.Fatalf("JSON round trip changed shape: width %d/%d bags %d/%d",
+			back.Width(), d.Width(), back.NumBags(), d.NumBags())
+	}
 }
 
 func TestDecompositionHostileHeaders(t *testing.T) {
-	// A tiny blob claiming a huge bag count must be rejected before any
-	// allocation.
-	var w bitio.Writer
-	w.WriteUvarint(1 << 21)
-	if _, err := DecodeDecomposition(Pack(w.Bits())); err == nil {
-		t.Fatal("hostile bag count accepted")
-	}
-	if _, err := DecodeDecomposition(nil); err == nil {
-		t.Fatal("empty blob accepted")
-	}
 	if _, err := (DecompositionJSON{}).ToDecomposition(); err == nil {
 		t.Fatal("empty JSON decomposition accepted")
 	}
