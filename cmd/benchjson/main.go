@@ -5,7 +5,8 @@
 //	go test -bench=. -benchmem -run=NONE ./internal/engine ./internal/netsim ./internal/treewidth \
 //	    | go run ./cmd/benchjson > BENCH_PR3.json
 //
-// (`make bench-json` runs exactly that.) The output is one JSON document:
+// (`make bench PKGS=... OUT=file.json` runs exactly that.) The output is
+// one JSON document:
 //
 //	{"goos": ..., "goarch": ..., "cpu": ..., "benchmarks": [
 //	  {"package": ..., "name": ..., "runs": N, "ns_per_op": ...,
@@ -25,8 +26,8 @@
 // -threshold percent (default 25). With enough shared benchmarks the gate
 // first subtracts uniform machine drift — the median new/old ns ratio —
 // so snapshots recorded on differently clocked days compare on code, not
-// hardware mood (see Compare). `make bench-compare` wires it against the
-// committed per-PR snapshots.
+// hardware mood (see Compare). `make bench ... OUT=new.json BASE=old.json`
+// wires it against a committed per-PR snapshot.
 package main
 
 import (

@@ -158,8 +158,8 @@ func wordOrder(g *graph.Graph) ([]int, error) {
 		order = append(order, cur)
 		next := -1
 		for _, w := range g.Neighbors(cur) {
-			if w != prev {
-				next = w
+			if int(w) != prev {
+				next = int(w)
 			}
 		}
 		if next == -1 {

@@ -57,8 +57,8 @@ func componentWithout(g *graph.Graph, src, blocked int) []int {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		out = append(out, u)
-		for _, w := range g.Neighbors(u) {
-			if !seen[w] {
+		for _, x := range g.Neighbors(u) {
+			if w := int(x); !seen[w] {
 				seen[w] = true
 				stack = append(stack, w)
 			}

@@ -132,7 +132,7 @@ func ViewOf(g *graph.Graph, a Assignment, v int) View {
 	neighbors := g.Neighbors(v)
 	view.Neighbors = make([]NeighborView, len(neighbors))
 	for i, w := range neighbors {
-		view.Neighbors[i] = NeighborView{ID: g.IDOf(w), Cert: a[w]}
+		view.Neighbors[i] = NeighborView{ID: g.IDOf(int(w)), Cert: a[w]}
 	}
 	// Sort for determinism: the verifier must not depend on adjacency-list
 	// order, and sorted views make failures reproducible.

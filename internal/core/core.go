@@ -110,7 +110,7 @@ func (s *Universal) Verify(v cert.View) bool {
 	}
 	claimed := map[graph.ID]bool{}
 	for _, w := range g.Neighbors(self) {
-		claimed[g.IDOf(w)] = true
+		claimed[g.IDOf(int(w))] = true
 	}
 	if len(claimed) != len(v.Neighbors) {
 		return false

@@ -24,7 +24,7 @@ var decompCompute = fault.NewPoint("engine.decomp.compute")
 // workload — the heuristics are quadratic — so this is the engine-level
 // reuse the compile cache cannot provide for graph-specific state.
 //
-// Keys are FNV-64a fingerprints of the CSR snapshot; a
+// Keys are FNV-64a fingerprints of the graph's sorted rows; a
 // collision would hand a scheme a decomposition of the wrong graph, which
 // the prover's validity check rejects instead of certifying garbage.
 type DecompCache struct {
@@ -75,8 +75,8 @@ func NewDecompCacheObs(r *obs.Registry) *DecompCache {
 }
 
 // fingerprint folds g into a cache key: FNV-64a over the vertex count,
-// the identifiers and the CSR rows, streamed value by value. Hashing the
-// snapshot directly instead of a serialized encoding keeps the key
+// the identifiers and the sorted neighbour rows, streamed value by value.
+// Hashing the rows directly instead of a serialized encoding keeps the key
 // allocation-free — at a million vertices the old wire-encoding detour
 // materialized a buffer larger than the graph just to hash it.
 func fingerprint(g *graph.Graph) uint64 {
@@ -89,8 +89,7 @@ func fingerprint(g *graph.Graph) uint64 {
 			x >>= 8
 		}
 	}
-	c := g.CSR()
-	n := c.N()
+	n := g.N()
 	mix(uint64(n))
 	for v := 0; v < n; v++ {
 		mix(uint64(g.IDOf(v)))
@@ -98,7 +97,7 @@ func fingerprint(g *graph.Graph) uint64 {
 	// Row lengths delimit the neighbor stream, so distinct graphs cannot
 	// collide by concatenation.
 	for v := 0; v < n; v++ {
-		row := c.Row(v)
+		row := g.Neighbors(v)
 		mix(uint64(len(row)))
 		for _, w := range row {
 			mix(uint64(w))

@@ -178,8 +178,8 @@ func splitComponents(g *graph.Graph, region []int, announced int) [][]int {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			c = append(c, u)
-			for _, w := range g.Neighbors(u) {
-				if in[w] && !seen[w] {
+			for _, x := range g.Neighbors(u) {
+				if w := int(x); in[w] && !seen[w] {
 					seen[w] = true
 					stack = append(stack, w)
 				}

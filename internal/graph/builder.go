@@ -9,8 +9,8 @@ import (
 // land in two flat endpoint arrays, and Finish distributes them into
 // adjacency with a counting sort — no per-edge duplicate scans, no
 // per-vertex maps, no incremental append growth. Generators building
-// million-vertex graphs go through a Builder; incremental construction
-// keeps using Graph.AddEdge.
+// million-vertex graphs and every decoder of network bytes go through a
+// Builder; Graph.AddEdge serves small generators and tests.
 type Builder struct {
 	g      *Graph
 	us, vs []int32
@@ -64,22 +64,21 @@ func (b *Builder) MustAddEdge(u, v int) {
 }
 
 // Finish assembles the graph and returns it. Each adjacency row is a
-// full-capacity sub-slice of one flat backing array (a later AddEdge on
-// the finished graph reallocates its row rather than clobbering a
-// neighbour's), rows come out sorted, and the CSR snapshot is published
-// as a by-product. The builder must not be reused after Finish.
+// full-capacity sub-slice of one flat backing array, so the finished
+// graph has the CSR layout (a later AddEdge reallocates its row rather
+// than clobbering a neighbour's), and rows come out sorted. The builder
+// must not be reused after Finish.
 func (b *Builder) Finish() (*Graph, error) {
 	g := b.g
 	n := g.N()
 	m := len(b.us)
-	deg := make([]int64, n+1)
-	for i := 0; i < m; i++ {
-		deg[b.us[i]+1]++
-		deg[b.vs[i]+1]++
-	}
 	offsets := make([]int64, n+1)
+	for i := 0; i < m; i++ {
+		offsets[b.us[i]+1]++
+		offsets[b.vs[i]+1]++
+	}
 	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + deg[v+1]
+		offsets[v+1] += offsets[v]
 	}
 	cursor := append([]int64(nil), offsets...)
 	neighbors := make([]int32, 2*m)
@@ -90,25 +89,18 @@ func (b *Builder) Finish() (*Graph, error) {
 		neighbors[cursor[v]] = u
 		cursor[v]++
 	}
-	// Sort each row and check for duplicates; build the []int adjacency
-	// over one flat backing array while we are at it.
-	flat := make([]int, 2*m)
+	// Sort each row and check for duplicates.
 	for v := 0; v < n; v++ {
-		row := neighbors[offsets[v]:offsets[v+1]]
+		lo, hi := offsets[v], offsets[v+1]
+		row := neighbors[lo:hi:hi]
 		slices.Sort(row)
 		for i := 1; i < len(row); i++ {
 			if row[i] == row[i-1] {
 				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", v, row[i])
 			}
 		}
-		lo, hi := offsets[v], offsets[v+1]
-		dst := flat[lo:hi:hi]
-		for i, w := range row {
-			dst[i] = int(w)
-		}
-		g.adj[v] = dst
+		g.adj[v] = row
 	}
 	g.m = m
-	g.csr.Store(&CSR{offsets: offsets, neighbors: neighbors})
 	return g, nil
 }

@@ -6,12 +6,18 @@
 // polynomial range. The package also provides the structural algorithms the
 // schemes depend on: traversals, connectivity, articulation points,
 // biconnected components, and simple path/cycle length computations.
+//
+// A Graph keeps exactly one adjacency: one ascending []int32 neighbour row
+// per vertex. Builder.Finish lays the rows over a single flat array — the
+// compressed-sparse-row layout — and AddEdge inserts in sorted position, so
+// the prover, the verifiers, netsim shards, the EMSO DP and the elimination
+// heuristics all read the same rows, in the same order, through Neighbors.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // ID is a vertex identifier. The paper assumes unique IDs in [1, n^k]; we
@@ -22,22 +28,18 @@ type ID = int64
 // Each vertex has an application-visible identifier; indices are an
 // internal, contiguous handle.
 //
-// The zero value is an empty graph; use New or NewWithIDs to create one.
-// Graphs must not be copied by value after first use (they cache an
-// atomically published CSR snapshot).
+// The zero value is an empty graph; use New or NewWithIDs to create one,
+// or a Builder for bulk construction. A graph that is no longer mutated
+// may be read from any number of goroutines.
 type Graph struct {
 	ids []ID
-	adj [][]int
+	adj [][]int32 // neighbour rows, each sorted ascending
 	// byID maps identifier to index; nil when identifiers are the default
 	// 1..n (the common case for generated graphs), where the mapping is
 	// arithmetic and the map would cost n entries for nothing.
 	byID  map[ID]int
 	m     int // number of edges
 	maxID ID  // largest identifier, fixed at construction
-	// csr caches the immutable CSR snapshot of the current revision;
-	// AddEdge invalidates it. Atomic so concurrent readers of a quiescent
-	// graph (server handlers, netsim shards) share one snapshot safely.
-	csr atomic.Pointer[CSR]
 }
 
 // New creates a graph with n vertices and default identifiers 1..n.
@@ -48,7 +50,7 @@ func New(n int) *Graph {
 	}
 	return &Graph{
 		ids:   ids,
-		adj:   make([][]int, n),
+		adj:   make([][]int32, n),
 		maxID: ID(n),
 	}
 }
@@ -60,7 +62,7 @@ func NewWithIDs(ids []ID) (*Graph, error) {
 	copy(own, ids)
 	g := &Graph{
 		ids: own,
-		adj: make([][]int, len(ids)),
+		adj: make([][]int32, len(ids)),
 	}
 	if defaultIDs(own) {
 		g.maxID = ID(len(own))
@@ -121,25 +123,11 @@ func (g *Graph) IndexOf(id ID) (int, bool) {
 // path for ID-width accounting, so it must not rescan the vertex list.
 func (g *Graph) MaxID() ID { return g.maxID }
 
-// CSR returns the immutable CSR snapshot of the graph's current
-// revision, building and caching it on first use. Mutating the graph
-// (AddEdge) invalidates the cache; snapshots already handed out stay
-// valid for the revision they captured. Safe for concurrent use on a
-// quiescent graph.
-func (g *Graph) CSR() *CSR {
-	if c := g.csr.Load(); c != nil {
-		return c
-	}
-	c := buildCSR(g.adj, g.m)
-	// A racing builder may publish first; both snapshots are identical,
-	// so either may win.
-	g.csr.CompareAndSwap(nil, c)
-	return g.csr.Load()
-}
-
-// AddEdge inserts the undirected edge {u, v} given by vertex indices.
-// Self-loops and duplicate edges are rejected with an error, keeping the
-// graph simple as the paper requires.
+// AddEdge inserts the undirected edge {u, v} given by vertex indices,
+// keeping both rows sorted. Self-loops and duplicate edges are rejected
+// with an error, keeping the graph simple as the paper requires. An insert
+// costs O(deg) in memmoves, so decoders and bulk generators build through
+// a Builder instead.
 func (g *Graph) AddEdge(u, v int) error {
 	if u < 0 || u >= len(g.ids) || v < 0 || v >= len(g.ids) {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, len(g.ids))
@@ -147,13 +135,16 @@ func (g *Graph) AddEdge(u, v int) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at %d rejected", u)
 	}
-	if g.HasEdge(u, v) {
+	iu, dup := slices.BinarySearch(g.adj[u], int32(v))
+	if dup {
 		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 	}
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
+	iv, _ := slices.BinarySearch(g.adj[v], int32(u))
+	// Builder rows are capacity-capped sub-slices of one flat array, so the
+	// first Insert into one reallocates it instead of clobbering the next.
+	g.adj[u] = slices.Insert(g.adj[u], iu, int32(v))
+	g.adj[v] = slices.Insert(g.adj[v], iv, int32(u))
 	g.m++
-	g.csr.Store(nil) // invalidate the snapshot of the previous revision
 	return nil
 }
 
@@ -165,33 +156,39 @@ func (g *Graph) MustAddEdge(u, v int) {
 	}
 }
 
-// HasEdge reports whether {u, v} is an edge. When a CSR snapshot is
-// cached the test is a binary search over the shorter sorted row;
-// otherwise it scans the shorter adjacency list (construction-time
-// callers, where no snapshot exists yet).
+// HasEdge reports whether {u, v} is an edge: a linear sweep of the
+// shorter sorted row when it is short (bounded-treewidth rows mostly
+// are, and at that length the sweep beats the binary search's branch
+// misses), binary search otherwise.
+//
+//certlint:hotpath
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.ids) || v < 0 || v >= len(g.ids) {
+	n := len(g.ids)
+	if u < 0 || u >= n || v < 0 || v >= n {
 		return false
 	}
-	if c := g.csr.Load(); c != nil {
-		return c.HasEdge(u, v)
+	if len(g.adj[u]) > len(g.adj[v]) {
+		u, v = v, u
 	}
-	// Scan the shorter adjacency list.
-	a, b := u, v
-	if len(g.adj[a]) > len(g.adj[b]) {
-		a, b = b, a
-	}
-	for _, w := range g.adj[a] {
-		if w == b {
-			return true
+	row := g.adj[u]
+	w := int32(v)
+	if len(row) <= 16 {
+		for _, x := range row {
+			if x >= w {
+				return x == w
+			}
 		}
+		return false
 	}
-	return false
+	_, ok := slices.BinarySearch(row, w)
+	return ok
 }
 
-// Neighbors returns the adjacency list of v. The returned slice aliases
-// internal storage and must not be modified.
-func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
+// Neighbors returns the neighbour row of v, sorted ascending. The slice
+// aliases internal storage and must not be modified.
+//
+//certlint:hotpath
+func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
 
 // Degree returns the degree of v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
@@ -207,13 +204,12 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Edges returns all edges as index pairs with u < v, sorted. The CSR
-// snapshot's sorted rows make this a single ordered sweep, no sort pass.
+// Edges returns all edges as index pairs with u < v, sorted. The sorted
+// rows make this a single ordered sweep, no sort pass.
 func (g *Graph) Edges() [][2]int {
-	c := g.CSR()
 	out := make([][2]int, 0, g.m)
-	for u := 0; u < c.N(); u++ {
-		for _, v := range c.Row(u) {
+	for u, row := range g.adj {
+		for _, v := range row {
 			if int(v) > u {
 				out = append(out, [2]int{u, int(v)})
 			}
@@ -229,7 +225,7 @@ func (g *Graph) Clone() *Graph {
 		panic(err) // unreachable: ids were already validated
 	}
 	for u := range g.adj {
-		c.adj[u] = append([]int(nil), g.adj[u]...)
+		c.adj[u] = slices.Clone(g.adj[u])
 	}
 	c.m = g.m
 	return c
@@ -243,30 +239,27 @@ func (g *Graph) String() string {
 
 // BFSFrom runs a breadth-first search from src and returns the distance
 // (in edges) to every vertex, with -1 for unreachable vertices.
+//
+//certlint:hotpath
 func (g *Graph) BFSFrom(src int) []int {
-	return g.CSR().BFSFrom(src)
-}
-
-// bfsFromRef is the retained slice-adjacency reference for BFSFrom; the
-// differential test pins the CSR traversal byte-identical to it.
-func (g *Graph) bfsFromRef(src int) []int {
-	dist := make([]int, g.N())
+	n := len(g.ids)
+	dist := make([]int, n)
 	for i := range dist {
 		dist[i] = -1
 	}
-	if src < 0 || src >= g.N() {
+	if src < 0 || src >= n {
 		return dist
 	}
 	dist[src] = 0
-	queue := make([]int, 0, g.N())
+	queue := make([]int, 0, n)
 	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if dist[v] == -1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du := dist[u] + 1
+		for _, w := range g.adj[u] {
+			if dist[w] == -1 {
+				dist[w] = du
+				queue = append(queue, int(w))
 			}
 		}
 	}
@@ -291,28 +284,25 @@ func (g *Graph) Connected() bool {
 // Components returns the connected components as lists of vertex indices,
 // each sorted, ordered by smallest contained index.
 func (g *Graph) Components() [][]int {
-	return g.CSR().Components()
-}
-
-// componentsRef is the retained slice-adjacency reference for Components.
-func (g *Graph) componentsRef() [][]int {
-	seen := make([]bool, g.N())
+	n := len(g.ids)
+	seen := make([]bool, n)
 	var comps [][]int
-	for s := 0; s < g.N(); s++ {
+	stack := make([]int, 0, 64)
+	for s := 0; s < n; s++ {
 		if seen[s] {
 			continue
 		}
 		var comp []int
-		stack := []int{s}
+		stack = append(stack[:0], s)
 		seen[s] = true
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, u)
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
+			for _, w := range g.adj[u] {
+				if !seen[w] {
+					seen[w] = true
+					stack = append(stack, int(w))
 				}
 			}
 		}
@@ -339,8 +329,8 @@ func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int) {
 		panic(err) // unreachable: subset of already-unique IDs
 	}
 	for _, u := range keep {
-		for _, v := range g.adj[u] {
-			if u < v {
+		for _, w := range g.adj[u] {
+			if v := int(w); u < v {
 				if nv, ok := oldToNew[v]; ok {
 					sub.MustAddEdge(oldToNew[u], nv)
 				}

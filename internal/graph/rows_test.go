@@ -3,13 +3,13 @@ package graph
 import (
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 )
 
 // randomMutable builds a graph through the mutable AddEdge path with the
-// given density, deliberately inserting edges in scrambled order so CSR
-// construction has to sort rows.
+// given density, deliberately inserting edges in scrambled order and
+// orientation so AddEdge has to keep the rows sorted itself.
 func randomMutable(rng *rand.Rand, n int, p float64) *Graph {
 	g := New(n)
 	type e struct{ u, v int }
@@ -32,92 +32,75 @@ func randomMutable(rng *rand.Rand, n int, p float64) *Graph {
 	return g
 }
 
-// TestCSRRowsSortedAndComplete: the snapshot holds exactly the adjacency,
-// sorted, regardless of insertion order.
-func TestCSRRowsSortedAndComplete(t *testing.T) {
+// TestRowsSortedAndSymmetric: whatever the insertion order, every row is
+// strictly ascending, rows are symmetric, and the row lengths account for
+// every edge exactly twice.
+func TestRowsSortedAndSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
 		g := randomMutable(rng, 1+rng.Intn(40), 0.3)
-		c := g.CSR()
-		if c.N() != g.N() || c.M() != g.M() {
-			t.Fatalf("CSR n=%d m=%d, graph n=%d m=%d", c.N(), c.M(), g.N(), g.M())
-		}
+		total := 0
 		for v := 0; v < g.N(); v++ {
-			row := c.Row(v)
-			if !sort.SliceIsSorted(row, func(i, j int) bool { return row[i] < row[j] }) {
-				t.Fatalf("row %d not sorted: %v", v, row)
+			row := g.Neighbors(v)
+			for i := 1; i < len(row); i++ {
+				if row[i-1] >= row[i] {
+					t.Fatalf("row %d not strictly ascending: %v", v, row)
+				}
 			}
-			want := append([]int(nil), g.Neighbors(v)...)
-			sort.Ints(want)
-			got := make([]int, len(row))
-			for i, w := range row {
-				got[i] = int(w)
+			for _, w := range row {
+				if _, ok := slices.BinarySearch(g.Neighbors(int(w)), int32(v)); !ok {
+					t.Fatalf("edge %d-%d missing from row %d", v, w, w)
+				}
 			}
-			if len(got) == 0 && len(want) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("row %d: %v, want %v", v, got, want)
-			}
-			if c.Degree(v) != g.Degree(v) {
+			if g.Degree(v) != len(row) {
 				t.Fatalf("degree %d mismatch", v)
 			}
+			total += len(row)
+		}
+		if total != 2*g.M() {
+			t.Fatalf("rows hold %d entries for m=%d", total, g.M())
 		}
 	}
 }
 
-// TestCSRHasEdgeMatrix: binary-search HasEdge agrees with the slice scan
-// for every pair, and the graph-level HasEdge agrees with both before
-// and after the snapshot exists.
-func TestCSRHasEdgeMatrix(t *testing.T) {
+// TestHasEdgeMatrix: HasEdge agrees with the adjacency matrix for every
+// pair, on rows short enough for the linear sweep (<= 16 entries) and on
+// rows long enough for the binary search.
+func TestHasEdgeMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	g := randomMutable(rng, 30, 0.25)
-	// Before CSR: slice path.
-	pre := make(map[[2]int]bool)
-	for u := 0; u < 30; u++ {
-		for v := 0; v < 30; v++ {
-			pre[[2]int{u, v}] = g.HasEdge(u, v)
+	for _, tc := range []struct {
+		n int
+		p float64
+	}{{30, 0.25}, {80, 0.6}} {
+		g := randomMutable(rng, tc.n, tc.p)
+		if tc.p > 0.5 && g.MaxDegree() <= 16 {
+			t.Fatalf("n=%d p=%v: max degree %d never reaches the binary search", tc.n, tc.p, g.MaxDegree())
 		}
-	}
-	c := g.CSR()
-	for u := 0; u < 30; u++ {
-		for v := 0; v < 30; v++ {
-			if got := c.HasEdge(u, v); got != pre[[2]int{u, v}] {
-				t.Fatalf("CSR.HasEdge(%d,%d)=%v, slice scan says %v", u, v, got, !got)
+		want := make([][]bool, tc.n)
+		for u := range want {
+			want[u] = make([]bool, tc.n)
+		}
+		for _, e := range g.Edges() {
+			want[e[0]][e[1]] = true
+			want[e[1]][e[0]] = true
+		}
+		for u := 0; u < tc.n; u++ {
+			for v := 0; v < tc.n; v++ {
+				if got := g.HasEdge(u, v); got != want[u][v] {
+					t.Fatalf("n=%d: HasEdge(%d,%d)=%v, want %v", tc.n, u, v, got, want[u][v])
+				}
 			}
-			if got := g.HasEdge(u, v); got != pre[[2]int{u, v}] {
-				t.Fatalf("Graph.HasEdge(%d,%d) changed after snapshot", u, v)
+		}
+		for _, p := range [][2]int{{-1, 0}, {0, tc.n}, {tc.n, tc.n}} {
+			if g.HasEdge(p[0], p[1]) {
+				t.Fatalf("HasEdge accepted out-of-range pair %v", p)
 			}
 		}
 	}
 }
 
-// TestCSRInvalidatedByAddEdge: mutating the graph drops the snapshot and
-// the next one reflects the new edge.
-func TestCSRInvalidatedByAddEdge(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1)
-	c1 := g.CSR()
-	if c1.HasEdge(2, 3) {
-		t.Fatal("phantom edge")
-	}
-	g.MustAddEdge(2, 3)
-	c2 := g.CSR()
-	if c1 == c2 {
-		t.Fatal("snapshot not invalidated by AddEdge")
-	}
-	if !c2.HasEdge(2, 3) || !c2.HasEdge(0, 1) {
-		t.Fatal("new snapshot missing edges")
-	}
-	// The old snapshot stays immutable and self-consistent.
-	if c1.M() != 1 || c1.HasEdge(2, 3) {
-		t.Fatal("old snapshot mutated")
-	}
-}
-
-// TestBFSFromMatchesReference pins the CSR BFS against the retained
-// slice-adjacency reference across random graphs, including
-// disconnected ones.
+// TestBFSFromMatchesReference pins BFSFrom against the slice-adjacency
+// reference across random graphs, including disconnected ones.
 func TestBFSFromMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
@@ -129,8 +112,8 @@ func TestBFSFromMatchesReference(t *testing.T) {
 	}
 }
 
-// TestComponentsMatchesReference pins CSR component discovery against
-// the slice reference.
+// TestComponentsMatchesReference pins component discovery against the
+// slice reference.
 func TestComponentsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 40; trial++ {
@@ -141,32 +124,9 @@ func TestComponentsMatchesReference(t *testing.T) {
 	}
 }
 
-// canonBlocks sorts a block list so two biconnected-component
-// enumerations can be compared independently of DFS traversal order.
-func canonBlocks(blocks [][]int) [][]int {
-	out := make([][]int, len(blocks))
-	for i, b := range blocks {
-		c := append([]int(nil), b...)
-		sort.Ints(c)
-		out[i] = c
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-	return out
-}
-
-// TestStructureMatchesReference pins CSR articulation points and
-// biconnected components against the retained slice references. Block
-// sets are compared canonically: the CSR DFS visits neighbours in
-// sorted order, which may legitimately pop blocks in a different order
-// than the insertion-ordered slice DFS.
+// TestStructureMatchesReference pins articulation points and biconnected
+// components against the references. Both DFS walks read the same sorted
+// rows, so even the order blocks pop in must agree.
 func TestStructureMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for trial := 0; trial < 40; trial++ {
@@ -174,17 +134,14 @@ func TestStructureMatchesReference(t *testing.T) {
 		if got, want := g.ArticulationPoints(), g.articulationPointsRef(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("articulation points diverge\ngot  %v\nwant %v\ngraph %v", got, want, g)
 		}
-		got := canonBlocks(g.BiconnectedComponents())
-		want := canonBlocks(g.biconnectedComponentsRef())
-		if !reflect.DeepEqual(got, want) {
+		if got, want := g.BiconnectedComponents(), g.biconnectedComponentsRef(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("biconnected components diverge\ngot  %v\nwant %v\ngraph %v", got, want, g)
 		}
 	}
 }
 
 // TestBuilderMatchesMutable: the bulk Builder and the incremental
-// AddEdge path produce graphs with identical edge sets, IDs and CSR
-// rows.
+// AddEdge path produce graphs with identical edge sets, IDs and rows.
 func TestBuilderMatchesMutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 30; trial++ {
@@ -218,10 +175,7 @@ func TestBuilderMatchesMutable(t *testing.T) {
 			t.Fatalf("shape differs: m %d/%d n %d/%d", g.M(), ref.M(), g.N(), ref.N())
 		}
 		for v := 0; v < n; v++ {
-			got := append([]int(nil), g.Neighbors(v)...)
-			want := append([]int(nil), ref.Neighbors(v)...)
-			sort.Ints(want)
-			if !reflect.DeepEqual(got, want) {
+			if got, want := g.Neighbors(v), ref.Neighbors(v); !slices.Equal(got, want) {
 				t.Fatalf("row %d differs: %v vs %v", v, got, want)
 			}
 		}
@@ -266,13 +220,10 @@ func TestBuilderGraphSafeToMutate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]int(nil), g.Neighbors(1)...)
+	before := slices.Clone(g.Neighbors(1))
 	g.MustAddEdge(0, 3) // grows row 0 and row 3
-	after := append([]int(nil), g.Neighbors(1)...)
-	sort.Ints(before)
-	sort.Ints(after)
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("appending to row 0 clobbered row 1: %v -> %v", before, after)
+	if after := g.Neighbors(1); !slices.Equal(before, after) {
+		t.Fatalf("inserting into row 0 clobbered row 1: %v -> %v", before, after)
 	}
 	if !g.HasEdge(0, 3) || !g.HasEdge(3, 0) {
 		t.Fatal("post-Finish edge missing")

@@ -303,13 +303,12 @@ func mustFinish(b *graph.Builder) *graph.Graph {
 // connected.
 func PartialKTree(n, k int, keepProb float64, rng *rand.Rand) (*graph.Graph, [][]int) {
 	full, attach := KTree(n, k, rng)
-	c := full.CSR()
 	b := graph.NewBuilder(n)
-	// Walking CSR rows with w > u enumerates edges in exactly the sorted
-	// order Edges() used to produce, so the per-edge rng.Float64 sequence
+	// Walking the sorted rows with w > u enumerates edges in exactly the
+	// sorted order Edges() produces, so the per-edge rng.Float64 sequence
 	// — and with it every seeded graph — is unchanged.
 	for u := 0; u < n; u++ {
-		for _, w := range c.Row(u) {
+		for _, w := range full.Neighbors(u) {
 			v := int(w)
 			if v <= u {
 				continue

@@ -8,12 +8,12 @@ import (
 
 // Generator throughput at the large-n sizes: construction must be
 // O(n+m) and stay a small fraction of the certification pipeline it
-// feeds. Million-vertex sizes run under `make bench-large` only.
+// feeds. Million-vertex sizes run only with BENCH_LARGE=1 set.
 
 func skipUnlessLarge(b *testing.B) {
 	b.Helper()
 	if os.Getenv("BENCH_LARGE") == "" {
-		b.Skip("set BENCH_LARGE=1 (make bench-large) to run million-vertex benchmarks")
+		b.Skip("set BENCH_LARGE=1 to run million-vertex benchmarks")
 	}
 }
 

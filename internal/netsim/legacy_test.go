@@ -44,7 +44,7 @@ func RunGoroutinePerVertex(ctx context.Context, g *graph.Graph, s cert.Scheme, a
 	for v := 0; v < n; v++ {
 		channelTo[v] = make(map[int]int, g.Degree(v))
 		for i, w := range g.Neighbors(v) {
-			channelTo[v][w] = i
+			channelTo[v][int(w)] = i
 		}
 	}
 

@@ -9,7 +9,7 @@
 // over a bounded worker pool, and the exchange round is realized through
 // preallocated per-shard view buffers reused across runs via sync.Pool.
 // This replaces the original goroutine-per-vertex, channel-per-edge
-// realization (kept in legacy.go as a differential baseline), which
+// realization (kept in legacy_test.go as a differential baseline), which
 // collapsed under serving load: n goroutines and 2m channels per request
 // versus a constant number of workers and near-zero steady-state
 // allocations here.
@@ -237,10 +237,6 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 func (e *Engine) runShard(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.Assignment, lo, hi int) (rejOut []int, bits, msgs int, aborted bool) {
 	sc := e.getScratch()
 	rej := sc.rej[:0]
-	// All shards read the same immutable CSR snapshot; hoisting it out of
-	// the vertex loop keeps the row accesses two loads with no pointer
-	// chasing through the mutable adjacency.
-	csr := g.CSR()
 	for v := lo; v < hi; v++ {
 		if (v-lo)%checkInterval == 0 && ctx.Err() != nil {
 			sc.rej = rej[:0]
@@ -249,7 +245,7 @@ func (e *Engine) runShard(ctx context.Context, g *graph.Graph, s cert.Scheme, a 
 		}
 		// The exchange round for v: collect (id, certificate) from every
 		// neighbour into the reused view buffer.
-		nbrs := csr.Row(v)
+		nbrs := g.Neighbors(v)
 		views := sc.views[:0]
 		for _, u := range nbrs {
 			views = append(views, cert.NeighborView{ID: g.IDOf(int(u)), Cert: a[u]})

@@ -92,7 +92,7 @@ func FromGraph(g *graph.Graph, root int) (*Tree, error) {
 		for _, w := range g.Neighbors(u) {
 			if parent[w] == -2 {
 				parent[w] = u
-				stack = append(stack, w)
+				stack = append(stack, int(w))
 			}
 		}
 	}
@@ -288,7 +288,7 @@ func Centers(g *graph.Graph) ([]int, error) {
 				if !removed[w] {
 					deg[w]--
 					if deg[w] == 1 {
-						next = append(next, w)
+						next = append(next, int(w))
 					}
 				}
 			}

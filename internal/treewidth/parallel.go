@@ -45,7 +45,6 @@ func HeuristicParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*De
 	if n == 0 {
 		return nil, "", fmt.Errorf("treewidth: empty graph")
 	}
-	c := g.CSR()
 	blocks := g.BiconnectedComponents()
 
 	// One block covering the whole graph (g biconnected, e.g. a pure
@@ -70,7 +69,7 @@ func HeuristicParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*De
 		pieces = append(pieces, piece{verts: b})
 	}
 	for v := 0; v < n; v++ {
-		if c.Degree(v) == 0 {
+		if g.Degree(v) == 0 {
 			pieces = append(pieces, piece{
 				verts: []int{v},
 				d:     &Decomposition{Bags: [][]int{{v}}, Adj: [][]int{nil}},
@@ -100,7 +99,7 @@ func HeuristicParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*De
 					errs[ti] = err
 					continue
 				}
-				d, err := decomposeBlock(ctx, c, pieces[ti].verts)
+				d, err := decomposeBlock(ctx, g, pieces[ti].verts)
 				if err != nil {
 					errs[ti] = err
 					continue
@@ -204,10 +203,10 @@ func HeuristicParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*De
 }
 
 // decomposeBlock builds the induced subgraph of one biconnected block
-// (block sorted ascending) straight from the CSR snapshot — a Builder
-// bulk-load, no per-edge duplicate scans — runs the heuristic contest on
-// it, and maps the bags back to global vertex indices.
-func decomposeBlock(ctx context.Context, c *graph.CSR, block []int) (*Decomposition, error) {
+// (block sorted ascending) straight from g's rows — a Builder bulk-load,
+// no per-edge duplicate scans — runs the heuristic contest on it, and
+// maps the bags back to global vertex indices.
+func decomposeBlock(ctx context.Context, g *graph.Graph, block []int) (*Decomposition, error) {
 	// The induced-subgraph copy of a near-spanning block is itself long
 	// work at n=10⁵⁺, so it checkpoints like the elimination that follows.
 	cp := fault.NewCheckpoint(ctx, "decompose")
@@ -220,7 +219,7 @@ func decomposeBlock(ctx context.Context, c *graph.CSR, block []int) (*Decomposit
 		if err := cp.Check(); err != nil {
 			return nil, err
 		}
-		for _, w := range c.Row(v) {
+		for _, w := range g.Neighbors(v) {
 			if int(w) > v {
 				if j, ok := idx[w]; ok {
 					if err := b.AddEdge(i, int(j)); err != nil {

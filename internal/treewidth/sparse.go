@@ -55,8 +55,7 @@ func newElimSparseCp(cp *fault.Checkpoint, g *graph.Graph, counts bool) (*elimSp
 	if cp == nil {
 		cp = &fault.Checkpoint{}
 	}
-	c := g.CSR()
-	n := c.N()
+	n := g.N()
 	st := &elimSparse{
 		n:      n,
 		nbr:    make([][]int32, n),
@@ -67,16 +66,16 @@ func newElimSparseCp(cp *fault.Checkpoint, g *graph.Graph, counts bool) (*elimSp
 		stamp:  make([]int32, n),
 		epoch:  1,
 	}
-	// Rows copied out of the snapshot into one flat mutable array with
+	// Rows copied out of the graph into one flat mutable array with
 	// exact capacities: removals shrink in place, the first insertion
 	// into a row reallocates just that row.
-	flat := make([]int32, 0, 2*c.M())
+	flat := make([]int32, 0, 2*g.M())
 	for v := 0; v < n; v++ {
 		if err := cp.Check(); err != nil {
 			return nil, err
 		}
 		st.alive[v] = true
-		row := c.Row(v)
+		row := g.Neighbors(v)
 		st.deg[v] = len(row)
 		start := len(flat)
 		flat = append(flat, row...)

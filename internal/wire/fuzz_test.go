@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,4 +73,66 @@ func FuzzAssignmentFromStrings(f *testing.F) {
 			t.Fatalf("round trip %q -> %q", certs, got)
 		}
 	})
+}
+
+// FuzzGraphJSON feeds arbitrary bodies to the JSON graph decoder every
+// JSON endpoint reads submitted graphs with. It must never panic; it must
+// accept exactly the simple graphs (for default identifiers); and what it
+// accepts must come back from GraphToJSON as the sorted input edge list,
+// with nothing dropped as a duplicate.
+func FuzzGraphJSON(f *testing.F) {
+	f.Add([]byte(`{"n":3,"edges":[[0,1],[1,2]]}`))
+	f.Add([]byte(`{"n":3,"ids":[7,3,9],"edges":[[2,0]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var j GraphJSON
+		if json.Unmarshal(data, &j) != nil || j.N > 1<<12 {
+			return // not a graph body, or a vertex count that costs real memory
+		}
+		g, err := j.ToGraph()
+		if err != nil {
+			if len(j.IDs) == 0 && simpleEdges(j.N, j.Edges) {
+				t.Fatalf("rejected a simple graph %+v: %v", j, err)
+			}
+			return
+		}
+		want := make([][2]int, 0, len(j.Edges))
+		for _, e := range j.Edges {
+			want = append(want, [2]int{min(e[0], e[1]), max(e[0], e[1])})
+		}
+		slices.SortFunc(want, func(a, b [2]int) int {
+			if a[0] != b[0] {
+				return a[0] - b[0]
+			}
+			return a[1] - b[1]
+		})
+		if want = slices.Compact(want); len(want) != len(j.Edges) {
+			t.Fatalf("accepted a duplicate edge in %v", j.Edges)
+		}
+		back := GraphToJSON(g)
+		if back.N != j.N || !reflect.DeepEqual(back.Edges, want) {
+			t.Fatalf("decoded %+v as n=%d edges=%v, want edges %v", j, back.N, back.Edges, want)
+		}
+		for v, id := range j.IDs {
+			if g.IDOf(v) != id {
+				t.Fatalf("vertex %d: id %d became %d", v, id, g.IDOf(v))
+			}
+		}
+	})
+}
+
+// simpleEdges reports whether edges form a simple graph on n vertices:
+// endpoints in range, no self-loops, no edge twice in either orientation.
+func simpleEdges(n int, edges [][2]int) bool {
+	if n < 0 {
+		return false
+	}
+	seen := make(map[[2]int]bool, len(edges))
+	for _, e := range edges {
+		u, v := min(e[0], e[1]), max(e[0], e[1])
+		if u < 0 || v >= n || u == v || seen[[2]int{u, v}] {
+			return false
+		}
+		seen[[2]int{u, v}] = true
+	}
+	return true
 }

@@ -13,12 +13,12 @@ import (
 
 // Stream-format throughput at the sizes the format exists for. The 1e5
 // sizes run everywhere; the million-vertex pair is gated behind
-// BENCH_LARGE=1 (`make bench-large`).
+// BENCH_LARGE=1.
 
 func skipUnlessLarge(b *testing.B) {
 	b.Helper()
 	if os.Getenv("BENCH_LARGE") == "" {
-		b.Skip("set BENCH_LARGE=1 (make bench-large) to run million-vertex benchmarks")
+		b.Skip("set BENCH_LARGE=1 to run million-vertex benchmarks")
 	}
 }
 

@@ -69,7 +69,7 @@ func (l StreamLimits) withDefaults() StreamLimits {
 
 // EncodeGraphStream writes g to w in the streaming v2 format. Memory use
 // is one chunk buffer regardless of graph size: edges come straight off
-// the CSR snapshot rows, never materialised as an edge list.
+// the sorted neighbour rows, never materialised as an edge list.
 func EncodeGraphStream(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(streamMagic[:]); err != nil {
@@ -102,12 +102,11 @@ func EncodeGraphStream(w io.Writer, g *graph.Graph) error {
 			}
 		}
 	}
-	c := g.CSR()
 	prevU, prev := 0, 0
 	inChunk := 0
 	var chunk []byte
 	for u := 0; u < n; u++ {
-		for _, wv := range c.Row(u) {
+		for _, wv := range g.Neighbors(u) {
 			v := int(wv)
 			if v <= u {
 				continue
@@ -157,8 +156,8 @@ func flushChunk(bw *bufio.Writer, writeUvarint func(uint64) error, count int, bo
 }
 
 // DecodeGraphStream reads one streaming v2 graph from r. Decoding is
-// incremental: edges accumulate chunk by chunk into a graph.Builder (the
-// CSR counting sort runs once at the end), the input is never buffered
+// incremental: edges accumulate chunk by chunk into a graph.Builder (its
+// counting sort runs once at the end), the input is never buffered
 // whole, and every allocation is bounded by lim before the claimed sizes
 // have been paid for with actual payload bytes.
 func DecodeGraphStream(r io.Reader, lim StreamLimits) (*graph.Graph, error) {

@@ -53,28 +53,35 @@ func GraphToJSON(g *graph.Graph) GraphJSON {
 	return out
 }
 
-// ToGraph materializes the JSON form.
+// ToGraph materializes the JSON form. Edges go through a graph.Builder,
+// so any edge order costs O(n+m); range, self-loop and duplicate edges
+// (in either orientation) are rejected.
 func (j GraphJSON) ToGraph() (*graph.Graph, error) {
 	if j.N < 0 || j.N > MaxGraphVertices {
 		return nil, fmt.Errorf("wire: vertex count %d out of range [0, %d]", j.N, MaxGraphVertices)
 	}
-	var g *graph.Graph
+	var b *graph.Builder
 	if len(j.IDs) > 0 {
 		if len(j.IDs) != j.N {
 			return nil, fmt.Errorf("wire: %d ids for %d vertices", len(j.IDs), j.N)
 		}
 		var err error
-		g, err = graph.NewWithIDs(j.IDs)
+		b, err = graph.NewBuilderWithIDs(j.IDs)
 		if err != nil {
 			return nil, fmt.Errorf("wire: %w", err)
 		}
 	} else {
-		g = graph.New(j.N)
+		b = graph.NewBuilder(j.N)
 	}
+	b.Grow(len(j.Edges))
 	for _, e := range j.Edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
 			return nil, fmt.Errorf("wire: %w", err)
 		}
+	}
+	g, err := b.Finish()
+	if err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
 	}
 	return g, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/cert"
 	"repro/internal/graph"
@@ -110,12 +111,45 @@ func TestGraphJSONErrors(t *testing.T) {
 		{N: 2, IDs: []int64{1, 2, 3}},           // id count mismatch
 		{N: 2, IDs: []int64{5, 5}},              // duplicate ids
 		{N: 3, Edges: [][2]int{{0, 1}, {0, 1}}}, // duplicate edge
+		{N: 3, Edges: [][2]int{{0, 1}, {1, 0}}}, // duplicate edge, reversed
+		{N: 3, Edges: [][2]int{{-1, 1}}},        // negative endpoint
+		{N: 0, Edges: [][2]int{{0, 1}}},         // edge in an empty graph
 		{N: -1},                                 // negative count
 		{N: MaxGraphVertices + 1},               // hostile huge header
 	}
 	for i, j := range cases {
 		if _, err := j.ToGraph(); err == nil {
 			t.Fatalf("case %d: ToGraph accepted invalid input %+v", i, j)
+		}
+	}
+}
+
+// TestGraphJSONDescendingStar: a star listed hub-last in descending leaf
+// order is the worst case for sorted-row insertion (every edge lands at
+// the front of the hub's row). ToGraph builds through graph.Builder, so
+// it decodes 2^18 leaves in linear time; per-edge sorted insertion would
+// pay Θ(deg²) memmoves.
+func TestGraphJSONDescendingStar(t *testing.T) {
+	const leaves = 1 << 18
+	j := GraphJSON{N: leaves + 1, Edges: make([][2]int, leaves)}
+	for i := range j.Edges {
+		j.Edges[i] = [2]int{leaves - i, 0}
+	}
+	start := time.Now()
+	g, err := j.ToGraph()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("decoding a %d-leaf star took %v, budget 1s", leaves, elapsed)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.M() != leaves || g.Degree(0) != leaves {
+		t.Fatalf("star decoded with m=%d, hub degree %d", g.M(), g.Degree(0))
+	}
+	row := g.Neighbors(0)
+	for i, w := range row {
+		if int(w) != i+1 {
+			t.Fatalf("hub row not sorted at %d: %d", i, w)
 		}
 	}
 }
