@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race fuzz-short bench-smoke metrics-smoke slo slo-smoke chaos-smoke ci bench fmt-check lint cover clean
+.PHONY: all build vet vet-bench test test-race fuzz-short bench-smoke metrics-smoke slo slo-smoke chaos-smoke ci bench fmt-check lint cover clean
 
 all: ci
 
@@ -9,6 +9,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# vet-bench compiles and vets cmd/certbench, the benchmark's nested
+# module, which the root ./... patterns never reach: an API change that
+# breaks the benchmark fails here instead of when the benchmark runs.
+# Its go.mod replaces repro with this checkout, so nothing is downloaded.
+vet-bench:
+	$(GO) -C cmd/certbench vet ./...
 
 test:
 	$(GO) test ./...
@@ -21,14 +28,16 @@ test-race:
 
 # fuzz-short is the hostile-input gate on the decoders that read network
 # bytes: formulas, wire-v2 graph streams (/certify), JSON graph bodies
-# (every JSON endpoint) and submitted certificate strings (/verify,
-# /simulate). Every ci run hammers each for a few seconds on top of the
-# committed regression corpora (which plain `go test` replays).
+# (every JSON endpoint), submitted certificate strings (/verify,
+# /simulate) and the tw-mso certificate decoder those certificates reach.
+# Every ci run hammers each for a few seconds on top of the committed
+# regression corpora (which plain `go test` replays).
 fuzz-short:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=5s ./internal/logic
 	$(GO) test -run=FuzzDecodeGraphStream -fuzz=FuzzDecodeGraphStream -fuzztime=5s ./internal/wire
 	$(GO) test -run=FuzzGraphJSON -fuzz=FuzzGraphJSON -fuzztime=5s ./internal/wire
 	$(GO) test -run=FuzzAssignmentFromStrings -fuzz=FuzzAssignmentFromStrings -fuzztime=5s ./internal/wire
+	$(GO) test -run=FuzzDecodePayload -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/treewidth
 
 # bench-smoke compiles and runs every benchmark exactly once: benchmarks
 # are the perf PRs' acceptance instruments, so they must not bit-rot
@@ -116,15 +125,16 @@ chaos-smoke:
 	rm -f /tmp/certserver-chaossmoke; \
 	exit $$rc
 
-# ci is the tier-1 gate: everything must be gofmt-clean, build, vet clean,
-# lint clean (certlint runs before the tests: an invariant violation should
-# fail fast, not hide behind a long test run), and pass — including under
-# the race detector, a short decoder fuzz, a one-iteration benchmark smoke
-# run, a live /metrics exposition check, a short sustained-load SLO smoke,
-# a seeded fault-injection smoke, and the internal/lint coverage floor.
+# ci is the tier-1 gate: everything must be gofmt-clean, build, vet clean
+# (the benchmark module included), lint clean (certlint runs before the
+# tests: an invariant violation should fail fast, not hide behind a long
+# test run), and pass — including under the race detector, a short
+# decoder fuzz, a one-iteration benchmark smoke run, a live /metrics
+# exposition check, a short sustained-load SLO smoke, a seeded
+# fault-injection smoke, and the internal/lint coverage floor.
 # Performance regressions are gated by cmd/certbench, which runs the
 # parent commit and the change fresh, side by side.
-ci: fmt-check build vet lint test test-race fuzz-short bench-smoke metrics-smoke slo-smoke chaos-smoke cover
+ci: fmt-check build vet vet-bench lint test test-race fuzz-short bench-smoke metrics-smoke slo-smoke chaos-smoke cover
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -207,9 +207,9 @@ func run() int {
 	if *decompose {
 		for _, method := range []struct {
 			name string
-			f    func(*graph.Graph) (*treewidth.Decomposition, []int, int, error)
-		}{{"min-fill", treewidth.MinFill}, {"min-degree", treewidth.MinDegree}} {
-			d, _, width, err := method.f(g)
+			f    func(context.Context, *graph.Graph) (*treewidth.Decomposition, []int, int, error)
+		}{{"min-fill", treewidth.MinFillCtx}, {"min-degree", treewidth.MinDegreeCtx}} {
+			d, _, width, err := method.f(ctx, g)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "certify: decompose: %v\n", err)
 				return 1
@@ -218,7 +218,7 @@ func run() int {
 				method.name, width, d.NumBags(), treewidth.IsValid(g, d))
 		}
 		if g.N() <= treewidth.ExactLimit {
-			w, _, err := treewidth.Exact(g)
+			w, _, err := treewidth.ExactCtx(ctx, g)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "certify: decompose: %v\n", err)
 				return 1

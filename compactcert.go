@@ -210,13 +210,15 @@ func UniversalFormulaScheme(sentence string) (Scheme, error) {
 // of the min-fill and min-degree elimination heuristics, reporting which
 // won.
 func HeuristicTreeDecomposition(g *Graph) (*Decomposition, string, error) {
-	return treewidth.Heuristic(g)
+	return treewidth.HeuristicCtx(context.TODO(), g)
 }
 
 // ExactTreewidth computes the exact treewidth of a graph
 // (n <= treewidth.ExactLimit) and an optimal decomposition by
 // branch-and-bound over elimination orders.
-func ExactTreewidth(g *Graph) (int, *Decomposition, error) { return treewidth.Exact(g) }
+func ExactTreewidth(g *Graph) (int, *Decomposition, error) {
+	return treewidth.ExactCtx(context.TODO(), g)
+}
 
 // ValidateDecomposition checks coverage, edge coverage and bag-trace
 // connectivity of a claimed tree decomposition.

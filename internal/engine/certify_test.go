@@ -3,11 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/cert"
 	"repro/internal/fault"
 	"repro/internal/graphgen"
+	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
@@ -96,5 +99,97 @@ func TestCertifyPanicPropagates(t *testing.T) {
 	}()
 	if res, _ := pipe.Certify(context.Background(), job); res.Err != nil || !res.Accepted {
 		t.Fatalf("certify after the one-shot panic: %+v", res)
+	}
+}
+
+// A decompose that overruns its deadline slice fails the job in the
+// decompose phase. The prewarm's cancellation must reach the runner:
+// swallowing it let the prover silently recompute the whole
+// decomposition under prove's slice and report a successful job.
+func TestCertifyDecomposeOverrunFailsDecompose(t *testing.T) {
+	reg := obs.NewRegistry()
+	cache := NewCacheObs(registry.Default(), reg)
+	cache.Decomps = NewDecompCacheObs(reg)
+	pipe := &Pipeline{Cache: cache}
+	// n above the parallel threshold: the block driver probes the
+	// context before its first block.
+	job := Job{Graph: graphgen.Path(5000), Scheme: "tw-mso", Params: registry.Params{Property: "tw-bound", T: 2}}
+	if _, err := cache.GetOrCompile(job.Scheme, job.Params); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fault.ParsePlan("seed=1;engine.decomp.compute:delay=600ms#1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.Arm(plan); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disarm()
+	// The decompose slice is 5/14 of the 1s request budget; the delay
+	// overruns it but leaves the request itself ~400ms, which is ample
+	// for prove to recompute the decomposition of a path.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	res, _ := pipe.Certify(ctx, job)
+	var pe *PhaseError
+	if !errors.As(res.Err, &pe) || pe.Phase != "decompose" {
+		t.Fatalf("overrun job ended with %v (prove %v), want a decompose PhaseError", res.Err, res.Prove)
+	}
+	if ce, ok := fault.Cancelled(res.Err); !ok || ce.Phase != "decompose" {
+		t.Fatalf("overrun job error %v is not a decompose cancellation", res.Err)
+	}
+	if res.Prove != 0 {
+		t.Fatalf("prove ran for %v after the decompose overrun", res.Prove)
+	}
+	if got := CancelledCounter(reg, "decompose").Value(); got != 1 {
+		t.Fatalf("certify_cancelled_total{phase=\"decompose\"} = %d, want 1", got)
+	}
+}
+
+// A sweep abandoned because its context is done fails the job as a sweep
+// cancellation, counted under phase "sweep" — whether the cancellation
+// lands between trials or inside a trial's verification round.
+func TestCertifySweepCancellationNamesSweep(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutated bool
+	}{{"between-trials", false}, {"inside-round", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			pipe := &Pipeline{Cache: NewCacheObs(registry.Default(), reg)}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// The tamper cancels the job on its first application: a no-op
+			// trial meets the cancellation at the next between-trials
+			// check, a mutated one inside its verification round.
+			tamper := cert.Tamper{Name: "cancel", Apply: func(a cert.Assignment, _ *rand.Rand) (cert.Assignment, bool) {
+				cancel()
+				if !tc.mutated {
+					return a, false
+				}
+				bad := a.Clone()
+				bad[0] = cert.Certificate{}
+				return bad, true
+			}}
+			job := Job{
+				Graph:  graphgen.Path(64),
+				Scheme: "tree-mso",
+				Params: registry.Params{Property: "perfect-matching"},
+				Sweep:  &TamperSweep{Tampers: []cert.Tamper{tamper}, Trials: 3},
+			}
+			res, _ := pipe.Certify(ctx, job)
+			var pe *PhaseError
+			if !errors.As(res.Err, &pe) || pe.Phase != "sweep" {
+				t.Fatalf("cancelled sweep ended with %v, want a sweep PhaseError", res.Err)
+			}
+			if ce, ok := fault.Cancelled(res.Err); !ok || ce.Phase != "sweep" || !errors.Is(res.Err, context.Canceled) {
+				t.Fatalf("cancelled sweep error %v is not a sweep cancellation", res.Err)
+			}
+			for phase, want := range map[string]int64{"sweep": 1, "verify": 0} {
+				if got := CancelledCounter(reg, phase).Value(); got != want {
+					t.Fatalf("certify_cancelled_total{phase=%q} = %d, want %d", phase, got, want)
+				}
+			}
+		})
 	}
 }

@@ -106,26 +106,21 @@ func fingerprint(g *graph.Graph) uint64 {
 	return h
 }
 
-// Get returns the cached decomposition for g, computing it with the
-// elimination heuristics if absent.
-func (c *DecompCache) Get(g *graph.Graph) (*treewidth.Decomposition, error) {
-	d, hit, err := c.get(context.Background(), g)
-	c.count(hit)
-	return d, err
-}
-
-// GetCtx is Get under a "decompose" span tagged with the cache outcome;
-// the call's duration is recorded in the decompose phase histogram. The
-// context cancels a computation this call started; a waiter whose winning
-// flight was cancelled by someone else retries instead of inheriting the
-// stranger's cancellation.
+// GetCtx returns the cached decomposition for g, computing it with the
+// elimination heuristics if absent, under a "decompose" span tagged with
+// the cache outcome; the call counts as one cache request and its
+// duration lands in the decompose phase histogram. The context cancels a
+// computation this call started; a waiter whose winning flight was
+// cancelled by someone else retries instead of inheriting the stranger's
+// cancellation.
 func (c *DecompCache) GetCtx(ctx context.Context, g *graph.Graph) (*treewidth.Decomposition, error) {
 	_, sp := obs.Start(ctx, "decompose")
 	d, hit, err := c.get(ctx, g)
-	c.count(hit)
 	if hit {
+		c.hits.Inc()
 		sp.SetAttr("cache", "hit")
 	} else {
+		c.misses.Inc()
 		sp.SetAttr("cache", "miss")
 	}
 	sp.End()
@@ -133,16 +128,27 @@ func (c *DecompCache) GetCtx(ctx context.Context, g *graph.Graph) (*treewidth.De
 	return d, err
 }
 
-func (c *DecompCache) count(hit bool) {
-	if hit {
-		c.hits.Inc()
-	} else {
-		c.misses.Inc()
+// Decomposition implements treewidth.DecompSource with a silent lookup,
+// so a tw-mso scheme can draw its decomposition from the cache. Unlike a
+// generator witness the source is graph-agnostic, so a compiled scheme
+// carrying it stays shareable across graphs and cacheable. The lookup
+// counts nothing: when a caller prewarms via PrewarmDecomposition the
+// prewarm is the one counted logical request, and the scheme's internal
+// access must not count the same job twice.
+func (c *DecompCache) Decomposition(ctx context.Context, g *graph.Graph) (*treewidth.Decomposition, error) {
+	d, _, err := c.get(ctx, g)
+	return d, err
+}
+
+// Provider is the silent lookup as a context-free function.
+func (c *DecompCache) Provider() func(*graph.Graph) (*treewidth.Decomposition, error) {
+	return func(g *graph.Graph) (*treewidth.Decomposition, error) {
+		return c.Decomposition(context.TODO(), g)
 	}
 }
 
 // get implements the singleflight lookup without touching the counters:
-// the counted entry points (Get, GetCtx) and the silent one (Provider)
+// the counted entry point (GetCtx) and the silent one (Decomposition)
 // share it. The context belongs to the request that wins the computing
 // flight; waiters that inherit a *cancelled* flight retry with their own
 // context instead of failing for someone else's disconnect.
@@ -169,30 +175,6 @@ func (c *DecompCache) get(ctx context.Context, g *graph.Graph) (*treewidth.Decom
 	})
 }
 
-// Provider adapts the cache to the scheme's DecompProvider slot. Unlike a
-// generator witness the returned closure is graph-agnostic, so a compiled
-// tw-mso scheme carrying it stays shareable across graphs and cacheable.
-//
-// The closure reads the cache silently: when a caller prewarms via
-// PrewarmDecomposition the prewarm is the one counted logical request, and
-// the scheme's internal access must not count the same job twice.
-func (c *DecompCache) Provider() func(*graph.Graph) (*treewidth.Decomposition, error) {
-	return func(g *graph.Graph) (*treewidth.Decomposition, error) {
-		d, _, err := c.get(context.Background(), g)
-		return d, err
-	}
-}
-
-// ProviderCtx is Provider with the caller's context threaded into any
-// computation the lookup starts, so a prove that resolves its
-// decomposition through the cache stays cancellable end to end.
-func (c *DecompCache) ProviderCtx() func(context.Context, *graph.Graph) (*treewidth.Decomposition, error) {
-	return func(ctx context.Context, g *graph.Graph) (*treewidth.Decomposition, error) {
-		d, _, err := c.get(ctx, g)
-		return d, err
-	}
-}
-
 // DecompStats is a snapshot of decomposition-cache effectiveness.
 type DecompStats struct {
 	Hits   int64 `json:"hits"`
@@ -215,36 +197,33 @@ func (c *DecompCache) Purge() {
 // decomposition cache when it has no witness of its own. It runs inside
 // the compiling goroutine, before the scheme is published to waiters.
 func (c *Cache) attachDecompCache(s cert.Scheme) {
-	if c.Decomps == nil || s == nil {
-		return
-	}
-	if tws, ok := s.(*treewidth.MSOScheme); ok && tws.DecompProvider == nil {
-		tws.DecompProvider = c.Decomps.Provider()
-		tws.DecompProviderCtx = c.Decomps.ProviderCtx()
-		tws.CacheBackedDecomp = true
+	if tws, ok := s.(*treewidth.MSOScheme); ok && c.Decomps != nil && tws.Decomps == nil {
+		tws.Decomps = c.Decomps
 	}
 }
 
 // PrewarmDecomposition populates the shared decomposition cache for g when
-// s is a cache-backed tw-mso scheme, under a "decompose" span. The
-// subsequent Prove (which takes no context) then finds the decomposition
-// in the cache, so decomposition cost is attributed to its own phase
-// instead of folding into prove time. The prewarm is the counted logical
-// cache request for the job.
+// s is a cache-backed tw-mso scheme, under a "decompose" span, and
+// returns how long that took. The prove that follows then finds the
+// decomposition in the cache, so decomposition cost is attributed to its
+// own phase instead of folding into prove time. The prewarm is the
+// counted logical cache request for the job.
 //
-// Errors are deliberately swallowed: on a failed or too-wide cached
-// decomposition the scheme falls back to its own computation (including
-// exact search), so the job may still succeed — the fallback cost shows
-// up as prove time.
-func (c *Cache) PrewarmDecomposition(ctx context.Context, s cert.Scheme, g *graph.Graph) time.Duration {
-	if c.Decomps == nil || g == nil {
-		return 0
-	}
+// A cancellation is returned: the caller's decompose slice ran out, and
+// letting prove recompute the decomposition under its own slice would
+// hide the overrun. Every other error is deliberately swallowed: on a
+// failed or too-wide cached decomposition the scheme falls back to its
+// own computation (including exact search), so the job may still succeed
+// — the fallback cost shows up as prove time.
+func (c *Cache) PrewarmDecomposition(ctx context.Context, s cert.Scheme, g *graph.Graph) (time.Duration, error) {
 	tws, ok := s.(*treewidth.MSOScheme)
-	if !ok || !tws.CacheBackedDecomp {
-		return 0
+	if !ok || c.Decomps == nil || g == nil || tws.Decomps != c.Decomps {
+		return 0, nil
 	}
 	t0 := time.Now()
-	_, _ = c.Decomps.GetCtx(ctx, g)
-	return time.Since(t0)
+	_, err := c.Decomps.GetCtx(ctx, g)
+	if _, cancelled := fault.Cancelled(err); !cancelled {
+		err = nil
+	}
+	return time.Since(t0), err
 }

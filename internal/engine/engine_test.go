@@ -500,7 +500,7 @@ func TestDecompCacheReusedAcrossBatchJobs(t *testing.T) {
 	}
 	// A different graph is a fresh miss.
 	g2, _ := graphgen.PartialKTree(30, 2, 0.5, rng)
-	if _, err := cache.Decomps.Get(g2); err != nil {
+	if _, err := cache.Decomps.GetCtx(context.Background(), g2); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Decomps.Stats(); st.Misses != 2 || st.Size != 2 {
@@ -553,7 +553,7 @@ func TestDecompCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.MustAddEdge(0, 1)
-		if _, err := c.Get(g); err != nil {
+		if _, err := c.GetCtx(context.Background(), g); err != nil {
 			t.Fatal(err)
 		}
 	}

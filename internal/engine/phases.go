@@ -27,7 +27,7 @@ const (
 	MetricQueueDepth = "engine_queue_depth"
 	// MetricCancelled counts certification work abandoned at a cooperative
 	// cancellation checkpoint, labeled by the abandoned phase
-	// (request, compile, decompose, prove or verify). A
+	// (request, compile, decompose, prove, verify or sweep). A
 	// climbing decompose count under load means clients give up while
 	// their graphs are still being decomposed — raise the deadline or
 	// shrink the graphs.

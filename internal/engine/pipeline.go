@@ -304,12 +304,16 @@ func (p *Pipeline) Certify(ctx context.Context, job Job) (res JobResult, a cert.
 	a = job.Certificates
 	if a == nil {
 		dctx, dcancel := PhaseBudget(ctx, "decompose")
-		res.Decompose = p.Cache.PrewarmDecomposition(dctx, s, g)
+		res.Decompose, err = p.Cache.PrewarmDecomposition(dctx, s, g)
 		dcancel()
-		if err := ctx.Err(); err != nil {
-			// The prewarm swallows errors by design; do not hand a
-			// cancelled job to the prover's fallback paths.
-			res.fail(&PhaseError{"decompose", &fault.CancelledError{Phase: "decompose", Elapsed: res.Decompose, Cause: err}})
+		if cerr := ctx.Err(); err == nil && cerr != nil {
+			// The request itself ran out during a prewarm that noticed
+			// nothing (a cache hit, or a computation too short to reach a
+			// checkpoint): do not hand a cancelled job to the prover.
+			err = &fault.CancelledError{Phase: "decompose", Elapsed: res.Decompose, Cause: cerr}
+		}
+		if err != nil {
+			res.fail(&PhaseError{"decompose", err})
 			return res, nil
 		}
 		if err := provePre.Inject(); err != nil {

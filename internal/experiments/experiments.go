@@ -623,19 +623,20 @@ func E12Treewidth(seed int64) (*Table, error) {
 		})
 	}
 	// Heuristic quality against ground truth on exactly solvable sizes.
+	ctx := context.TODO()
 	rng := rand.New(rand.NewSource(seed + 1))
 	for trial := 0; trial < 4; trial++ {
 		n := 10 + trial*2
 		g := graphgen.RandomConnected(n, n/2+trial, rng)
-		_, _, wf, err := treewidth.MinFill(g)
+		_, _, wf, err := treewidth.MinFillCtx(ctx, g)
 		if err != nil {
 			return nil, err
 		}
-		_, _, wd, err := treewidth.MinDegree(g)
+		_, _, wd, err := treewidth.MinDegreeCtx(ctx, g)
 		if err != nil {
 			return nil, err
 		}
-		wx, _, err := treewidth.Exact(g)
+		wx, _, err := treewidth.ExactCtx(ctx, g)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cert"
+	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
@@ -64,7 +65,9 @@ type SweepReport struct {
 //
 // The honest assignment is never modified (tampers copy), and honest is
 // expected to be accepting — callers verify it first; Sweep itself only
-// measures what happens to corrupted variants.
+// measures what happens to corrupted variants. A sweep abandoned because
+// ctx is done returns a *fault.CancelledError with Phase "sweep", whether
+// it stopped between trials or inside one's verification round.
 func (e *Engine) Sweep(ctx context.Context, g *graph.Graph, s cert.Scheme, honest cert.Assignment, tampers []cert.Tamper, trials int, seed int64) (SweepReport, error) {
 	if len(honest) != g.N() {
 		return SweepReport{}, fmt.Errorf("netsim: sweep: assignment has %d certificates for %d vertices", len(honest), g.N())
@@ -73,13 +76,14 @@ func (e *Engine) Sweep(ctx context.Context, g *graph.Graph, s cert.Scheme, hones
 		return SweepReport{}, fmt.Errorf("netsim: sweep: trials must be positive, got %d", trials)
 	}
 	m := e.metrics()
+	start := time.Now()
 	rep := SweepReport{AllDetected: true}
 	for _, tm := range tampers {
 		rng := rand.New(rand.NewSource(seed ^ int64(nameHash(tm.Name))))
 		st := TamperStat{Tamper: tm.Name, Trials: trials}
 		for i := 0; i < trials; i++ {
 			if err := ctx.Err(); err != nil {
-				return rep, fmt.Errorf("netsim: sweep: %w", err)
+				return rep, &fault.CancelledError{Phase: "sweep", Elapsed: time.Since(start), Cause: err}
 			}
 			bad, mutated := tm.Apply(honest, rng)
 			if !mutated {
@@ -91,6 +95,11 @@ func (e *Engine) Sweep(ctx context.Context, g *graph.Graph, s cert.Scheme, hones
 			t0 := time.Now()
 			r, err := e.Run(ctx, g, s, bad)
 			st.VerifyNS += time.Since(t0).Nanoseconds()
+			if ce, ok := fault.Cancelled(err); ok {
+				// The round's verify cancellation is the sweep's: the
+				// abandoned work is the sweep, whichever trial it hit.
+				return rep, &fault.CancelledError{Phase: "sweep", Elapsed: time.Since(start), Cause: ce.Cause}
+			}
 			if err != nil {
 				return rep, err
 			}

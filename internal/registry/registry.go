@@ -66,8 +66,8 @@ type Params struct {
 	// DecompProvider optionally supplies a tree-decomposition witness to
 	// the tw-mso prover (a generator's ground-truth record). Like
 	// Provider, it binds the scheme to one graph and defeats caching —
-	// the engine's shared decomposition cache attaches a graph-agnostic
-	// provider after compilation instead.
+	// the engine's shared decomposition cache attaches itself as a
+	// graph-agnostic DecompSource after compilation instead.
 	DecompProvider func(*graph.Graph) (*treewidth.Decomposition, error)
 	// PropertyFunc overrides the named predicate of the universal scheme
 	// with an arbitrary Go predicate. Like Provider, it makes the built
@@ -437,7 +437,11 @@ func registerAll(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return &treewidth.MSOScheme{T: p.T, Prop: prop, DecompProvider: p.DecompProvider}, nil
+			s := &treewidth.MSOScheme{T: p.T, Prop: prop}
+			if p.DecompProvider != nil {
+				s.Decomps = treewidth.DecompFunc(p.DecompProvider)
+			}
+			return s, nil
 		},
 	})
 	r.MustRegister(Entry{

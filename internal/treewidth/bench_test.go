@@ -23,7 +23,7 @@ func benchMinFill(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := MinFill(g); err != nil {
+		if _, _, _, err := MinFillCtx(context.Background(), g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -38,7 +38,7 @@ func BenchmarkMinDegreePartialKTree1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := MinDegree(g); err != nil {
+		if _, _, _, err := MinDegreeCtx(context.Background(), g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func BenchmarkExactRandom16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Exact(g); err != nil {
+		if _, _, err := ExactCtx(context.Background(), g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,9 +113,9 @@ func BenchmarkTWMSOProveVerify(b *testing.B) {
 	// 3-tree can retain a K4).
 	g, attach := graphgen.PartialKTree(256, 2, 0.5, rng)
 	prop, _ := PropertyByName("3-colorable")
-	s := &MSOScheme{T: 2, Prop: prop, DecompProvider: func(gg *graph.Graph) (*Decomposition, error) {
+	s := &MSOScheme{T: 2, Prop: prop, Decomps: DecompFunc(func(gg *graph.Graph) (*Decomposition, error) {
 		return FromKTree(gg.N(), 2, attach)
-	}}
+	})}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -135,9 +135,9 @@ func BenchmarkTWMSOVerifyOnly(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g, attach := graphgen.PartialKTree(1024, 3, 0.5, rng)
 	prop, _ := PropertyByName("tw-bound")
-	s := &MSOScheme{T: 3, Prop: prop, DecompProvider: func(gg *graph.Graph) (*Decomposition, error) {
+	s := &MSOScheme{T: 3, Prop: prop, Decomps: DecompFunc(func(gg *graph.Graph) (*Decomposition, error) {
 		return FromKTree(gg.N(), 3, attach)
-	}}
+	})}
 	a, err := s.Prove(g)
 	if err != nil {
 		b.Fatal(err)
@@ -158,11 +158,11 @@ func BenchmarkTWMSOVerifyOnly(b *testing.B) {
 func BenchmarkEMSODP(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	g, _ := graphgen.PartialKTree(256, 2, 0.5, rng)
-	d, _, err := Heuristic(g)
+	d, _, err := HeuristicCtx(context.Background(), g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	nice, err := MakeNice(d, 0)
+	nice, err := MakeNiceCtx(context.Background(), d, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func BenchmarkEMSODP(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := SolveEMSO(g, nice, tc.phi); err != nil {
+				if _, _, err := SolveEMSOCtx(context.Background(), g, nice, tc.phi); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -201,7 +201,7 @@ func BenchmarkEMSODP(b *testing.B) {
 // merge-intersect path dominates instead of the introduce tables.
 func BenchmarkEMSODPJoinHeavy(b *testing.B) {
 	g, d := bookGraph(200)
-	nice, err := MakeNice(d, 0)
+	nice, err := MakeNiceCtx(context.Background(), d, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func BenchmarkEMSODPJoinHeavy(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := SolveEMSO(g, nice, tc.phi); err != nil {
+				if _, _, err := SolveEMSOCtx(context.Background(), g, nice, tc.phi); err != nil {
 					b.Fatal(err)
 				}
 			}

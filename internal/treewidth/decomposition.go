@@ -8,6 +8,16 @@
 // MSO on bounded-treewidth graphs (Cook–Kim–Masařík, arXiv:2503.19671;
 // Fraigniaud et al., arXiv:2112.03195) that the paper's tree-like classes
 // point at.
+//
+// Every long-running entry point takes a context and returns a
+// *fault.CancelledError once it is done (MinFillCtx, MinDegreeCtx,
+// HeuristicCtx, ExactCtx, MakeNiceCtx, SolveEMSOCtx, BuildPayloadsCtx);
+// there are no context-free twins. The tw-mso prover asks
+// one question — a width-<=T decomposition of g — through one slot,
+// MSOScheme.Decomps (a DecompSource): a generator's witness wrapped in
+// DecompFunc, or a shared decomposition cache. Whatever the source
+// returns is validated and, when missing or too wide, replaced by the
+// heuristics and then exact search.
 package treewidth
 
 import (
@@ -291,53 +301,22 @@ func (d *Decomposition) HomeBags(n int, depth []int) ([]int, error) {
 	return home, nil
 }
 
-// FromEliminationOrder builds the tree decomposition induced by an
-// elimination order: eliminating order[i] creates the bag {order[i]} ∪ its
-// neighbours in the fill-in graph among later vertices, and the bag is
-// attached to the bag of the earliest-eliminated such neighbour (or to the
-// next bag in order when the vertex has none, which keeps the tree
-// connected even for disconnected inputs). The order must be a permutation
-// of the vertices.
-func FromEliminationOrder(g *graph.Graph, order []int) (*Decomposition, error) {
-	n := g.N()
-	if n == 0 {
-		return nil, fmt.Errorf("treewidth: empty graph")
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("treewidth: order has %d entries for %d vertices", len(order), n)
-	}
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
-	}
+// fromEliminationOrder builds the tree decomposition induced by an
+// elimination order (a permutation of the vertices): eliminating order[i]
+// creates the bag {order[i]} ∪ its neighbours in the fill-in graph among
+// later vertices, linked by linkEliminationBags. The replay runs on the
+// bitset engine with fill-in counting off — it only reads bags. Its one
+// caller, ExactCtx, never exceeds ExactLimit vertices, well inside the
+// bitset engine's range.
+func fromEliminationOrder(g *graph.Graph, order []int) *Decomposition {
+	st := newElimBits(g, false)
+	bags := make([][]int, len(order))
+	nbrs := make([]int, 0, len(order))
 	for i, v := range order {
-		if v < 0 || v >= n || pos[v] != -1 {
-			return nil, fmt.Errorf("treewidth: order is not a permutation at position %d", i)
-		}
-		pos[v] = i
+		bags[i] = st.bagOf(v)
+		nbrs, _ = st.eliminate(v, nbrs)
 	}
-	// Replay the elimination on the shared fill-in state: at step i the
-	// alive vertices are exactly the later ones, so each bag is the
-	// vertex plus its remaining neighbours. Counts stay off in both
-	// engines — the replay only reads bags, so incremental fill-in
-	// maintenance would be pure overhead. The engine choice mirrors the
-	// heuristics' own dispatch.
-	bags := make([][]int, n)
-	if useBitset(g) {
-		st := newElimBits(g, false)
-		nbrs := make([]int, 0, n)
-		for i, v := range order {
-			bags[i] = st.bagOf(v)
-			nbrs, _ = st.eliminate(v, nbrs)
-		}
-	} else {
-		st := newElimSparse(g, false)
-		for i, v := range order {
-			bags[i] = st.bagOf(v)
-			st.eliminate(v)
-		}
-	}
-	return linkEliminationBags(order, bags), nil
+	return linkEliminationBags(order, bags)
 }
 
 // linkEliminationBags assembles elimination bags (bags[i] is the bag of

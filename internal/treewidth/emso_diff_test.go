@@ -66,7 +66,7 @@ func TestSolveEMSODifferential(t *testing.T) {
 		n := 4 + rng.Intn(20)
 		kk := 1 + rng.Intn(3)
 		g, _ := graphgen.PartialKTree(n, kk, 0.3+0.5*rng.Float64(), rng)
-		d, _, err := Heuristic(g)
+		d, _, err := HeuristicCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestSolveEMSODifferential(t *testing.T) {
 			wide.MustAddEdge(i, j)
 		}
 	}
-	wideD, _, err := Heuristic(wide)
+	wideD, _, err := HeuristicCtx(context.Background(), wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +94,14 @@ func TestSolveEMSODifferential(t *testing.T) {
 		if err := Validate(inst.g, inst.d); err != nil {
 			t.Fatalf("%s: bad instance decomposition: %v", inst.name, err)
 		}
-		nice, err := MakeNice(inst.d, 0)
+		nice, err := MakeNiceCtx(context.Background(), inst.d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range sentences {
 			phi := MustCompileEMSO(f)
 			wantWords, wantOK, wantErr := solveEMSOReference(inst.g, nice, phi)
-			gotWords, gotOK, gotErr := SolveEMSO(inst.g, nice, phi)
+			gotWords, gotOK, gotErr := SolveEMSOCtx(context.Background(), inst.g, nice, phi)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("%s / %s: reference err=%v, engine err=%v", inst.name, f, wantErr, gotErr)
 			}
@@ -130,9 +130,9 @@ func TestSolveEMSODifferential(t *testing.T) {
 func TestSolveEMSOJoinHeavyEndToEnd(t *testing.T) {
 	g, d := bookGraph(12)
 	prop, _ := PropertyByName("3-colorable")
-	s := &MSOScheme{T: 2, Prop: prop, DecompProvider: func(*graph.Graph) (*Decomposition, error) {
+	s := &MSOScheme{T: 2, Prop: prop, Decomps: DecompFunc(func(*graph.Graph) (*Decomposition, error) {
 		return d, nil
-	}}
+	})}
 	a, err := s.Prove(g)
 	if err != nil {
 		t.Fatal(err)
@@ -176,15 +176,15 @@ func TestIntroMemoBounded(t *testing.T) {
 	// The next solve needs a table for some configuration not in the
 	// synthetic fill; storing it must evict instead of growing.
 	g := graphgen.Cycle(8)
-	d, _, err := Heuristic(g)
+	d, _, err := HeuristicCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nice, err := MakeNice(d, 0)
+	nice, err := MakeNiceCtx(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := SolveEMSO(g, nice, phi); err != nil || !ok {
+	if _, ok, err := SolveEMSOCtx(context.Background(), g, nice, phi); err != nil || !ok {
 		t.Fatalf("solve on full memo: ok=%v err=%v", ok, err)
 	}
 	phi.introMu.Lock()

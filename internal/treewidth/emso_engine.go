@@ -274,19 +274,14 @@ type emsoSolver struct {
 	cp   fault.Checkpoint
 }
 
-// SolveEMSO decides whether g satisfies phi by the Courcelle-style dynamic
-// program over a nice decomposition and, when it does, extracts the
-// per-vertex membership words witnessing the existential set prefix by
-// walking the tables back down from the root. It returns (nil, false, nil)
-// when phi does not hold and an error when the width is too large for the
-// state-table bound.
-func SolveEMSO(g *graph.Graph, nice *Nice, phi *EMSO) ([]uint8, bool, error) {
-	return SolveEMSOCtx(context.Background(), g, nice, phi)
-}
-
-// SolveEMSOCtx is SolveEMSO with cooperative cancellation: the bottom-up
-// pass checkpoints the context once per nice node (amortized), so a
-// cancelled prove at n=10⁶ abandons the DP within one stride.
+// SolveEMSOCtx decides whether g satisfies phi by the Courcelle-style
+// dynamic program over a nice decomposition and, when it does, extracts
+// the per-vertex membership words witnessing the existential set prefix
+// by walking the tables back down from the root. It returns (nil, false,
+// nil) when phi does not hold and an error when the width is too large
+// for the state-table bound. The bottom-up pass checkpoints the context
+// once per nice node (amortized), so a cancelled prove at n=10⁶ abandons
+// the DP within one stride.
 func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([]uint8, bool, error) {
 	m := len(phi.Sets)
 	states := 1

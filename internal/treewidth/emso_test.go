@@ -1,6 +1,7 @@
 package treewidth
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -51,11 +52,11 @@ func TestSolveEMSOAgreesWithColorDP(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 6 + rng.Intn(15)
 		g, _ := graphgen.PartialKTree(n, 2, 0.6, rng)
-		d, _, err := Heuristic(g)
+		d, _, err := HeuristicCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nice, err := MakeNice(d, 0)
+		nice, err := MakeNiceCtx(context.Background(), d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestSolveEMSOAgreesWithColorDP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			words, gotOK, err := SolveEMSO(g, nice, phi)
+			words, gotOK, err := SolveEMSOCtx(context.Background(), g, nice, phi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,17 +102,17 @@ func TestSolveEMSOAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 4 + rng.Intn(6)
 		g, _ := graphgen.PartialKTree(n, 2, 0.5, rng)
-		d, _, err := Heuristic(g)
+		d, _, err := HeuristicCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nice, err := MakeNice(d, 0)
+		nice, err := MakeNiceCtx(context.Background(), d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range sentences {
 			phi := MustCompileEMSO(f)
-			_, got, err := SolveEMSO(g, nice, phi)
+			_, got, err := SolveEMSOCtx(context.Background(), g, nice, phi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +121,7 @@ func TestSolveEMSOAgainstBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("trial %d: SolveEMSO(%s) = %v, brute force = %v on %v", trial, f, got, want, g.Edges())
+				t.Fatalf("trial %d: SolveEMSOCtx(%s) = %v, brute force = %v on %v", trial, f, got, want, g.Edges())
 			}
 		}
 	}

@@ -24,22 +24,17 @@ const ExactLimit = 32
 // under the cap.
 const maxExactSteps = 2_000_000
 
-// Exact computes the exact treewidth of a graph (n <= ExactLimit) and an
-// optimal tree decomposition. It branches over elimination orders with
+// ExactCtx computes the exact treewidth of a graph (n <= ExactLimit) and
+// an optimal tree decomposition. It branches over elimination orders with
 // memoization on the eliminated vertex set — the elimination graph after
 // removing a set is independent of the order within the set, so a set
 // reached again with an equal-or-worse running width is pruned. The best
 // heuristic order seeds the upper bound, the degeneracy seeds the lower
 // bound, and simplicial vertices are eliminated forcedly (a safe rule:
 // eliminating a vertex whose remaining neighbourhood is a clique is always
-// optimal).
-func Exact(g *graph.Graph) (int, *Decomposition, error) {
-	return ExactCtx(context.Background(), g)
-}
-
-// ExactCtx is Exact with cooperative cancellation: the branch-and-bound
-// checkpoints the context on its step counter, so a doomed search stops
-// within one checkpoint stride instead of running to the step cap.
+// optimal). The branch-and-bound checkpoints the context on its step
+// counter, so a doomed search stops within one checkpoint stride instead
+// of running to the step cap.
 func ExactCtx(ctx context.Context, g *graph.Graph) (int, *Decomposition, error) {
 	n := g.N()
 	if n == 0 {
@@ -89,11 +84,7 @@ func ExactCtx(ctx context.Context, g *graph.Graph) (int, *Decomposition, error) 
 			bestOrder, bestWidth = s.bestOrder, s.best
 		}
 	}
-	d, err := FromEliminationOrder(g, bestOrder)
-	if err != nil {
-		return 0, nil, err
-	}
-	return bestWidth, d, nil
+	return bestWidth, fromEliminationOrder(g, bestOrder), nil
 }
 
 type exactSolver struct {

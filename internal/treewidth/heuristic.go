@@ -55,7 +55,7 @@ type elimBits struct {
 	deg   []int // current neighbour count
 	fill  []int // current missing-pair count among the neighbours
 	// counts gates the fill-in maintenance: the heuristics need it, but
-	// a pure elimination replay (FromEliminationOrder) only reads bags,
+	// a pure elimination replay (fromEliminationOrder) only reads bags,
 	// so it skips the per-fill-edge row scans entirely.
 	counts bool
 	left   int
@@ -269,14 +269,9 @@ func minScoreDecomp(ctx context.Context, g *graph.Graph, score heuristicScore) (
 	return runHeuristicSparse(ctx, g, score)
 }
 
-// MinDegree runs the minimum-degree elimination heuristic and returns the
-// induced decomposition, the elimination order, and the realized width.
-func MinDegree(g *graph.Graph) (*Decomposition, []int, int, error) {
-	return MinDegreeCtx(context.Background(), g)
-}
-
-// MinDegreeCtx is MinDegree with cooperative cancellation: the
-// elimination loop checkpoints the context and returns a
+// MinDegreeCtx runs the minimum-degree elimination heuristic and returns
+// the induced decomposition, the elimination order, and the realized
+// width. The elimination loop checkpoints the context and returns a
 // *fault.CancelledError once it is done.
 func MinDegreeCtx(ctx context.Context, g *graph.Graph) (*Decomposition, []int, int, error) {
 	if err := checkHeuristicInput(g); err != nil {
@@ -285,13 +280,8 @@ func MinDegreeCtx(ctx context.Context, g *graph.Graph) (*Decomposition, []int, i
 	return minScoreDecomp(ctx, g, scoreDegree)
 }
 
-// MinFill runs the minimum-fill-in elimination heuristic and returns the
-// induced decomposition, the elimination order, and the realized width.
-func MinFill(g *graph.Graph) (*Decomposition, []int, int, error) {
-	return MinFillCtx(context.Background(), g)
-}
-
-// MinFillCtx is MinFill with cooperative cancellation, as MinDegreeCtx.
+// MinFillCtx runs the minimum-fill-in elimination heuristic, as
+// MinDegreeCtx.
 func MinFillCtx(ctx context.Context, g *graph.Graph) (*Decomposition, []int, int, error) {
 	if err := checkHeuristicInput(g); err != nil {
 		return nil, nil, 0, err
@@ -299,39 +289,26 @@ func MinFillCtx(ctx context.Context, g *graph.Graph) (*Decomposition, []int, int
 	return minScoreDecomp(ctx, g, scoreFill)
 }
 
-// parallelThreshold is the size above which Heuristic hands the graph to
-// the component/block-parallel driver instead of running both
-// heuristics sequentially on the whole graph.
+// parallelThreshold is the size above which HeuristicCtx hands the graph
+// to the component/block-parallel driver instead of running the contest
+// on the whole graph.
 const parallelThreshold = 1 << 12
 
-// Heuristic runs the elimination heuristics and returns the narrower
+// HeuristicCtx runs the elimination heuristics and returns the narrower
 // decomposition together with the name of the winning method. Small
-// graphs run min-fill and min-degree back to back, min-fill winning
-// ties (its usual edge in quality); larger graphs go through the
-// parallel per-component/per-block driver (see parallel.go), which
-// applies the same contest block by block.
-func Heuristic(g *graph.Graph) (*Decomposition, string, error) {
-	return HeuristicCtx(context.Background(), g)
-}
-
-// HeuristicCtx is Heuristic with cooperative cancellation threaded into
-// every elimination engine it dispatches to.
+// graphs run the min-fill vs min-degree contest (blockContest) on the
+// whole graph; larger graphs go through the parallel
+// per-component/per-block driver (see parallel.go), which applies the
+// same contest block by block. The context reaches every elimination
+// engine it dispatches to.
 func HeuristicCtx(ctx context.Context, g *graph.Graph) (*Decomposition, string, error) {
+	if err := checkHeuristicInput(g); err != nil {
+		return nil, "", err
+	}
 	if g.N() > parallelThreshold {
-		return HeuristicParallelCtx(ctx, g, 0)
+		return heuristicParallel(ctx, g, 0)
 	}
-	df, _, wf, err := MinFillCtx(ctx, g)
-	if err != nil {
-		return nil, "", err
-	}
-	dd, _, wd, err := MinDegreeCtx(ctx, g)
-	if err != nil {
-		return nil, "", err
-	}
-	if wd < wf {
-		return dd, "min-degree", nil
-	}
-	return df, "min-fill", nil
+	return blockContest(ctx, g)
 }
 
 // Degeneracy returns the graph's degeneracy (the max over the elimination

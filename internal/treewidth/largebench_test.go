@@ -1,6 +1,7 @@
 package treewidth
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"testing"
@@ -40,7 +41,7 @@ func benchLargeDecompose(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, _, err := HeuristicParallel(g, 0)
+		d, _, err := heuristicParallel(context.Background(), g, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,9 +72,9 @@ func benchLargeProveVerify(b *testing.B, n int) {
 	if !ok {
 		b.Fatal("tw-bound property missing")
 	}
-	s := &MSOScheme{T: 4, Prop: prop, DecompProvider: func(*graph.Graph) (*Decomposition, error) {
+	s := &MSOScheme{T: 4, Prop: prop, Decomps: DecompFunc(func(*graph.Graph) (*Decomposition, error) {
 		return d, nil
-	}}
+	})}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -68,19 +68,14 @@ func (n *Nice) Width() int {
 	return w
 }
 
-// MakeNice converts a valid tree decomposition rooted at the given bag
+// MakeNiceCtx converts a valid tree decomposition rooted at the given bag
 // into a nice decomposition of the same width: each original bag becomes a
 // chain of forget/introduce nodes toward its children, multi-child bags
 // fan out through binary joins, leaves shrink to empty bags through
 // introduce chains, and the root grows a forget chain so the nice root's
-// bag is empty.
-func MakeNice(d *Decomposition, root int) (*Nice, error) {
-	return MakeNiceCtx(context.Background(), d, root)
-}
-
-// MakeNiceCtx is MakeNice with cooperative cancellation: the per-bag
-// conversion loop checkpoints the context, so abandoning the nice form
-// of a million-bag decomposition costs at most one stride.
+// bag is empty. The per-bag conversion loop checkpoints the context, so
+// abandoning the nice form of a million-bag decomposition costs at most
+// one stride.
 func MakeNiceCtx(ctx context.Context, d *Decomposition, root int) (*Nice, error) {
 	parent, _, order, err := d.Rooted(root)
 	if err != nil {
@@ -165,7 +160,7 @@ func (n *Nice) add(node NiceNode) int {
 
 // addOwned appends a node whose bag the caller hands over (already a
 // fresh or shareable copy), skipping add's defensive re-copy — half of
-// MakeNice's allocations on the prove hot path.
+// MakeNiceCtx's allocations on the prove hot path.
 func (n *Nice) addOwned(node NiceNode) int {
 	if node.Bag == nil {
 		node.Bag = []int{}

@@ -2,7 +2,6 @@ package treewidth
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -17,7 +16,7 @@ import (
 // show.
 const largeBlockMinDegreeOnly = 1 << 15
 
-// HeuristicParallel decomposes g by structural decomposition first: the
+// heuristicParallel decomposes g by structural decomposition first: the
 // graph splits into connected components and, within them, biconnected
 // blocks (treewidth is the maximum over blocks, since blocks overlap in
 // at most one vertex). Each block is decomposed independently over a
@@ -29,33 +28,21 @@ const largeBlockMinDegreeOnly = 1 << 15
 // vertex-free tree edges exactly like the sequential elimination
 // linker does for disconnected inputs.
 //
-// workers <= 0 means GOMAXPROCS. The result is deterministic: task
-// results are indexed, not raced.
-func HeuristicParallel(g *graph.Graph, workers int) (*Decomposition, string, error) {
-	return HeuristicParallelCtx(context.Background(), g, workers)
-}
-
-// HeuristicParallelCtx is HeuristicParallel with cooperative
-// cancellation: the context reaches every block's elimination engine,
-// and workers stop pulling tasks once it is done, so cancelling a
-// million-vertex decomposition frees the whole pool within one
-// checkpoint stride.
-func HeuristicParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*Decomposition, string, error) {
+// g must be non-empty (HeuristicCtx checks). workers <= 0 means
+// GOMAXPROCS; HeuristicCtx always passes 0, and only tests vary it. The
+// result is deterministic: task results are indexed, not raced. The
+// context reaches every block's elimination engine, and workers stop
+// pulling tasks once it is done, so cancelling a million-vertex
+// decomposition frees the whole pool within one checkpoint stride.
+func heuristicParallel(ctx context.Context, g *graph.Graph, workers int) (*Decomposition, string, error) {
 	n := g.N()
-	if n == 0 {
-		return nil, "", fmt.Errorf("treewidth: empty graph")
-	}
 	blocks := g.BiconnectedComponents()
 
 	// One block covering the whole graph (g biconnected, e.g. a pure
 	// k-tree): no parallel structure to exploit, run directly and skip
 	// the subgraph copy.
 	if len(blocks) == 1 && len(blocks[0]) == n {
-		d, name, err := blockContest(ctx, g)
-		if err != nil {
-			return nil, "", err
-		}
-		return d, name, nil
+		return blockContest(ctx, g)
 	}
 
 	// Pieces: one per block plus one per isolated vertex. Piece i owns

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -100,22 +101,29 @@ type MSOScheme struct {
 	T int
 	// Prop is the certified property (library alias or compiled formula).
 	Prop Property
-	// DecompProvider, when set, supplies the tree decomposition (e.g. a
-	// generator's ground-truth witness or a shared decomposition cache).
-	// When nil, Prove computes one: the elimination heuristics first,
-	// exact branch-and-bound for graphs up to ExactLimit vertices when
-	// they miss the bound.
-	DecompProvider func(g *graph.Graph) (*Decomposition, error)
-	// DecompProviderCtx, when set, is preferred over DecompProvider on
-	// context-carrying paths (ProveCtx), so a cache-backed decomposition
-	// computed on behalf of this prove is cooperatively cancellable.
-	DecompProviderCtx func(ctx context.Context, g *graph.Graph) (*Decomposition, error)
-	// CacheBackedDecomp marks a DecompProvider that reads a shared
-	// decomposition cache. Callers holding a context can then prewarm the
-	// cache before Prove (which has no context) so decomposition time is
-	// attributed to its own observability phase instead of folding into
-	// prove time.
-	CacheBackedDecomp bool
+	// Decomps, when set, supplies the tree decomposition: a generator's
+	// ground-truth witness (through DecompFunc) or a shared decomposition
+	// cache. When nil, Prove computes one: the elimination heuristics
+	// first, exact branch-and-bound for graphs up to ExactLimit vertices
+	// when they miss the bound.
+	Decomps DecompSource
+}
+
+// DecompSource supplies tree decompositions to the tw-mso prover. The
+// context cancels any computation the lookup starts; the result is
+// validated by the prover, so a source may hand back a too-wide or even
+// wrong decomposition without breaking soundness.
+type DecompSource interface {
+	Decomposition(ctx context.Context, g *graph.Graph) (*Decomposition, error)
+}
+
+// DecompFunc adapts a context-free decomposition function — typically a
+// generator's ground-truth witness — to DecompSource.
+type DecompFunc func(g *graph.Graph) (*Decomposition, error)
+
+// Decomposition implements DecompSource; the context is ignored.
+func (f DecompFunc) Decomposition(_ context.Context, g *graph.Graph) (*Decomposition, error) {
+	return f(g)
 }
 
 var _ cert.Scheme = (*MSOScheme)(nil)
@@ -138,6 +146,10 @@ const guardBits = 16
 // maxBagEntries caps decoded bag sizes before the width bound is applied,
 // so a hostile certificate cannot force a large allocation.
 const maxBagEntries = 1 << 12
+
+// maxID is the largest positive graph.ID; decoded identifiers above it
+// would turn negative on conversion.
+const maxID = math.MaxInt64
 
 // Payload is the decoded certificate of one vertex.
 type Payload struct {
@@ -166,8 +178,9 @@ func encodePrefixTo(w *bitio.Writer, p Payload) {
 	w.WriteUvarint(uint64(p.BagID))
 	w.WriteUvarint(p.Depth)
 	w.WriteUvarint(uint64(len(p.Bag)))
-	// Delta encoding enforces strictly increasing ids structurally: any
-	// decodable bag is sorted and duplicate-free.
+	// Delta encoding enforces strictly increasing ids structurally; with
+	// the decoder's range checks, any decodable bag is sorted,
+	// duplicate-free and positive.
 	prev := uint64(0)
 	for i, id := range p.Bag {
 		if i == 0 {
@@ -277,7 +290,7 @@ func decodePrefix(body []byte) (Payload, []byte, bool) {
 func decodePrefixInto(body []byte, p *Payload) ([]byte, bool) {
 	r := bitio.NewReader(body)
 	bagID, err := r.ReadUvarint()
-	if err != nil || bagID == 0 {
+	if err != nil || bagID == 0 || bagID > maxID {
 		return nil, false
 	}
 	p.BagID = graph.ID(bagID)
@@ -296,12 +309,18 @@ func decodePrefixInto(body []byte, p *Payload) ([]byte, bool) {
 			return nil, false
 		}
 		if i == 0 {
-			if v == 0 {
+			if v == 0 || v > maxID {
 				return nil, false
 			}
 			prev = v
 		} else {
-			prev = prev + v + 1
+			// prev+v+1 must stay a positive graph.ID: a delta past
+			// maxID-prev would wrap into the negative IDs (or past
+			// uint64) and unsort the bag.
+			if v >= maxID-prev {
+				return nil, false
+			}
+			prev += v + 1
 		}
 		p.Bag = append(p.Bag, graph.ID(prev))
 	}
@@ -334,7 +353,7 @@ func guardOf(owner graph.ID, body []byte) uint64 {
 // Holds implements cert.Scheme: the graph admits a tree decomposition of
 // width at most T and satisfies the property (decided by the EMSO DP over
 // a nice decomposition). The width part is resolved exactly like Prove's
-// (provider first, then heuristics, then exact branch-and-bound up to
+// (Decomps first, then heuristics, then exact branch-and-bound up to
 // ExactLimit vertices) except that a proven too-wide graph answers false
 // instead of erroring; only graphs the solvers cannot decide report an
 // error.
@@ -342,18 +361,19 @@ func (s *MSOScheme) Holds(g *graph.Graph) (bool, error) {
 	if g.N() == 0 || !g.Connected() {
 		return false, fmt.Errorf("treewidth: %s: graph must be connected and non-empty", s.Name())
 	}
-	d, err := s.decomposition(g)
+	ctx := context.TODO()
+	d, err := s.decomposition(ctx, g)
 	if err != nil {
 		if errors.Is(err, errTooWide) {
 			return false, nil
 		}
 		return false, err
 	}
-	nice, err := MakeNice(d, 0)
+	nice, err := MakeNiceCtx(ctx, d, 0)
 	if err != nil {
 		return false, err
 	}
-	_, ok, err := SolveEMSO(g, nice, s.phi())
+	_, ok, err := SolveEMSOCtx(ctx, g, nice, s.phi())
 	if err != nil {
 		return false, err
 	}
@@ -366,26 +386,16 @@ func (s *MSOScheme) Holds(g *graph.Graph) (bool, error) {
 var errTooWide = errors.New("treewidth exceeds the certified bound")
 
 // decomposition resolves the width-<=T decomposition both Prove and Holds
-// run on: the provider's (validated; a too-wide or failing witness falls
+// run on: the source's (validated; a too-wide or failing witness falls
 // back to computation), otherwise the better heuristic, otherwise exact
 // branch-and-bound for graphs up to ExactLimit vertices. A proven
 // no-instance returns an error wrapping errTooWide.
-func (s *MSOScheme) decomposition(g *graph.Graph) (*Decomposition, error) {
-	return s.decompositionCtx(context.Background(), g)
-}
-
-func (s *MSOScheme) decompositionCtx(ctx context.Context, g *graph.Graph) (*Decomposition, error) {
-	if s.DecompProvider != nil || s.DecompProviderCtx != nil {
-		var d *Decomposition
-		var err error
-		if s.DecompProviderCtx != nil {
-			d, err = s.DecompProviderCtx(ctx, g)
-		} else {
-			d, err = s.DecompProvider(g)
-		}
+func (s *MSOScheme) decomposition(ctx context.Context, g *graph.Graph) (*Decomposition, error) {
+	if s.Decomps != nil {
+		d, err := s.Decomps.Decomposition(ctx, g)
 		if cerr, ok := fault.Cancelled(err); ok {
 			// Cancellation is the caller's signal, not a witness failure:
-			// do not fall through to recomputing without a context.
+			// do not fall through to recomputing.
 			return nil, cerr
 		}
 		if err == nil {
@@ -433,7 +443,7 @@ func (s *MSOScheme) ProveCtx(ctx context.Context, g *graph.Graph) (cert.Assignme
 	if g.N() == 0 || !g.Connected() {
 		return nil, fmt.Errorf("treewidth: %s: graph must be connected and non-empty", s.Name())
 	}
-	d, err := s.decompositionCtx(ctx, g)
+	d, err := s.decomposition(ctx, g)
 	if err != nil {
 		return nil, err
 	}
@@ -450,18 +460,13 @@ func (s *MSOScheme) ProveCtx(ctx context.Context, g *graph.Graph) (cert.Assignme
 	return a, nil
 }
 
-// BuildPayloads assembles the per-vertex certificates from a valid
+// BuildPayloadsCtx assembles the per-vertex certificates from a valid
 // decomposition of sufficient width: root it, assign home bags (trace
 // roots), prune bags that are nobody's home (safe: such a bag's contents
 // reappear in its parent), name each remaining bag after its smallest
 // homed vertex id, and attach each vertex's adjacency row over its home
-// bag and its EMSO witness word.
-func BuildPayloads(g *graph.Graph, d *Decomposition, prop Property) ([]Payload, error) {
-	return BuildPayloadsCtx(context.Background(), g, d, prop)
-}
-
-// BuildPayloadsCtx is BuildPayloads with cooperative cancellation
-// threaded through the nice conversion and the EMSO DP.
+// bag and its EMSO witness word. Cooperative cancellation reaches the
+// nice conversion, the EMSO DP and the assembly loop.
 func BuildPayloadsCtx(ctx context.Context, g *graph.Graph, d *Decomposition, prop Property) ([]Payload, error) {
 	n := g.N()
 	parent, depth, order, err := d.Rooted(0)

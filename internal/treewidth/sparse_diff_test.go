@@ -113,11 +113,11 @@ func TestHeuristicsAboveFormerCap(t *testing.T) {
 	}
 	n := MaxDenseVertices + 1000
 	g, _ := graphgen.PartialKTree(n, 4, 0.8, rand.New(rand.NewSource(7)))
-	for name, run := range map[string]func(*graph.Graph) (*Decomposition, []int, int, error){
-		"min-degree": MinDegree,
-		"min-fill":   MinFill,
+	for name, run := range map[string]func(context.Context, *graph.Graph) (*Decomposition, []int, int, error){
+		"min-degree": MinDegreeCtx,
+		"min-fill":   MinFillCtx,
 	} {
-		d, order, width, err := run(g)
+		d, order, width, err := run(context.Background(), g)
 		if err != nil {
 			t.Fatalf("%s rejected n=%d: %v", name, n, err)
 		}
@@ -129,35 +129,6 @@ func TestHeuristicsAboveFormerCap(t *testing.T) {
 		}
 		if err := Validate(g, d); err != nil {
 			t.Fatalf("%s: invalid decomposition: %v", name, err)
-		}
-	}
-}
-
-// TestFromEliminationOrderSparseReplay pins the sparse replay of
-// FromEliminationOrder to the bitset replay on mid-size graphs.
-func TestFromEliminationOrderSparseReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		g := randomGraphForDiff(rng, 5+rng.Intn(50), 0.2)
-		n := g.N()
-		order := rng.Perm(n)
-		// Both replays, driven directly so the dispatch cannot hide a
-		// divergence.
-		bags1 := make([][]int, n)
-		stB := newElimBits(g, false)
-		nbrs := make([]int, 0, n)
-		for i, v := range order {
-			bags1[i] = stB.bagOf(v)
-			nbrs, _ = stB.eliminate(v, nbrs)
-		}
-		bags2 := make([][]int, n)
-		stS := newElimSparse(g, false)
-		for i, v := range order {
-			bags2[i] = stS.bagOf(v)
-			stS.eliminate(v)
-		}
-		if !reflect.DeepEqual(bags1, bags2) {
-			t.Fatalf("replay bags diverge on %v order %v", g, order)
 		}
 	}
 }
@@ -199,7 +170,7 @@ func TestHeuristicParallelValid(t *testing.T) {
 	for ci, g := range cases {
 		var first *Decomposition
 		for _, workers := range []int{1, 4} {
-			d, method, err := HeuristicParallel(g, workers)
+			d, method, err := heuristicParallel(context.Background(), g, workers)
 			if err != nil {
 				t.Fatalf("case %d workers %d: %v", ci, workers, err)
 			}

@@ -29,7 +29,7 @@ func TestExactKnownFamilies(t *testing.T) {
 		{"single", graphgen.Path(1), 0},
 	}
 	for _, tc := range cases {
-		w, d, err := Exact(tc.g)
+		w, d, err := ExactCtx(context.Background(), tc.g)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -46,7 +46,7 @@ func TestExactKnownFamilies(t *testing.T) {
 }
 
 func TestExactRejectsLargeGraphs(t *testing.T) {
-	if _, _, err := Exact(graphgen.Path(ExactLimit + 1)); err == nil {
+	if _, _, err := ExactCtx(context.Background(), graphgen.Path(ExactLimit+1)); err == nil {
 		t.Fatal("Exact accepted a graph beyond ExactLimit")
 	}
 }
@@ -62,9 +62,9 @@ func TestHeuristicsProduceValidDecompositions(t *testing.T) {
 	for i, g := range graphs {
 		for _, run := range []struct {
 			name string
-			f    func(*graph.Graph) (*Decomposition, []int, int, error)
-		}{{"min-fill", MinFill}, {"min-degree", MinDegree}} {
-			d, order, width, err := run.f(g)
+			f    func(context.Context, *graph.Graph) (*Decomposition, []int, int, error)
+		}{{"min-fill", MinFillCtx}, {"min-degree", MinDegreeCtx}} {
+			d, order, width, err := run.f(context.Background(), g)
 			if err != nil {
 				t.Fatalf("graph %d %s: %v", i, run.name, err)
 			}
@@ -132,7 +132,7 @@ func TestDecompositionInvariantsProperty(t *testing.T) {
 			n := 6 + rng.Intn(11)
 			g = graphgen.RandomConnected(n, rng.Intn(n), rng)
 		}
-		exactW, exactD, err := Exact(g)
+		exactW, exactD, err := ExactCtx(context.Background(), g)
 		if err != nil {
 			t.Fatalf("trial %d: exact: %v", trial, err)
 		}
@@ -141,9 +141,9 @@ func TestDecompositionInvariantsProperty(t *testing.T) {
 		}
 		for _, run := range []struct {
 			name string
-			f    func(*graph.Graph) (*Decomposition, []int, int, error)
-		}{{"min-fill", MinFill}, {"min-degree", MinDegree}} {
-			d, _, width, err := run.f(g)
+			f    func(context.Context, *graph.Graph) (*Decomposition, []int, int, error)
+		}{{"min-fill", MinFillCtx}, {"min-degree", MinDegreeCtx}} {
+			d, _, width, err := run.f(context.Background(), g)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, run.name, err)
 			}
@@ -286,7 +286,7 @@ func TestMakeNiceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nice, err := MakeNice(d, 0)
+	nice, err := MakeNiceCtx(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +337,11 @@ func TestColorGraph(t *testing.T) {
 		{"grid-2col", graphgen.Grid(3, 4), 2, true},
 	}
 	for _, tc := range cases {
-		_, d, err := Exact(tc.g)
+		_, d, err := ExactCtx(context.Background(), tc.g)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		nice, err := MakeNice(d, 0)
+		nice, err := MakeNiceCtx(context.Background(), d, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -403,7 +403,7 @@ func yesInstances(t *testing.T) []struct {
 		s    *MSOScheme
 		g    *graph.Graph
 	}{
-		{"tw-bound/partial-2-tree", &MSOScheme{T: 2, Prop: p2, DecompProvider: d2}, g2},
+		{"tw-bound/partial-2-tree", &MSOScheme{T: 2, Prop: p2, Decomps: DecompFunc(d2)}, g2},
 		{"tw-bound/heuristic-path", &MSOScheme{T: 1, Prop: p2}, graphgen.Path(40)},
 		{"2-colorable/tree", &MSOScheme{T: 1, Prop: pc2}, graphgen.RandomTree(30, rng)},
 		{"3-colorable/cycle", &MSOScheme{T: 2, Prop: pc3}, graphgen.Cycle(15)},
@@ -547,9 +547,9 @@ func TestCertificateSizeGrowth(t *testing.T) {
 	for _, n := range []int{32, 128, 512} {
 		rng := rand.New(rand.NewSource(21))
 		g, attach := graphgen.PartialKTree(n, 3, 0.5, rng)
-		s := &MSOScheme{T: 3, Prop: prop, DecompProvider: func(gg *graph.Graph) (*Decomposition, error) {
+		s := &MSOScheme{T: 3, Prop: prop, Decomps: DecompFunc(func(gg *graph.Graph) (*Decomposition, error) {
 			return FromKTree(gg.N(), 3, attach)
-		}}
+		})}
 		a, res, err := cert.ProveAndVerify(g, s)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
