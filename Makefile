@@ -29,15 +29,19 @@ test-race:
 # fuzz-short is the hostile-input gate on the decoders that read network
 # bytes: formulas, wire-v2 graph streams (/certify), JSON graph bodies
 # (every JSON endpoint), submitted certificate strings (/verify,
-# /simulate) and the tw-mso certificate decoder those certificates reach.
-# Every ci run hammers each for a few seconds on top of the committed
-# regression corpora (which plain `go test` replays).
+# /simulate) and the certificate decoders those certificates reach:
+# tw-mso, treedepth (also under kernel-mso, pt-minor-free and every
+# ct-minor-free block) and ct-minor-free. Every ci run hammers each for a
+# few seconds on top of the committed regression corpora (which plain
+# `go test` replays).
 fuzz-short:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=5s ./internal/logic
 	$(GO) test -run=FuzzDecodeGraphStream -fuzz=FuzzDecodeGraphStream -fuzztime=5s ./internal/wire
 	$(GO) test -run=FuzzGraphJSON -fuzz=FuzzGraphJSON -fuzztime=5s ./internal/wire
 	$(GO) test -run=FuzzAssignmentFromStrings -fuzz=FuzzAssignmentFromStrings -fuzztime=5s ./internal/wire
 	$(GO) test -run=FuzzDecodePayload -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/treewidth
+	$(GO) test -run=FuzzDecodePayload -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/treedepth
+	$(GO) test -run=FuzzDecodeEntries -fuzz=FuzzDecodeEntries -fuzztime=5s ./internal/minor
 
 # bench-smoke compiles and runs every benchmark exactly once: benchmarks
 # are the perf PRs' acceptance instruments, so they must not bit-rot

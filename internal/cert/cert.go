@@ -12,12 +12,21 @@
 // The package provides the Scheme interface every certification implements,
 // the sequential referee, certificate size accounting (in bits), and an
 // adversarial tampering harness used by soundness tests.
+//
+// A scheme whose certificates are costly to decode may also implement
+// Parser: the runners then parse each certificate once per round instead
+// of once per view it appears in (1 + deg(v) times), and attach the parse
+// to the views as View.Parsed and NeighborView.Parsed. An entry is a
+// function of that vertex's identifier and certificate alone — exactly
+// what the view already carries — so parsing changes the cost of a round,
+// never what a vertex can see: locality is unchanged.
 package cert
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -61,18 +70,27 @@ func (a Assignment) TotalBits() int {
 }
 
 // NeighborView is the part of a neighbour a vertex can see: identifier and
-// certificate, nothing else.
+// certificate, nothing else. Parsed is the round's parse of that pair, as
+// in View.
 type NeighborView struct {
-	ID   graph.ID
-	Cert Certificate
+	ID     graph.ID
+	Cert   Certificate
+	Parsed any
 }
 
 // View is the radius-1 view of a vertex: everything the local verification
 // algorithm may read. Consistent with the paper's model, it contains no
 // information about edges among the neighbours and no global quantities.
+//
+// Parsed, when non-nil, is the scheme's own parse of (ID, Cert), made once
+// per round by a runner (see Parser). It holds nothing but that vertex's
+// parse of its identifier and certificate, so it adds no information to
+// the view; a nil Parsed — hand-built views, schemes without a parser —
+// means Verify decodes Cert itself.
 type View struct {
 	ID        graph.ID
 	Cert      Certificate
+	Parsed    any
 	Neighbors []NeighborView
 }
 
@@ -123,23 +141,76 @@ func ProveWithContext(ctx context.Context, s Scheme, g *graph.Graph) (Assignment
 	return s.Prove(g)
 }
 
-// ViewOf constructs the radius-1 view of vertex v under an assignment.
-func ViewOf(g *graph.Graph, a Assignment, v int) View {
-	view := View{
-		ID:   g.IDOf(v),
-		Cert: a[v],
+// Parser is the optional batch-shaped side of a Scheme. A runner that
+// finds it parses every certificate of a round once, into a table of n
+// entries, before any vertex verifies; each view then carries its
+// vertex's and its neighbours' entries. The table lives for one round
+// only: callers may change certificates between rounds.
+type Parser interface {
+	// ParseRange sets table[v], for every v in [lo, hi), to the parse of
+	// (g.IDOf(v), a[v]). The entry must depend on that pair and the
+	// scheme's own parameters alone, Verify must give the same verdict
+	// with and without it, and a nil entry means "decode from the
+	// certificate". Calls on disjoint ranges of one table may run
+	// concurrently.
+	ParseRange(g *graph.Graph, a Assignment, lo, hi int, table []any)
+}
+
+// parseChunk is how many vertices ParsePass hands the parser between
+// cancellation probes: one probe per checkpoint stride of work.
+const parseChunk = fault.CheckStride
+
+// ParsePass runs p over the vertex range [lo, hi) of a round's table,
+// probing cp before every chunk of parseChunk vertices, so a cancelled
+// round stops within one chunk with cp's *fault.CancelledError. The
+// sequential referee runs it over the whole graph; the simulator once
+// per shard.
+func ParsePass(cp *fault.Checkpoint, p Parser, g *graph.Graph, a Assignment, lo, hi int, table []any) error {
+	for lo < hi {
+		if err := cp.Now(); err != nil {
+			return err
+		}
+		next := min(lo+parseChunk, hi)
+		p.ParseRange(g, a, lo, next, table)
+		lo = next
 	}
-	neighbors := g.Neighbors(v)
-	view.Neighbors = make([]NeighborView, len(neighbors))
-	for i, w := range neighbors {
-		view.Neighbors[i] = NeighborView{ID: g.IDOf(int(w)), Cert: a[w]}
+	return nil
+}
+
+// AssembleView builds the radius-1 view of vertex v under assignment a:
+// its identifier and certificate plus each neighbour's, sorted by
+// identifier so no verifier can depend on adjacency-list order. table,
+// when non-nil, is the round's parse table, whose entries the view
+// carries as Parsed. The neighbour list is built in buf's storage and
+// returned as the view's Neighbors, so a runner that passes each view's
+// Neighbors back as the next buf assembles a whole round without
+// allocating; the view is valid until buf is reused.
+//
+//certlint:hotpath
+func AssembleView(g *graph.Graph, a Assignment, table []any, v int, buf []NeighborView) View {
+	view := View{ID: g.IDOf(v), Cert: a[v], Neighbors: buf[:0]}
+	if table != nil {
+		view.Parsed = table[v]
 	}
-	// Sort for determinism: the verifier must not depend on adjacency-list
-	// order, and sorted views make failures reproducible.
-	sort.Slice(view.Neighbors, func(i, j int) bool {
-		return view.Neighbors[i].ID < view.Neighbors[j].ID
-	})
+	for _, u := range g.Neighbors(v) {
+		nb := NeighborView{ID: g.IDOf(int(u)), Cert: a[u]}
+		if table != nil {
+			nb.Parsed = table[u]
+		}
+		view.Neighbors = append(view.Neighbors, nb)
+	}
+	slices.SortFunc(view.Neighbors, byID)
 	return view
+}
+
+// byID orders neighbour views by identifier; package level so the
+// per-view sort allocates no closure.
+func byID(x, y NeighborView) int { return cmp.Compare(x.ID, y.ID) }
+
+// ViewOf constructs the radius-1 view of vertex v under an assignment in
+// fresh storage, for callers that keep the view.
+func ViewOf(g *graph.Graph, a Assignment, v int) View {
+	return AssembleView(g, a, nil, v, nil)
 }
 
 // Result is the outcome of running a scheme's verifier at every vertex.
@@ -155,19 +226,30 @@ func RunSequential(g *graph.Graph, s Scheme, a Assignment) (Result, error) {
 }
 
 // RunSequentialCtx is RunSequential with cooperative cancellation: the
-// per-vertex loop polls an amortized checkpoint, so abandoning a
-// million-vertex referee costs at most one checkpoint stride.
+// parse pass (when s is a Parser) and the per-vertex loop poll one
+// checkpoint, so abandoning a million-vertex referee costs at most one
+// checkpoint stride. Views are assembled in one reused buffer.
 func RunSequentialCtx(ctx context.Context, g *graph.Graph, s Scheme, a Assignment) (Result, error) {
 	if len(a) != g.N() {
 		return Result{}, fmt.Errorf("cert: assignment has %d certificates for %d vertices", len(a), g.N())
 	}
 	cp := fault.NewCheckpoint(ctx, "verify")
+	var table []any
+	if p, ok := s.(Parser); ok {
+		table = make([]any, g.N())
+		if err := ParsePass(&cp, p, g, a, 0, g.N(), table); err != nil {
+			return Result{}, err
+		}
+	}
 	res := Result{Accepted: true}
+	var buf []NeighborView
 	for v := 0; v < g.N(); v++ {
 		if err := cp.Check(); err != nil {
 			return Result{}, err
 		}
-		if !s.Verify(ViewOf(g, a, v)) {
+		view := AssembleView(g, a, table, v, buf)
+		buf = view.Neighbors
+		if !s.Verify(view) {
 			res.Accepted = false
 			res.Rejecters = append(res.Rejecters, v)
 		}

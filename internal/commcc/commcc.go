@@ -198,8 +198,11 @@ func (r *Reduction) sideAccepts(gd *graphgen.Gadget, side []int, a cert.Assignme
 	if len(a) != gd.G.N() {
 		return false, fmt.Errorf("commcc: assignment has %d certificates for %d vertices", len(a), gd.G.N())
 	}
+	var buf []cert.NeighborView
 	for _, v := range side {
-		if !r.Scheme.Verify(cert.ViewOf(gd.G, a, v)) {
+		view := cert.AssembleView(gd.G, a, nil, v, buf)
+		buf = view.Neighbors
+		if !r.Scheme.Verify(view) {
 			return false, nil
 		}
 	}

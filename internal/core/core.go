@@ -158,6 +158,12 @@ func decodeGraph(c cert.Certificate) (*graph.Graph, error) {
 	if err != nil || n64 == 0 || n64 > 1<<20 {
 		return nil, fmt.Errorf("core: bad vertex count")
 	}
+	// Each identifier takes at least one bit and the adjacency matrix
+	// exactly n(n-1)/2: a count the remaining bits cannot hold is
+	// rejected before anything is allocated for it.
+	if n64+n64*(n64-1)/2 > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("core: vertex count exceeds certificate")
+	}
 	n := int(n64)
 	ids := make([]graph.ID, n)
 	for i := range ids {

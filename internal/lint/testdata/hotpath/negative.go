@@ -16,8 +16,8 @@ func coldPath(n int) string {
 	return fmt.Sprintf("%d %d %d", len(m), time.Now().Unix(), n)
 }
 
-// cmpInt is hoisted to package level, the internal/netsim
-// cmpNeighborView shape, so the annotated sort allocates nothing.
+// cmpInt is hoisted to package level, the internal/cert byID
+// shape, so the annotated sort allocates nothing.
 func cmpInt(a, b int) int { return a - b }
 
 // The post-fix shape of a hot verifier: slice scans instead of sets,

@@ -2,6 +2,7 @@ package minor
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/bitio"
@@ -111,9 +112,7 @@ func (s *CycleMinorFreeScheme) Prove(g *graph.Graph) (cert.Assignment, error) {
 		if g.N() != 1 {
 			return nil, fmt.Errorf("minor: edgeless multi-vertex graph cannot be connected")
 		}
-		var w bitio.Writer
-		w.WriteUvarint(0)
-		return cert.Assignment{w.Clone()}, nil
+		return cert.Assignment{encodeEntries(nil)}, nil
 	}
 	infos, err := buildBlockTree(g, blocks)
 	if err != nil {
@@ -149,18 +148,15 @@ func (s *CycleMinorFreeScheme) Prove(g *graph.Graph) (cert.Assignment, error) {
 	}
 	out := make(cert.Assignment, g.N())
 	for v := 0; v < g.N(); v++ {
-		var w bitio.Writer
-		w.WriteUvarint(uint64(len(vertexBlocks[v])))
-		for _, bi := range vertexBlocks[v] {
-			w.WriteUvarint(uint64(infos[bi].level))
-			w.WriteUvarint(uint64(blockNonce(g, infos[bi])))
-			blockCert := perBlock[bi][blockOldToNew[bi][v]]
-			w.WriteUvarint(uint64(len(blockCert)))
-			for _, bit := range blockCert {
-				w.WriteBit(bit)
+		entries := make([]vertexBlockEntry, len(vertexBlocks[v]))
+		for i, bi := range vertexBlocks[v] {
+			entries[i] = vertexBlockEntry{
+				level:     infos[bi].level,
+				nonce:     blockNonce(g, infos[bi]),
+				blockCert: perBlock[bi][blockOldToNew[bi][v]],
 			}
 		}
-		out[v] = w.Clone()
+		out[v] = encodeEntries(entries)
 	}
 	return out, nil
 }
@@ -271,10 +267,36 @@ type vertexBlockEntry struct {
 	listLen int
 }
 
+// encodeEntries is the certificate layout decodeEntries parses: the entry
+// count, then per entry its level, nonce and length-prefixed block
+// certificate.
+func encodeEntries(entries []vertexBlockEntry) cert.Certificate {
+	var w bitio.Writer
+	w.WriteUvarint(uint64(len(entries)))
+	for _, e := range entries {
+		w.WriteUvarint(uint64(e.level))
+		w.WriteUvarint(uint64(e.nonce))
+		w.WriteUvarint(uint64(len(e.blockCert)))
+		for _, bit := range e.blockCert {
+			w.WriteBit(bit)
+		}
+	}
+	return w.Clone()
+}
+
+// minEntryBits is the shortest encoded block entry: its level, nonce and
+// length are uvarints of at least one bit each.
+const minEntryBits = 3
+
+// decodeEntries parses a vertex's block entries. Every nonce and gate it
+// returns is a positive graph.ID.
 func decodeEntries(c cert.Certificate) ([]vertexBlockEntry, bool) {
 	r := bitio.NewReader(c)
 	count, err := r.ReadUvarint()
-	if err != nil || count > 1<<20 {
+	// An entry is at least minEntryBits long, and a block certificate at
+	// most as long as the bits left: neither length prefix can make the
+	// decoder allocate more than the certificate itself can fill.
+	if err != nil || count > 1<<20 || count > uint64(r.Remaining()/minEntryBits) {
 		return nil, false
 	}
 	entries := make([]vertexBlockEntry, 0, count)
@@ -284,11 +306,11 @@ func decodeEntries(c cert.Certificate) ([]vertexBlockEntry, bool) {
 			return nil, false
 		}
 		nonce, err := r.ReadUvarint()
-		if err != nil {
+		if err != nil || nonce == 0 || nonce > math.MaxInt64 {
 			return nil, false
 		}
 		length, err := r.ReadUvarint()
-		if err != nil || length > 1<<24 {
+		if err != nil || length > 1<<24 || length > uint64(r.Remaining()) {
 			return nil, false
 		}
 		bits := make(cert.Certificate, length)

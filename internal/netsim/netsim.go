@@ -11,8 +11,16 @@
 // This replaces the original goroutine-per-vertex, channel-per-edge
 // realization (kept in legacy_test.go as a differential baseline), which
 // collapsed under serving load: n goroutines and 2m channels per request
-// versus a constant number of workers and near-zero steady-state
-// allocations here.
+// versus a constant number of workers here, and no allocation per view.
+//
+// For a scheme that implements cert.Parser a round runs in two passes
+// over the same shards: a parse pass, in which each worker parses its
+// own vertices' certificates into the round's table, and — after every
+// shard is parsed — the verify pass, whose views carry the table's
+// entries. Each certificate is then decoded once per round instead of
+// once per view it appears in. The table and the parser's storage are
+// the round's only allocations proportional to n; nothing of them
+// outlives the round.
 //
 // This is the "self-stabilization" deployment story of the paper: the
 // verification round is what a network would run periodically to detect
@@ -23,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,8 +42,9 @@ import (
 )
 
 // roundBarrier is the fault point at the shard fan-out: each worker passes
-// it before touching its vertex range, so an armed plan can fail or panic
-// individual shards and exercise the containment path.
+// it before each pass over its vertex range (a parsing scheme's round has
+// two), so an armed plan can fail or panic individual shards and exercise
+// the containment path.
 var roundBarrier = fault.NewPoint("netsim.round.barrier")
 
 // Report is the outcome of a distributed verification round.
@@ -62,8 +70,9 @@ type Engine struct {
 	Obs *obs.Registry
 
 	// pool recycles per-shard scratch buffers (neighbour views and
-	// rejecter lists) across runs, so a warmed-up engine performs the
-	// exchange round without per-run allocations proportional to n or m.
+	// rejecter lists) across runs, so a warmed-up engine assembles every
+	// view without allocating. A parsing scheme's table and parsed
+	// entries are allocated per round (see Run), never per view.
 	pool sync.Pool
 
 	metricsOnce sync.Once
@@ -122,16 +131,22 @@ func (e *Engine) getScratch() *shardScratch {
 // identifier — exactly what crosses the wire in the paper's model, no
 // adjacency information) and runs the local verification algorithm.
 //
-// Vertices are partitioned into one contiguous shard per worker; each
-// worker assembles views in a pooled scratch buffer that is reused from
-// vertex to vertex and returned to the engine pool when the shard is done.
-// Consequently Verify implementations must not retain the view's Neighbors
-// slice past the call — none of the schemes in this module do.
+// Vertices are partitioned into one contiguous shard per worker. When s
+// is a cert.Parser the round has two passes: the workers first parse
+// their shards' certificates into the round's table — each certificate
+// once, not once per view it appears in — and, once every shard is
+// parsed, verify. Each worker assembles views (carrying the table's
+// entries) in a pooled scratch buffer that is reused from vertex to
+// vertex and returned to the engine pool when the shard is done.
+// Consequently Verify implementations must not retain the view's
+// Neighbors slice, or the parsed entries, past the call — none of the
+// schemes in this module do.
 //
 // The verdict is identical to cert.RunSequential: same Accepted flag, same
-// sorted Rejecters. Cancellation via ctx aborts promptly with an error;
-// all workers are joined before Run returns, so no goroutine outlives the
-// call, and at most Workers goroutines exist during it.
+// sorted Rejecters. Cancellation via ctx aborts either pass promptly with
+// an error; each pass joins its workers before the next starts or Run
+// returns, so no goroutine outlives the call, and at most Workers
+// goroutines exist during it.
 func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.Assignment) (Report, error) {
 	start := time.Now()
 	n := g.N()
@@ -158,9 +173,59 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 		m.roundSeconds.Observe(rsp.Duration())
 	}()
 
+	// busy accumulates each shard's time across both passes, observed
+	// once per shard as its latency.
+	busy := make([]time.Duration, workers)
+	var table []any
+	if p, ok := s.(cert.Parser); ok {
+		table = make([]any, n)
+		err := e.fanOut(ctx, m, start, workers, n, func(w, lo, hi int) bool {
+			t0 := time.Now()
+			cp := fault.NewCheckpoint(ctx, "verify")
+			err := cert.ParsePass(&cp, p, g, a, lo, hi, table)
+			busy[w] = time.Since(t0)
+			return err == nil
+		})
+		if err != nil {
+			return Report{}, err
+		}
+	}
 	// Contiguous shards, processed and concatenated in shard order, keep
 	// the merged rejecter list sorted without a final sort.
 	rejecters := make([][]int, workers)
+	err := e.fanOut(ctx, m, start, workers, n, func(w, lo, hi int) bool {
+		// Clock reads and the atomic metric flush stay out here so the
+		// annotated shard body is pure verification work.
+		t0 := time.Now()
+		rej, bits, msgs, aborted := e.runShard(ctx, g, s, a, table, lo, hi)
+		rejecters[w] = rej
+		m.shardSeconds.Observe(busy[w] + time.Since(t0))
+		m.bits.Add(int64(bits))
+		m.messages.Add(int64(msgs))
+		return !aborted
+	})
+	if err != nil {
+		return Report{}, err
+	}
+
+	rep := Report{Accepted: true, Rounds: 1, Workers: workers}
+	for _, rj := range rejecters {
+		if len(rj) > 0 {
+			rep.Accepted = false
+			rep.Rejecters = append(rep.Rejecters, rj...)
+		}
+	}
+	return rep, nil
+}
+
+// fanOut runs one pass of a round: one goroutine per shard, shard w
+// covering its contiguous vertex range [lo, hi), all joined before
+// fanOut returns. Each worker passes roundBarrier before touching its
+// range. body reports false when it stopped early on cancellation; a
+// failed barrier, a panicking body (a buggy parser or Verify, an armed
+// panic fault) or a cancellation fails the pass with an error instead of
+// taking the process down.
+func (e *Engine) fanOut(ctx context.Context, m *simMetrics, start time.Time, workers, n int, body func(w, lo, hi int) bool) error {
 	shardErrs := make([]error, workers)
 	var aborted atomic.Bool
 	var wg sync.WaitGroup
@@ -175,8 +240,6 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			// A panicking shard (a buggy Verify, an armed panic fault) must
-			// not take the process down: contain it, fail the round.
 			defer func() {
 				if r := recover(); r != nil {
 					m.shardPanics.Inc()
@@ -189,42 +252,26 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 				aborted.Store(true)
 				return
 			}
-			// Clock reads and the atomic metric flush stay out here so the
-			// annotated shard body is pure verification work.
-			t0 := time.Now()
-			rej, bits, msgs, shardAborted := e.runShard(ctx, g, s, a, lo, hi)
-			if shardAborted {
+			if !body(w, lo, hi) {
 				aborted.Store(true)
 			}
-			rejecters[w] = rej
-			m.shardSeconds.Observe(time.Since(t0))
-			m.bits.Add(int64(bits))
-			m.messages.Add(int64(msgs))
 		}(w, lo, hi)
 		lo = hi
 	}
 	wg.Wait()
-	if aborted.Load() {
-		for _, err := range shardErrs {
-			if err != nil {
-				return Report{}, err
-			}
-		}
-		return Report{}, &fault.CancelledError{
-			Phase:   "verify",
-			Elapsed: time.Since(start),
-			Cause:   context.Cause(ctx),
+	if !aborted.Load() {
+		return nil
+	}
+	for _, err := range shardErrs {
+		if err != nil {
+			return err
 		}
 	}
-
-	rep := Report{Accepted: true, Rounds: 1, Workers: workers}
-	for _, rj := range rejecters {
-		if len(rj) > 0 {
-			rep.Accepted = false
-			rep.Rejecters = append(rep.Rejecters, rj...)
-		}
+	return &fault.CancelledError{
+		Phase:   "verify",
+		Elapsed: time.Since(start),
+		Cause:   context.Cause(ctx),
 	}
-	return rep, nil
 }
 
 // runShard verifies the contiguous vertex range [lo, hi): for each vertex
@@ -234,49 +281,37 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 // its memory (the scratch returns to the pool before it is published).
 //
 //certlint:hotpath
-func (e *Engine) runShard(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.Assignment, lo, hi int) (rejOut []int, bits, msgs int, aborted bool) {
+func (e *Engine) runShard(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.Assignment, table []any, lo, hi int) (rejOut []int, bits, msgs int, aborted bool) {
 	sc := e.getScratch()
 	rej := sc.rej[:0]
+	views := sc.views
 	for v := lo; v < hi; v++ {
 		if (v-lo)%checkInterval == 0 && ctx.Err() != nil {
-			sc.rej = rej[:0]
-			e.pool.Put(sc)
-			return nil, bits, msgs, true
+			aborted = true
+			break
 		}
-		// The exchange round for v: collect (id, certificate) from every
-		// neighbour into the reused view buffer.
-		nbrs := g.Neighbors(v)
-		views := sc.views[:0]
-		for _, u := range nbrs {
-			views = append(views, cert.NeighborView{ID: g.IDOf(int(u)), Cert: a[u]})
-			bits += len(a[u])
+		// The exchange round for v: (id, certificate) from every
+		// neighbour, assembled in the reused view buffer.
+		view := cert.AssembleView(g, a, table, v, views)
+		views = view.Neighbors // keep grown capacity for the next vertex
+		for _, nb := range view.Neighbors {
+			bits += len(nb.Cert)
 		}
-		msgs += len(nbrs)
-		slices.SortFunc(views, cmpNeighborView)
-		sc.views = views // keep grown capacity for the next vertex
-		if !s.Verify(cert.View{ID: g.IDOf(v), Cert: a[v], Neighbors: views}) {
+		msgs += len(view.Neighbors)
+		if !s.Verify(view) {
 			rej = append(rej, v)
 		}
 	}
-	if len(rej) > 0 {
+	if len(rej) > 0 && !aborted {
 		rejOut = append([]int(nil), rej...)
 	}
+	// The pooled buffer must not keep this round's certificates or parse
+	// table alive: clear every slot it ever filled.
+	clear(views[:cap(views)])
+	sc.views = views[:0]
 	sc.rej = rej[:0]
 	e.pool.Put(sc)
-	return rejOut, bits, msgs, false
-}
-
-// cmpNeighborView orders exchanged views by neighbour identifier; package
-// level so the per-vertex sort does not allocate a closure.
-func cmpNeighborView(x, y cert.NeighborView) int {
-	switch {
-	case x.ID < y.ID:
-		return -1
-	case x.ID > y.ID:
-		return 1
-	default:
-		return 0
-	}
+	return rejOut, bits, msgs, aborted
 }
 
 // ProveAndRun is the distributed counterpart of cert.ProveAndVerify.

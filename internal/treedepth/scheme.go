@@ -2,6 +2,7 @@ package treedepth
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bitio"
 	"repro/internal/cert"
@@ -236,32 +237,45 @@ func DecodePayload(c cert.Certificate) (Payload, bool) {
 }
 
 // DecodePayloadFrom parses a payload from a bit stream, leaving any
-// trailing bits for the caller.
+// trailing bits for the caller. Every identifier it returns is a positive
+// graph.ID, and it allocates only for a list the remaining bits can hold.
 func DecodePayloadFrom(r *bitio.Reader) (Payload, bool) {
 	var p Payload
 	length, err := r.ReadUvarint()
-	if err != nil || length == 0 || length > 1<<16 {
+	// Each list entry takes at least one bit, so a length beyond the
+	// remaining bits is rejected before anything is allocated for it.
+	if err != nil || length == 0 || length > 1<<16 || length > uint64(r.Remaining()) {
 		return p, false
 	}
 	p.List = make([]graph.ID, length)
 	for i := range p.List {
-		id, err := r.ReadUvarint()
-		if err != nil || id == 0 {
+		id, ok := readID(r)
+		if !ok {
 			return p, false
 		}
-		p.List[i] = graph.ID(id)
+		p.List[i] = id
 	}
 	p.Trees = make([]TreeLabel, length-1)
 	for i := range p.Trees {
-		root, err1 := r.ReadUvarint()
-		parent, err2 := r.ReadUvarint()
-		dist, err3 := r.ReadUvarint()
-		if err1 != nil || err2 != nil || err3 != nil {
+		root, ok1 := readID(r)
+		parent, ok2 := readID(r)
+		dist, err := r.ReadUvarint()
+		if !ok1 || !ok2 || err != nil {
 			return p, false
 		}
-		p.Trees[i] = TreeLabel{Root: graph.ID(root), Parent: graph.ID(parent), Dist: dist}
+		p.Trees[i] = TreeLabel{Root: root, Parent: parent, Dist: dist}
 	}
 	return p, true
+}
+
+// readID reads one identifier: a uvarint that must be a positive
+// graph.ID (zero, and values that would wrap negative, are rejected).
+func readID(r *bitio.Reader) (graph.ID, bool) {
+	id, err := r.ReadUvarint()
+	if err != nil || id == 0 || id > math.MaxInt64 {
+		return 0, false
+	}
+	return graph.ID(id), true
 }
 
 // Verify implements cert.Scheme, following the paper's steps (1)-(4).

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cert"
 	"repro/internal/graph"
 	"repro/internal/graphgen"
+	"repro/internal/netsim"
 )
 
 // The large-n raw-speed set: million-vertex partial 4-trees through the
@@ -94,4 +95,43 @@ func BenchmarkLargeTWMSOProveVerify100k(b *testing.B) { benchLargeProveVerify(b,
 func BenchmarkLargeTWMSOProveVerify1M(b *testing.B) {
 	skipUnlessLarge(b)
 	benchLargeProveVerify(b, 1_000_000)
+}
+
+// BenchmarkLargeTWMSOVerify100k measures one verification round over
+// honest tw-mso certificates of the certbench graph shape — a 10⁵-vertex
+// partial 4-tree, heuristic decomposition, t=6 — on the sequential
+// referee and on the sharded simulator (GOMAXPROCS workers). Proving
+// happens before the timer: this is the read path alone, the layer the
+// parse-once round (MSOScheme.ParseRange) moves.
+func BenchmarkLargeTWMSOVerify100k(b *testing.B) {
+	g := largeKTree(b, 100_000)
+	prop, ok := PropertyByName("tw-bound")
+	if !ok {
+		b.Fatal("tw-bound property missing")
+	}
+	s := &MSOScheme{T: 6, Prop: prop}
+	a, err := s.ProveCtx(context.Background(), g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.Run("sequential", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := cert.RunSequentialCtx(context.Background(), g, s, a)
+			if err != nil || !res.Accepted {
+				b.Fatalf("rejected: %v %v", err, res.Rejecters)
+			}
+		}
+	})
+	b.Run("netsim", func(b *testing.B) {
+		e := &netsim.Engine{}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rep, err := e.Run(context.Background(), g, s, a)
+			if err != nil || !rep.Accepted {
+				b.Fatalf("rejected: %v %v", err, rep.Rejecters)
+			}
+		}
+	})
 }

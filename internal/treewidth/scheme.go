@@ -126,7 +126,10 @@ func (f DecompFunc) Decomposition(_ context.Context, g *graph.Graph) (*Decomposi
 	return f(g)
 }
 
-var _ cert.Scheme = (*MSOScheme)(nil)
+var (
+	_ cert.Scheme = (*MSOScheme)(nil)
+	_ cert.Parser = (*MSOScheme)(nil)
+)
 
 // Name implements cert.Scheme.
 func (s *MSOScheme) Name() string { return fmt.Sprintf("tw-mso[%s]<=%d", s.Prop.Name, s.T) }
@@ -559,14 +562,84 @@ func BuildPayloadsCtx(ctx context.Context, g *graph.Graph, d *Decomposition, pro
 	return payloads, nil
 }
 
+// ParseRange implements cert.Parser: it decodes the certificates of
+// vertices [lo, hi) once for the whole round, so Verify reads every
+// neighbour's payload from the table instead of decoding it again in
+// each of the deg+1 views it appears in. The range's payloads come from
+// one slab and their bags and rows from shared blocks, so the pass does
+// not allocate per vertex. An undecodable certificate gets the
+// unparsable marker, which every view containing it rejects — as the
+// decode inside Verify would.
+func (s *MSOScheme) ParseRange(g *graph.Graph, a cert.Assignment, lo, hi int, table []any) {
+	m := s.phi().NumSets()
+	payloads := make([]Payload, hi-lo)
+	// Honest bags hold at most T+1 ids; the block size only has to make
+	// the block allocations rare, not bound the bags.
+	block := min((hi-lo)*(s.T+1), maxSlabBlock)
+	var ids []graph.ID
+	var rows []bool
+	var buf Payload
+	for v := lo; v < hi; v++ {
+		if !decodePayloadInto(a[v], g.IDOf(v), m, &buf) {
+			table[v] = unparsable{}
+			continue
+		}
+		p := &payloads[v-lo]
+		*p = Payload{
+			BagID: buf.BagID,
+			Depth: buf.Depth,
+			Bag:   carve(&ids, buf.Bag, block),
+			Row:   carve(&rows, buf.Row, block),
+			State: buf.State,
+		}
+		table[v] = p
+	}
+}
+
+// maxSlabBlock caps the shared bag and row blocks ParseRange carves
+// from, in entries.
+const maxSlabBlock = 1 << 16
+
+// carve copies src into the free tail of *slab, starting a new block of
+// at least block entries when the tail is too short, and returns the
+// copy capped at its length (an append to it cannot spill into the next
+// payload's entries).
+func carve[T any](slab *[]T, src []T, block int) []T {
+	if cap(*slab)-len(*slab) < len(src) {
+		*slab = make([]T, 0, max(block, len(src)))
+	}
+	lo := len(*slab)
+	*slab = append(*slab, src...)
+	return (*slab)[lo:len(*slab):len(*slab)]
+}
+
+// unparsable is the parse-table entry of a certificate that does not
+// decode.
+type unparsable struct{}
+
+// payloadOf resolves one vertex's payload for Verify: the round's parse
+// when the runner supplied one, otherwise a decode of c into buf.
+func payloadOf(id graph.ID, c cert.Certificate, parsed any, setBits int, buf *Payload) (*Payload, bool) {
+	switch p := parsed.(type) {
+	case *Payload:
+		return p, true
+	case nil:
+		return buf, decodePayloadInto(c, id, setBits, buf)
+	default:
+		return nil, false
+	}
+}
+
 // verifyScratch is the recycled working memory of one Verify call: the
-// decoded payloads and the point tables. Verify runs once per vertex per
-// round — and concurrently under the sharded simulator — so each call
-// checks a scratch out of the pool and every buffer is reused across
-// calls instead of reallocated.
+// payloads decoded when the view carries no parse, the resolved
+// neighbour payloads and the point tables. Verify runs once per vertex
+// per round — and concurrently under the sharded simulator — so each
+// call checks a scratch out of the pool and every buffer is reused
+// across calls instead of reallocated.
 type verifyScratch struct {
 	own       Payload
-	neighbors []Payload
+	decoded   []Payload
+	neighbors []*Payload
 	ids       []graph.ID
 	words     []uint64
 	points    []int
@@ -574,16 +647,26 @@ type verifyScratch struct {
 
 var verifyScratchPool = sync.Pool{New: func() any { return &verifyScratch{} }}
 
+// release returns the scratch to the pool without the round's parsed
+// payloads: a pooled scratch must not keep a parse table alive.
+func (sc *verifyScratch) release() {
+	clear(sc.neighbors)
+	verifyScratchPool.Put(sc)
+}
+
 // Verify implements cert.Scheme; see the type comment for the check list.
+// Payloads come from the view's Parsed entries when a runner parsed the
+// round (ParseRange) and are decoded from the certificates otherwise:
+// the checks below are the same either way.
 func (s *MSOScheme) Verify(v cert.View) bool {
 	phi := s.phi()
 	m := phi.NumSets()
 	sc := verifyScratchPool.Get().(*verifyScratch)
-	defer verifyScratchPool.Put(sc)
-	if !decodePayloadInto(v.Cert, v.ID, m, &sc.own) {
+	defer sc.release()
+	own, ok := payloadOf(v.ID, v.Cert, v.Parsed, m, &sc.own)
+	if !ok {
 		return false
 	}
-	own := &sc.own
 	if len(own.Bag) > s.T+1 {
 		return false
 	}
@@ -606,15 +689,16 @@ func (s *MSOScheme) Verify(v cert.View) bool {
 			return false
 		}
 	}
-	for len(sc.neighbors) < len(v.Neighbors) {
-		sc.neighbors = append(sc.neighbors, Payload{})
+	for len(sc.decoded) < len(v.Neighbors) {
+		sc.decoded = append(sc.decoded, Payload{})
 	}
-	neighbors := sc.neighbors[:len(v.Neighbors)]
+	sc.neighbors = sc.neighbors[:0]
 	for i, nb := range v.Neighbors {
-		pu := &neighbors[i]
-		if !decodePayloadInto(nb.Cert, nb.ID, m, pu) {
+		pu, ok := payloadOf(nb.ID, nb.Cert, nb.Parsed, m, &sc.decoded[i])
+		if !ok {
 			return false
 		}
+		sc.neighbors = append(sc.neighbors, pu)
 		if len(pu.Bag) > s.T+1 || !containsID(pu.Bag, nb.ID) {
 			return false
 		}
@@ -643,6 +727,7 @@ func (s *MSOScheme) Verify(v cert.View) bool {
 			}
 		}
 	}
+	neighbors := sc.neighbors
 	// Property: re-evaluate the matrix on every tuple over {v} ∪ N(v).
 	// Point 0 is v itself, point i+1 its i-th neighbour. Adjacency between
 	// two neighbours is read off their self-verified rows through the
@@ -668,7 +753,7 @@ func (s *MSOScheme) Verify(v cert.View) bool {
 		if a == 0 || b == 0 {
 			return true // every candidate but v itself is a neighbour of v
 		}
-		pa, pb := &neighbors[a-1], &neighbors[b-1]
+		pa, pb := neighbors[a-1], neighbors[b-1]
 		if i := searchID(pa.Bag, ids[b]); i >= 0 && pa.Row[i] {
 			return true
 		}
