@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"repro/internal/fault"
 )
 
 // ID is a vertex identifier. The paper assumes unique IDs in [1, n^k]; we
@@ -338,6 +340,53 @@ func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int) {
 		}
 	}
 	return sub, keep
+}
+
+// InducedSortedCp returns the subgraph induced by verts, which must be
+// ascending and duplicate-free, with vertex i standing for verts[i] and
+// default identifiers 1..len(verts). local is caller-owned scratch of
+// length N() holding -1 in every entry; the call writes the entries of
+// verts and restores them to -1 on every return, so one scratch array
+// serves any number of calls.
+//
+// Because verts is sorted, local indices are monotone in global ones:
+// filtering g's sorted rows through local gives rows that are already
+// sorted and duplicate-free, written straight into one flat array — no
+// edge list, counting sort or duplicate check, as a Builder would need.
+// The copy probes cp once per vertex and returns its
+// *fault.CancelledError.
+//
+//certlint:longrun
+func (g *Graph) InducedSortedCp(cp *fault.Checkpoint, verts []int, local []int32) (*Graph, error) {
+	defer func() {
+		for _, v := range verts {
+			local[v] = -1
+		}
+	}()
+	total := 0
+	for i, v := range verts {
+		if err := cp.Check(); err != nil {
+			return nil, err
+		}
+		local[v] = int32(i)
+		total += len(g.adj[v])
+	}
+	sub := New(len(verts))
+	flat := make([]int32, 0, total) // never regrows: rows may alias it as they land
+	for i, v := range verts {
+		if err := cp.Check(); err != nil {
+			return nil, err
+		}
+		start := len(flat)
+		for _, w := range g.adj[v] {
+			if j := local[w]; j >= 0 {
+				flat = append(flat, j)
+			}
+		}
+		sub.adj[i] = flat[start:len(flat):len(flat)]
+	}
+	sub.m = len(flat) / 2
+	return sub, nil
 }
 
 // RemoveVertex returns a copy of the graph with vertex v removed, together

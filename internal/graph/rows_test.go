@@ -1,10 +1,14 @@
 package graph
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // randomMutable builds a graph through the mutable AddEdge path with the
@@ -288,5 +292,86 @@ func TestMaxIDFixedAtConstruction(t *testing.T) {
 	}
 	if _, ok := h.IndexOf(8); ok {
 		t.Fatal("IndexOf found nonexistent custom ID")
+	}
+}
+
+// TestBiconnectedComponentsCpCancels: a cancelled checkpoint stops the
+// block split with the checkpoint's *fault.CancelledError — in the
+// initialisation sweep of a long path, and in the DFS of a clique too
+// small for that sweep to reach a poll — and an inert checkpoint
+// returns the reference's blocks.
+func TestBiconnectedComponentsCpCancels(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, g := range map[string]*Graph{"path": path(3 * fault.CheckStride), "clique": clique(100)} {
+		cp := fault.NewCheckpoint(ctx, "decompose")
+		blocks, err := g.BiconnectedComponentsCp(&cp)
+		ce, ok := fault.Cancelled(err)
+		if !ok || ce.Phase != "decompose" || !errors.Is(err, context.Canceled) || blocks != nil {
+			t.Fatalf("%s: %d blocks, err %v; want a decompose CancelledError", name, len(blocks), err)
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 40; trial++ {
+		g := randomMutable(rng, 1+rng.Intn(40), []float64{0.05, 0.1, 0.3}[trial%3])
+		var cp fault.Checkpoint
+		got, err := g.BiconnectedComponentsCp(&cp)
+		if want := g.biconnectedComponentsRef(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("inert checkpoint: got %v (err %v), want %v\ngraph %v", got, err, want, g)
+		}
+	}
+}
+
+// TestInducedSortedMatchesInducedSubgraph: the one-pass copy has the
+// rows of InducedSubgraph (which keeps identifiers and inserts edge by
+// edge), default identifiers, and leaves the index scratch all -1 —
+// after a cancelled copy too.
+func TestInducedSortedMatchesInducedSubgraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 40; trial++ {
+		g := randomMutable(rng, 1+rng.Intn(50), []float64{0.05, 0.2, 0.6}[trial%3])
+		local := make([]int32, g.N())
+		for i := range local {
+			local[i] = -1
+		}
+		var verts []int
+		for v := 0; v < g.N(); v++ {
+			if rng.Intn(3) > 0 {
+				verts = append(verts, v)
+			}
+		}
+		var cp fault.Checkpoint
+		got, err := g.InducedSortedCp(&cp, verts, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := g.InducedSubgraph(verts)
+		if got.N() != want.N() || got.M() != want.M() {
+			t.Fatalf("n/m %d/%d, want %d/%d", got.N(), got.M(), want.N(), want.M())
+		}
+		for v := 0; v < got.N(); v++ {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) || got.IDOf(v) != ID(v+1) {
+				t.Fatalf("vertex %d: row %v id %d, want row %v id %d", v, got.Neighbors(v), got.IDOf(v), want.Neighbors(v), v+1)
+			}
+		}
+		if slices.ContainsFunc(local, func(x int32) bool { return x != -1 }) {
+			t.Fatalf("scratch not restored: %v", local)
+		}
+	}
+
+	g := path(3 * fault.CheckStride)
+	local := make([]int32, g.N())
+	verts := make([]int, g.N())
+	for i := range local {
+		local[i], verts[i] = -1, i
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cp := fault.NewCheckpoint(ctx, "decompose")
+	if _, err := g.InducedSortedCp(&cp, verts, local); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled copy: err %v", err)
+	}
+	if slices.ContainsFunc(local, func(x int32) bool { return x != -1 }) {
+		t.Fatal("scratch not restored after cancellation")
 	}
 }

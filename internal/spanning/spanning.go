@@ -22,6 +22,7 @@ package spanning
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bitio"
 	"repro/internal/cert"
@@ -45,16 +46,20 @@ func (l Label) Encode(w *bitio.Writer) {
 	w.WriteUvarint(l.Count)
 }
 
-// Decode reads a label previously written by Encode.
+// Decode reads a label previously written by Encode. Honest labels
+// carry positive identifiers, so a Root or Parent of zero, or above
+// math.MaxInt64 (which would wrap negative as a graph.ID), is rejected:
+// the spanning-tree scheme and core's schemes feed client-supplied bits
+// to this decoder.
 func Decode(r *bitio.Reader) (Label, error) {
 	var l Label
-	root, err := r.ReadUvarint()
+	root, err := readID(r, "root")
 	if err != nil {
-		return l, fmt.Errorf("spanning: decode root: %w", err)
+		return l, err
 	}
-	parent, err := r.ReadUvarint()
+	parent, err := readID(r, "parent")
 	if err != nil {
-		return l, fmt.Errorf("spanning: decode parent: %w", err)
+		return l, err
 	}
 	dist, err := r.ReadUvarint()
 	if err != nil {
@@ -64,11 +69,24 @@ func Decode(r *bitio.Reader) (Label, error) {
 	if err != nil {
 		return l, fmt.Errorf("spanning: decode count: %w", err)
 	}
-	l.Root = graph.ID(root)
-	l.Parent = graph.ID(parent)
+	l.Root = root
+	l.Parent = parent
 	l.Dist = dist
 	l.Count = count
 	return l, nil
+}
+
+// readID reads one identifier field of a label: a uvarint that must be a
+// positive graph.ID.
+func readID(r *bitio.Reader, field string) (graph.ID, error) {
+	id, err := r.ReadUvarint()
+	if err != nil {
+		return 0, fmt.Errorf("spanning: decode %s: %w", field, err)
+	}
+	if id == 0 || id > math.MaxInt64 {
+		return 0, fmt.Errorf("spanning: decode %s: identifier %d is not a positive graph.ID", field, id)
+	}
+	return graph.ID(id), nil
 }
 
 // BuildBFS computes a BFS spanning tree of g rooted at root and returns

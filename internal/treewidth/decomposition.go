@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
@@ -93,6 +94,17 @@ func (d *Decomposition) BagContains(b, v int) bool {
 //  5. connectivity of bag traces: for every vertex, the bags containing it
 //     induce a connected subtree.
 func Validate(g *graph.Graph, d *Decomposition) error {
+	var cp fault.Checkpoint // zero value: never cancels
+	return validateCp(&cp, g, d)
+}
+
+// validateCp is Validate probing cp once per bag, vertex and edge: the
+// prover validates every decomposition it is handed, which takes about
+// 0.3s at n=10⁵, longer than the 250ms a disconnected client may keep a
+// worker busy. It returns the checkpoint's *fault.CancelledError.
+//
+//certlint:longrun
+func validateCp(cp *fault.Checkpoint, g *graph.Graph, d *Decomposition) error {
 	if d == nil || len(d.Bags) == 0 {
 		return fmt.Errorf("treewidth: decomposition has no bags")
 	}
@@ -103,6 +115,9 @@ func Validate(g *graph.Graph, d *Decomposition) error {
 	// Structure: symmetry, ranges, no loops or duplicate tree edges.
 	edges := 0
 	for b, nbrs := range d.Adj {
+		if err := cp.Check(); err != nil {
+			return err
+		}
 		seen := make(map[int]bool, len(nbrs))
 		for _, c := range nbrs {
 			if c < 0 || c >= nb {
@@ -139,6 +154,9 @@ func Validate(g *graph.Graph, d *Decomposition) error {
 	n := g.N()
 	traces := make([][]int, n)
 	for b, bag := range d.Bags {
+		if err := cp.Check(); err != nil {
+			return err
+		}
 		for i, v := range bag {
 			if v < 0 || v >= n {
 				return fmt.Errorf("treewidth: bag %d entry %d out of range [0,%d)", b, v, n)
@@ -151,12 +169,18 @@ func Validate(g *graph.Graph, d *Decomposition) error {
 	}
 	// Vertex coverage.
 	for v := 0; v < n; v++ {
+		if err := cp.Check(); err != nil {
+			return err
+		}
 		if len(traces[v]) == 0 {
 			return fmt.Errorf("treewidth: vertex %d is in no bag", v)
 		}
 	}
 	// Edge coverage: intersect the (sorted) traces of the endpoints.
 	for _, e := range g.Edges() {
+		if err := cp.Check(); err != nil {
+			return err
+		}
 		if !sortedIntersect(traces[e[0]], traces[e[1]]) {
 			return fmt.Errorf("treewidth: edge (%d,%d) is covered by no bag", e[0], e[1])
 		}
@@ -164,6 +188,9 @@ func Validate(g *graph.Graph, d *Decomposition) error {
 	// Trace connectivity: BFS inside each trace.
 	inTrace := make([]bool, nb)
 	for v := 0; v < n; v++ {
+		if err := cp.Check(); err != nil {
+			return err
+		}
 		for _, b := range traces[v] {
 			inTrace[b] = true
 		}
@@ -324,10 +351,11 @@ func fromEliminationOrder(g *graph.Graph, order []int) *Decomposition {
 // elimination time) into a decomposition: each bag attaches to the bag of
 // its earliest-eliminated later member, or to the next bag in order when
 // it has none, which keeps the tree connected even for disconnected
-// inputs.
+// inputs. order is a permutation of 0..n-1, so positions live in a
+// dense slice.
 func linkEliminationBags(order []int, bags [][]int) *Decomposition {
 	n := len(order)
-	pos := make(map[int]int, n)
+	pos := make([]int, n)
 	for i, v := range order {
 		pos[v] = i
 	}

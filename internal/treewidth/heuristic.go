@@ -22,12 +22,12 @@ const MaxDenseVertices = 1 << 13
 // the sparse engine everywhere else — and is the only option above
 // MaxDenseVertices. BenchmarkEliminationEngines measures both engines on
 // exactly the inputs this rule sends to the bitset side, and the bitset
-// engine wins every one (2-vCPU Xeon, go1.24): 166µs vs 236µs for the
-// min-fill plus min-degree contest on a partial 2-tree at n=128, 206µs vs
-// 542µs on a partial 4-tree at n=128, 39ms vs 808ms for min-degree on
-// G(500, 0.05). So both engines stay. The rule is deterministic, so the
-// engine choice — and with it the (identical) elimination order — is
-// reproducible.
+// engine wins every one (2-vCPU Xeon, go1.24, medians of 5 runs): 130µs
+// vs 171µs for the min-fill plus min-degree contest on a partial 2-tree
+// at n=128, 146µs vs 364µs on a partial 4-tree at n=128, 15ms vs 199ms
+// for min-degree on G(500, 0.05). So both engines stay. The rule is
+// deterministic, so the engine choice — and with it the (identical)
+// elimination order — is reproducible.
 func useBitset(g *graph.Graph) bool {
 	n := g.N()
 	if n > MaxDenseVertices {
@@ -54,9 +54,10 @@ type elimBits struct {
 	alive []bool
 	deg   []int // current neighbour count
 	fill  []int // current missing-pair count among the neighbours
-	// counts gates the fill-in maintenance: the heuristics need it, but
-	// a pure elimination replay (fromEliminationOrder) only reads bags,
-	// so it skips the per-fill-edge row scans entirely.
+	// counts gates the fill-in maintenance: min-fill needs it, but
+	// min-degree reads only degrees and a pure elimination replay
+	// (fromEliminationOrder) only bags, so both skip the initial
+	// intersections and the per-fill-edge row scans entirely.
 	counts bool
 	left   int
 }
@@ -223,7 +224,7 @@ const (
 //
 //certlint:longrun
 func runHeuristic(ctx context.Context, g *graph.Graph, score heuristicScore) (*Decomposition, []int, int, error) {
-	st := newElimBits(g, true)
+	st := newElimBits(g, score == scoreFill)
 	n := g.N()
 	order := make([]int, 0, n)
 	bags := make([][]int, 0, n)

@@ -10,10 +10,12 @@ import (
 )
 
 // largeBlockMinDegreeOnly is the block size above which the per-block
-// contest drops min-fill and runs min-degree alone: on blocks that big
-// the second heuristic doubles the dominant cost for a width win that
-// the tree-like inputs this path exists for (partial k-trees) do not
-// show.
+// contest drops min-fill and runs min-degree alone. Only min-fill pays
+// for fill-in counts: on a partial 4-tree of 2¹⁵ vertices (2-vCPU Xeon,
+// go1.24) min-fill takes ~375ms and min-degree ~74ms, so the contest
+// would cost six times min-degree alone, for a width win that the
+// tree-like inputs this path exists for (partial k-trees) do not show —
+// both land at width 5 there.
 const largeBlockMinDegreeOnly = 1 << 15
 
 // heuristicParallel decomposes g by structural decomposition first: the
@@ -31,12 +33,17 @@ const largeBlockMinDegreeOnly = 1 << 15
 // g must be non-empty (HeuristicCtx checks). workers <= 0 means
 // GOMAXPROCS; HeuristicCtx always passes 0, and only tests vary it. The
 // result is deterministic: task results are indexed, not raced. The
-// context reaches every block's elimination engine, and workers stop
-// pulling tasks once it is done, so cancelling a million-vertex
-// decomposition frees the whole pool within one checkpoint stride.
+// context reaches the block split, every block's subgraph copy and
+// elimination engine, and workers stop pulling tasks once it is done,
+// so cancelling a million-vertex decomposition frees the whole pool
+// within one checkpoint stride.
 func heuristicParallel(ctx context.Context, g *graph.Graph, workers int) (*Decomposition, string, error) {
 	n := g.N()
-	blocks := g.BiconnectedComponents()
+	cp := fault.NewCheckpoint(ctx, "decompose")
+	blocks, err := g.BiconnectedComponentsCp(&cp)
+	if err != nil {
+		return nil, "", err
+	}
 
 	// One block covering the whole graph (g biconnected, e.g. a pure
 	// k-tree): no parallel structure to exploit, run directly and skip
@@ -81,12 +88,18 @@ func heuristicParallel(ctx context.Context, g *graph.Graph, workers int) (*Decom
 		go func() {
 			defer wg.Done()
 			cp := fault.NewCheckpoint(ctx, "decompose")
+			// One global-to-local index per worker, reset entry by entry
+			// after each block, instead of one map per block.
+			local := make([]int32, n)
+			for i := range local {
+				local[i] = -1
+			}
 			for ti := range tasks {
 				if err := cp.Now(); err != nil {
 					errs[ti] = err
 					continue
 				}
-				d, err := decomposeBlock(ctx, g, pieces[ti].verts)
+				d, err := decomposeBlock(ctx, g, pieces[ti].verts, local)
 				if err != nil {
 					errs[ti] = err
 					continue
@@ -107,19 +120,24 @@ func heuristicParallel(ctx context.Context, g *graph.Graph, workers int) (*Decom
 	}
 
 	// Assemble: concatenate piece decompositions with offset bag indices.
-	out := &Decomposition{}
+	// The pieces are this call's own, so their tree rows are shifted in
+	// place.
+	total := 0
+	for i := range pieces {
+		total += len(pieces[i].d.Bags)
+	}
+	out := &Decomposition{Bags: make([][]int, 0, total), Adj: make([][]int, 0, total)}
 	offset := make([]int, len(pieces))
 	for i := range pieces {
 		offset[i] = len(out.Bags)
 		d := pieces[i].d
 		out.Bags = append(out.Bags, d.Bags...)
 		for _, adj := range d.Adj {
-			row := make([]int, len(adj))
-			for k, b := range adj {
-				row[k] = b + offset[i]
+			for k := range adj {
+				adj[k] += offset[i]
 			}
-			out.Adj = append(out.Adj, row)
 		}
+		out.Adj = append(out.Adj, d.Adj...)
 	}
 
 	// Glue at cut vertices: for every vertex in more than one piece,
@@ -190,33 +208,15 @@ func heuristicParallel(ctx context.Context, g *graph.Graph, workers int) (*Decom
 }
 
 // decomposeBlock builds the induced subgraph of one biconnected block
-// (block sorted ascending) straight from g's rows — a Builder bulk-load,
-// no per-edge duplicate scans — runs the heuristic contest on it, and
-// maps the bags back to global vertex indices.
-func decomposeBlock(ctx context.Context, g *graph.Graph, block []int) (*Decomposition, error) {
+// (block sorted ascending) straight from g's rows in one pass
+// (graph.InducedSortedCp, through the worker's index scratch local),
+// runs the heuristic contest on it, and maps the bags back to global
+// vertex indices.
+func decomposeBlock(ctx context.Context, g *graph.Graph, block []int, local []int32) (*Decomposition, error) {
 	// The induced-subgraph copy of a near-spanning block is itself long
 	// work at n=10⁵⁺, so it checkpoints like the elimination that follows.
 	cp := fault.NewCheckpoint(ctx, "decompose")
-	idx := make(map[int32]int32, len(block))
-	for i, v := range block {
-		idx[int32(v)] = int32(i)
-	}
-	b := graph.NewBuilder(len(block))
-	for i, v := range block {
-		if err := cp.Check(); err != nil {
-			return nil, err
-		}
-		for _, w := range g.Neighbors(v) {
-			if int(w) > v {
-				if j, ok := idx[w]; ok {
-					if err := b.AddEdge(i, int(j)); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-	sub, err := b.Finish()
+	sub, err := g.InducedSortedCp(&cp, block, local)
 	if err != nil {
 		return nil, err
 	}

@@ -402,7 +402,11 @@ func (s *MSOScheme) decomposition(ctx context.Context, g *graph.Graph) (*Decompo
 			return nil, cerr
 		}
 		if err == nil {
-			if verr := Validate(g, d); verr != nil {
+			cp := fault.NewCheckpoint(ctx, "decompose")
+			if verr := validateCp(&cp, g, d); verr != nil {
+				if cerr, ok := fault.Cancelled(verr); ok {
+					return nil, cerr
+				}
 				return nil, fmt.Errorf("treewidth: provided decomposition: %w", verr)
 			}
 			if d.Width() <= s.T {

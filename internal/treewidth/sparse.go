@@ -1,8 +1,9 @@
 package treewidth
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -10,12 +11,13 @@ import (
 
 // elimSparse is the sparse working state of the elimination heuristics:
 // neighbour sets as sorted int32 slices over one flat backing array,
-// plus the same incrementally maintained degree and fill-in counts as
-// the dense bitset engine (elimBits). Where the bitset engine pays
-// n²/8 bytes and word-scans per row — unbeatable on small dense graphs,
-// unpayable at n=10⁶ — this engine pays O(n+m) memory and per-round work
-// proportional to the eliminated neighbourhood, which is what makes
-// million-vertex partial k-trees decomposable.
+// plus incrementally maintained degrees and, for min-fill only, the
+// same fill-in counts as the dense bitset engine (elimBits). Where the
+// bitset engine pays n²/8 bytes and word-scans per row — unbeatable on
+// small dense graphs, unpayable at n=10⁶ — this engine pays O(n+m)
+// memory and per-round work proportional to the eliminated
+// neighbourhood, which is what makes million-vertex partial k-trees
+// decomposable.
 //
 // The count maintenance mirrors elimBits.eliminate line for line (same
 // pair order, same update formulas, same before/after-insert timing), so
@@ -27,8 +29,16 @@ type elimSparse struct {
 	nbr   [][]int32 // sorted live (fill-in) neighbour lists
 	alive []bool
 	deg   []int
-	fill  []int
-	left  int
+	fill  []int // nil unless counts
+	// counts gates the fill-in maintenance, as in elimBits: only
+	// min-fill reads fill, and on hub-heavy graphs the initial counts
+	// (one sorted intersection per edge, quadratic in hub degree) and
+	// the per-fill-edge scans are most of the engine's work. Min-degree
+	// runs without them; its scores are degrees, which change only on
+	// N(v), so the detach loop's touches still refresh every entry that
+	// moved and the order is unchanged.
+	counts bool
+	left   int
 	// touched collects the vertices whose score may have changed during
 	// one eliminate call, deduplicated by an epoch stamp, so the driver
 	// can refresh exactly those heap entries.
@@ -39,21 +49,22 @@ type elimSparse struct {
 
 // newElimSparseCp builds the sparse elimination state of g, probing the
 // cancellation checkpoint through the setup loops. At n=10⁵ the initial
-// fill-in counts alone cost most of a second — longer than the whole
-// disconnect budget — so setup must be abandonable, not just the
-// elimination rounds that follow.
+// fill-in counts that min-fill needs cost most of a second — longer
+// than the whole disconnect budget — so setup must be abandonable, not
+// just the elimination rounds that follow.
 //
 //certlint:longrun
-func newElimSparseCp(cp *fault.Checkpoint, g *graph.Graph) (*elimSparse, error) {
+func newElimSparseCp(cp *fault.Checkpoint, g *graph.Graph, counts bool) (*elimSparse, error) {
 	n := g.N()
 	st := &elimSparse{
-		n:     n,
-		nbr:   make([][]int32, n),
-		alive: make([]bool, n),
-		deg:   make([]int, n),
-		left:  n,
-		stamp: make([]int32, n),
-		epoch: 1,
+		n:      n,
+		nbr:    make([][]int32, n),
+		alive:  make([]bool, n),
+		deg:    make([]int, n),
+		counts: counts,
+		left:   n,
+		stamp:  make([]int32, n),
+		epoch:  1,
 	}
 	// Rows copied out of the graph into one flat mutable array with
 	// exact capacities: removals shrink in place, the first insertion
@@ -69,6 +80,9 @@ func newElimSparseCp(cp *fault.Checkpoint, g *graph.Graph) (*elimSparse, error) 
 		start := len(flat)
 		flat = append(flat, row...)
 		st.nbr[v] = flat[start:len(flat):len(flat)]
+	}
+	if !counts {
+		return st, nil
 	}
 	// Initial fill-in counts, as in elimBits: missing pairs among N(v) =
 	// all pairs minus edges inside N(v), via sorted intersections.
@@ -211,10 +225,10 @@ func (st *elimSparse) bagOf(v int) []int {
 }
 
 // eliminate removes v, cliquing its remaining neighbours and keeping
-// every degree and fill-in count exact — the same arithmetic as
-// elimBits.eliminate, on sorted slices — and collecting the touched
-// vertices for the selection heap. It returns v's degree at elimination
-// time.
+// every degree (and, with counts on, every fill-in count) exact — the
+// same arithmetic as elimBits.eliminate, on sorted slices — and
+// collecting the touched vertices for the selection heap. It returns
+// v's degree at elimination time.
 //
 //certlint:hotpath
 func (st *elimSparse) eliminate(v int) int {
@@ -232,25 +246,9 @@ func (st *elimSparse) eliminate(v int) int {
 			if containsSorted(st.nbr[a], b) {
 				continue
 			}
-			aRow, bRow := st.nbr[a], st.nbr[b]
-			ai, bi := 0, 0
-			for ai < len(aRow) && bi < len(bRow) {
-				switch {
-				case aRow[ai] < bRow[bi]:
-					ai++
-				case aRow[ai] > bRow[bi]:
-					bi++
-				default:
-					if x := aRow[ai]; int(x) != v {
-						st.fill[x]--
-						st.touch(x)
-					}
-					ai++
-					bi++
-				}
+			if st.counts {
+				st.countFillEdge(v, a, b)
 			}
-			st.fill[a] += diffCountSorted(aRow, bRow)
-			st.fill[b] += diffCountSorted(bRow, aRow)
 			st.nbr[a] = insertSorted32(st.nbr[a], b)
 			st.nbr[b] = insertSorted32(st.nbr[b], a)
 			st.deg[a]++
@@ -260,7 +258,9 @@ func (st *elimSparse) eliminate(v int) int {
 	// Detach v: each neighbour loses the pairs {v, y} with y a neighbour
 	// it shares with nobody — exactly its neighbours outside N(v) ∪ {v}.
 	for _, w := range nbrs {
-		st.fill[w] -= diffCountSorted(st.nbr[w], nbrs) - 1
+		if st.counts {
+			st.fill[w] -= diffCountSorted(st.nbr[w], nbrs) - 1
+		}
 		st.touch(w)
 		st.nbr[w] = removeSorted32(st.nbr[w], int32(v))
 		st.deg[w]--
@@ -269,6 +269,34 @@ func (st *elimSparse) eliminate(v int) int {
 	st.alive[v] = false
 	st.left--
 	return d
+}
+
+// countFillEdge updates the fill-in counts for the fill edge {a, b},
+// about to be added while eliminating v: every live common neighbour
+// of a and b loses the pair from its missing set, and each endpoint
+// gains a missing pair per neighbour the other endpoint lacks.
+//
+//certlint:hotpath
+func (st *elimSparse) countFillEdge(v int, a, b int32) {
+	aRow, bRow := st.nbr[a], st.nbr[b]
+	ai, bi := 0, 0
+	for ai < len(aRow) && bi < len(bRow) {
+		switch {
+		case aRow[ai] < bRow[bi]:
+			ai++
+		case aRow[ai] > bRow[bi]:
+			bi++
+		default:
+			if x := aRow[ai]; int(x) != v {
+				st.fill[x]--
+				st.touch(x)
+			}
+			ai++
+			bi++
+		}
+	}
+	st.fill[a] += diffCountSorted(aRow, bRow)
+	st.fill[b] += diffCountSorted(bRow, aRow)
 }
 
 // scoreEntry is one lazy-heap entry: a vertex and the score it carried
@@ -328,15 +356,32 @@ func (h *scoreHeap) pop() scoreEntry {
 	return top
 }
 
+// cmpScoreEntry orders heap entries by (score, vertex), the order
+// scoreHeap.less uses.
+func cmpScoreEntry(a, b scoreEntry) int {
+	if c := cmp.Compare(a.score, b.score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.v, b.v)
+}
+
 // runHeuristicSparse is the sparse counterpart of runHeuristic: the same
 // greedy elimination (smallest score wins, lowest index breaks ties),
 // with selection through the lazy min-heap instead of an O(n) scan per
-// round, and bags recorded during the single elimination pass.
+// round, and bags recorded during the single elimination pass. Fill-in
+// counts are maintained only when the score reads them (min-fill).
+func runHeuristicSparse(ctx context.Context, g *graph.Graph, score heuristicScore) (*Decomposition, []int, int, error) {
+	return runSparse(ctx, g, score, false)
+}
+
+// runSparse is runHeuristicSparse with the fill-in gate exposed to the
+// tests: forceCounts maintains the counts under min-degree too, which
+// must leave the elimination order untouched.
 //
 //certlint:longrun
-func runHeuristicSparse(ctx context.Context, g *graph.Graph, score heuristicScore) (*Decomposition, []int, int, error) {
+func runSparse(ctx context.Context, g *graph.Graph, score heuristicScore, forceCounts bool) (*Decomposition, []int, int, error) {
 	cp := fault.NewCheckpoint(ctx, "decompose")
-	st, err := newElimSparseCp(&cp, g)
+	st, err := newElimSparseCp(&cp, g, forceCounts || score == scoreFill)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -352,7 +397,9 @@ func runHeuristicSparse(ctx context.Context, g *graph.Graph, score heuristicScor
 		}
 		h = append(h, scoreEntry{score: int64(vals[v]), v: int32(v)})
 	}
-	sort.Slice(h, func(i, j int) bool { return h.less(i, j) })
+	// A sorted array is a valid heap; (score, vertex) keys are distinct,
+	// so the result does not depend on the sort's stability.
+	slices.SortFunc(h, cmpScoreEntry)
 	order := make([]int, 0, n)
 	bags := make([][]int, 0, n)
 	width := 0

@@ -2,6 +2,8 @@ package treewidth
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -75,6 +77,88 @@ func TestSparseMatchesReference(t *testing.T) {
 				!reflect.DeepEqual(wantD.Bags, gotD.Bags) {
 				t.Fatalf("score %d %v: sparse diverges from reference", score, g)
 			}
+		}
+	}
+}
+
+// TestSparseFillGateKeepsOrder pins the fill-in gate: min-degree on the
+// sparse engine without fill-in counts (the production setting) and
+// with them forced on must produce the identical elimination order,
+// bags, tree and width, on the random-graph corpus and on partial
+// 4-trees up to n=20,000, whose hubs make the counts most expensive.
+func TestSparseFillGateKeepsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var cases []*graph.Graph
+	for trial := 0; trial < 60; trial++ {
+		cases = append(cases, randomGraphForDiff(rng, 2+rng.Intn(60), []float64{0.05, 0.15, 0.4, 0.8}[trial%4]))
+	}
+	for _, n := range []int{200, 2_000, 20_000} {
+		g, _ := graphgen.PartialKTree(n, 4, 0.85, rand.New(rand.NewSource(int64(n))))
+		cases = append(cases, g)
+	}
+	for _, g := range cases {
+		wantD, wantOrder, wantWidth, err := runSparse(context.Background(), g, scoreDegree, true)
+		if err != nil {
+			t.Fatalf("n=%d: counts on: %v", g.N(), err)
+		}
+		gotD, gotOrder, gotWidth, err := runSparse(context.Background(), g, scoreDegree, false)
+		if err != nil {
+			t.Fatalf("n=%d: counts off: %v", g.N(), err)
+		}
+		if !reflect.DeepEqual(wantOrder, gotOrder) {
+			t.Fatalf("n=%d: order differs without fill-in counts", g.N())
+		}
+		if !reflect.DeepEqual(wantD.Bags, gotD.Bags) || !reflect.DeepEqual(wantD.Adj, gotD.Adj) {
+			t.Fatalf("n=%d: decomposition differs without fill-in counts", g.N())
+		}
+		if wantWidth != gotWidth {
+			t.Fatalf("n=%d: width %d with counts, %d without", g.N(), wantWidth, gotWidth)
+		}
+	}
+}
+
+// TestHeuristicGolden pins HeuristicCtx's output on the certbench graph
+// shape, PartialKTree(n, 4, 0.85), to fingerprints recorded before the
+// giant-block path was optimised: FNV-64a over fmt.Sprint(d.Bags, d.Adj).
+// Certificates are derived from these decompositions, so a speed-up
+// that moves a single bag or tree edge changes certificates. n=5,000
+// runs every block through the min-fill vs min-degree contest; n=40,000
+// and n=100,000 each have one block above largeBlockMinDegreeOnly,
+// which runs min-degree alone.
+func TestHeuristicGolden(t *testing.T) {
+	for _, c := range []struct {
+		n     int
+		seed  int64
+		giant bool // one block above largeBlockMinDegreeOnly
+		hash  uint64
+	}{
+		{5_000, 1, false, 0x0fa85d3619f2acd7},
+		{5_000, 2, false, 0x088646587e72ff89},
+		{40_000, 1, true, 0x2d138c1ec2e061b8},
+		{40_000, 2, true, 0x1d033ae903a434e3},
+		{100_000, 1, true, 0x7935576efcc52400},
+		{100_000, 2, true, 0xe25067f47becfa65},
+	} {
+		if c.n > 40_000 && testing.Short() {
+			continue
+		}
+		g, _ := graphgen.PartialKTree(c.n, 4, 0.85, rand.New(rand.NewSource(c.seed)))
+		giant := false
+		for _, b := range g.BiconnectedComponents() {
+			giant = giant || len(b) > largeBlockMinDegreeOnly
+		}
+		if giant != c.giant {
+			t.Fatalf("n=%d seed %d: giant block %v, want %v", c.n, c.seed, giant, c.giant)
+		}
+		d, method, err := HeuristicCtx(context.Background(), g)
+		if err != nil {
+			t.Fatalf("n=%d seed %d: %v", c.n, c.seed, err)
+		}
+		h := fnv.New64a()
+		fmt.Fprint(h, d.Bags, d.Adj)
+		if got := h.Sum64(); got != c.hash || method != "parallel" || d.Width() != 5 {
+			t.Errorf("n=%d seed %d: fingerprint %016x method %s width %d, want %016x parallel 5",
+				c.n, c.seed, got, method, d.Width(), c.hash)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cert"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/graphgen"
 	"repro/internal/netsim"
@@ -274,6 +275,40 @@ func TestValidateStructure(t *testing.T) {
 	}
 	if IsValid(g, unsorted) {
 		t.Fatal("unsorted bag accepted")
+	}
+}
+
+// TestProveValidationCancellable: the prover validates every
+// decomposition it is handed, about 0.3s at n=10⁵, so a client that
+// walks away during validation must stop it at a checkpoint. The
+// decomposition source cancels the request as it returns a
+// decomposition whose only defect is an unsorted bag near the end: the
+// prover must report the cancellation, not run validation to that bag.
+func TestProveValidationCancellable(t *testing.T) {
+	g, _ := graphgen.PartialKTree(5_000, 4, 0.85, rand.New(rand.NewSource(1)))
+	d, _, err := HeuristicCtx(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(d.Bags) - 1
+	for len(d.Bags[last]) < 2 {
+		last--
+	}
+	bad := &Decomposition{Bags: append([][]int(nil), d.Bags...), Adj: d.Adj}
+	bad.Bags[last] = []int{d.Bags[last][1], d.Bags[last][0]}
+	if err := Validate(g, bad); err == nil {
+		t.Fatal("unsorted last bag validated")
+	}
+	prop, _ := PropertyByName("tw-bound")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := &MSOScheme{T: 6, Prop: prop, Decomps: DecompFunc(func(*graph.Graph) (*Decomposition, error) {
+		cancel()
+		return bad, nil
+	})}
+	_, err = s.ProveCtx(ctx, g)
+	if ce, ok := fault.Cancelled(err); !ok || ce.Phase != "decompose" {
+		t.Fatalf("prove returned %v, want a decompose CancelledError", err)
 	}
 }
 
