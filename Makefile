@@ -32,9 +32,11 @@ test-race:
 # /simulate) and the certificate decoders those certificates reach:
 # tw-mso, treedepth (also under kernel-mso, pt-minor-free and every
 # ct-minor-free block), ct-minor-free and the spanning-tree labels (also
-# under core's existential-FO and depth-2 schemes). Every ci run hammers
-# each for a few seconds on top of the committed regression corpora
-# (which plain `go test` replays).
+# under core's existential-FO and depth-2 schemes). FuzzValidate
+# differentially checks the tree-decomposition validator the prover runs
+# on every decomposition it is handed against its reference. Every ci run
+# hammers each for a few seconds on top of the committed regression
+# corpora (which plain `go test` replays).
 fuzz-short:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=5s ./internal/logic
 	$(GO) test -run=FuzzDecodeGraphStream -fuzz=FuzzDecodeGraphStream -fuzztime=5s ./internal/wire
@@ -44,6 +46,7 @@ fuzz-short:
 	$(GO) test -run=FuzzDecodePayload -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/treedepth
 	$(GO) test -run=FuzzDecodeEntries -fuzz=FuzzDecodeEntries -fuzztime=5s ./internal/minor
 	$(GO) test -run=FuzzDecodeLabel -fuzz=FuzzDecodeLabel -fuzztime=5s ./internal/spanning
+	$(GO) test -run=FuzzValidate -fuzz=FuzzValidate -fuzztime=5s ./internal/treewidth
 
 # bench-smoke compiles and runs every benchmark exactly once: benchmarks
 # are the perf PRs' acceptance instruments, so they must not bit-rot

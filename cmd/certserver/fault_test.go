@@ -73,9 +73,9 @@ func TestClientDisconnectFreesWorker(t *testing.T) {
 	}
 
 	// The real instance: a partial 4-tree at n=1e5. Its heuristic
-	// decomposition takes ~0.3s and the prove that follows ~1s, so the
-	// request is still in a checkpointed heavy phase when the client
-	// walks away.
+	// decomposition takes ~0.25s, the prove that follows ~0.4s and the
+	// verify ~0.3s, so the request is still in a checkpointed heavy
+	// phase when the client walks away.
 	g, _ := graphgen.PartialKTree(100_000, 4, 0.85, rand.New(rand.NewSource(9)))
 	var buf bytes.Buffer
 	if err := wire.EncodeGraphStream(&buf, g); err != nil {

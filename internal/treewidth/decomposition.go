@@ -22,6 +22,7 @@ package treewidth
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -98,10 +99,31 @@ func Validate(g *graph.Graph, d *Decomposition) error {
 	return validateCp(&cp, g, d)
 }
 
-// validateCp is Validate probing cp once per bag, vertex and edge: the
-// prover validates every decomposition it is handed, which takes about
-// 0.3s at n=10⁵, longer than the 250ms a disconnected client may keep a
-// worker busy. It returns the checkpoint's *fault.CancelledError.
+// validateCp is Validate probing cp once per bag, tree edge, vertex and
+// graph edge, so a prover handed a decomposition by a client that has
+// since gone stops validating within one checkpoint stride. It returns
+// the checkpoint's *fault.CancelledError. Validation takes about 50ms at
+// n=10⁵ and runs in O(bags·width + m·log width):
+//
+//   - structure: a stamp array catches duplicate tree entries; there
+//     must be exactly 2(nb-1) directed entries, and a BFS from bag 0 must
+//     reach every bag with every entry joining a bag to its BFS parent or
+//     child. Every bag then lists its parent once and each child once,
+//     and the entry count leaves room for nothing else, so Adj is a
+//     symmetric tree;
+//   - traces: one pass over the bags checks their entries and records
+//     each vertex's trace size (the number of bags containing it) and
+//     trace root (the shallowest such bag in the BFS rooting);
+//   - trace connectivity: the bags of a trace S induce a forest of the
+//     tree, which is connected iff exactly |S|-1 tree edges lie inside S.
+//     One merge of the two sorted bags of each tree edge counts, for
+//     every vertex, the tree edges inside its trace;
+//   - edge coverage, once traces are known to be connected subtrees: u
+//     and w share a bag iff the deeper of their trace roots contains the
+//     other endpoint (a shared bag lies below both roots, so the two
+//     roots lie on one root path, and the subtree of the shallower one
+//     contains the path down to the shared bag) — one binary search per
+//     edge.
 //
 //certlint:longrun
 func validateCp(cp *fault.Checkpoint, g *graph.Graph, d *Decomposition) error {
@@ -112,13 +134,14 @@ func validateCp(cp *fault.Checkpoint, g *graph.Graph, d *Decomposition) error {
 	if len(d.Adj) != nb {
 		return fmt.Errorf("treewidth: %d adjacency lists for %d bags", len(d.Adj), nb)
 	}
-	// Structure: symmetry, ranges, no loops or duplicate tree edges.
-	edges := 0
+	// Structure: ranges, loops and duplicates through a stamp per bag
+	// (stamp[c] == b+1 once bag b listed c), then the entry count.
+	stamp := make([]int32, nb)
+	entries := 0
 	for b, nbrs := range d.Adj {
 		if err := cp.Check(); err != nil {
 			return err
 		}
-		seen := make(map[int]bool, len(nbrs))
 		for _, c := range nbrs {
 			if c < 0 || c >= nb {
 				return fmt.Errorf("treewidth: bag %d has tree neighbour %d out of range", b, c)
@@ -126,33 +149,50 @@ func validateCp(cp *fault.Checkpoint, g *graph.Graph, d *Decomposition) error {
 			if c == b {
 				return fmt.Errorf("treewidth: bag %d has a self-loop", b)
 			}
-			if seen[c] {
+			if stamp[c] == int32(b+1) {
 				return fmt.Errorf("treewidth: duplicate tree edge (%d,%d)", b, c)
 			}
-			seen[c] = true
-			found := false
-			for _, back := range d.Adj[c] {
-				if back == b {
-					found = true
-					break
-				}
+			stamp[c] = int32(b + 1)
+		}
+		entries += len(nbrs)
+	}
+	if entries != 2*(nb-1) {
+		return fmt.Errorf("treewidth: decomposition tree has %d directed entries for %d bags (want %d)", entries, nb, 2*(nb-1))
+	}
+	// BFS from bag 0: every entry must be the bag's parent or a bag not
+	// reached yet, which becomes its child.
+	reached := stamp // reused: the loop above left every stamp >= 0
+	parent := make([]int32, nb)
+	depth := make([]int32, nb)
+	order := make([]int32, 1, nb)
+	reached[0] = -1
+	for head := 0; head < len(order); head++ {
+		if err := cp.Check(); err != nil {
+			return err
+		}
+		b := int(order[head])
+		for _, c := range d.Adj[b] {
+			switch {
+			case b != 0 && c == int(parent[b]):
+			case reached[c] >= 0:
+				reached[c] = -1
+				parent[c] = int32(b)
+				depth[c] = depth[b] + 1
+				order = append(order, int32(c))
+			default:
+				return fmt.Errorf("treewidth: tree edge (%d,%d) closes a cycle or is not symmetric", b, c)
 			}
-			if !found {
-				return fmt.Errorf("treewidth: tree edge (%d,%d) is not symmetric", b, c)
-			}
-			edges++
 		}
 	}
-	edges /= 2
-	if edges != nb-1 {
-		return fmt.Errorf("treewidth: decomposition tree has %d edges for %d bags (want %d)", edges, nb, nb-1)
+	if len(order) != nb {
+		return fmt.Errorf("treewidth: decomposition tree is disconnected (%d of %d bags reachable from bag 0)", len(order), nb)
 	}
-	if !treeConnected(d.Adj) {
-		return fmt.Errorf("treewidth: decomposition tree is disconnected")
-	}
-	// Bags sorted, distinct, in range; build per-vertex traces.
+	// Bags sorted, distinct, in range; trace sizes and roots. comps[v]
+	// starts as |S_v| and loses one per tree edge inside S_v below, which
+	// leaves the number of connected pieces of the trace.
 	n := g.N()
-	traces := make([][]int, n)
+	comps := make([]int32, n)
+	root := make([]int32, n)
 	for b, bag := range d.Bags {
 		if err := cp.Check(); err != nil {
 			return err
@@ -164,43 +204,59 @@ func validateCp(cp *fault.Checkpoint, g *graph.Graph, d *Decomposition) error {
 			if i > 0 && bag[i-1] >= v {
 				return fmt.Errorf("treewidth: bag %d is not strictly increasing at position %d", b, i)
 			}
-			traces[v] = append(traces[v], b)
+			if comps[v] == 0 || depth[b] < depth[root[v]] {
+				root[v] = int32(b)
+			}
+			comps[v]++
 		}
 	}
-	// Vertex coverage.
+	// Trace connectivity: merge each tree edge's two bags once.
+	for _, c := range order[1:] {
+		if err := cp.Check(); err != nil {
+			return err
+		}
+		x, y := d.Bags[c], d.Bags[parent[c]]
+		for i, j := 0, 0; i < len(x) && j < len(y); {
+			switch {
+			case x[i] < y[j]:
+				i++
+			case x[i] > y[j]:
+				j++
+			default:
+				comps[x[i]]--
+				i++
+				j++
+			}
+		}
+	}
 	for v := 0; v < n; v++ {
 		if err := cp.Check(); err != nil {
 			return err
 		}
-		if len(traces[v]) == 0 {
+		switch {
+		case comps[v] == 0:
 			return fmt.Errorf("treewidth: vertex %d is in no bag", v)
+		case comps[v] > 1:
+			return fmt.Errorf("treewidth: trace of vertex %d is disconnected (%d pieces)", v, comps[v])
 		}
 	}
-	// Edge coverage: intersect the (sorted) traces of the endpoints.
-	for _, e := range g.Edges() {
+	// Edge coverage by the trace-root rule.
+	for u := 0; u < n; u++ {
 		if err := cp.Check(); err != nil {
 			return err
 		}
-		if !sortedIntersect(traces[e[0]], traces[e[1]]) {
-			return fmt.Errorf("treewidth: edge (%d,%d) is covered by no bag", e[0], e[1])
-		}
-	}
-	// Trace connectivity: BFS inside each trace.
-	inTrace := make([]bool, nb)
-	for v := 0; v < n; v++ {
-		if err := cp.Check(); err != nil {
-			return err
-		}
-		for _, b := range traces[v] {
-			inTrace[b] = true
-		}
-		reached := traceReach(d.Adj, traces[v][0], inTrace)
-		for _, b := range traces[v] {
-			inTrace[b] = false // reset for the next vertex
-		}
-		if reached != len(traces[v]) {
-			return fmt.Errorf("treewidth: trace of vertex %d is disconnected (%d of %d bags reachable)",
-				v, reached, len(traces[v]))
+		for _, w32 := range g.Neighbors(u) {
+			w := int(w32)
+			if w < u {
+				continue
+			}
+			b, other := root[u], w
+			if depth[root[w]] > depth[b] {
+				b, other = root[w], u
+			}
+			if _, found := slices.BinarySearch(d.Bags[b], other); !found {
+				return fmt.Errorf("treewidth: edge (%d,%d) is covered by no bag", u, w)
+			}
 		}
 	}
 	return nil
@@ -209,65 +265,6 @@ func validateCp(cp *fault.Checkpoint, g *graph.Graph, d *Decomposition) error {
 // IsValid reports whether d is a valid tree decomposition of g; see
 // Validate for the diagnostic form.
 func IsValid(g *graph.Graph, d *Decomposition) bool { return Validate(g, d) == nil }
-
-// treeConnected reports whether the adjacency describes a connected graph.
-func treeConnected(adj [][]int) bool {
-	if len(adj) == 0 {
-		return false
-	}
-	seen := make([]bool, len(adj))
-	stack := []int{0}
-	seen[0] = true
-	count := 0
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		for _, c := range adj[b] {
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	return count == len(adj)
-}
-
-// traceReach counts the bags of the trace (marked in member) reachable
-// from start without leaving the trace.
-func traceReach(adj [][]int, start int, member []bool) int {
-	seen := map[int]bool{start: true}
-	stack := []int{start}
-	count := 0
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		for _, c := range adj[b] {
-			if member[c] && !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	return count
-}
-
-// sortedIntersect reports whether two ascending int slices share an entry.
-func sortedIntersect(a, b []int) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
-}
 
 // Rooted orients the decomposition tree at the given root bag and returns
 // the parent (root gets -1) and depth of every bag plus a top-down BFS

@@ -25,8 +25,9 @@ var errUnknownNodeKind = errors.New("treewidth: unknown nice-decomposition node 
 //
 // The engine differs from the reference in mechanics only:
 //
-//   - iterative post-order over the nice nodes instead of recursive
-//     closures, with per-node state sets held in sorted []uint64 slices:
+//   - one pass over the nice nodes in index order (MakeNiceCtx stores
+//     them children-first) instead of recursive closures, with per-node
+//     state sets held in sorted []uint64 slices:
 //     join is a linear merge-intersect, forget is a project+sort+dedup,
 //     introduce appends and sorts;
 //   - the matrix is evaluated once per (bag configuration, word
@@ -39,7 +40,8 @@ var errUnknownNodeKind = errors.New("treewidth: unknown nice-decomposition node 
 //     during the bottom-up pass instead of re-probing child tables, so
 //     witness extraction is a walk over binary searches;
 //   - all working buffers live in a pooled scratch (sync.Pool) and are
-//     recycled across runs.
+//     recycled across runs; the forget-node tables and predecessor words
+//     the traceback reads are cut from two arenas in that scratch.
 
 // TracebackError reports that the EMSO DP's top-down witness extraction
 // could not re-derive a child state at a node — an internal invariant
@@ -197,21 +199,25 @@ func buildIntroTables(phi *EMSO, bagSize, pos int, adj func(i, j int) bool) *int
 }
 
 // emsoScratch is the recycled working memory of one solver run: state
-// buffers, predecessor buffers and the traversal stacks. A run checks one
-// scratch out of the pool, so concurrent solves never share buffers.
+// buffers, the forget-table arenas and the traceback stack. A run checks
+// one scratch out of the pool, so concurrent solves never share buffers.
 type emsoScratch struct {
 	freeStates [][]uint64
-	freePreds  [][]uint8
 	valid      [][]uint64
 	preds      [][]uint8
-	order      []int
-	stack      []emsoFrame
+	// forget and forgetPreds are the arenas every forget node's state
+	// table and predecessor words are cut from: the traceback reads them
+	// after the bottom-up pass, so they never go back to freeStates. A
+	// run refills the newest blocks from the start; a block that runs
+	// out is replaced (tables already cut keep the old one alive).
+	forget      []uint64
+	forgetPreds []uint8
+	stack       []emsoFrame
 }
 
 type emsoFrame struct {
-	t    int
-	next int
-	s    uint64
+	t int
+	s uint64
 }
 
 var emsoScratchPool = sync.Pool{New: func() any { return &emsoScratch{} }}
@@ -231,35 +237,16 @@ func (sc *emsoScratch) putStates(s []uint64) {
 	}
 }
 
-func (sc *emsoScratch) getPreds() []uint8 {
-	if n := len(sc.freePreds); n > 0 {
-		p := sc.freePreds[n-1][:0]
-		sc.freePreds = sc.freePreds[:n-1]
-		return p
-	}
-	return nil
-}
-
-func (sc *emsoScratch) putPreds(p []uint8) {
-	if cap(p) > 0 {
-		sc.freePreds = append(sc.freePreds, p[:0])
-	}
-}
-
-// release returns every per-node buffer still held to the free lists and
+// release returns every free-list table still held for nice's nodes to
+// the free lists — forget tables are arena-backed and only dropped — and
 // hands the scratch back to the pool.
-func (sc *emsoScratch) release() {
+func (sc *emsoScratch) release(nice *Nice) {
 	for i, s := range sc.valid {
-		if s != nil {
+		if s != nil && nice.Nodes[i].Kind != KindForget {
 			sc.putStates(s)
-			sc.valid[i] = nil
 		}
-	}
-	for i, p := range sc.preds {
-		if p != nil {
-			sc.putPreds(p)
-			sc.preds[i] = nil
-		}
+		sc.valid[i] = nil
+		sc.preds[i] = nil
 	}
 	emsoScratchPool.Put(sc)
 }
@@ -304,9 +291,10 @@ func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([
 			sc.preds[i] = nil
 		}
 	}
+	sc.forget, sc.forgetPreds = sc.forget[:0], sc.forgetPreds[:0]
 	sv := &emsoSolver{g: g, nice: nice, phi: phi, m: m, sc: sc,
 		cp: fault.NewCheckpoint(ctx, "prove")}
-	defer sc.release()
+	defer sc.release(nice)
 	ok, err := sv.up()
 	if err != nil || !ok {
 		return nil, false, err
@@ -341,27 +329,6 @@ func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([
 		}
 	}
 	return out, true, nil
-}
-
-// postorder fills sc.order with the children-before-parents visit order of
-// the nodes reachable from the root.
-func (sv *emsoSolver) postorder() []int {
-	sc := sv.sc
-	sc.order = sc.order[:0]
-	sc.stack = append(sc.stack[:0], emsoFrame{t: sv.nice.Root})
-	for len(sc.stack) > 0 {
-		f := &sc.stack[len(sc.stack)-1]
-		node := &sv.nice.Nodes[f.t]
-		if f.next < len(node.Children) {
-			c := node.Children[f.next]
-			f.next++
-			sc.stack = append(sc.stack, emsoFrame{t: c})
-			continue
-		}
-		sc.order = append(sc.order, f.t)
-		sc.stack = sc.stack[:len(sc.stack)-1]
-	}
-	return sc.order
 }
 
 // tablesFor returns the memoized transition tables of an introduce node,
@@ -478,28 +445,30 @@ func (phi *EMSO) evictIntroLocked() {
 	}
 }
 
-// up runs the bottom-up pass, filling sc.valid (sorted state slices) and
-// sc.preds (forget-node predecessor words). It reports whether the root
-// accepts; an empty state set anywhere short-circuits to false (all four
-// node transitions preserve emptiness upward).
+// up runs the bottom-up pass in node index order — a post-order, since
+// MakeNiceCtx stores children first — filling sc.valid (sorted state
+// slices) and sc.preds (forget-node predecessor words). It reports
+// whether the root accepts; an empty state set anywhere short-circuits
+// to false (all four node transitions preserve emptiness upward).
 //
 //certlint:hotpath
 func (sv *emsoSolver) up() (bool, error) {
 	sc, m := sv.sc, sv.m
-	for _, t := range sv.postorder() {
+	for t := range sv.nice.Nodes {
 		if err := sv.cp.Check(); err != nil {
 			return false, err
 		}
 		node := &sv.nice.Nodes[t]
-		out := sc.getStates()
+		var out []uint64
 		switch node.Kind {
 		case KindLeaf:
-			out = append(out, 0)
+			out = append(sc.getStates(), 0)
 		case KindIntroduce:
 			c := node.Children[0]
 			pos := sort.SearchInts(node.Bag, node.Vertex)
 			tb := sv.tablesFor(node.Bag, pos)
 			nw := uint64(1) << uint(m)
+			out = sc.getStates()
 			for _, cs := range sc.valid[c] {
 				for w := uint64(0); w < nw; w++ {
 					s := expandWord(cs, pos, m, w)
@@ -519,22 +488,32 @@ func (sv *emsoSolver) up() (bool, error) {
 				buf = append(buf, forgetWord(cs, pos, m)<<emsoWordShift|wordAt(cs, pos, m))
 			}
 			slices.Sort(buf)
-			preds := sc.getPreds()
+			if cap(sc.forget)-len(sc.forget) < len(buf) {
+				// A fresh block: at least half the node count, which
+				// holds every forget table of a set-free sentence.
+				block := max(len(buf), 2*cap(sc.forget), len(sv.nice.Nodes)/2)
+				sc.forget = make([]uint64, 0, block)
+				sc.forgetPreds = make([]uint8, 0, block)
+			}
+			lo := len(sc.forget)
 			prev, first := uint64(0), true
 			for _, p := range buf {
 				proj := p >> emsoWordShift
 				if first || proj != prev {
-					out = append(out, proj)
-					preds = append(preds, uint8(p&(1<<emsoWordShift-1)))
+					sc.forget = append(sc.forget, proj)
+					sc.forgetPreds = append(sc.forgetPreds, uint8(p&(1<<emsoWordShift-1)))
 					prev, first = proj, false
 				}
 			}
 			sc.putStates(buf)
-			sc.preds[t] = preds
+			hi := len(sc.forget)
+			out = sc.forget[lo:hi:hi]
+			sc.preds[t] = sc.forgetPreds[lo:hi:hi]
 			sv.releaseChild(c)
 		case KindJoin:
 			l, r := node.Children[0], node.Children[1]
 			left, right := sc.valid[l], sc.valid[r]
+			out = sc.getStates()
 			i, j := 0, 0
 			for i < len(left) && j < len(right) {
 				switch {

@@ -97,6 +97,33 @@ func BenchmarkLargeTWMSOProveVerify1M(b *testing.B) {
 	benchLargeProveVerify(b, 1_000_000)
 }
 
+// BenchmarkLargeTWMSOProve100k measures the tw-mso prove alone on the
+// certbench instance — a 10⁵-vertex partial 4-tree, tw-bound, t=6 —
+// with its heuristic decomposition computed before the timer and handed
+// over through DecompFunc: validation, the nice conversion, the EMSO DP,
+// payload assembly and encoding, the layers certify-large's prove runs.
+func BenchmarkLargeTWMSOProve100k(b *testing.B) {
+	g := largeKTree(b, 100_000)
+	d, _, err := HeuristicCtx(context.Background(), g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prop, ok := PropertyByName("tw-bound")
+	if !ok {
+		b.Fatal("tw-bound property missing")
+	}
+	s := &MSOScheme{T: 6, Prop: prop, Decomps: DecompFunc(func(*graph.Graph) (*Decomposition, error) {
+		return d, nil
+	})}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ProveCtx(context.Background(), g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLargeTWMSOVerify100k measures one verification round over
 // honest tw-mso certificates of the certbench graph shape — a 10⁵-vertex
 // partial 4-tree, heuristic decomposition, t=6 — on the sequential

@@ -3,7 +3,6 @@ package treewidth
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/fault"
 )
@@ -48,32 +47,40 @@ type NiceNode struct {
 // Nice is a nice (rooted, binary, single-change) tree decomposition: every
 // node is a leaf, introduce, forget or join, leaves and the root have
 // empty bags, and adjacent bags differ by exactly one vertex. The
-// Courcelle-style dynamic programs run over this form.
+// Courcelle-style dynamic programs run over this form. MakeNiceCtx
+// stores the nodes children-first — every child has a smaller index
+// than its parent, so index order is a post-order and the root comes
+// last — and bags and child lists are read-only views into shared
+// arenas.
 type Nice struct {
 	Nodes []NiceNode
 	Root  int
+	width int
 }
 
 // NumNodes returns the node count.
 func (n *Nice) NumNodes() int { return len(n.Nodes) }
 
-// Width returns the width of the nice decomposition.
-func (n *Nice) Width() int {
-	w := -1
-	for _, nd := range n.Nodes {
-		if len(nd.Bag)-1 > w {
-			w = len(nd.Bag) - 1
-		}
-	}
-	return w
-}
+// Width returns the width of the nice decomposition (recorded by
+// MakeNiceCtx: the largest bag size minus one).
+func (n *Nice) Width() int { return n.width }
 
 // MakeNiceCtx converts a valid tree decomposition rooted at the given bag
 // into a nice decomposition of the same width: each original bag becomes a
 // chain of forget/introduce nodes toward its children, multi-child bags
-// fan out through binary joins, leaves shrink to empty bags through
-// introduce chains, and the root grows a forget chain so the nice root's
-// bag is empty. The per-bag conversion loop checkpoints the context, so
+// fan out through a left-deep fold of binary joins, leaves shrink to
+// empty bags through introduce chains, and the root grows a forget chain
+// so the nice root's bag is empty.
+//
+// The conversion first counts the nodes and bag entries exactly (from
+// each bag's child count and |child∖bag|, |bag∖child| per tree edge),
+// then allocates the node slice and two arenas — one for every bag, one
+// for every child list — and walks the tree with an explicit stack, so
+// its memory is a handful of allocations and its Go stack is flat however
+// deep the decomposition is (a path's has depth n-1). Join bags share the
+// bag of their first chain's top, a leaf's introduce chain shares prefixes
+// of one copy of the leaf bag, and the root's forget chain shares prefixes
+// of the root bag. The walk checkpoints the context once per bag, so
 // abandoning the nice form of a million-bag decomposition costs at most
 // one stride.
 func MakeNiceCtx(ctx context.Context, d *Decomposition, root int) (*Nice, error) {
@@ -81,132 +88,188 @@ func MakeNiceCtx(ctx context.Context, d *Decomposition, root int) (*Nice, error)
 	if err != nil {
 		return nil, err
 	}
-	children := make([][]int, len(d.Bags))
-	for _, b := range order {
-		if parent[b] >= 0 {
-			children[parent[b]] = append(children[parent[b]], b)
+	nb := len(d.Bags)
+	// A BFS appends each bag's children consecutively: kids(b) is
+	// order[first[b] : first[b]+count[b]], in tree-adjacency order.
+	first := make([]int32, nb)
+	count := make([]int32, nb)
+	for i, b := range order[1:] {
+		p := parent[b]
+		if count[p] == 0 {
+			first[p] = int32(i + 1)
 		}
+		count[p]++
 	}
-	nice := &Nice{}
+	kids := func(b int) []int { return order[first[b] : first[b]+count[b]] }
 	cp := fault.NewCheckpoint(ctx, "decompose")
-	var build func(b int) (int, error)
-	// build returns the index of a nice node whose bag equals d.Bags[b].
-	build = func(b int) (int, error) {
+	nodes, bagEntries, maxBag := len(d.Bags[root]), 0, 0
+	for b, bag := range d.Bags {
 		if err := cp.Check(); err != nil {
-			return 0, err
+			return nil, err
 		}
-		bag := append([]int(nil), d.Bags[b]...)
-		kids := children[b]
-		if len(kids) == 0 {
-			// Introduce the bag vertex by vertex above an empty leaf.
-			node := nice.add(NiceNode{Kind: KindLeaf, Vertex: -1})
-			cur := []int{}
-			for _, v := range bag {
-				cur = insertSorted(cur, v)
-				node = nice.addOwned(NiceNode{Kind: KindIntroduce, Bag: cur, Vertex: v, Children: []int{node}})
-			}
-			return node, nil
+		maxBag = max(maxBag, len(bag))
+		if count[b] == 0 {
+			nodes += 1 + len(bag) // leaf and introduce chain
+			bagEntries += len(bag)
+		} else {
+			nodes += int(count[b]) - 1 // joins
 		}
-		// One chain per child: from the child's bag, forget child∖bag,
-		// then introduce bag∖child, ending exactly at this bag.
-		tops := make([]int, 0, len(kids))
-		for _, c := range kids {
-			node, err := build(c)
-			if err != nil {
-				return 0, err
-			}
-			cur := append([]int(nil), d.Bags[c]...)
-			for _, v := range diffSorted(d.Bags[c], bag) {
-				cur = removeSorted(cur, v)
-				node = nice.addOwned(NiceNode{Kind: KindForget, Bag: cur, Vertex: v, Children: []int{node}})
-			}
-			for _, v := range diffSorted(bag, d.Bags[c]) {
-				cur = insertSorted(cur, v)
-				node = nice.addOwned(NiceNode{Kind: KindIntroduce, Bag: cur, Vertex: v, Children: []int{node}})
-			}
-			tops = append(tops, node)
+		if b == root {
+			continue
 		}
-		// Fold the chains with binary joins (sharing one bag copy — nice
-		// bags are read-only once built).
-		node := tops[0]
-		for _, other := range tops[1:] {
-			node = nice.addOwned(NiceNode{Kind: KindJoin, Bag: bag, Vertex: -1, Children: []int{node, other}})
+		up := d.Bags[parent[b]]
+		shared := sharedSorted(bag, up)
+		forgets, intros := len(bag)-shared, len(up)-shared
+		nodes += forgets + intros
+		// Forget bags shrink from |bag|-1 to shared, introduce bags grow
+		// from shared+1 to |up|.
+		bagEntries += (len(bag)-1+shared)*forgets/2 + (shared+1+len(up))*intros/2
+	}
+	a := &niceArena{
+		nodes:    make([]NiceNode, 0, nodes),
+		bags:     make([]int, 0, bagEntries),
+		children: make([]int, 0, nodes-1), // every node but the root is one child
+	}
+	// Walk the tree children-first. A frame's chain tops wait on the tops
+	// stack until its last child is done; a finished bag's top node hangs
+	// off its parent through a forget-then-introduce chain.
+	type frame struct{ b, next, tops int }
+	stack := []frame{{b: root}}
+	var tops []int
+	top := -1
+	for len(stack) > 0 {
+		if err := cp.Check(); err != nil {
+			return nil, err
 		}
-		return node, nil
+		f := &stack[len(stack)-1]
+		bag := d.Bags[f.b]
+		if ks := kids(f.b); f.next < len(ks) {
+			if f.next == 0 {
+				f.tops = len(tops)
+			}
+			f.next++
+			stack = append(stack, frame{b: ks[f.next-1]})
+			continue
+		}
+		if count[f.b] == 0 {
+			// Introduce the bag vertex by vertex above an empty leaf:
+			// the chain's bags are prefixes of one copy.
+			full := a.bag(bag, -1, -1)
+			top = a.node(KindLeaf, full[:0:0], -1, -1)
+			for i, v := range bag {
+				top = a.node(KindIntroduce, full[:i+1:i+1], v, top)
+			}
+		} else {
+			// Fold the chain tops left-deep with binary joins sharing the
+			// first top's bag, which equals this bag.
+			top = tops[f.tops]
+			for _, other := range tops[f.tops+1:] {
+				top = a.join(top, other)
+			}
+			tops = tops[:f.tops]
+		}
+		stack = stack[:len(stack)-1]
+		if len(stack) == 0 {
+			break
+		}
+		// One chain toward the parent: forget bag∖up, then introduce
+		// up∖bag, both in increasing order, ending exactly at the
+		// parent's bag.
+		up := d.Bags[stack[len(stack)-1].b]
+		for i, j := 0, 0; i < len(bag); i++ {
+			for j < len(up) && up[j] < bag[i] {
+				j++
+			}
+			if j == len(up) || up[j] != bag[i] {
+				cur := a.nodes[top].Bag
+				top = a.node(KindForget, a.bag(cur, bag[i], -1), bag[i], top)
+			}
+		}
+		for i, j := 0, 0; j < len(up); j++ {
+			for i < len(bag) && bag[i] < up[j] {
+				i++
+			}
+			if i == len(bag) || bag[i] != up[j] {
+				cur := a.nodes[top].Bag
+				top = a.node(KindIntroduce, a.bag(cur, -1, up[j]), up[j], top)
+			}
+		}
+		tops = append(tops, top)
 	}
-	top, err := build(root)
-	if err != nil {
-		return nil, err
+	// Forget the root bag down to empty, last vertex first: the chain's
+	// bags are prefixes of the root bag.
+	cur := a.nodes[top].Bag
+	for i := len(cur) - 1; i >= 0; i-- {
+		top = a.node(KindForget, cur[:i:i], cur[i], top)
 	}
-	// Forget the root bag down to empty.
-	cur := append([]int(nil), d.Bags[root]...)
-	for len(cur) > 0 {
-		v := cur[len(cur)-1]
-		cur = removeSorted(cur, v)
-		top = nice.addOwned(NiceNode{Kind: KindForget, Bag: cur, Vertex: v, Children: []int{top}})
-	}
-	nice.Root = top
-	return nice, nil
+	return &Nice{Nodes: a.nodes, Root: top, width: maxBag - 1}, nil
 }
 
-func (n *Nice) add(node NiceNode) int {
-	if node.Bag == nil {
-		node.Bag = []int{}
-	} else {
-		node.Bag = append([]int(nil), node.Bag...)
+// niceArena holds MakeNiceCtx's output while it is built: the nodes and
+// the two arenas their bags and child lists are cut from, each sized
+// exactly up front.
+type niceArena struct {
+	nodes    []NiceNode
+	bags     []int
+	children []int
+}
+
+// node appends a leaf (child -1), introduce or forget node and returns
+// its index.
+func (a *niceArena) node(kind NodeKind, bag []int, v, child int) int {
+	lo := len(a.children)
+	if child >= 0 {
+		a.children = append(a.children, child)
 	}
-	return n.addOwned(node)
+	a.nodes = append(a.nodes, NiceNode{Kind: kind, Bag: bag, Vertex: v, Children: a.children[lo:len(a.children):len(a.children)]})
+	return len(a.nodes) - 1
 }
 
-// addOwned appends a node whose bag the caller hands over (already a
-// fresh or shareable copy), skipping add's defensive re-copy — half of
-// MakeNiceCtx's allocations on the prove hot path.
-func (n *Nice) addOwned(node NiceNode) int {
-	if node.Bag == nil {
-		node.Bag = []int{}
+// join appends a join of two nodes with equal bags, sharing the left
+// child's bag.
+func (a *niceArena) join(l, r int) int {
+	a.children = append(a.children, l, r)
+	k := len(a.children)
+	a.nodes = append(a.nodes, NiceNode{Kind: KindJoin, Bag: a.nodes[l].Bag, Vertex: -1, Children: a.children[k-2 : k : k]})
+	return len(a.nodes) - 1
+}
+
+// bag copies the sorted slice src into the bag arena without drop (-1:
+// drop nothing) and with add inserted (-1: add nothing), and returns the
+// copy capped at its length.
+func (a *niceArena) bag(src []int, drop, add int) []int {
+	lo := len(a.bags)
+	for _, x := range src {
+		if add >= 0 && add < x {
+			a.bags = append(a.bags, add)
+			add = -1
+		}
+		if x != drop {
+			a.bags = append(a.bags, x)
+		}
 	}
-	n.Nodes = append(n.Nodes, node)
-	return len(n.Nodes) - 1
-}
-
-// insertSorted returns a copy of the sorted slice with v inserted.
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	out := make([]int, 0, len(s)+1)
-	out = append(out, s[:i]...)
-	out = append(out, v)
-	out = append(out, s[i:]...)
-	return out
-}
-
-// removeSorted returns a copy of the sorted slice with v removed.
-func removeSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	out := make([]int, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	if i < len(s) {
-		out = append(out, s[i+1:]...)
+	if add >= 0 {
+		a.bags = append(a.bags, add)
 	}
-	return out
+	return a.bags[lo:len(a.bags):len(a.bags)]
 }
 
-// diffSorted returns the entries of a not in b (both sorted).
-func diffSorted(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) {
+// sharedSorted counts the entries two sorted slices have in common.
+func sharedSorted(a, b []int) int {
+	shared := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
-		case j >= len(b) || a[i] < b[j]:
-			out = append(out, a[i])
+		case a[i] < b[j]:
 			i++
 		case a[i] > b[j]:
 			j++
 		default:
+			shared++
 			i++
 			j++
 		}
 	}
-	return out
+	return shared
 }
 
 // MaxDPStates bounds the per-node state tables of the dynamic programs:

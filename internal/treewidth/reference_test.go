@@ -399,3 +399,256 @@ func forgetState(s uint64, pos int) uint64 {
 	high := s >> uint(2*pos+2)
 	return low | high<<uint(2*pos)
 }
+
+// validateReference is the original decomposition checker, kept as the
+// executable specification validateCp is differentially tested against
+// (nil versus non-nil on every input): per-bag duplicate maps and an
+// O(deg²) symmetry scan, a DFS for tree connectivity, per-vertex trace
+// slices intersected for edge coverage, and a BFS inside every trace.
+func validateReference(g *graph.Graph, d *Decomposition) error {
+	if d == nil || len(d.Bags) == 0 {
+		return fmt.Errorf("treewidth: decomposition has no bags")
+	}
+	nb := len(d.Bags)
+	if len(d.Adj) != nb {
+		return fmt.Errorf("treewidth: %d adjacency lists for %d bags", len(d.Adj), nb)
+	}
+	edges := 0
+	for b, nbrs := range d.Adj {
+		seen := make(map[int]bool, len(nbrs))
+		for _, c := range nbrs {
+			if c < 0 || c >= nb {
+				return fmt.Errorf("treewidth: bag %d has tree neighbour %d out of range", b, c)
+			}
+			if c == b {
+				return fmt.Errorf("treewidth: bag %d has a self-loop", b)
+			}
+			if seen[c] {
+				return fmt.Errorf("treewidth: duplicate tree edge (%d,%d)", b, c)
+			}
+			seen[c] = true
+			found := false
+			for _, back := range d.Adj[c] {
+				if back == b {
+					found = true
+					break
+				}
+			}
+			if !found {
+				return fmt.Errorf("treewidth: tree edge (%d,%d) is not symmetric", b, c)
+			}
+			edges++
+		}
+	}
+	edges /= 2
+	if edges != nb-1 {
+		return fmt.Errorf("treewidth: decomposition tree has %d edges for %d bags (want %d)", edges, nb, nb-1)
+	}
+	if !treeConnected(d.Adj) {
+		return fmt.Errorf("treewidth: decomposition tree is disconnected")
+	}
+	n := g.N()
+	traces := make([][]int, n)
+	for b, bag := range d.Bags {
+		for i, v := range bag {
+			if v < 0 || v >= n {
+				return fmt.Errorf("treewidth: bag %d entry %d out of range [0,%d)", b, v, n)
+			}
+			if i > 0 && bag[i-1] >= v {
+				return fmt.Errorf("treewidth: bag %d is not strictly increasing at position %d", b, i)
+			}
+			traces[v] = append(traces[v], b)
+		}
+	}
+	for v := 0; v < n; v++ {
+		if len(traces[v]) == 0 {
+			return fmt.Errorf("treewidth: vertex %d is in no bag", v)
+		}
+	}
+	for _, e := range g.Edges() {
+		if !sortedIntersect(traces[e[0]], traces[e[1]]) {
+			return fmt.Errorf("treewidth: edge (%d,%d) is covered by no bag", e[0], e[1])
+		}
+	}
+	inTrace := make([]bool, nb)
+	for v := 0; v < n; v++ {
+		for _, b := range traces[v] {
+			inTrace[b] = true
+		}
+		reached := traceReach(d.Adj, traces[v][0], inTrace)
+		for _, b := range traces[v] {
+			inTrace[b] = false
+		}
+		if reached != len(traces[v]) {
+			return fmt.Errorf("treewidth: trace of vertex %d is disconnected (%d of %d bags reachable)",
+				v, reached, len(traces[v]))
+		}
+	}
+	return nil
+}
+
+// treeConnected reports whether the adjacency describes a connected graph.
+func treeConnected(adj [][]int) bool {
+	if len(adj) == 0 {
+		return false
+	}
+	seen := make([]bool, len(adj))
+	stack := []int{0}
+	seen[0] = true
+	count := 0
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		count++
+		for _, c := range adj[b] {
+			if !seen[c] {
+				seen[c] = true
+				stack = append(stack, c)
+			}
+		}
+	}
+	return count == len(adj)
+}
+
+// traceReach counts the bags of the trace (marked in member) reachable
+// from start without leaving the trace.
+func traceReach(adj [][]int, start int, member []bool) int {
+	seen := map[int]bool{start: true}
+	stack := []int{start}
+	count := 0
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		count++
+		for _, c := range adj[b] {
+			if member[c] && !seen[c] {
+				seen[c] = true
+				stack = append(stack, c)
+			}
+		}
+	}
+	return count
+}
+
+// sortedIntersect reports whether two ascending int slices share an entry.
+func sortedIntersect(a, b []int) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// makeNiceReference is the original recursive nice conversion, one fresh
+// slice per bag and child list. MakeNiceCtx must build the same nodes in
+// the same index order: the EMSO DP's witness, and so every certificate,
+// follows the tree's shape.
+func makeNiceReference(d *Decomposition, root int) (*Nice, error) {
+	parent, _, order, err := d.Rooted(root)
+	if err != nil {
+		return nil, err
+	}
+	children := make([][]int, len(d.Bags))
+	for _, b := range order {
+		if parent[b] >= 0 {
+			children[parent[b]] = append(children[parent[b]], b)
+		}
+	}
+	nice := &Nice{width: -1}
+	add := func(nd NiceNode) int {
+		if nd.Bag == nil {
+			nd.Bag = []int{}
+		}
+		nice.width = max(nice.width, len(nd.Bag)-1)
+		nice.Nodes = append(nice.Nodes, nd)
+		return len(nice.Nodes) - 1
+	}
+	var build func(b int) int
+	build = func(b int) int {
+		bag := append([]int(nil), d.Bags[b]...)
+		if len(children[b]) == 0 {
+			node := add(NiceNode{Kind: KindLeaf, Vertex: -1})
+			cur := []int{}
+			for _, v := range bag {
+				cur = insertSorted(cur, v)
+				node = add(NiceNode{Kind: KindIntroduce, Bag: cur, Vertex: v, Children: []int{node}})
+			}
+			return node
+		}
+		var tops []int
+		for _, c := range children[b] {
+			node := build(c)
+			cur := append([]int(nil), d.Bags[c]...)
+			for _, v := range diffSorted(d.Bags[c], bag) {
+				cur = removeSorted(cur, v)
+				node = add(NiceNode{Kind: KindForget, Bag: cur, Vertex: v, Children: []int{node}})
+			}
+			for _, v := range diffSorted(bag, d.Bags[c]) {
+				cur = insertSorted(cur, v)
+				node = add(NiceNode{Kind: KindIntroduce, Bag: cur, Vertex: v, Children: []int{node}})
+			}
+			tops = append(tops, node)
+		}
+		node := tops[0]
+		for _, other := range tops[1:] {
+			node = add(NiceNode{Kind: KindJoin, Bag: bag, Vertex: -1, Children: []int{node, other}})
+		}
+		return node
+	}
+	top := build(root)
+	cur := append([]int(nil), d.Bags[root]...)
+	for len(cur) > 0 {
+		v := cur[len(cur)-1]
+		cur = removeSorted(cur, v)
+		top = add(NiceNode{Kind: KindForget, Bag: cur, Vertex: v, Children: []int{top}})
+	}
+	nice.Root = top
+	return nice, nil
+}
+
+// insertSorted returns a copy of the sorted slice with v inserted.
+func insertSorted(s []int, v int) []int {
+	i := sort.SearchInts(s, v)
+	out := make([]int, 0, len(s)+1)
+	out = append(out, s[:i]...)
+	out = append(out, v)
+	out = append(out, s[i:]...)
+	return out
+}
+
+// removeSorted returns a copy of the sorted slice with v removed.
+func removeSorted(s []int, v int) []int {
+	i := sort.SearchInts(s, v)
+	out := make([]int, 0, len(s)-1)
+	out = append(out, s[:i]...)
+	if i < len(s) {
+		out = append(out, s[i+1:]...)
+	}
+	return out
+}
+
+// diffSorted returns the entries of a not in b (both sorted).
+func diffSorted(a, b []int) []int {
+	var out []int
+	i, j := 0, 0
+	for i < len(a) {
+		switch {
+		case j >= len(b) || a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return out
+}

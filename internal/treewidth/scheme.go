@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -212,19 +213,19 @@ func encodeBody(w *bitio.Writer, p Payload, setBits int) {
 // the owning vertex.
 func EncodePayload(p Payload, owner graph.ID, setBits int) cert.Certificate {
 	var w bitio.Writer
-	return encodePayloadInto(&w, p, owner, setBits)
+	encodePayloadTo(&w, p, owner, setBits)
+	return w.Clone()
 }
 
-// encodePayloadInto is EncodePayload on a reusable writer: the prover
-// encodes n certificates through one buffer instead of growing a fresh
-// one per vertex. The returned certificate is an independent copy.
-func encodePayloadInto(w *bitio.Writer, p Payload, owner graph.ID, setBits int) cert.Certificate {
+// encodePayloadTo resets w and writes the guarded certificate into it:
+// the prover encodes n certificates through one buffer and copies each
+// out of w.Bits().
+func encodePayloadTo(w *bitio.Writer, p Payload, owner graph.ID, setBits int) {
 	w.Reset()
 	encodeBody(w, p, setBits)
 	// Bits aliases the body written so far; the guard is computed before
 	// it is appended, so it covers exactly the body.
 	w.WriteUint(guardOf(owner, w.Bits()), guardBits)
-	return w.Clone()
 }
 
 // DecodePayload parses a certificate and checks its guard against the
@@ -458,14 +459,24 @@ func (s *MSOScheme) ProveCtx(ctx context.Context, g *graph.Graph) (cert.Assignme
 	if err != nil {
 		return nil, err
 	}
-	a := make(cert.Assignment, g.N())
+	// Certificates are cut from shared byte blocks sized for the
+	// vertices still to encode at the current certificate's length,
+	// capped: a tiny prove allocates a tiny block.
+	n := g.N()
+	a := make(cert.Assignment, n)
 	var w bitio.Writer
+	var slab []byte
 	setBits := s.phi().NumSets()
 	for v, p := range payloads {
-		a[v] = encodePayloadInto(&w, p, g.IDOf(v), setBits)
+		encodePayloadTo(&w, p, g.IDOf(v), setBits)
+		bits := w.Bits()
+		a[v] = carve(&slab, bits, min((n-v)*len(bits), maxCertSlab))
 	}
 	return a, nil
 }
+
+// maxCertSlab caps the byte blocks ProveCtx cuts certificates from.
+const maxCertSlab = 1 << 20
 
 // BuildPayloadsCtx assembles the per-vertex certificates from a valid
 // decomposition of sufficient width: root it, assign home bags (trace
@@ -532,24 +543,39 @@ func BuildPayloadsCtx(ctx context.Context, g *graph.Graph, d *Decomposition, pro
 	if !ok {
 		return nil, fmt.Errorf("treewidth: tw-mso[%s]: property does not hold (nothing to certify)", prop.Name)
 	}
+	// Home bags' sorted ID lists, dense by bag and cut from one arena,
+	// and every vertex's row, cut from one slab: both sized exactly.
+	idEntries, rowEntries := 0, 0
+	for b, bag := range d.Bags {
+		if owner[b] != 0 {
+			idEntries += len(bag)
+		}
+	}
+	for _, b := range home {
+		rowEntries += len(d.Bags[b])
+	}
+	bagIDs := make([][]graph.ID, d.NumBags())
+	idArena := make([]graph.ID, 0, idEntries)
+	rows := make([]bool, rowEntries)
 	payloads := make([]Payload, n)
-	bagIDs := make(map[int][]graph.ID, d.NumBags())
 	cp := fault.NewCheckpoint(ctx, "prove")
 	for v := 0; v < n; v++ {
 		if err := cp.Check(); err != nil {
 			return nil, err
 		}
 		b := home[v]
-		ids, ok := bagIDs[b]
-		if !ok {
-			ids = make([]graph.ID, len(d.Bags[b]))
-			for i, u := range d.Bags[b] {
-				ids[i] = g.IDOf(u)
+		ids := bagIDs[b]
+		if ids == nil {
+			lo := len(idArena)
+			for _, u := range d.Bags[b] {
+				idArena = append(idArena, g.IDOf(u))
 			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			ids = idArena[lo:len(idArena):len(idArena)]
+			slices.Sort(ids)
 			bagIDs[b] = ids
 		}
-		row := make([]bool, len(ids))
+		row := rows[:len(ids):len(ids)]
+		rows = rows[len(ids):]
 		for i, id := range ids {
 			if u, exists := g.IndexOf(id); exists && u != v {
 				row[i] = g.HasEdge(v, u)

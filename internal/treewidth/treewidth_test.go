@@ -3,6 +3,7 @@ package treewidth
 import (
 	"context"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/cert"
@@ -279,7 +280,7 @@ func TestValidateStructure(t *testing.T) {
 }
 
 // TestProveValidationCancellable: the prover validates every
-// decomposition it is handed, about 0.3s at n=10⁵, so a client that
+// decomposition it is handed, about 50ms at n=10⁵, so a client that
 // walks away during validation must stop it at a checkpoint. The
 // decomposition source cancels the request as it returns a
 // decomposition whose only defect is an unsorted bag near the end: the
@@ -354,6 +355,37 @@ func TestMakeNiceShape(t *testing.T) {
 				t.Fatalf("node %d: join with %d children", i, len(nd.Children))
 			}
 		}
+	}
+}
+
+// TestMakeNiceDeepPath converts a decomposition whose tree is a path of
+// 2·10⁵ bags {i, i+1} rooted at one end — the shape the heuristics give a
+// path graph — under a 16 MB goroutine stack cap. A conversion that
+// recurses once per tree level needs more than that, and a Go stack
+// overflow is fatal: it would take a whole server down with one request.
+// Not parallel: the stack cap is process-wide.
+func TestMakeNiceDeepPath(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	const nb = 200_000
+	d := &Decomposition{Bags: make([][]int, nb), Adj: make([][]int, nb)}
+	for i := range d.Bags {
+		d.Bags[i] = []int{i, i + 1}
+		if i > 0 {
+			d.Adj[i] = append(d.Adj[i], i-1)
+			d.Adj[i-1] = append(d.Adj[i-1], i)
+		}
+	}
+	nice, err := MakeNiceCtx(context.Background(), d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bag := nice.Nodes[nice.Root].Bag; len(bag) != 0 {
+		t.Fatalf("nice root bag %v, want empty", bag)
+	}
+	// The far leaf and its two introduces, one forget and one introduce
+	// per tree edge, and the root bag's two forgets.
+	if want := 3 + 2*(nb-1) + 2; nice.NumNodes() != want || nice.Width() != 1 {
+		t.Fatalf("%d nodes of width %d, want %d of width 1", nice.NumNodes(), nice.Width(), want)
 	}
 }
 
