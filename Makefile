@@ -32,11 +32,15 @@ test-race:
 # /simulate) and the certificate decoders those certificates reach:
 # tw-mso, treedepth (also under kernel-mso, pt-minor-free and every
 # ct-minor-free block), ct-minor-free and the spanning-tree labels (also
-# under core's existential-FO and depth-2 schemes). FuzzValidate
-# differentially checks the tree-decomposition validator the prover runs
-# on every decomposition it is handed against its reference. Every ci run
-# hammers each for a few seconds on top of the committed regression
-# corpora (which plain `go test` replays).
+# under core's existential-FO and depth-2 schemes). FuzzVerifyHostile
+# plants hostile bits in an honest assignment of every registry scheme
+# and runs a whole verification round, which also reaches the decoders
+# with no target of their own: core's graph, existential-FO and depth-2
+# certificates, the kernel-mso trailer and the tree-mso/tree-fo
+# automata. FuzzValidate differentially checks the tree-decomposition
+# validator the prover runs on every decomposition it uses against its
+# reference. Every ci run hammers each for a few seconds on top of the
+# committed regression corpora (which plain `go test` replays).
 fuzz-short:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=5s ./internal/logic
 	$(GO) test -run=FuzzDecodeGraphStream -fuzz=FuzzDecodeGraphStream -fuzztime=5s ./internal/wire
@@ -46,6 +50,7 @@ fuzz-short:
 	$(GO) test -run=FuzzDecodePayload -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/treedepth
 	$(GO) test -run=FuzzDecodeEntries -fuzz=FuzzDecodeEntries -fuzztime=5s ./internal/minor
 	$(GO) test -run=FuzzDecodeLabel -fuzz=FuzzDecodeLabel -fuzztime=5s ./internal/spanning
+	$(GO) test -run=FuzzVerifyHostile -fuzz=FuzzVerifyHostile -fuzztime=5s ./internal/registry
 	$(GO) test -run=FuzzValidate -fuzz=FuzzValidate -fuzztime=5s ./internal/treewidth
 
 # bench-smoke compiles and runs every benchmark exactly once: benchmarks

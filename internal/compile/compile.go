@@ -74,19 +74,13 @@ var treeBuilders = []treeBuilder{
 	{Alias{"tree-mso", "leaves->=3", logic.LeavesAtLeast(3)}, func() (*automata.TreeScheme, error) { return automata.NewLeavesAtLeastScheme(3) }},
 }
 
-// twAliases and universalAliases name the sentences behind the other two
-// historic enums. The tw-mso names resolve through the same EMSO compiler
-// as arbitrary formulas; the universal names additionally keep their
-// native Go predicates in the registry (a formula evaluates by exhaustive
-// model checking, which for MSO sentences is capped at
-// logic.MaxSetQuantVertices vertices — the native predicates have no such
-// limit, so the enum path stays the scalable one).
-var twAliases = []Alias{
-	{"tw-mso", "tw-bound", logic.TrueSentence()},
-	{"tw-mso", "2-colorable", logic.TwoColorable()},
-	{"tw-mso", "3-colorable", logic.ThreeColorable()},
-}
-
+// universalAliases names the sentences behind the universal enum. The
+// names additionally keep their native Go predicates in the registry (a
+// formula evaluates by exhaustive model checking, which for MSO sentences
+// is capped at logic.MaxSetQuantVertices vertices — the native predicates
+// have no such limit, so the enum path stays the scalable one). The
+// tw-mso aliases are read off treewidth's property library, whose
+// entries are compiled library sentences.
 var universalAliases = []Alias{
 	{"universal", "connected", logic.Connected()},
 	{"universal", "diameter-<=2", logic.DiameterAtMost2()},
@@ -112,7 +106,13 @@ func Aliases(kind string) []Alias {
 		}
 		return out
 	case "tw-mso":
-		return append([]Alias(nil), twAliases...)
+		names := treewidth.Properties()
+		out := make([]Alias, len(names))
+		for i, name := range names {
+			p, _ := treewidth.PropertyByName(name) // every listed name resolves
+			out[i] = Alias{"tw-mso", name, p.Phi.Source}
+		}
+		return out
 	case "universal":
 		return append([]Alias(nil), universalAliases...)
 	default:

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/bitio"
@@ -331,8 +332,10 @@ func (s *ExistentialFO) decode(c cert.Certificate) (decodedEx, bool) {
 	q := int(q64)
 	out := decodedEx{wit: make([]graph.ID, q), adj: make([][]bool, q), labels: make([]spanning.Label, q)}
 	for i := range out.wit {
+		// Witnesses are positive graph.IDs: 0 names no vertex, and a value
+		// above MaxInt64 would wrap negative on conversion.
 		id, err := r.ReadUvarint()
-		if err != nil {
+		if err != nil || id == 0 || id > math.MaxInt64 {
 			return decodedEx{}, false
 		}
 		out.wit[i] = graph.ID(id)

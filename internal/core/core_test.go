@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitio"
 	"repro/internal/cert"
 	"repro/internal/graph"
 	"repro/internal/graphgen"
@@ -99,6 +101,44 @@ func TestExistentialFORoundTrip(t *testing.T) {
 	// No-instance: K4 has no independent pair.
 	if _, err := s.Prove(graphgen.Clique(4)); err == nil {
 		t.Fatal("clique proved to have an independent set of 3")
+	}
+}
+
+// TestExistentialFODecodeRejectsNonPositiveIDs re-encodes an honest
+// certificate with its first witness identifier replaced: the honest
+// identifier decodes, while 0 and values above MaxInt64 (which would wrap
+// negative as a graph.ID) are rejected by the decoder itself.
+func TestExistentialFODecodeRejectsNonPositiveIDs(t *testing.T) {
+	s, err := NewExistentialFO(logic.IndependentSetOfSize(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Prove(graphgen.Star(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, ok := s.decode(a[0])
+	if !ok {
+		t.Fatal("honest certificate does not decode")
+	}
+	for _, id := range []uint64{uint64(honest.wit[0]), 0, math.MaxInt64 + 1, math.MaxUint64} {
+		var w bitio.Writer
+		w.WriteUvarint(uint64(len(honest.wit)))
+		w.WriteUvarint(id)
+		for _, x := range honest.wit[1:] {
+			w.WriteUvarint(uint64(x))
+		}
+		for _, row := range honest.adj {
+			for _, b := range row {
+				w.WriteBool(b)
+			}
+		}
+		for _, l := range honest.labels {
+			l.Encode(&w)
+		}
+		if _, ok := s.decode(w.Clone()); ok != (id == uint64(honest.wit[0])) {
+			t.Errorf("witness id %d: decoded %v", id, ok)
+		}
 	}
 }
 

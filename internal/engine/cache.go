@@ -67,14 +67,6 @@ type Cache struct {
 	canon         map[string]string
 	formulaHits   *obs.Counter
 	formulaMisses *obs.Counter
-
-	// bare backs the handles above when Obs is nil, so a registry-less
-	// cache costs no allocations beyond its own struct.
-	bare struct {
-		hits, misses, bypasses     obs.Counter
-		formulaHits, formulaMisses obs.Counter
-		compilePhase               obs.Histogram
-	}
 }
 
 // NewCache returns a cache compiling through the given registry, with
@@ -86,28 +78,18 @@ func NewCache(reg *registry.Registry) *Cache {
 // NewCacheObs returns a cache whose counters and phase histograms live in
 // r (nil means bare unregistered handles).
 func NewCacheObs(reg *registry.Registry, r *obs.Registry) *Cache {
-	c := &Cache{
-		reg:     reg,
-		Obs:     r,
-		flights: flight[string, cert.Scheme]{name: "compile"},
-		canon:   map[string]string{},
+	return &Cache{
+		reg:           reg,
+		Obs:           r,
+		flights:       flight[string, cert.Scheme]{name: "compile"},
+		canon:         map[string]string{},
+		hits:          cacheCounter(r, "compile", "hit"),
+		misses:        cacheCounter(r, "compile", "miss"),
+		bypasses:      cacheCounter(r, "compile", "bypass"),
+		formulaHits:   cacheCounter(r, "formula", "hit"),
+		formulaMisses: cacheCounter(r, "formula", "miss"),
+		compilePhase:  PhaseHistogram(r, "compile"),
 	}
-	if r == nil {
-		c.hits = &c.bare.hits
-		c.misses = &c.bare.misses
-		c.bypasses = &c.bare.bypasses
-		c.formulaHits = &c.bare.formulaHits
-		c.formulaMisses = &c.bare.formulaMisses
-		c.compilePhase = &c.bare.compilePhase
-		return c
-	}
-	c.hits = cacheCounter(r, "compile", "hit")
-	c.misses = cacheCounter(r, "compile", "miss")
-	c.bypasses = cacheCounter(r, "compile", "bypass")
-	c.formulaHits = cacheCounter(r, "formula", "hit")
-	c.formulaMisses = cacheCounter(r, "formula", "miss")
-	c.compilePhase = PhaseHistogram(r, "compile")
-	return c
 }
 
 // maxCanonEntries bounds the formula canonicalization memo: raw spellings

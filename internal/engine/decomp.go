@@ -34,13 +34,6 @@ type DecompCache struct {
 	misses *obs.Counter
 
 	decompPhase *obs.Histogram
-
-	// bare backs the handles above when the cache is built without a
-	// registry, so construction costs no registry wiring.
-	bare struct {
-		hits, misses obs.Counter
-		decompPhase  obs.Histogram
-	}
 }
 
 // maxDecompEntries bounds the cache: fingerprints are client-controlled
@@ -61,17 +54,12 @@ func NewDecompCache() *DecompCache {
 // Pass the same registry as the compile cache's so one exposition carries
 // all three cache families.
 func NewDecompCacheObs(r *obs.Registry) *DecompCache {
-	c := &DecompCache{flights: flight[uint64, *treewidth.Decomposition]{name: "decomposition", max: maxDecompEntries}}
-	if r == nil {
-		c.hits = &c.bare.hits
-		c.misses = &c.bare.misses
-		c.decompPhase = &c.bare.decompPhase
-		return c
+	return &DecompCache{
+		flights:     flight[uint64, *treewidth.Decomposition]{name: "decomposition", max: maxDecompEntries},
+		hits:        cacheCounter(r, "decomp", "hit"),
+		misses:      cacheCounter(r, "decomp", "miss"),
+		decompPhase: PhaseHistogram(r, "decompose"),
 	}
-	c.hits = cacheCounter(r, "decomp", "hit")
-	c.misses = cacheCounter(r, "decomp", "miss")
-	c.decompPhase = PhaseHistogram(r, "decompose")
-	return c
 }
 
 // fingerprint folds g into a cache key: FNV-64a over the vertex count,

@@ -11,13 +11,15 @@
 //
 // Every long-running entry point takes a context and returns a
 // *fault.CancelledError once it is done (MinFillCtx, MinDegreeCtx,
-// HeuristicCtx, ExactCtx, MakeNiceCtx, SolveEMSOCtx, BuildPayloadsCtx);
-// there are no context-free twins. The tw-mso prover asks
-// one question — a width-<=T decomposition of g — through one slot,
-// MSOScheme.Decomps (a DecompSource): a generator's witness wrapped in
-// DecompFunc, or a shared decomposition cache. Whatever the source
-// returns is validated and, when missing or too wide, replaced by the
-// heuristics and then exact search.
+// HeuristicCtx, ExactCtx, MakeNiceCtx, SolveEMSOCtx); there are no
+// context-free twins. The tw-mso prover asks one question — a width-<=T
+// decomposition of g — through one slot, MSOScheme.Decomps (a
+// DecompSource): a generator's witness wrapped in DecompFunc, or a shared
+// decomposition cache. A missing or too-wide answer is replaced by the
+// heuristics and then exact search. Whichever decomposition the prover
+// keeps is validated exactly once, and validation is also its rooting:
+// the BFS parents, order and home bags it computes feed the nice
+// conversion and the certificates, so nothing roots the tree again.
 package treewidth
 
 import (
@@ -77,13 +79,6 @@ func (d *Decomposition) Clone() *Decomposition {
 	return out
 }
 
-// BagContains reports whether bag b contains vertex v (bags are sorted).
-func (d *Decomposition) BagContains(b, v int) bool {
-	bag := d.Bags[b]
-	i := sort.SearchInts(bag, v)
-	return i < len(bag) && bag[i] == v
-}
-
 // Validate checks that d is a valid tree decomposition of g and returns a
 // descriptive error for the first violated invariant:
 //
@@ -96,24 +91,107 @@ func (d *Decomposition) BagContains(b, v int) bool {
 //     induce a connected subtree.
 func Validate(g *graph.Graph, d *Decomposition) error {
 	var cp fault.Checkpoint // zero value: never cancels
-	return validateCp(&cp, g, d)
+	_, err := validateCp(&cp, g, d)
+	return err
+}
+
+// rooting is a decomposition tree oriented at one bag.
+type rooting struct {
+	// parent and depth are per bag; parent is -1 at the root.
+	parent, depth []int32
+	// order lists the bags top-down by BFS: each bag's children are
+	// consecutive, in Adj order.
+	order []int32
+	// home is each vertex's home bag, the root of its trace; only
+	// validateCp sets it.
+	home []int32
+}
+
+// rootCp checks that d's tree structure is a tree and roots it at the
+// given bag, probing cp once per bag. A stamp array catches out-of-range,
+// self-loop and duplicate tree entries; there must be exactly 2(nb-1)
+// directed entries, and a BFS from the root must reach every bag with
+// every entry joining a bag to its BFS parent or child. Every bag then
+// lists its parent once and each child once, and the entry count leaves
+// room for nothing else, so Adj is a symmetric tree.
+//
+//certlint:longrun
+func rootCp(cp *fault.Checkpoint, d *Decomposition, root int) (rooting, error) {
+	if d == nil || len(d.Bags) == 0 {
+		return rooting{}, fmt.Errorf("treewidth: decomposition has no bags")
+	}
+	nb := len(d.Bags)
+	if len(d.Adj) != nb {
+		return rooting{}, fmt.Errorf("treewidth: %d adjacency lists for %d bags", len(d.Adj), nb)
+	}
+	if root < 0 || root >= nb {
+		return rooting{}, fmt.Errorf("treewidth: root bag %d out of range [0,%d)", root, nb)
+	}
+	// Ranges, loops and duplicates through a stamp per bag (stamp[c] ==
+	// b+1 once bag b listed c), then the entry count.
+	stamp := make([]int32, nb)
+	entries := 0
+	for b, nbrs := range d.Adj {
+		if err := cp.Check(); err != nil {
+			return rooting{}, err
+		}
+		for _, c := range nbrs {
+			if c < 0 || c >= nb {
+				return rooting{}, fmt.Errorf("treewidth: bag %d has tree neighbour %d out of range", b, c)
+			}
+			if c == b {
+				return rooting{}, fmt.Errorf("treewidth: bag %d has a self-loop", b)
+			}
+			if stamp[c] == int32(b+1) {
+				return rooting{}, fmt.Errorf("treewidth: duplicate tree edge (%d,%d)", b, c)
+			}
+			stamp[c] = int32(b + 1)
+		}
+		entries += len(nbrs)
+	}
+	if entries != 2*(nb-1) {
+		return rooting{}, fmt.Errorf("treewidth: decomposition tree has %d directed entries for %d bags (want %d)", entries, nb, 2*(nb-1))
+	}
+	// BFS from the root: every entry must be the bag's parent or a bag not
+	// reached yet, which becomes its child.
+	reached := stamp // reused: the loop above left every stamp >= 0
+	r := rooting{parent: make([]int32, nb), depth: make([]int32, nb), order: make([]int32, 1, nb)}
+	r.parent[root], r.order[0], reached[root] = -1, int32(root), -1
+	for head := 0; head < len(r.order); head++ {
+		if err := cp.Check(); err != nil {
+			return rooting{}, err
+		}
+		b := int(r.order[head])
+		for _, c := range d.Adj[b] {
+			switch {
+			case c == int(r.parent[b]):
+			case reached[c] >= 0:
+				reached[c] = -1
+				r.parent[c] = int32(b)
+				r.depth[c] = r.depth[b] + 1
+				r.order = append(r.order, int32(c))
+			default:
+				return rooting{}, fmt.Errorf("treewidth: tree edge (%d,%d) closes a cycle or is not symmetric", b, c)
+			}
+		}
+	}
+	if len(r.order) != nb {
+		return rooting{}, fmt.Errorf("treewidth: decomposition tree is disconnected (%d of %d bags reachable from bag %d)", len(r.order), nb, root)
+	}
+	return r, nil
 }
 
 // validateCp is Validate probing cp once per bag, tree edge, vertex and
 // graph edge, so a prover handed a decomposition by a client that has
 // since gone stops validating within one checkpoint stride. It returns
-// the checkpoint's *fault.CancelledError. Validation takes about 50ms at
+// the checkpoint's *fault.CancelledError, or on success the rooting at
+// bag 0 with every vertex's home bag set. Validation takes about 50ms at
 // n=10⁵ and runs in O(bags·width + m·log width):
 //
-//   - structure: a stamp array catches duplicate tree entries; there
-//     must be exactly 2(nb-1) directed entries, and a BFS from bag 0 must
-//     reach every bag with every entry joining a bag to its BFS parent or
-//     child. Every bag then lists its parent once and each child once,
-//     and the entry count leaves room for nothing else, so Adj is a
-//     symmetric tree;
+//   - structure: rootCp;
 //   - traces: one pass over the bags checks their entries and records
 //     each vertex's trace size (the number of bags containing it) and
-//     trace root (the shallowest such bag in the BFS rooting);
+//     trace root (the shallowest such bag in the rooting);
 //   - trace connectivity: the bags of a trace S induce a forest of the
 //     tree, which is connected iff exactly |S|-1 tree edges lie inside S.
 //     One merge of the two sorted bags of each tree edge counts, for
@@ -126,96 +204,40 @@ func Validate(g *graph.Graph, d *Decomposition) error {
 //     edge.
 //
 //certlint:longrun
-func validateCp(cp *fault.Checkpoint, g *graph.Graph, d *Decomposition) error {
-	if d == nil || len(d.Bags) == 0 {
-		return fmt.Errorf("treewidth: decomposition has no bags")
-	}
-	nb := len(d.Bags)
-	if len(d.Adj) != nb {
-		return fmt.Errorf("treewidth: %d adjacency lists for %d bags", len(d.Adj), nb)
-	}
-	// Structure: ranges, loops and duplicates through a stamp per bag
-	// (stamp[c] == b+1 once bag b listed c), then the entry count.
-	stamp := make([]int32, nb)
-	entries := 0
-	for b, nbrs := range d.Adj {
-		if err := cp.Check(); err != nil {
-			return err
-		}
-		for _, c := range nbrs {
-			if c < 0 || c >= nb {
-				return fmt.Errorf("treewidth: bag %d has tree neighbour %d out of range", b, c)
-			}
-			if c == b {
-				return fmt.Errorf("treewidth: bag %d has a self-loop", b)
-			}
-			if stamp[c] == int32(b+1) {
-				return fmt.Errorf("treewidth: duplicate tree edge (%d,%d)", b, c)
-			}
-			stamp[c] = int32(b + 1)
-		}
-		entries += len(nbrs)
-	}
-	if entries != 2*(nb-1) {
-		return fmt.Errorf("treewidth: decomposition tree has %d directed entries for %d bags (want %d)", entries, nb, 2*(nb-1))
-	}
-	// BFS from bag 0: every entry must be the bag's parent or a bag not
-	// reached yet, which becomes its child.
-	reached := stamp // reused: the loop above left every stamp >= 0
-	parent := make([]int32, nb)
-	depth := make([]int32, nb)
-	order := make([]int32, 1, nb)
-	reached[0] = -1
-	for head := 0; head < len(order); head++ {
-		if err := cp.Check(); err != nil {
-			return err
-		}
-		b := int(order[head])
-		for _, c := range d.Adj[b] {
-			switch {
-			case b != 0 && c == int(parent[b]):
-			case reached[c] >= 0:
-				reached[c] = -1
-				parent[c] = int32(b)
-				depth[c] = depth[b] + 1
-				order = append(order, int32(c))
-			default:
-				return fmt.Errorf("treewidth: tree edge (%d,%d) closes a cycle or is not symmetric", b, c)
-			}
-		}
-	}
-	if len(order) != nb {
-		return fmt.Errorf("treewidth: decomposition tree is disconnected (%d of %d bags reachable from bag 0)", len(order), nb)
+func validateCp(cp *fault.Checkpoint, g *graph.Graph, d *Decomposition) (rooting, error) {
+	r, err := rootCp(cp, d, 0)
+	if err != nil {
+		return rooting{}, err
 	}
 	// Bags sorted, distinct, in range; trace sizes and roots. comps[v]
 	// starts as |S_v| and loses one per tree edge inside S_v below, which
 	// leaves the number of connected pieces of the trace.
 	n := g.N()
 	comps := make([]int32, n)
-	root := make([]int32, n)
+	home, depth := make([]int32, n), r.depth
 	for b, bag := range d.Bags {
 		if err := cp.Check(); err != nil {
-			return err
+			return rooting{}, err
 		}
 		for i, v := range bag {
 			if v < 0 || v >= n {
-				return fmt.Errorf("treewidth: bag %d entry %d out of range [0,%d)", b, v, n)
+				return rooting{}, fmt.Errorf("treewidth: bag %d entry %d out of range [0,%d)", b, v, n)
 			}
 			if i > 0 && bag[i-1] >= v {
-				return fmt.Errorf("treewidth: bag %d is not strictly increasing at position %d", b, i)
+				return rooting{}, fmt.Errorf("treewidth: bag %d is not strictly increasing at position %d", b, i)
 			}
-			if comps[v] == 0 || depth[b] < depth[root[v]] {
-				root[v] = int32(b)
+			if comps[v] == 0 || depth[b] < depth[home[v]] {
+				home[v] = int32(b)
 			}
 			comps[v]++
 		}
 	}
 	// Trace connectivity: merge each tree edge's two bags once.
-	for _, c := range order[1:] {
+	for _, c := range r.order[1:] {
 		if err := cp.Check(); err != nil {
-			return err
+			return rooting{}, err
 		}
-		x, y := d.Bags[c], d.Bags[parent[c]]
+		x, y := d.Bags[c], d.Bags[r.parent[c]]
 		for i, j := 0, 0; i < len(x) && j < len(y); {
 			switch {
 			case x[i] < y[j]:
@@ -231,99 +253,41 @@ func validateCp(cp *fault.Checkpoint, g *graph.Graph, d *Decomposition) error {
 	}
 	for v := 0; v < n; v++ {
 		if err := cp.Check(); err != nil {
-			return err
+			return rooting{}, err
 		}
 		switch {
 		case comps[v] == 0:
-			return fmt.Errorf("treewidth: vertex %d is in no bag", v)
+			return rooting{}, fmt.Errorf("treewidth: vertex %d is in no bag", v)
 		case comps[v] > 1:
-			return fmt.Errorf("treewidth: trace of vertex %d is disconnected (%d pieces)", v, comps[v])
+			return rooting{}, fmt.Errorf("treewidth: trace of vertex %d is disconnected (%d pieces)", v, comps[v])
 		}
 	}
 	// Edge coverage by the trace-root rule.
 	for u := 0; u < n; u++ {
 		if err := cp.Check(); err != nil {
-			return err
+			return rooting{}, err
 		}
 		for _, w32 := range g.Neighbors(u) {
 			w := int(w32)
 			if w < u {
 				continue
 			}
-			b, other := root[u], w
-			if depth[root[w]] > depth[b] {
-				b, other = root[w], u
+			b, other := home[u], w
+			if depth[home[w]] > depth[b] {
+				b, other = home[w], u
 			}
 			if _, found := slices.BinarySearch(d.Bags[b], other); !found {
-				return fmt.Errorf("treewidth: edge (%d,%d) is covered by no bag", u, w)
+				return rooting{}, fmt.Errorf("treewidth: edge (%d,%d) is covered by no bag", u, w)
 			}
 		}
 	}
-	return nil
+	r.home = home
+	return r, nil
 }
 
 // IsValid reports whether d is a valid tree decomposition of g; see
 // Validate for the diagnostic form.
 func IsValid(g *graph.Graph, d *Decomposition) bool { return Validate(g, d) == nil }
-
-// Rooted orients the decomposition tree at the given root bag and returns
-// the parent (root gets -1) and depth of every bag plus a top-down BFS
-// order. It assumes the tree structure is valid (see Validate).
-func (d *Decomposition) Rooted(root int) (parent, depth, order []int, err error) {
-	nb := len(d.Bags)
-	if root < 0 || root >= nb {
-		return nil, nil, nil, fmt.Errorf("treewidth: root bag %d out of range [0,%d)", root, nb)
-	}
-	parent = make([]int, nb)
-	depth = make([]int, nb)
-	for b := range parent {
-		parent[b] = -2
-	}
-	parent[root] = -1
-	order = make([]int, 0, nb)
-	order = append(order, root)
-	for head := 0; head < len(order); head++ {
-		b := order[head]
-		for _, c := range d.Adj[b] {
-			if parent[c] == -2 {
-				parent[c] = b
-				depth[c] = depth[b] + 1
-				order = append(order, c)
-			}
-		}
-	}
-	if len(order) != nb {
-		return nil, nil, nil, fmt.Errorf("treewidth: decomposition tree is disconnected")
-	}
-	return parent, depth, order, nil
-}
-
-// HomeBags assigns each vertex its home bag under the rooting described by
-// depth: the root of the vertex's trace, i.e. the unique minimum-depth bag
-// containing it (unique because traces of a valid decomposition are
-// connected subtrees).
-func (d *Decomposition) HomeBags(n int, depth []int) ([]int, error) {
-	home := make([]int, n)
-	for v := range home {
-		home[v] = -1
-	}
-	for b, bag := range d.Bags {
-		for _, v := range bag {
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("treewidth: bag %d entry %d out of range [0,%d)", b, v, n)
-			}
-			if home[v] == -1 || depth[b] < depth[home[v]] {
-				home[v] = b
-			}
-		}
-	}
-	for v, h := range home {
-		if h == -1 {
-			return nil, fmt.Errorf("treewidth: vertex %d is in no bag", v)
-		}
-	}
-	return home, nil
-}
 
 // fromEliminationOrder builds the tree decomposition induced by an
 // elimination order (a permutation of the vertices): eliminating order[i]

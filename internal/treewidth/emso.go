@@ -73,9 +73,6 @@ type EMSO struct {
 // per-vertex witness width in bits).
 func (phi *EMSO) NumSets() int { return len(phi.Sets) }
 
-// NumVars returns the number of universally quantified vertex variables.
-func (phi *EMSO) NumVars() int { return len(phi.Vars) }
-
 func (phi *EMSO) String() string { return phi.Source.String() }
 
 // CompileEMSO checks that f belongs to the clique-local existential-MSO

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
@@ -39,7 +40,7 @@ func TestDecodePayloadRejectsWrappedIDs(t *testing.T) {
 	// The largest positive identifiers still round-trip.
 	p := Payload{BagID: 1, Depth: 2, Bag: []graph.ID{1, math.MaxInt64 - 1, math.MaxInt64}, Row: []bool{false, true, false}}
 	got, ok := DecodePayload(EncodePayload(p, owner, 0), owner, 0)
-	if !ok || !equalIDs(got.Bag, p.Bag) || got.BagID != p.BagID || got.Depth != p.Depth {
+	if !ok || !slices.Equal(got.Bag, p.Bag) || got.BagID != p.BagID || got.Depth != p.Depth {
 		t.Fatalf("boundary bag: decoded %+v, ok=%v", got, ok)
 	}
 }

@@ -103,10 +103,6 @@ func (st *elimBits) row(v int) []uint64 {
 	return st.rows[v*st.words : (v+1)*st.words]
 }
 
-func (st *elimBits) hasEdge(u, v int) bool {
-	return st.row(u)[v>>6]>>(uint(v)&63)&1 == 1
-}
-
 // intersectCount returns |a ∩ b| for two rows.
 func intersectCount(a, b []uint64) int {
 	c := 0

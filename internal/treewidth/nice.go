@@ -66,6 +66,7 @@ func (n *Nice) NumNodes() int { return len(n.Nodes) }
 func (n *Nice) Width() int { return n.width }
 
 // MakeNiceCtx converts a valid tree decomposition rooted at the given bag
+// (rootCp checks the tree as it roots it; the bags are taken as valid)
 // into a nice decomposition of the same width: each original bag becomes a
 // chain of forget/introduce nodes toward its children, multi-child bags
 // fan out through a left-deep fold of binary joins, leaves shrink to
@@ -84,24 +85,30 @@ func (n *Nice) Width() int { return n.width }
 // abandoning the nice form of a million-bag decomposition costs at most
 // one stride.
 func MakeNiceCtx(ctx context.Context, d *Decomposition, root int) (*Nice, error) {
-	parent, _, order, err := d.Rooted(root)
+	cp := fault.NewCheckpoint(ctx, "decompose")
+	r, err := rootCp(&cp, d, root)
 	if err != nil {
 		return nil, err
 	}
-	nb := len(d.Bags)
-	// A BFS appends each bag's children consecutively: kids(b) is
+	return makeNice(&cp, d, r)
+}
+
+// makeNice is MakeNiceCtx on a decomposition rooted by rootCp or
+// validateCp: the tw-mso prover hands it the rooting validation built.
+func makeNice(cp *fault.Checkpoint, d *Decomposition, r rooting) (*Nice, error) {
+	nb, root := len(d.Bags), int(r.order[0])
+	// Each bag's children are consecutive in the BFS order: kids(b) is
 	// order[first[b] : first[b]+count[b]], in tree-adjacency order.
 	first := make([]int32, nb)
 	count := make([]int32, nb)
-	for i, b := range order[1:] {
-		p := parent[b]
+	for i, b := range r.order[1:] {
+		p := r.parent[b]
 		if count[p] == 0 {
 			first[p] = int32(i + 1)
 		}
 		count[p]++
 	}
-	kids := func(b int) []int { return order[first[b] : first[b]+count[b]] }
-	cp := fault.NewCheckpoint(ctx, "decompose")
+	kids := func(b int) []int32 { return r.order[first[b] : first[b]+count[b]] }
 	nodes, bagEntries, maxBag := len(d.Bags[root]), 0, 0
 	for b, bag := range d.Bags {
 		if err := cp.Check(); err != nil {
@@ -117,7 +124,7 @@ func MakeNiceCtx(ctx context.Context, d *Decomposition, root int) (*Nice, error)
 		if b == root {
 			continue
 		}
-		up := d.Bags[parent[b]]
+		up := d.Bags[r.parent[b]]
 		shared := sharedSorted(bag, up)
 		forgets, intros := len(bag)-shared, len(up)-shared
 		nodes += forgets + intros
@@ -148,7 +155,7 @@ func MakeNiceCtx(ctx context.Context, d *Decomposition, root int) (*Nice, error)
 				f.tops = len(tops)
 			}
 			f.next++
-			stack = append(stack, frame{b: ks[f.next-1]})
+			stack = append(stack, frame{b: int(ks[f.next-1])})
 			continue
 		}
 		if count[f.b] == 0 {

@@ -551,7 +551,7 @@ func sortedIntersect(a, b []int) bool {
 // the same index order: the EMSO DP's witness, and so every certificate,
 // follows the tree's shape.
 func makeNiceReference(d *Decomposition, root int) (*Nice, error) {
-	parent, _, order, err := d.Rooted(root)
+	parent, order, err := rootedReference(d, root)
 	if err != nil {
 		return nil, err
 	}
@@ -611,6 +611,35 @@ func makeNiceReference(d *Decomposition, root int) (*Nice, error) {
 	}
 	nice.Root = top
 	return nice, nil
+}
+
+// rootedReference orients the decomposition tree at the given root bag,
+// independently of rootCp: the parent of every bag (-1 at the root) and
+// a top-down BFS order. It assumes the tree structure is valid.
+func rootedReference(d *Decomposition, root int) (parent, order []int, err error) {
+	nb := len(d.Bags)
+	if root < 0 || root >= nb {
+		return nil, nil, fmt.Errorf("treewidth: root bag %d out of range [0,%d)", root, nb)
+	}
+	parent = make([]int, nb)
+	for b := range parent {
+		parent[b] = -2
+	}
+	parent[root] = -1
+	order = append(make([]int, 0, nb), root)
+	for head := 0; head < len(order); head++ {
+		b := order[head]
+		for _, c := range d.Adj[b] {
+			if parent[c] == -2 {
+				parent[c] = b
+				order = append(order, c)
+			}
+		}
+	}
+	if len(order) != nb {
+		return nil, nil, fmt.Errorf("treewidth: decomposition tree is disconnected")
+	}
+	return parent, order, nil
 }
 
 // insertSorted returns a copy of the sorted slice with v inserted.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/bitio"
@@ -175,7 +174,7 @@ type Payload struct {
 }
 
 // encodePrefixTo writes the self-delimiting decomposition fields (bag id,
-// depth, bag contents) — the exact counterpart of decodePrefix, shared by
+// depth, bag contents) — the exact counterpart of decodePrefixInto, shared by
 // the honest encoder and the decomposition-aware tampers so the two can
 // never drift apart.
 func encodePrefixTo(w *bitio.Writer, p Payload) {
@@ -223,9 +222,26 @@ func EncodePayload(p Payload, owner graph.ID, setBits int) cert.Certificate {
 func encodePayloadTo(w *bitio.Writer, p Payload, owner graph.ID, setBits int) {
 	w.Reset()
 	encodeBody(w, p, setBits)
+	seal(w, owner)
+}
+
+// seal appends the guard binding the body written to w so far to owner.
+// The honest encoder and the decomposition-aware tampers both seal
+// through it, and unseal is its one inverse.
+func seal(w *bitio.Writer, owner graph.ID) {
 	// Bits aliases the body written so far; the guard is computed before
 	// it is appended, so it covers exactly the body.
 	w.WriteUint(guardOf(owner, w.Bits()), guardBits)
+}
+
+// unseal splits a certificate into its body and guard word; ok is false
+// when the certificate is too short to carry a guard.
+func unseal(c cert.Certificate) (body []byte, guard uint64, ok bool) {
+	if len(c) < guardBits {
+		return nil, 0, false
+	}
+	guard, err := bitio.NewReader(c[len(c)-guardBits:]).ReadUint(guardBits)
+	return c[:len(c)-guardBits], guard, err == nil
 }
 
 // DecodePayload parses a certificate and checks its guard against the
@@ -243,13 +259,8 @@ func DecodePayload(c cert.Certificate, owner graph.ID, setBits int) (Payload, bo
 // certificate per visible vertex per round — allocation-free in steady
 // state. On failure p is left with truncated slices and must not be used.
 func decodePayloadInto(c cert.Certificate, owner graph.ID, setBits int, p *Payload) bool {
-	if len(c) < guardBits {
-		return false
-	}
-	body := c[:len(c)-guardBits]
-	r := bitio.NewReader(c[len(c)-guardBits:])
-	guard, err := r.ReadUint(guardBits)
-	if err != nil || guard != guardOf(owner, body) {
+	body, guard, ok := unseal(c)
+	if !ok || guard != guardOf(owner, body) {
 		return false
 	}
 	tail, ok := decodePrefixInto(body, p)
@@ -276,21 +287,10 @@ func decodePayloadInto(c cert.Certificate, owner graph.ID, setBits int, p *Paylo
 	return br.Remaining() == 0
 }
 
-// decodePrefix parses the self-delimiting decomposition fields (bag id,
-// depth, bag contents) off the body and returns the unparsed tail bits —
-// the row and property payload, which decomposition-aware tampers carry
-// through unchanged.
-func decodePrefix(body []byte) (Payload, []byte, bool) {
-	var p Payload
-	tail, ok := decodePrefixInto(body, &p)
-	if !ok {
-		return Payload{}, nil, false
-	}
-	return p, tail, true
-}
-
-// decodePrefixInto is decodePrefix into caller-owned storage (p.Bag
-// capacity is reused).
+// decodePrefixInto parses the self-delimiting decomposition fields (bag
+// id, depth, bag contents) off the body into p, reusing p.Bag's capacity,
+// and returns the unparsed tail bits — the row and property payload,
+// which decomposition-aware tampers carry through unchanged.
 func decodePrefixInto(body []byte, p *Payload) ([]byte, bool) {
 	r := bitio.NewReader(body)
 	bagID, err := r.ReadUvarint()
@@ -356,32 +356,15 @@ func guardOf(owner graph.ID, body []byte) uint64 {
 
 // Holds implements cert.Scheme: the graph admits a tree decomposition of
 // width at most T and satisfies the property (decided by the EMSO DP over
-// a nice decomposition). The width part is resolved exactly like Prove's
-// (Decomps first, then heuristics, then exact branch-and-bound up to
-// ExactLimit vertices) except that a proven too-wide graph answers false
-// instead of erroring; only graphs the solvers cannot decide report an
-// error.
+// a nice decomposition). It runs Prove's solve path, except that a proven
+// too-wide graph answers false instead of erroring; only graphs the
+// solvers cannot decide report an error.
 func (s *MSOScheme) Holds(g *graph.Graph) (bool, error) {
-	if g.N() == 0 || !g.Connected() {
-		return false, fmt.Errorf("treewidth: %s: graph must be connected and non-empty", s.Name())
+	_, _, _, ok, err := s.solve(context.TODO(), g)
+	if errors.Is(err, errTooWide) {
+		return false, nil
 	}
-	ctx := context.TODO()
-	d, err := s.decomposition(ctx, g)
-	if err != nil {
-		if errors.Is(err, errTooWide) {
-			return false, nil
-		}
-		return false, err
-	}
-	nice, err := MakeNiceCtx(ctx, d, 0)
-	if err != nil {
-		return false, err
-	}
-	_, ok, err := SolveEMSOCtx(ctx, g, nice, s.phi())
-	if err != nil {
-		return false, err
-	}
-	return ok, nil
+	return ok, err
 }
 
 // errTooWide marks decomposition failures that are proofs of a
@@ -389,29 +372,52 @@ func (s *MSOScheme) Holds(g *graph.Graph) (bool, error) {
 // solvers cannot decide.
 var errTooWide = errors.New("treewidth exceeds the certified bound")
 
-// decomposition resolves the width-<=T decomposition both Prove and Holds
-// run on: the source's (validated; a too-wide or failing witness falls
-// back to computation), otherwise the better heuristic, otherwise exact
-// branch-and-bound for graphs up to ExactLimit vertices. A proven
-// no-instance returns an error wrapping errTooWide.
-func (s *MSOScheme) decomposition(ctx context.Context, g *graph.Graph) (*Decomposition, error) {
+// solve is the one path Prove and Holds share: the validated width-<=T
+// decomposition and its rooting at bag 0, the nice conversion on that
+// rooting, and the EMSO DP. It returns the DP's per-vertex membership
+// words and whether the property holds (nil words when it does not).
+func (s *MSOScheme) solve(ctx context.Context, g *graph.Graph) (*Decomposition, rooting, []uint8, bool, error) {
+	if g.N() == 0 || !g.Connected() {
+		return nil, rooting{}, nil, false, fmt.Errorf("treewidth: %s: graph must be connected and non-empty", s.Name())
+	}
+	d, r, err := s.decomposition(ctx, g)
+	if err != nil {
+		return nil, rooting{}, nil, false, err
+	}
+	cp := fault.NewCheckpoint(ctx, "decompose")
+	nice, err := makeNice(&cp, d, r)
+	if err != nil {
+		return nil, rooting{}, nil, false, err
+	}
+	words, ok, err := SolveEMSOCtx(ctx, g, nice, s.phi())
+	return d, r, words, ok, err
+}
+
+// decomposition resolves the width-<=T decomposition solve runs on: the
+// source's (a too-wide or failing witness falls back to computation),
+// otherwise the better heuristic, otherwise exact branch-and-bound for
+// graphs up to ExactLimit vertices. Whichever it returns has been
+// validated once, and it returns the rooting validation built with it. A
+// proven no-instance returns an error wrapping errTooWide.
+func (s *MSOScheme) decomposition(ctx context.Context, g *graph.Graph) (*Decomposition, rooting, error) {
+	cp := fault.NewCheckpoint(ctx, "decompose")
 	if s.Decomps != nil {
 		d, err := s.Decomps.Decomposition(ctx, g)
 		if cerr, ok := fault.Cancelled(err); ok {
 			// Cancellation is the caller's signal, not a witness failure:
 			// do not fall through to recomputing.
-			return nil, cerr
+			return nil, rooting{}, cerr
 		}
 		if err == nil {
-			cp := fault.NewCheckpoint(ctx, "decompose")
-			if verr := validateCp(&cp, g, d); verr != nil {
+			r, verr := validateCp(&cp, g, d)
+			if verr != nil {
 				if cerr, ok := fault.Cancelled(verr); ok {
-					return nil, cerr
+					return nil, rooting{}, cerr
 				}
-				return nil, fmt.Errorf("treewidth: provided decomposition: %w", verr)
+				return nil, rooting{}, fmt.Errorf("treewidth: provided decomposition: %w", verr)
 			}
 			if d.Width() <= s.T {
-				return d, nil
+				return d, r, nil
 			}
 		}
 		// A missing or too-wide witness is not a proof of anything;
@@ -419,23 +425,27 @@ func (s *MSOScheme) decomposition(ctx context.Context, g *graph.Graph) (*Decompo
 	}
 	d, _, err := HeuristicCtx(ctx, g)
 	if err != nil {
-		return nil, err
+		return nil, rooting{}, err
 	}
-	if d.Width() <= s.T {
-		return d, nil
+	if d.Width() > s.T {
+		if g.N() > ExactLimit {
+			return nil, rooting{}, fmt.Errorf("treewidth: %s: no decomposition of width <= %d found for n=%d (heuristic; exact limited to %d vertices)",
+				s.Name(), s.T, g.N(), ExactLimit)
+		}
+		w, dx, err := ExactCtx(ctx, g)
+		if err != nil {
+			return nil, rooting{}, err
+		}
+		if w > s.T {
+			return nil, rooting{}, fmt.Errorf("treewidth: %s: width is %d: %w", s.Name(), w, errTooWide)
+		}
+		d = dx
 	}
-	if g.N() > ExactLimit {
-		return nil, fmt.Errorf("treewidth: %s: no decomposition of width <= %d found for n=%d (heuristic; exact limited to %d vertices)",
-			s.Name(), s.T, g.N(), ExactLimit)
-	}
-	w, dx, err := ExactCtx(ctx, g)
+	r, err := validateCp(&cp, g, d)
 	if err != nil {
-		return nil, err
+		return nil, rooting{}, err
 	}
-	if w > s.T {
-		return nil, fmt.Errorf("treewidth: %s: width is %d: %w", s.Name(), w, errTooWide)
-	}
-	return dx, nil
+	return d, r, nil
 }
 
 // Prove implements cert.Scheme.
@@ -448,14 +458,14 @@ func (s *MSOScheme) Prove(g *graph.Graph) (cert.Assignment, error) {
 // runs under cooperative cancellation and returns a
 // *fault.CancelledError once ctx is done.
 func (s *MSOScheme) ProveCtx(ctx context.Context, g *graph.Graph) (cert.Assignment, error) {
-	if g.N() == 0 || !g.Connected() {
-		return nil, fmt.Errorf("treewidth: %s: graph must be connected and non-empty", s.Name())
-	}
-	d, err := s.decomposition(ctx, g)
+	d, r, words, ok, err := s.solve(ctx, g)
 	if err != nil {
 		return nil, err
 	}
-	payloads, err := BuildPayloadsCtx(ctx, g, d, Property{Name: s.Prop.Name, Phi: s.phi()})
+	if !ok {
+		return nil, fmt.Errorf("treewidth: tw-mso[%s]: property does not hold (nothing to certify)", s.Prop.Name)
+	}
+	payloads, err := buildPayloads(ctx, g, d, r, words)
 	if err != nil {
 		return nil, err
 	}
@@ -478,27 +488,18 @@ func (s *MSOScheme) ProveCtx(ctx context.Context, g *graph.Graph) (cert.Assignme
 // maxCertSlab caps the byte blocks ProveCtx cuts certificates from.
 const maxCertSlab = 1 << 20
 
-// BuildPayloadsCtx assembles the per-vertex certificates from a valid
-// decomposition of sufficient width: root it, assign home bags (trace
-// roots), prune bags that are nobody's home (safe: such a bag's contents
-// reappear in its parent), name each remaining bag after its smallest
-// homed vertex id, and attach each vertex's adjacency row over its home
-// bag and its EMSO witness word. Cooperative cancellation reaches the
-// nice conversion, the EMSO DP and the assembly loop.
-func BuildPayloadsCtx(ctx context.Context, g *graph.Graph, d *Decomposition, prop Property) ([]Payload, error) {
+// buildPayloads assembles the per-vertex certificates from a validated
+// decomposition of sufficient width, its rooting at bag 0 and the EMSO
+// DP's witness words: prune bags that are nobody's home (safe: such a
+// bag's contents reappear in its parent), name each remaining bag after
+// its smallest homed vertex id, and attach each vertex's adjacency row
+// over its home bag and its witness word. The assembly loop checkpoints
+// ctx.
+func buildPayloads(ctx context.Context, g *graph.Graph, d *Decomposition, r rooting, words []uint8) ([]Payload, error) {
 	n := g.N()
-	parent, depth, order, err := d.Rooted(0)
-	if err != nil {
-		return nil, err
-	}
-	home, err := d.HomeBags(n, depth)
-	if err != nil {
-		return nil, err
-	}
 	// Canonical owner id per home bag.
 	owner := make([]graph.ID, d.NumBags())
-	for v := 0; v < n; v++ {
-		b := home[v]
+	for v, b := range r.home {
 		id := g.IDOf(v)
 		if owner[b] == 0 || id < owner[b] {
 			owner[b] = id
@@ -506,11 +507,11 @@ func BuildPayloadsCtx(ctx context.Context, g *graph.Graph, d *Decomposition, pro
 	}
 	// Pruned depth: count only home-bag ancestors. Top-down over the BFS
 	// order, tracking each bag's nearest home ancestor.
-	hanc := make([]int, d.NumBags())
+	hanc := make([]int32, d.NumBags())
 	pruned := make([]uint64, d.NumBags())
-	for _, b := range order {
-		pb := parent[b]
-		anc := -1
+	for _, b := range r.order {
+		pb := r.parent[b]
+		anc := int32(-1)
 		if pb >= 0 {
 			anc = hanc[pb]
 			if owner[pb] != 0 {
@@ -518,30 +519,9 @@ func BuildPayloadsCtx(ctx context.Context, g *graph.Graph, d *Decomposition, pro
 			}
 		}
 		hanc[b] = anc
-		if owner[b] != 0 {
-			if anc >= 0 {
-				pruned[b] = pruned[anc] + 1
-			} else {
-				pruned[b] = 0
-			}
+		if owner[b] != 0 && anc >= 0 {
+			pruned[b] = pruned[anc] + 1
 		}
-	}
-	// Property witness: the EMSO DP's membership words (all zero for a
-	// set-free property, but the DP still decides the universal matrix).
-	phi := prop.Phi
-	if phi == nil {
-		phi = propertyLibrary[0].Phi
-	}
-	nice, err := MakeNiceCtx(ctx, d, 0)
-	if err != nil {
-		return nil, err
-	}
-	words, ok, err := SolveEMSOCtx(ctx, g, nice, phi)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("treewidth: tw-mso[%s]: property does not hold (nothing to certify)", prop.Name)
 	}
 	// Home bags' sorted ID lists, dense by bag and cut from one arena,
 	// and every vertex's row, cut from one slab: both sized exactly.
@@ -551,7 +531,7 @@ func BuildPayloadsCtx(ctx context.Context, g *graph.Graph, d *Decomposition, pro
 			idEntries += len(bag)
 		}
 	}
-	for _, b := range home {
+	for _, b := range r.home {
 		rowEntries += len(d.Bags[b])
 	}
 	bagIDs := make([][]graph.ID, d.NumBags())
@@ -563,7 +543,7 @@ func BuildPayloadsCtx(ctx context.Context, g *graph.Graph, d *Decomposition, pro
 		if err := cp.Check(); err != nil {
 			return nil, err
 		}
-		b := home[v]
+		b := r.home[v]
 		ids := bagIDs[b]
 		if ids == nil {
 			lo := len(idArena)
@@ -739,7 +719,7 @@ func (s *MSOScheme) Verify(v cert.View) bool {
 		}
 		if own.BagID == pu.BagID {
 			// Same home bag: full agreement on the bag.
-			if own.Depth != pu.Depth || !equalIDs(own.Bag, pu.Bag) {
+			if own.Depth != pu.Depth || !slices.Equal(own.Bag, pu.Bag) {
 				return false
 			}
 		} else {
@@ -784,10 +764,10 @@ func (s *MSOScheme) Verify(v cert.View) bool {
 			return true // every candidate but v itself is a neighbour of v
 		}
 		pa, pb := neighbors[a-1], neighbors[b-1]
-		if i := searchID(pa.Bag, ids[b]); i >= 0 && pa.Row[i] {
+		if i, ok := slices.BinarySearch(pa.Bag, ids[b]); ok && pa.Row[i] {
 			return true
 		}
-		if i := searchID(pb.Bag, ids[a]); i >= 0 && pb.Row[i] {
+		if i, ok := slices.BinarySearch(pb.Bag, ids[a]); ok && pb.Row[i] {
 			return true
 		}
 		return false
@@ -805,26 +785,6 @@ func (s *MSOScheme) Verify(v cert.View) bool {
 
 // containsID reports membership in a sorted id slice.
 func containsID(ids []graph.ID, id graph.ID) bool {
-	return searchID(ids, id) >= 0
-}
-
-// searchID returns the position of id in a sorted id slice, or -1.
-func searchID(ids []graph.ID, id graph.ID) int {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		return i
-	}
-	return -1
-}
-
-func equalIDs(a, b []graph.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	_, found := slices.BinarySearch(ids, id)
+	return found
 }

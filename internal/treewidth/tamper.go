@@ -21,16 +21,12 @@ import (
 // trying every bag member against the guard (the owner is always in its
 // own bag).
 func recoverOwner(c cert.Certificate) (graph.ID, Payload, []byte, bool) {
-	if len(c) < guardBits {
+	body, guard, ok := unseal(c)
+	if !ok {
 		return 0, Payload{}, nil, false
 	}
-	body := c[:len(c)-guardBits]
-	r := bitio.NewReader(c[len(c)-guardBits:])
-	guard, err := r.ReadUint(guardBits)
-	if err != nil {
-		return 0, Payload{}, nil, false
-	}
-	p, tail, ok := decodePrefix(body)
+	var p Payload
+	tail, ok := decodePrefixInto(body, &p)
 	if !ok {
 		return 0, Payload{}, nil, false
 	}
@@ -50,8 +46,7 @@ func reencode(p Payload, tail []byte, owner graph.ID) cert.Certificate {
 	for _, b := range tail {
 		w.WriteBit(b)
 	}
-	body := w.Clone()
-	w.WriteUint(guardOf(owner, body), guardBits)
+	seal(&w, owner)
 	return w.Clone()
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/cert"
@@ -438,7 +439,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("decode failed")
 	}
-	if got.BagID != p.BagID || got.Depth != p.Depth || got.State != p.State || !equalIDs(got.Bag, p.Bag) {
+	if got.BagID != p.BagID || got.Depth != p.Depth || got.State != p.State || !slices.Equal(got.Bag, p.Bag) {
 		t.Fatalf("round trip: %+v != %+v", got, p)
 	}
 	// The guard binds the certificate to its owner.

