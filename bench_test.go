@@ -1,8 +1,10 @@
 package compactcert
 
-// One benchmark per experiment of EXPERIMENTS.md (E1–E10), sharing code
-// with cmd/experiments through internal/experiments, plus the ablation
-// benches DESIGN.md calls out. Run:
+// One benchmark per experiment E1–E10 of cmd/experiments, running the
+// same internal/experiments code that renders its tables, plus ablation
+// benches: the sequential referee against the distributed simulator, the
+// exact treedepth solver on both gadget polarities, and the provers of
+// the three headline schemes. Run:
 //
 //	go test -bench=. -benchmem
 import (

@@ -1,5 +1,5 @@
-// Command experiments regenerates every table of EXPERIMENTS.md (the
-// executable counterpart of the paper's theorems and figures).
+// Command experiments prints every experiment table of internal/experiments
+// (the executable counterpart of the paper's theorems and figures).
 //
 // Usage:
 //

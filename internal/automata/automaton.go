@@ -117,29 +117,14 @@ func (a *Automaton) Run(t *rooted.Tree, labels []int) (states []int, ok bool, er
 // Accepts reports whether the automaton accepts the labeled tree.
 func (a *Automaton) Accepts(t *rooted.Tree, labels []int) (bool, error) {
 	states, ok, err := a.Run(t, labels)
-	if err != nil {
+	if err != nil || !ok {
 		return false, err
 	}
-	if !ok {
-		return false, nil
+	counts := make([]int, a.NumStates)
+	for _, c := range t.Children(t.Root()) {
+		counts[states[c]]++
 	}
-	return a.acceptsRoot(t, states), nil
-}
-
-func (a *Automaton) acceptsRoot(t *rooted.Tree, states []int) bool {
-	root := t.Root()
-	q := states[root]
-	if q < 0 || q >= a.NumStates || !a.Accepting[q] {
-		return false
-	}
-	if a.RootConstraints != nil && a.RootConstraints[q] != nil {
-		counts := make([]int, a.NumStates)
-		for _, c := range t.Children(root) {
-			counts[states[c]]++
-		}
-		return a.RootConstraints[q].Eval(counts)
-	}
-	return true
+	return a.CheckRoot(states[t.Root()], counts), nil
 }
 
 // CheckLocal is the verifier-side transition check for one vertex: state

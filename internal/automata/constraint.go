@@ -1,23 +1,29 @@
 // Package automata implements the tree-automata machinery behind Theorem
 // 2.2: MSO properties on trees have constant-size certificates.
 //
-// The automata are the unary ordering Presburger (UOP) tree automata of
-// Boneva and Talbot, the model that captures exactly MSO on unordered,
-// unranked, unbounded-depth rooted trees (paper §4 and Appendix C.2): a
-// transition for (state, label) is a boolean combination of unary atoms
-// comparing the number of children in a given state to a constant.
+// One certification scheme, TreeScheme, serves every property: a
+// vertex's certificate is its depth mod 3 (which orients the tree) and
+// its state in the run of a deterministic bottom-up tree automaton, and
+// each vertex checks its own transition from its children's states. Two
+// kinds of automaton drive it:
 //
-// The package provides:
-//   - the constraint language and automaton type with runs and local checks;
-//   - a library of hand-built automata for classic MSO properties
-//     (max-degree, perfect matching, star recognition, bounded diameter,
-//     leaf counting);
-//   - the certification scheme of Theorem 2.2 (state + distance mod 3
-//     certificates, O(1) bits);
-//   - a generic compiler from FO sentences to deterministic state
-//     labellings via rank-k type discovery (see typeauto.go) — the
-//     substitution for the non-constructive logic-to-automata step,
-//     documented in DESIGN.md.
+//   - hand-built unary ordering Presburger (UOP) tree automata, the model
+//     of Boneva and Talbot that captures exactly MSO on unordered,
+//     unranked, unbounded-depth rooted trees (paper §4 and Appendix
+//     C.2): a transition for (state, label) is a boolean combination of
+//     unary atoms comparing the number of children in a given state to a
+//     constant. The library (library.go) covers classic MSO properties:
+//     max-degree, perfect matching, star recognition, bounded diameter,
+//     leaf counting;
+//   - automata discovered from FO sentences by rank-k type discovery
+//     (typeauto.go), whose states are the quantifier-rank-k types of
+//     rooted subtrees. The paper's logic-to-automata step is
+//     non-constructive; discovery builds the automaton instance by
+//     instance instead, and covers FO but not MSO.
+//
+// WordScheme, the warm-up of Section 4 on words, reuses the scheme's
+// certificate decoder and orientation check with a DFA in place of the
+// tree automaton.
 package automata
 
 import (

@@ -2,12 +2,9 @@ package automata
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
-	"repro/internal/bitio"
-	"repro/internal/cert"
 	"repro/internal/ef"
 	"repro/internal/graph"
 	"repro/internal/logic"
@@ -62,7 +59,7 @@ func NewTypeCompiler(f logic.Formula) (*TypeCompiler, error) {
 		return nil, fmt.Errorf("automata: type compiler needs a sentence, got %s", f)
 	}
 	if !logic.IsFO(f) {
-		return nil, fmt.Errorf("automata: type compiler handles FO sentences; on trees the hand-built automata cover MSO (see DESIGN.md)")
+		return nil, fmt.Errorf("automata: type compiler handles FO sentences; for an MSO sentence on trees use the tree-mso scheme, whose automaton library covers MSO")
 	}
 	return &TypeCompiler{
 		formula:  f,
@@ -90,29 +87,27 @@ func (tc *TypeCompiler) threshold() int {
 	return tc.k
 }
 
-func signature(childCounts map[int]int, cap int) string {
-	type pair struct{ class, count int }
-	pairs := make([]pair, 0, len(childCounts))
+// signature is the registry key of a child-class count vector: one
+// "class:count;" per class present, in class order, counts capped at cap.
+func signature(childCounts []int, cap int) string {
+	var buf [64]byte
+	b := buf[:0]
 	for c, n := range childCounts {
-		if n > cap {
-			n = cap
+		if n <= 0 {
+			continue
 		}
-		if n > 0 {
-			pairs = append(pairs, pair{c, n})
-		}
+		b = strconv.AppendInt(b, int64(c), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(min(n, cap)), 10)
+		b = append(b, ';')
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].class < pairs[j].class })
-	var sb strings.Builder
-	for _, p := range pairs {
-		fmt.Fprintf(&sb, "%d:%d;", p.class, p.count)
-	}
-	return sb.String()
+	return string(b)
 }
 
 // classify returns the class of a vertex whose children have the given
-// class counts, discovering a new class if needed. The caller must hold
-// tc.mu.
-func (tc *TypeCompiler) classify(childCounts map[int]int) (int, error) {
+// class counts (indexed by class), discovering a new class if needed.
+// The caller must hold tc.mu.
+func (tc *TypeCompiler) classify(childCounts []int) (int, error) {
 	key := signature(childCounts, tc.threshold())
 	if c, ok := tc.registry[key]; ok {
 		return c, nil
@@ -141,20 +136,14 @@ func (tc *TypeCompiler) classify(childCounts map[int]int) (int, error) {
 // buildRepresentative constructs the k-reduced representative for a new
 // signature: a fresh root with min(count, threshold) copies of each child
 // class representative attached.
-func (tc *TypeCompiler) buildRepresentative(childCounts map[int]int) (*rooted.Tree, error) {
+func (tc *TypeCompiler) buildRepresentative(childCounts []int) (*rooted.Tree, error) {
 	parents := []int{-1}
-	classIDs := make([]int, 0, len(childCounts))
-	for c := range childCounts {
-		classIDs = append(classIDs, c)
-	}
-	sort.Ints(classIDs)
-	for _, c := range classIDs {
-		count := childCounts[c]
-		if count > tc.threshold() {
-			count = tc.threshold()
+	for c, count := range childCounts {
+		count = min(count, tc.threshold())
+		if count <= 0 {
+			continue
 		}
-		childRep := tc.classes[c].rep
-		childParents := childRep.Parents()
+		childParents := tc.classes[c].rep.Parents()
 		for copyIdx := 0; copyIdx < count; copyIdx++ {
 			offset := len(parents)
 			for _, p := range childParents {
@@ -188,8 +177,9 @@ func (tc *TypeCompiler) AssignStates(t *rooted.Tree) ([]int, error) {
 	for i := range states {
 		states[i] = -1
 	}
+	var counts []int
 	for _, v := range t.PostOrder() {
-		counts := map[int]int{}
+		counts = append(counts[:0], make([]int, len(tc.classes))...)
 		for _, c := range t.Children(v) {
 			counts[states[c]]++
 		}
@@ -208,154 +198,53 @@ func (tc *TypeCompiler) Accepts(t *rooted.Tree) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.classes[states[t.Root()]].accepts, nil
+	return tc.accepts(states[t.Root()], nil), nil
 }
 
-// lookup is the verifier-side transition check: does the registry map the
-// capped child-class counts to exactly the claimed class? Unknown
-// signatures fail closed — soundness over completeness.
-func (tc *TypeCompiler) lookup(childCounts map[int]int) (int, bool) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	c, ok := tc.registry[signature(childCounts, tc.threshold())]
-	return c, ok
-}
-
-func (tc *TypeCompiler) classAccepts(c int) bool {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return c >= 0 && c < len(tc.classes) && tc.classes[c].accepts
-}
-
-// typeSchemeStateBits is the fixed width of the state field: 16 bits
-// supports any realistic discovered automaton and keeps the certificate
-// size a true constant (independent of both n and discovery order).
-const typeSchemeStateBits = 16
-
-// TypeScheme is the Theorem 2.2 certification scheme driven by a
-// TypeCompiler instead of a hand-built automaton: certificates are
-// (distance mod 3, rank-k type), 2 + 16 bits.
-type TypeScheme struct {
-	Compiler *TypeCompiler
-}
-
-var _ cert.Scheme = (*TypeScheme)(nil)
-
-// NewTypeScheme compiles the FO sentence into a type-discovery scheme.
-func NewTypeScheme(f logic.Formula) (*TypeScheme, error) {
+// NewTypeScheme compiles the FO sentence into the Theorem 2.2 scheme over
+// its discovered automaton: certificates are (distance mod 3, rank-k
+// type), 2 + 16 bits, and the ground truth is direct FO evaluation
+// (polynomial for fixed rank).
+func NewTypeScheme(f logic.Formula) (*TreeScheme, error) {
 	tc, err := NewTypeCompiler(f)
 	if err != nil {
 		return nil, err
 	}
-	return &TypeScheme{Compiler: tc}, nil
+	return &TreeScheme{aut: tc, GroundTruth: func(g *graph.Graph) (bool, error) {
+		return logic.Eval(f, logic.NewModel(g))
+	}}, nil
 }
 
-// Name implements cert.Scheme.
-func (s *TypeScheme) Name() string {
-	return fmt.Sprintf("tree-fo-types(%s)", s.Compiler.formula)
+func (tc *TypeCompiler) schemeName() string { return fmt.Sprintf("tree-fo-types(%s)", tc.formula) }
+
+// numStates is the number of classes discovered so far: a certificate
+// may only name a known class.
+func (tc *TypeCompiler) numStates() int { return tc.NumClasses() }
+
+// stateBits is fixed at 16: it supports any realistic discovered
+// automaton and keeps the certificate size a true constant, independent
+// of both n and discovery order.
+func (tc *TypeCompiler) stateBits() int { return 16 }
+
+func (tc *TypeCompiler) run(t *rooted.Tree) ([]int, bool, error) {
+	states, err := tc.AssignStates(t)
+	return states, err == nil, err
 }
 
-// CertificateBits returns the constant certificate size.
-func (s *TypeScheme) CertificateBits() int { return 2 + typeSchemeStateBits }
-
-// Holds implements cert.Scheme: ground truth by direct FO evaluation
-// (polynomial for fixed rank).
-func (s *TypeScheme) Holds(g *graph.Graph) (bool, error) {
-	if !g.IsTree() {
-		return false, fmt.Errorf("automata: %s: input is not a tree", s.Name())
-	}
-	return logic.Eval(s.Compiler.formula, logic.NewModel(g))
+// step is the verifier-side transition check: the registry must map the
+// capped child-class counts to exactly class q. Unknown signatures fail
+// closed — soundness over completeness.
+func (tc *TypeCompiler) step(q int, counts []int) bool {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	c, ok := tc.registry[signature(counts, tc.threshold())]
+	return ok && c == q
 }
 
-// Prove implements cert.Scheme.
-func (s *TypeScheme) Prove(g *graph.Graph) (cert.Assignment, error) {
-	if !g.IsTree() {
-		return nil, fmt.Errorf("automata: %s: input is not a tree", s.Name())
-	}
-	root := 0
-	for v := 1; v < g.N(); v++ {
-		if g.IDOf(v) < g.IDOf(root) {
-			root = v
-		}
-	}
-	t, err := rooted.FromGraph(g, root)
-	if err != nil {
-		return nil, err
-	}
-	states, err := s.Compiler.AssignStates(t)
-	if err != nil {
-		return nil, err
-	}
-	if !s.Compiler.classAccepts(states[root]) {
-		return nil, fmt.Errorf("automata: %s: property does not hold", s.Name())
-	}
-	depths := t.Depths()
-	a := make(cert.Assignment, g.N())
-	for v := 0; v < g.N(); v++ {
-		var w bitio.Writer
-		w.WriteUint(uint64(depths[v]%3), 2)
-		w.WriteUint(uint64(states[v]), typeSchemeStateBits)
-		a[v] = w.Clone()
-	}
-	return a, nil
-}
-
-// Verify implements cert.Scheme.
-func (s *TypeScheme) Verify(v cert.View) bool {
-	d3, state, ok := s.decode(v.Cert)
-	if !ok {
-		return false
-	}
-	up := (d3 + 2) % 3
-	down := (d3 + 1) % 3
-	parents := 0
-	childCounts := map[int]int{}
-	for _, nb := range v.Neighbors {
-		nd3, nstate, ok := s.decode(nb.Cert)
-		if !ok {
-			return false
-		}
-		switch nd3 {
-		case up:
-			parents++
-		case down:
-			childCounts[nstate]++
-		default:
-			return false
-		}
-	}
-	isRoot := false
-	switch {
-	case parents == 1:
-	case parents == 0 && d3 == 0:
-		isRoot = true
-	default:
-		return false
-	}
-	expected, known := s.Compiler.lookup(childCounts)
-	if !known || expected != state {
-		return false
-	}
-	if isRoot && !s.Compiler.classAccepts(state) {
-		return false
-	}
-	return true
-}
-
-func (s *TypeScheme) decode(c cert.Certificate) (d3, state int, ok bool) {
-	r := bitio.NewReader(c)
-	d, err := r.ReadUint(2)
-	if err != nil || d > 2 {
-		return 0, 0, false
-	}
-	q, err := r.ReadUint(typeSchemeStateBits)
-	if err != nil || r.Remaining() != 0 {
-		return 0, 0, false
-	}
-	if int(q) >= s.Compiler.NumClasses() {
-		return 0, 0, false
-	}
-	return int(d), int(q), true
+// accepts reports whether class q satisfies the sentence; a type decides
+// it whatever the root's children are.
+func (tc *TypeCompiler) accepts(q int, _ []int) bool {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return q >= 0 && q < len(tc.classes) && tc.classes[q].accepts
 }

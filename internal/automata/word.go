@@ -221,72 +221,22 @@ func (s *WordScheme) Prove(g *graph.Graph) (cert.Assignment, error) {
 }
 
 // Verify implements cert.Scheme. The mod-3 counter orients the path
-// (increasing from the chosen end); each vertex checks the transition
-// from its predecessor's state, the first vertex checks the transition
-// from the start state, and the last vertex checks acceptance. Endpoint
-// roles are unambiguous: an endpoint with a successor at +1 is the first
-// vertex; with a predecessor at -1, the last.
+// (increasing from the chosen end) exactly as in the tree scheme: the
+// predecessor is the parent, the successor the one child. Each vertex
+// checks the transition from its predecessor's state, the first vertex
+// (level 0, no predecessor) checks the transition from the start state,
+// and the last vertex (no successor) checks acceptance.
 func (s *WordScheme) Verify(v cert.View) bool {
-	d3, state, ok := s.decode(v.Cert)
-	if !ok {
-		return false
-	}
-	if v.Degree() > 2 {
-		return false
-	}
 	letter := s.letter(v.ID)
 	if letter < 0 || letter >= s.Automaton.NumLetters {
 		return false
 	}
-	var prevState = -1
-	hasNext := false
-	for _, nb := range v.Neighbors {
-		nd3, nstate, ok := s.decode(nb.Cert)
-		if !ok {
-			return false
-		}
-		switch nd3 {
-		case (d3 + 2) % 3: // predecessor
-			if prevState != -1 {
-				return false
-			}
-			prevState = nstate
-		case (d3 + 1) % 3: // successor
-			if hasNext {
-				return false
-			}
-			hasNext = true
-		default:
-			return false
-		}
-	}
-	if prevState == -1 {
-		// First vertex: must sit at position 0 mod 3 = 0? Only if it is a
-		// genuine endpoint (degree <= 1); its counter must be 0 so that a
-		// middle vertex cannot impersonate the start.
-		if d3 != 0 {
-			return false
-		}
-		prevState = s.Automaton.Start
-	}
-	if s.Automaton.Delta[prevState][letter] != state {
+	state, prev, next, ok := orient(v, s.stateBits(), s.Automaton.NumStates, nil)
+	if !ok || next > 1 {
 		return false
 	}
-	if !hasNext && !s.Automaton.Accepting[state] {
-		return false
+	if prev == -1 {
+		prev = s.Automaton.Start
 	}
-	return true
-}
-
-func (s *WordScheme) decode(c cert.Certificate) (d3, state int, ok bool) {
-	r := bitio.NewReader(c)
-	d, err := r.ReadUint(2)
-	if err != nil || d > 2 {
-		return 0, 0, false
-	}
-	q, err := r.ReadUint(s.stateBits())
-	if err != nil || q >= uint64(s.Automaton.NumStates) || r.Remaining() != 0 {
-		return 0, 0, false
-	}
-	return int(d), int(q), true
+	return s.Automaton.Delta[prev][letter] == state && (next == 1 || s.Automaton.Accepting[state])
 }

@@ -1,7 +1,8 @@
-// Package experiments regenerates every experiment of EXPERIMENTS.md
-// (E1–E10, plus the E11 adversarial soundness sweep, the E12
-// tree-decomposition workload and the E13 formula-compilation survey
-// added on top of the paper's set): one function per experiment, each
+// Package experiments implements every experiment of the reproduction
+// (E1–E10 after the paper's theorems and figures, plus the E11
+// adversarial soundness sweep, the E12 tree-decomposition workload and
+// the E13 formula-compilation survey added on top of the paper's set):
+// one function per experiment, each
 // returning formatted table rows so that cmd/experiments and the
 // benchmarks share the exact same code paths.
 package experiments

@@ -112,29 +112,11 @@ func (s *MSOScheme) evaluate(g *graph.Graph) (bool, error) {
 	return logic.Eval(s.Formula, logic.NewModel(g))
 }
 
-func (s *MSOScheme) model(g *graph.Graph) (*rooted.Tree, error) {
-	if s.ModelProvider != nil {
-		m, err := s.ModelProvider(g)
-		if err != nil {
-			return nil, err
-		}
-		if !treedepth.IsModel(g, m) {
-			return nil, fmt.Errorf("kernel: provided tree is not a model")
-		}
-		return m, nil
-	}
-	if g.N() <= treedepth.ExactLimit {
-		_, m, err := treedepth.Exact(g)
-		return m, err
-	}
-	return treedepth.BestDFSModel(g)
-}
-
 func (s *MSOScheme) reduce(g *graph.Graph) (*Reduction, error) {
 	if g.N() == 0 || !g.Connected() {
 		return nil, fmt.Errorf("kernel: %s: graph must be connected and non-empty", s.Name())
 	}
-	m, err := s.model(g)
+	m, err := treedepth.Model(g, s.ModelProvider)
 	if err != nil {
 		return nil, err
 	}

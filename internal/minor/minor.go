@@ -16,8 +16,9 @@
 // elimination tree is rooted at its gate cut vertex, one level above).
 // The paper delegates this step to the heavier machinery of [8]; the
 // construction used here is sound and complete but its certificate size
-// scales with the number of blocks containing a vertex, which is fine on
-// bounded-block-membership families and noted in DESIGN.md.
+// scales with the number of blocks containing a vertex: O(log n) bits
+// only on families where every vertex lies in a bounded number of
+// blocks.
 package minor
 
 import (

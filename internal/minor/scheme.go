@@ -234,13 +234,7 @@ func gateRootedModel(g *graph.Graph, gate int) (*rooted.Tree, error) {
 				compOld[i] = oldIdx[c]
 			}
 			sub, subOld := g.InducedSubgraph(compOld)
-			var model *rooted.Tree
-			var err error
-			if sub.N() <= treedepth.ExactLimit {
-				_, model, err = treedepth.Exact(sub)
-			} else {
-				model, err = treedepth.BestDFSModel(sub)
-			}
+			model, err := treedepth.Model(sub, nil)
 			if err != nil {
 				return nil, err
 			}

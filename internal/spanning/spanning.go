@@ -16,8 +16,10 @@
 //     neighbours w that declare v as their parent.
 //
 // Everything is exposed both as reusable building blocks (BuildBFS, Label,
-// CheckStructure, CheckCounts) consumed by the treedepth and kernel
-// schemes, and as two self-contained cert.Schemes (Tree, VertexCount).
+// CheckStructure, CheckCounts), consumed by core's FO schemes (labels and
+// checks) and the treedepth scheme (BuildBFS, for the spanning tree of
+// every subtree of its elimination tree), and as two self-contained
+// cert.Schemes (Tree, VertexCount).
 package spanning
 
 import (

@@ -163,6 +163,28 @@ func BestDFSModel(g *graph.Graph) (*rooted.Tree, error) {
 	return best, nil
 }
 
+// Model resolves the elimination tree a scheme certifies g with: the
+// provider's tree, checked with IsModel, when a provider is set;
+// otherwise an optimal one from Exact up to ExactLimit vertices and the
+// shallowest DFS model beyond.
+func Model(g *graph.Graph, provider func(*graph.Graph) (*rooted.Tree, error)) (*rooted.Tree, error) {
+	if provider != nil {
+		t, err := provider(g)
+		if err != nil {
+			return nil, err
+		}
+		if !IsModel(g, t) {
+			return nil, fmt.Errorf("treedepth: provided tree is not a model")
+		}
+		return t, nil
+	}
+	if g.N() <= ExactLimit {
+		_, t, err := Exact(g)
+		return t, err
+	}
+	return BestDFSModel(g)
+}
+
 // FromParentSlice wraps a generator-provided witness (parent array) as a
 // model, validating it against the graph.
 func FromParentSlice(g *graph.Graph, parents []int) (*rooted.Tree, error) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cert"
 	"repro/internal/graph"
 	"repro/internal/rooted"
+	"repro/internal/spanning"
 )
 
 // Scheme is the Theorem 2.4 certification: "the graph has treedepth at
@@ -33,7 +34,8 @@ type Scheme struct {
 	T int
 	// ModelProvider, when set, supplies the elimination tree for a graph
 	// (e.g. the generator's witness). When nil, Prove computes one: exact
-	// for graphs up to ExactLimit vertices, best-DFS heuristic beyond.
+	// for graphs up to ExactLimit vertices, best-DFS heuristic beyond
+	// (see Model).
 	ModelProvider func(g *graph.Graph) (*rooted.Tree, error)
 }
 
@@ -72,7 +74,7 @@ func (s *Scheme) Holds(g *graph.Graph) (bool, error) {
 		}
 		return td <= s.T, nil
 	}
-	t, err := s.model(g)
+	t, err := Model(g, s.ModelProvider)
 	if err != nil {
 		return false, err
 	}
@@ -83,30 +85,12 @@ func (s *Scheme) Holds(g *graph.Graph) (bool, error) {
 		s.Name(), s.T, g.N(), ExactLimit)
 }
 
-func (s *Scheme) model(g *graph.Graph) (*rooted.Tree, error) {
-	if s.ModelProvider != nil {
-		t, err := s.ModelProvider(g)
-		if err != nil {
-			return nil, err
-		}
-		if !IsModel(g, t) {
-			return nil, fmt.Errorf("treedepth: provided tree is not a model")
-		}
-		return t, nil
-	}
-	if g.N() <= ExactLimit {
-		_, t, err := Exact(g)
-		return t, err
-	}
-	return BestDFSModel(g)
-}
-
 // Prove implements cert.Scheme.
 func (s *Scheme) Prove(g *graph.Graph) (cert.Assignment, error) {
 	if g.N() == 0 || !g.Connected() {
 		return nil, fmt.Errorf("treedepth: %s: graph must be connected and non-empty", s.Name())
 	}
-	t, err := s.model(g)
+	t, err := Model(g, s.ModelProvider)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +144,8 @@ func BuildPayloads(g *graph.Graph, t *rooted.Tree) ([]Payload, error) {
 		if exit == -1 {
 			return nil, fmt.Errorf("treedepth: no exit vertex for subtree of %d (model not coherent)", a)
 		}
-		parents, dist, err := buildSubBFS(sub, exit)
+		// G_a is connected for subtrees of a coherent model (Remark 1).
+		parents, dist, err := spanning.BuildBFS(sub, exit)
 		if err != nil {
 			return nil, fmt.Errorf("treedepth: subtree of %d: %w", a, err)
 		}
@@ -177,31 +162,6 @@ func BuildPayloads(g *graph.Graph, t *rooted.Tree) ([]Payload, error) {
 		}
 	}
 	return payloads, nil
-}
-
-// buildSubBFS is a BFS spanning tree inside an induced subgraph, which is
-// connected for subtrees of a coherent model (Remark 1).
-func buildSubBFS(sub *graph.Graph, root int) ([]int, []int, error) {
-	dist := sub.BFSFrom(root)
-	parents := make([]int, sub.N())
-	for v := range parents {
-		parents[v] = -1
-		if dist[v] == -1 {
-			return nil, nil, fmt.Errorf("subgraph disconnected at %d", v)
-		}
-	}
-	for v := 0; v < sub.N(); v++ {
-		if v == root {
-			continue
-		}
-		for _, w := range sub.Neighbors(v) {
-			if dist[w] == dist[v]-1 {
-				parents[v] = int(w)
-				break
-			}
-		}
-	}
-	return parents, dist, nil
 }
 
 // EncodePayload serializes a payload as a standalone certificate.
