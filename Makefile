@@ -39,8 +39,11 @@ test-race:
 # certificates, the kernel-mso trailer and the tree-mso/tree-fo
 # automata. FuzzValidate differentially checks the tree-decomposition
 # validator the prover runs on every decomposition it uses against its
-# reference. Every ci run hammers each for a few seconds on top of the
-# committed regression corpora (which plain `go test` replays).
+# reference. FuzzReader holds bitio's whole-field Reader, which every
+# certificate decoder reads its fields through, to the per-bit reference
+# reader on arbitrary bytes. Every ci run hammers each for a few seconds
+# on top of the committed regression corpora (which plain `go test`
+# replays).
 fuzz-short:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=5s ./internal/logic
 	$(GO) test -run=FuzzDecodeGraphStream -fuzz=FuzzDecodeGraphStream -fuzztime=5s ./internal/wire
@@ -52,6 +55,7 @@ fuzz-short:
 	$(GO) test -run=FuzzDecodeLabel -fuzz=FuzzDecodeLabel -fuzztime=5s ./internal/spanning
 	$(GO) test -run=FuzzVerifyHostile -fuzz=FuzzVerifyHostile -fuzztime=5s ./internal/registry
 	$(GO) test -run=FuzzValidate -fuzz=FuzzValidate -fuzztime=5s ./internal/treewidth
+	$(GO) test -run=FuzzReader -fuzz=FuzzReader -fuzztime=5s ./internal/bitio
 
 # bench-smoke compiles and runs every benchmark exactly once: benchmarks
 # are the perf PRs' acceptance instruments, so they must not bit-rot

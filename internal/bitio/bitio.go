@@ -5,16 +5,31 @@
 // vertex, so byte-oriented encodings would distort every measurement by up
 // to 8x. All schemes in this module serialize through bitio and report
 // sizes via Writer.Len.
+//
+// The layout is one byte per bit (0 or 1; readers take any non-zero byte
+// as 1), which keeps a certificate indexable bit by bit: tampers flip
+// single bits in place. Multi-bit fields are still read and written
+// whole: ReadUint and ReadUvarint check bounds once per field and read
+// its bytes in one loop, and WriteUint and WriteUvarint grow the buffer
+// once per field.
 package bitio
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 )
 
 // ErrOutOfBits is returned by Reader methods when the underlying stream is
 // exhausted before the requested number of bits could be read.
 var ErrOutOfBits = errors.New("bitio: out of bits")
+
+// errMalformedUvarint reports a uvarint whose unary length prefix runs to
+// 64 ones: no uint64 has a longer encoding than 63 ones and a zero.
+var errMalformedUvarint = errors.New("bitio: malformed uvarint (length prefix too long)")
 
 // Writer accumulates a bit string. The zero value is an empty writer ready
 // for use.
@@ -48,6 +63,23 @@ func (w *Writer) WriteBool(v bool) {
 	}
 }
 
+// extend grows the bit string by n bits and returns them for the caller
+// to fill: one capacity check per field instead of one per bit.
+func (w *Writer) extend(n int) []byte {
+	lo := len(w.bits)
+	w.bits = slices.Grow(w.bits, n)[:lo+n]
+	return w.bits[lo:]
+}
+
+// putUint fills out with the len(out) lowest-order bits of v, most
+// significant first.
+func putUint(out []byte, v uint64) {
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = byte(v & 1)
+		v >>= 1
+	}
+}
+
 // WriteUint appends the width lowest-order bits of v, most significant
 // first. It panics if width is negative, exceeds 64, or if v does not fit
 // in width bits: certificate encoders are expected to size their fields
@@ -59,24 +91,26 @@ func (w *Writer) WriteUint(v uint64, width int) {
 	if width < 64 && v>>uint(width) != 0 {
 		panic(fmt.Sprintf("bitio: value %d does not fit in %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(byte(v >> uint(i) & 1))
-	}
+	putUint(w.extend(width), v)
 }
 
 // WriteUvarint appends v in a self-delimiting Elias-gamma-style encoding:
 // a unary length prefix followed by the value bits. It uses 2*bitlen(v+1)-1
-// bits, so small values stay small while remaining self-delimiting.
+// bits, so small values stay small while remaining self-delimiting. It
+// panics on math.MaxUint64, the one value whose v+1 does not fit in 64
+// bits, as WriteUint does for a value that does not fit its width.
 func (w *Writer) WriteUvarint(v uint64) {
-	n := bitLen(v + 1)
+	if v == math.MaxUint64 {
+		panic("bitio: uvarint value 2^64-1 does not fit")
+	}
+	n := bits.Len64(v + 1)
+	out := w.extend(2*n - 1)
 	for i := 0; i < n-1; i++ {
-		w.WriteBit(1)
+		out[i] = 1
 	}
-	w.WriteBit(0)
-	// Write the n-1 low bits of v+1 (the leading 1 is implicit).
-	for i := n - 2; i >= 0; i-- {
-		w.WriteBit(byte((v + 1) >> uint(i) & 1))
-	}
+	out[n-1] = 0
+	// The n-1 low bits of v+1 (the leading 1 is implicit).
+	putUint(out[n:], v+1)
 }
 
 // WriteBytesOf appends all bits from another writer.
@@ -95,7 +129,9 @@ func (w *Writer) Clone() []byte {
 	return out
 }
 
-// Reader consumes a bit string produced by a Writer.
+// Reader consumes a bit string produced by a Writer. A read that runs out
+// of bits consumes the rest of the string, and a malformed uvarint its 64
+// prefix bits, exactly as reading the field bit by bit would.
 type Reader struct {
 	bits []byte
 	pos  int
@@ -129,66 +165,62 @@ func (r *Reader) ReadBool() (bool, error) {
 	return b != 0, err
 }
 
+// outOfBits consumes the rest of the string and reports ErrOutOfBits.
+func (r *Reader) outOfBits() (uint64, error) {
+	r.pos = len(r.bits)
+	return 0, ErrOutOfBits
+}
+
+// getUint folds the bits of field into v, most significant first.
+func getUint(v uint64, field []byte) uint64 {
+	for _, b := range field {
+		v <<= 1
+		if b != 0 {
+			v |= 1
+		}
+	}
+	return v
+}
+
 // ReadUint reads width bits, most significant first.
 func (r *Reader) ReadUint(width int) (uint64, error) {
 	if width < 0 || width > 64 {
 		return 0, fmt.Errorf("bitio: invalid width %d", width)
 	}
-	var v uint64
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
+	if width > r.Remaining() {
+		return r.outOfBits()
 	}
+	v := getUint(0, r.bits[r.pos:r.pos+width])
+	r.pos += width
 	return v, nil
 }
 
 // ReadUvarint reads a value written by WriteUvarint.
 func (r *Reader) ReadUvarint() (uint64, error) {
-	n := 1
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+	rest := r.bits[r.pos:]
+	// The unary prefix ends at the first zero byte; at most 63 ones may
+	// precede it.
+	k := bytes.IndexByte(rest[:min(len(rest), 64)], 0)
+	if k < 0 {
+		if len(rest) < 64 {
+			return r.outOfBits()
 		}
-		if b == 0 {
-			break
-		}
-		n++
-		if n > 64 {
-			return 0, fmt.Errorf("bitio: malformed uvarint (length prefix too long)")
-		}
+		r.pos += 64
+		return 0, errMalformedUvarint
 	}
-	v := uint64(1)
-	for i := 0; i < n-1; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
+	if 2*k+1 > len(rest) {
+		return r.outOfBits()
 	}
+	v := getUint(1, rest[k+1:2*k+1])
+	r.pos += 2*k + 1
 	return v - 1, nil
-}
-
-// bitLen returns the number of bits in the binary representation of v,
-// with bitLen(0) == 0.
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		n++
-		v >>= 1
-	}
-	return n
 }
 
 // UintWidth returns the minimum number of bits needed to represent any
 // value in [0, max]; it is 1 for max == 0 so that a field is never empty.
 func UintWidth(max uint64) int {
-	n := bitLen(max)
-	if n == 0 {
+	if max == 0 {
 		return 1
 	}
-	return n
+	return bits.Len64(max)
 }

@@ -1,7 +1,12 @@
 package bitio
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -104,11 +109,21 @@ func TestUvarintSizeIsLogarithmic(t *testing.T) {
 	for _, v := range []uint64{0, 1, 7, 127, 1 << 20} {
 		var w Writer
 		w.WriteUvarint(v)
-		want := 2*bitLen(v+1) - 1
+		want := 2*bits.Len64(v+1) - 1
 		if w.Len() != want {
 			t.Errorf("uvarint(%d) uses %d bits, want %d", v, w.Len(), want)
 		}
 	}
+}
+
+func TestWriteUvarintPanicsOnMaxUint64(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for math.MaxUint64, whose v+1 overflows")
+		}
+	}()
+	var w Writer
+	w.WriteUvarint(math.MaxUint64)
 }
 
 func TestUvarintQuick(t *testing.T) {
@@ -209,11 +224,231 @@ func TestMalformedUvarint(t *testing.T) {
 	}
 }
 
+// refReader is the per-bit reference reader: every field is a loop of
+// single-bit reads. FuzzReader holds Reader to it value for value, error
+// for error and position for position.
+type refReader struct {
+	bits []byte
+	pos  int
+}
+
+func (r *refReader) Remaining() int { return len(r.bits) - r.pos }
+
+func (r *refReader) ReadBit() (byte, error) {
+	if r.pos >= len(r.bits) {
+		return 0, ErrOutOfBits
+	}
+	b := r.bits[r.pos]
+	r.pos++
+	if b != 0 {
+		b = 1
+	}
+	return b, nil
+}
+
+func (r *refReader) ReadBool() (bool, error) {
+	b, err := r.ReadBit()
+	return b != 0, err
+}
+
+func (r *refReader) ReadUint(width int) (uint64, error) {
+	if width < 0 || width > 64 {
+		return 0, fmt.Errorf("bitio: invalid width %d", width)
+	}
+	var v uint64
+	for i := 0; i < width; i++ {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		v = v<<1 | uint64(b)
+	}
+	return v, nil
+}
+
+func (r *refReader) ReadUvarint() (uint64, error) {
+	n := 1
+	for {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		if b == 0 {
+			break
+		}
+		n++
+		if n > 64 {
+			return 0, errors.New("bitio: malformed uvarint (length prefix too long)")
+		}
+	}
+	v := uint64(1)
+	for i := 0; i < n-1; i++ {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		v = v<<1 | uint64(b)
+	}
+	return v - 1, nil
+}
+
+// refWriteUint and refWriteUvarint are the per-bit reference writers:
+// one append per bit.
+func refWriteUint(out []byte, v uint64, width int) []byte {
+	for i := width - 1; i >= 0; i-- {
+		out = append(out, byte(v>>uint(i)&1))
+	}
+	return out
+}
+
+func refWriteUvarint(out []byte, v uint64) []byte {
+	n := bits.Len64(v + 1)
+	for i := 0; i < n-1; i++ {
+		out = append(out, 1)
+	}
+	out = append(out, 0)
+	for i := n - 2; i >= 0; i-- {
+		out = append(out, byte((v+1)>>uint(i)&1))
+	}
+	return out
+}
+
+// TestWriterMatchesReferenceQuick writes random field sequences through
+// Writer and through the per-bit reference writer and requires the same
+// bit strings.
+func TestWriterMatchesReferenceQuick(t *testing.T) {
+	f := func(vals []uint64, widths []uint8) bool {
+		var w Writer
+		var ref []byte
+		for i, v := range vals {
+			if i < len(widths) {
+				width := int(widths[i] % 65)
+				if width < 64 {
+					v &= 1<<uint(width) - 1
+				}
+				w.WriteUint(v, width)
+				ref = refWriteUint(ref, v, width)
+			}
+			if v == math.MaxUint64 {
+				v--
+			}
+			w.WriteUvarint(v >> (i % 64))
+			ref = refWriteUvarint(ref, v>>(i%64))
+			w.WriteBool(v&1 == 1)
+			ref = append(ref, byte(v&1))
+		}
+		return bytes.Equal(w.Bits(), ref)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// errText renders an error for comparison; the reference builds its own
+// error values, so errors are compared by message.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// FuzzReader drives Reader and the per-bit reference over one arbitrary
+// byte string — bytes other than 0 and 1 included, which both read as 1 —
+// with one script of reads: each script byte picks ReadBit, ReadBool,
+// ReadUint(w) (w in 0..65 from the next script byte, 65 being invalid) or
+// ReadUvarint. Every value, error and Remaining() must agree after every
+// read.
+func FuzzReader(f *testing.F) {
+	ones := func(k int, tail ...byte) []byte {
+		return append(bytes.Repeat([]byte{1}, k), tail...)
+	}
+	const (
+		opBit byte = iota
+		opBool
+		opUint
+		opUvarint
+	)
+	uvarints := []byte{opUvarint, opUvarint, opUvarint}
+	for _, k := range []int{63, 64, 65} {
+		f.Add(ones(k), uvarints)
+		f.Add(ones(k, 0), uvarints)
+		f.Add(ones(k, append([]byte{0}, ones(k)...)...), uvarints)
+		f.Add(ones(k, 0, 2, 255), []byte{opUint, 64, opUvarint, opUint, 65, opBit})
+	}
+	f.Add([]byte{1, 1, 0, 1}, uvarints)                            // value bits cut short
+	f.Add([]byte{1, 0, 1, 0, 7}, []byte{opUint, 8, opBit, opBool}) // uint cut short
+	f.Add([]byte{0, 3, 0, 1, 0, 1}, []byte{opBool, opUint, 0, opUvarint, opUint, 2})
+	f.Fuzz(func(t *testing.T, data, script []byte) {
+		got, want := NewReader(data), &refReader{bits: data}
+		for i := 0; i < len(script); i++ {
+			var gv, wv uint64
+			var gerr, werr error
+			op := script[i] % 4
+			switch op {
+			case opBit:
+				var g, w byte
+				g, gerr = got.ReadBit()
+				w, werr = want.ReadBit()
+				gv, wv = uint64(g), uint64(w)
+			case opBool:
+				var g, w bool
+				g, gerr = got.ReadBool()
+				w, werr = want.ReadBool()
+				if g {
+					gv = 1
+				}
+				if w {
+					wv = 1
+				}
+			case opUint:
+				width := 0
+				if i+1 < len(script) {
+					i++
+					width = int(script[i] % 66)
+				}
+				gv, gerr = got.ReadUint(width)
+				wv, werr = want.ReadUint(width)
+			case opUvarint:
+				gv, gerr = got.ReadUvarint()
+				wv, werr = want.ReadUvarint()
+			}
+			if gv != wv || errText(gerr) != errText(werr) || got.Remaining() != want.Remaining() {
+				t.Fatalf("op %d (kind %d): got (%d, %v, %d remaining), reference (%d, %v, %d remaining)",
+					i, op, gv, gerr, got.Remaining(), wv, werr, want.Remaining())
+			}
+		}
+	})
+}
+
 func BenchmarkWriteUvarint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var w Writer
 		for v := uint64(0); v < 64; v++ {
 			w.WriteUvarint(v * v)
+		}
+	}
+}
+
+// BenchmarkReadUvarint reads back a stream of uvarints with the value
+// spread of tw-mso certificates: small depths and deltas, and vertex
+// identifiers up to 17 bits.
+func BenchmarkReadUvarint(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var w Writer
+	const count = 1024
+	for i := 0; i < count; i++ {
+		w.WriteUvarint(uint64(rng.Int63n(1 << uint(rng.Intn(18)))))
+	}
+	stream := w.Bits()
+	b.SetBytes(int64(len(stream)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewReader(stream)
+		for j := 0; j < count; j++ {
+			if _, err := r.ReadUvarint(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -107,7 +107,8 @@ func TestExistentialFORoundTrip(t *testing.T) {
 // TestExistentialFODecodeRejectsNonPositiveIDs re-encodes an honest
 // certificate with its first witness identifier replaced: the honest
 // identifier decodes, while 0 and values above MaxInt64 (which would wrap
-// negative as a graph.ID) are rejected by the decoder itself.
+// negative as a graph.ID), up to MaxUint64-1, the largest value a uvarint
+// carries, are rejected by the decoder itself.
 func TestExistentialFODecodeRejectsNonPositiveIDs(t *testing.T) {
 	s, err := NewExistentialFO(logic.IndependentSetOfSize(3))
 	if err != nil {
@@ -121,7 +122,7 @@ func TestExistentialFODecodeRejectsNonPositiveIDs(t *testing.T) {
 	if !ok {
 		t.Fatal("honest certificate does not decode")
 	}
-	for _, id := range []uint64{uint64(honest.wit[0]), 0, math.MaxInt64 + 1, math.MaxUint64} {
+	for _, id := range []uint64{uint64(honest.wit[0]), 0, math.MaxInt64 + 1, math.MaxUint64 - 1} {
 		var w bitio.Writer
 		w.WriteUvarint(uint64(len(honest.wit)))
 		w.WriteUvarint(id)

@@ -52,13 +52,14 @@ type EMSO struct {
 	// Matrix is the quantifier-free part (implications retained).
 	Matrix logic.Formula
 
-	varIdx map[logic.Var]int
-	setIdx map[logic.SetVar]int
+	// matrix is Matrix lowered for EvalTuple: variables and sets resolved
+	// to prefix indices, nodes in prefix order.
+	matrix []matrixNode
 
 	// The intro memo caches the introduce-node transition tables of the
 	// table-driven solver, keyed by bag configuration (size, introduced
-	// position, adjacency pattern) — packed into a uint64 for the common
-	// narrow bags, a byte string for wide ones. Library sentences are
+	// position, adjacency of the bag pairs the table reads) — packed into
+	// a uint64 for the common narrow bags, a byte string for wide ones. Library sentences are
 	// compiled once and shared process-wide, so the memo amortizes table
 	// construction across every decomposition the sentence is ever
 	// solved on. Typed maps under an RWMutex (instead of a sync.Map)
@@ -81,17 +82,20 @@ func CompileEMSO(f logic.Formula) (*EMSO, error) {
 	if !logic.IsSentence(f) {
 		return nil, fmt.Errorf("treewidth: emso: needs a sentence, got %s", f)
 	}
-	phi := &EMSO{Source: f, varIdx: map[logic.Var]int{}, setIdx: map[logic.SetVar]int{}}
+	phi := &EMSO{Source: f}
+	// The name-to-index maps live only while compiling: lowering the
+	// matrix resolves every name it uses.
+	varIdx, setIdx := map[logic.Var]int{}, map[logic.SetVar]int{}
 	cur := f
 	for {
 		es, ok := cur.(logic.ExistsSet)
 		if !ok {
 			break
 		}
-		if _, dup := phi.setIdx[es.S]; dup {
+		if _, dup := setIdx[es.S]; dup {
 			return nil, fmt.Errorf("treewidth: emso: set variable %s bound twice", es.S)
 		}
-		phi.setIdx[es.S] = len(phi.Sets)
+		setIdx[es.S] = len(phi.Sets)
 		phi.Sets = append(phi.Sets, es.S)
 		cur = es.F
 	}
@@ -100,10 +104,10 @@ func CompileEMSO(f logic.Formula) (*EMSO, error) {
 		if !ok {
 			break
 		}
-		if _, dup := phi.varIdx[fa.V]; dup {
+		if _, dup := varIdx[fa.V]; dup {
 			return nil, fmt.Errorf("treewidth: emso: vertex variable %s bound twice", fa.V)
 		}
-		phi.varIdx[fa.V] = len(phi.Vars)
+		varIdx[fa.V] = len(phi.Vars)
 		phi.Vars = append(phi.Vars, fa.V)
 		cur = fa.F
 	}
@@ -122,15 +126,16 @@ func CompileEMSO(f logic.Formula) (*EMSO, error) {
 	}
 	fv, fs := logic.FreeVars(cur)
 	for _, v := range fv {
-		if _, ok := phi.varIdx[v]; !ok {
+		if _, ok := varIdx[v]; !ok {
 			return nil, fmt.Errorf("treewidth: emso: matrix uses %s outside the forall prefix", v)
 		}
 	}
 	for _, s := range fs {
-		if _, ok := phi.setIdx[s]; !ok {
+		if _, ok := setIdx[s]; !ok {
 			return nil, fmt.Errorf("treewidth: emso: matrix uses %s outside the existsset prefix", s)
 		}
 	}
+	phi.matrix = lowerMatrix(cur, varIdx, setIdx)
 	if err := phi.checkCliqueLocal(); err != nil {
 		return nil, err
 	}
@@ -245,50 +250,119 @@ func cliqueTuple(g *graph.Graph, tuple []int) bool {
 	return true
 }
 
-// EvalTuple evaluates the matrix with the i-th variable bound to the
-// abstract point tuple[i]; adjacency and set membership are supplied by
-// oracles over points. Both the DP (real graph adjacency) and the
-// radius-1 verifier (certificate-evidenced adjacency) evaluate through
-// this single entry point, so the two can never drift apart.
-func (phi *EMSO) EvalTuple(tuple []int, adj func(a, b int) bool, member func(set, point int) bool) bool {
-	ev := matrixEval{phi: phi, tuple: tuple, adj: adj, member: member}
-	return ev.eval(phi.Matrix)
+// matrixOp is the operation of one compiled matrix node.
+type matrixOp uint8
+
+const (
+	opFalse   matrixOp = iota // constant false
+	opTrue                    // constant true
+	opEqual                   // tuple[a] = tuple[b]
+	opAdj                     // tuple[a] ~ tuple[b]
+	opIn                      // tuple[a] in set b
+	opNot                     // not the next node
+	opAnd                     // the next node and node b
+	opOr                      // the next node or node b
+	opImplies                 // the next node implies node b
+)
+
+// matrixNode is one node of the compiled matrix, which is stored in
+// prefix order: a connective's first operand is the node right after it
+// and its second operand is node b. An atom's a and b are variable
+// indices, except that opIn's b is a set index.
+type matrixNode struct {
+	op   matrixOp
+	a, b int32
 }
 
-// matrixEval walks the matrix AST without allocating: a method on a
+// lowerMatrix compiles a quantifier-free matrix (checked by
+// quantifierFree) into prefix-ordered nodes, resolving every variable and
+// set name through the prefix indices.
+func lowerMatrix(f logic.Formula, varIdx map[logic.Var]int, setIdx map[logic.SetVar]int) []matrixNode {
+	var out []matrixNode
+	var lower func(f logic.Formula)
+	lower = func(f logic.Formula) {
+		at := len(out)
+		out = append(out, matrixNode{})
+		var l, r logic.Formula
+		switch t := f.(type) {
+		case logic.Equal:
+			out[at] = matrixNode{op: opEqual, a: int32(varIdx[t.X]), b: int32(varIdx[t.Y])}
+		case logic.Adj:
+			out[at] = matrixNode{op: opAdj, a: int32(varIdx[t.X]), b: int32(varIdx[t.Y])}
+		case logic.In:
+			out[at] = matrixNode{op: opIn, a: int32(varIdx[t.X]), b: int32(setIdx[t.S])}
+		case logic.HasLabel:
+			// The treewidth workload runs on unlabeled graphs: every
+			// vertex carries label 0.
+			if t.Label == 0 {
+				out[at].op = opTrue
+			}
+		case logic.Not:
+			out[at].op = opNot
+			lower(t.F)
+		case logic.And:
+			out[at].op, l, r = opAnd, t.L, t.R
+		case logic.Or:
+			out[at].op, l, r = opOr, t.L, t.R
+		case logic.Implies:
+			out[at].op, l, r = opImplies, t.L, t.R
+		default:
+			panic(fmt.Sprintf("treewidth: emso: unexpected matrix node %T", f))
+		}
+		if l != nil {
+			lower(l)
+			out[at].b = int32(len(out))
+			lower(r)
+		}
+	}
+	lower(f)
+	return out
+}
+
+// EvalTuple evaluates the matrix with the i-th variable bound to the
+// abstract point tuple[i]; adjacency and set membership are supplied by
+// oracles over points. The verifier's tuple checks (certificate-evidenced
+// adjacency), the DP's transition tables and the prover's witness
+// re-check (real graph adjacency) all evaluate through this single entry
+// point, so they can never drift apart.
+func (phi *EMSO) EvalTuple(tuple []int, adj func(a, b int) bool, member func(set, point int) bool) bool {
+	ev := matrixEval{nodes: phi.matrix, tuple: tuple, adj: adj, member: member}
+	return ev.eval(0)
+}
+
+// matrixEval walks the compiled matrix without allocating: a method on a
 // stack-held struct instead of a recursive closure, which keeps EvalTuple
 // cheap enough for the verifier's per-tuple checks and the DP's witness
 // guard.
 type matrixEval struct {
-	phi    *EMSO
+	nodes  []matrixNode
 	tuple  []int
 	adj    func(a, b int) bool
 	member func(set, point int) bool
 }
 
-func (ev *matrixEval) eval(f logic.Formula) bool {
-	switch t := f.(type) {
-	case logic.Equal:
-		return ev.tuple[ev.phi.varIdx[t.X]] == ev.tuple[ev.phi.varIdx[t.Y]]
-	case logic.Adj:
-		a, b := ev.tuple[ev.phi.varIdx[t.X]], ev.tuple[ev.phi.varIdx[t.Y]]
+func (ev *matrixEval) eval(i int32) bool {
+	nd := &ev.nodes[i]
+	switch nd.op {
+	case opTrue:
+		return true
+	case opEqual:
+		return ev.tuple[nd.a] == ev.tuple[nd.b]
+	case opAdj:
+		a, b := ev.tuple[nd.a], ev.tuple[nd.b]
 		return a != b && ev.adj(a, b)
-	case logic.In:
-		return ev.member(ev.phi.setIdx[t.S], ev.tuple[ev.phi.varIdx[t.X]])
-	case logic.HasLabel:
-		// The treewidth workload runs on unlabeled graphs: every vertex
-		// carries label 0.
-		return t.Label == 0
-	case logic.Not:
-		return !ev.eval(t.F)
-	case logic.And:
-		return ev.eval(t.L) && ev.eval(t.R)
-	case logic.Or:
-		return ev.eval(t.L) || ev.eval(t.R)
-	case logic.Implies:
-		return !ev.eval(t.L) || ev.eval(t.R)
-	default:
-		panic(fmt.Sprintf("treewidth: emso: unexpected matrix node %T", f))
+	case opIn:
+		return ev.member(int(nd.b), ev.tuple[nd.a])
+	case opNot:
+		return !ev.eval(i + 1)
+	case opAnd:
+		return ev.eval(i+1) && ev.eval(nd.b)
+	case opOr:
+		return ev.eval(i+1) || ev.eval(nd.b)
+	case opImplies:
+		return !ev.eval(i+1) || ev.eval(nd.b)
+	default: // opFalse
+		return false
 	}
 }
 

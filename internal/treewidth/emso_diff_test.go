@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/cert"
@@ -192,6 +193,39 @@ func TestIntroMemoBounded(t *testing.T) {
 	phi.introMu.Unlock()
 	if total > maxIntroMemoEntries {
 		t.Fatalf("memo grew past its bound: %d entries (cap %d)", total, maxIntroMemoEntries)
+	}
+}
+
+// TestIntroMemoKeyedOnReadPairs pins the memo key to the bag pairs a
+// transition table reads: a one-variable sentence (tw-bound) reads no
+// pair, so solving a 5,000-vertex partial 4-tree must leave at most one
+// memo entry per (bag size, introduced position), however many
+// adjacency patterns its bags show.
+func TestIntroMemoKeyedOnReadPairs(t *testing.T) {
+	g, _ := graphgen.PartialKTree(5000, 4, 0.85, rand.New(rand.NewSource(3)))
+	d, _, err := HeuristicCtx(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nice, err := MakeNiceCtx(context.Background(), d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi := MustCompileEMSO(logic.TrueSentence())
+	if _, ok, err := SolveEMSOCtx(context.Background(), g, nice, phi); err != nil || !ok {
+		t.Fatalf("solve: ok=%v err=%v", ok, err)
+	}
+	configs := map[[2]int]bool{}
+	for _, nd := range nice.Nodes {
+		if nd.Kind == KindIntroduce {
+			configs[[2]int{len(nd.Bag), sort.SearchInts(nd.Bag, nd.Vertex)}] = true
+		}
+	}
+	phi.introMu.Lock()
+	entries := len(phi.introU64) + len(phi.introStr)
+	phi.introMu.Unlock()
+	if entries == 0 || entries > len(configs) {
+		t.Fatalf("%d memo entries for %d (bag size, position) configurations", entries, len(configs))
 	}
 }
 

@@ -336,29 +336,57 @@ func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([
 func (sv *emsoSolver) tablesFor(bag []int, pos int) *introTables {
 	n := len(bag)
 	// Pack the configuration: size, introduced position, and the
-	// adjacency bits of the C(n,2) vertex pairs in (i<j) order. Bags can
-	// be arbitrarily large when the sentence has no set variables (the
-	// state count stays 1 regardless of width, so the MaxDPStates bound
-	// never trips), so the pair bitmap is sized to the bag.
-	pairs := n * (n - 1) / 2
+	// adjacency bits of exactly the bag pairs the table reads. A table
+	// only reads pairs inside clique tuples that contain the introduced
+	// position: no pair for one variable, the introduced position's row
+	// for two, every pair (in i<j order) for three. Bags can be
+	// arbitrarily large when the sentence has no set variables (the state
+	// count stays 1 regardless of width, so the MaxDPStates bound never
+	// trips), so the pair bitmap is sized to the bag.
+	r := len(sv.phi.Vars)
+	pairs := 0
+	switch {
+	case r == 2:
+		pairs = n - 1
+	case r > 2:
+		pairs = n * (n - 1) / 2
+	}
+	// bitOf is the key bit of pair (i,j), or -1 for a pair the table
+	// does not read.
+	bitOf := func(i, j int) int {
+		if i > j {
+			i, j = j, i
+		}
+		switch {
+		case r > 2:
+			// Pair (i,j) sits at offset sum of the first i row lengths
+			// plus (j-i-1): rows have n-1, n-2, ... entries.
+			return i*(2*n-i-1)/2 + (j - i - 1)
+		case r == 2 && i == pos:
+			return j - 1
+		case r == 2 && j == pos:
+			return i
+		}
+		return -1
+	}
 	var small [4]uint64
 	adjWords := small[:]
 	if words := (pairs + 63) / 64; words > len(adjWords) {
 		adjWords = make([]uint64, words)
 	}
-	bit := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if sv.g.HasEdge(bag[i], bag[j]) {
-				adjWords[bit>>6] |= 1 << uint(bit&63)
+	if pairs > 0 {
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if b := bitOf(i, j); b >= 0 && sv.g.HasEdge(bag[i], bag[j]) {
+					adjWords[b>>6] |= 1 << uint(b&63)
+				}
 			}
-			bit++
 		}
 	}
 	phi := sv.phi
 	var keyU64 uint64
 	var keyStr string
-	if bit <= 52 {
+	if pairs <= 52 && n < 32 {
 		keyU64 = 1<<63 | uint64(n)<<58 | uint64(pos)<<52 | adjWords[0]
 		phi.introMu.RLock()
 		tb := phi.introU64[keyU64]
@@ -385,14 +413,11 @@ func (sv *emsoSolver) tablesFor(bag []int, pos int) *introTables {
 			return tb
 		}
 	}
+	// An unread pair builds as a non-edge: it only prunes tuples that
+	// miss the introduced position, which the build discards anyway.
 	adj := func(i, j int) bool {
-		if i > j {
-			i, j = j, i
-		}
-		// Pair (i,j) sits at offset sum of the first i row lengths plus
-		// (j-i-1): rows have n-1, n-2, ... entries.
-		b := i*(2*n-i-1)/2 + (j - i - 1)
-		return adjWords[b>>6]>>(uint(b)&63)&1 == 1
+		b := bitOf(i, j)
+		return b >= 0 && adjWords[b>>6]>>(uint(b)&63)&1 == 1
 	}
 	tb := buildIntroTables(phi, n, pos, adj)
 	phi.introMu.Lock()

@@ -43,6 +43,65 @@ func TestCompileEMSOFragment(t *testing.T) {
 	}
 }
 
+// TestCompiledMatrixMatchesAST holds EvalTuple's compiled matrix to the
+// reference AST walker, on the sentences the EMSO tests compile plus
+// label atoms: every world of at most 3 points, every membership
+// assignment and every variable tuple.
+func TestCompiledMatrixMatchesAST(t *testing.T) {
+	sentences := []logic.Formula{
+		logic.TrueSentence(),
+		logic.TwoColorable(),
+		logic.ThreeColorable(),
+		logic.TriangleFree(),
+		logic.MustParse("forall x. forall y. !(x ~ y)"),
+		logic.MustParse("existsset S. forall x. x in S | !(x in S)"),
+		logic.MustParse("existsset S. forall x. forall y. x ~ y -> !(x in S & y in S)"),
+		logic.MustParse("existsset S. forall x. label(x, 0) & (label(x, 1) -> x in S)"),
+	}
+	checked := 0
+	for _, f := range sentences {
+		phi := MustCompileEMSO(f)
+		r, m := len(phi.Vars), len(phi.Sets)
+		for p := 1; p <= 3; p++ {
+			pairs := p * (p - 1) / 2
+			for gbits := 0; gbits < 1<<pairs; gbits++ {
+				adj := func(a, b int) bool {
+					if a > b {
+						a, b = b, a
+					}
+					// Pair (a,b), a<b, is bit a+b-1 of gbits: (0,1)=0,
+					// (0,2)=1, (1,2)=2.
+					return gbits>>(a+b-1)&1 == 1
+				}
+				for mb := 0; mb < 1<<(m*p); mb++ {
+					member := func(set, point int) bool { return mb>>(set*p+point)&1 == 1 }
+					tuples := 1
+					for i := 0; i < r; i++ {
+						tuples *= p
+					}
+					tuple := make([]int, r)
+					for enc := 0; enc < tuples; enc++ {
+						e := enc
+						for i := range tuple {
+							tuple[i] = e % p
+							e /= p
+						}
+						want := evalTupleReference(phi, tuple, adj, member)
+						if got := phi.EvalTuple(tuple, adj, member); got != want {
+							t.Fatalf("%s: %d points, edges %03b, memberships %b, tuple %v: compiled %v, AST %v",
+								f, p, gbits, mb, tuple, got, want)
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d evaluations compared", checked)
+	}
+}
+
 // TestSolveEMSOAgreesWithColorDP cross-checks the generalized DP against
 // the original c-colorability DP on random bounded-width instances.
 func TestSolveEMSOAgreesWithColorDP(t *testing.T) {

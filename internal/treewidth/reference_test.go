@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/logic"
 )
 
 // This file holds the reference solvers the differential tests and
@@ -113,6 +114,53 @@ func runHeuristicReference(g *graph.Graph, score heuristicScore) (*Decomposition
 		}
 	}
 	return linkEliminationBags(order, bags), order, width
+}
+
+// evalTupleReference is the original matrix evaluator, which walks the
+// formula AST and resolves every variable and set name through a map on
+// each visit. TestCompiledMatrixMatchesAST holds EvalTuple's compiled
+// node slice to it.
+func evalTupleReference(phi *EMSO, tuple []int, adj func(a, b int) bool, member func(set, point int) bool) bool {
+	ev := astEval{varIdx: map[logic.Var]int{}, setIdx: map[logic.SetVar]int{}, tuple: tuple, adj: adj, member: member}
+	for i, v := range phi.Vars {
+		ev.varIdx[v] = i
+	}
+	for i, s := range phi.Sets {
+		ev.setIdx[s] = i
+	}
+	return ev.eval(phi.Matrix)
+}
+
+type astEval struct {
+	varIdx map[logic.Var]int
+	setIdx map[logic.SetVar]int
+	tuple  []int
+	adj    func(a, b int) bool
+	member func(set, point int) bool
+}
+
+func (ev *astEval) eval(f logic.Formula) bool {
+	switch t := f.(type) {
+	case logic.Equal:
+		return ev.tuple[ev.varIdx[t.X]] == ev.tuple[ev.varIdx[t.Y]]
+	case logic.Adj:
+		a, b := ev.tuple[ev.varIdx[t.X]], ev.tuple[ev.varIdx[t.Y]]
+		return a != b && ev.adj(a, b)
+	case logic.In:
+		return ev.member(ev.setIdx[t.S], ev.tuple[ev.varIdx[t.X]])
+	case logic.HasLabel:
+		return t.Label == 0
+	case logic.Not:
+		return !ev.eval(t.F)
+	case logic.And:
+		return ev.eval(t.L) && ev.eval(t.R)
+	case logic.Or:
+		return ev.eval(t.L) || ev.eval(t.R)
+	case logic.Implies:
+		return !ev.eval(t.L) || ev.eval(t.R)
+	default:
+		panic(fmt.Sprintf("treewidth: emso: unexpected matrix node %T", f))
+	}
 }
 
 // solveEMSOReference is the original map-based realization of the EMSO

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/graphgen"
+	"repro/internal/treewidth"
 )
 
 // Stream-format throughput at the sizes the format exists for. The 1e5
@@ -71,4 +72,28 @@ func BenchmarkStreamEncodePartialKTree1M(b *testing.B) {
 func BenchmarkStreamDecodePartialKTree1M(b *testing.B) {
 	skipUnlessLarge(b)
 	benchStreamDecode(b, 1_000_000)
+}
+
+// BenchmarkAssignmentFromStrings100k decodes the /verify certificate
+// strings of an honest tw-mso proof (tw-bound, t=6) of the 10⁵-vertex
+// partial 4-tree, the shape of the certificates a verify round reads.
+func BenchmarkAssignmentFromStrings100k(b *testing.B) {
+	g := largeStreamGraph(b, 100_000)
+	prop, ok := treewidth.PropertyByName("tw-bound")
+	if !ok {
+		b.Fatal("tw-bound property missing")
+	}
+	a, err := (&treewidth.MSOScheme{T: 6, Prop: prop}).Prove(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	strs := AssignmentToStrings(a)
+	b.SetBytes(int64(a.TotalBits()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := AssignmentFromStrings(strs); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -8,6 +8,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -105,20 +106,41 @@ func AssignmentToStrings(a cert.Assignment) []string {
 	return out
 }
 
-// AssignmentFromStrings parses the JSON bit-string form.
+// AssignmentFromStrings parses the JSON bit-string form. Every
+// certificate is cut from one slab, capped at its own length so an append
+// cannot spill into the next. Its characters are checked once per
+// certificate: XOR with '0' maps '0' and '1' to the bits 0 and 1, eight
+// bytes at a time, and the OR of the results has a bit outside each
+// byte's lowest exactly when some character was neither. Only a failing
+// certificate is rescanned, for the first bad character the error names.
 func AssignmentFromStrings(certs []string) (cert.Assignment, error) {
+	total := 0
+	for _, s := range certs {
+		total += len(s)
+	}
+	slab := make([]byte, total)
 	a := make(cert.Assignment, len(certs))
 	for i, s := range certs {
-		c := make(cert.Certificate, len(s))
-		for j := 0; j < len(s); j++ {
-			switch s[j] {
-			case '0':
-				c[j] = 0
-			case '1':
-				c[j] = 1
-			default:
-				return nil, fmt.Errorf("wire: certificate %d: invalid bit character %q", i, s[j])
+		c := slab[:len(s):len(s)]
+		slab = slab[len(s):]
+		copy(c, s)
+		var seen uint64
+		j := 0
+		for ; j+8 <= len(c); j += 8 {
+			x := binary.LittleEndian.Uint64(c[j:]) ^ 0x3030303030303030
+			binary.LittleEndian.PutUint64(c[j:], x)
+			seen |= x
+		}
+		for ; j < len(c); j++ {
+			c[j] ^= '0'
+			seen |= uint64(c[j])
+		}
+		if seen&^0x0101010101010101 != 0 {
+			j := 0
+			for s[j] == '0' || s[j] == '1' {
+				j++
 			}
+			return nil, fmt.Errorf("wire: certificate %d: invalid bit character %q", i, s[j])
 		}
 		a[i] = c
 	}

@@ -195,6 +195,25 @@ func TestAssignmentErrors(t *testing.T) {
 	if _, err := AssignmentFromStrings([]string{"01", "1 0"}); err == nil {
 		t.Fatal("accepted a space inside a certificate")
 	}
+	// The error names the first bad certificate and its first bad
+	// character, even when the bad byte sits in a later eight-byte word.
+	_, err := AssignmentFromStrings([]string{"0101", "0101010101\x0010", "2"})
+	if want := `wire: certificate 1: invalid bit character '\x00'`; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+}
+
+// Certificates share one slab, so each must be capped at its own
+// length: growing one must not overwrite the next.
+func TestAssignmentFromStringsCapsCertificates(t *testing.T) {
+	a, err := AssignmentFromStrings([]string{"01", "10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a[0] = append(a[0], 1, 1)
+	if a[1][0] != 1 || a[1][1] != 0 {
+		t.Fatalf("appending to certificate 0 changed certificate 1 to %v", a[1])
+	}
 }
 
 // A binary graph claiming custom identifiers it does not carry must be
