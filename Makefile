@@ -41,9 +41,10 @@ test-race:
 # validator the prover runs on every decomposition it uses against its
 # reference. FuzzReader holds bitio's whole-field Reader, which every
 # certificate decoder reads its fields through, to the per-bit reference
-# reader on arbitrary bytes. Every ci run hammers each for a few seconds
-# on top of the committed regression corpora (which plain `go test`
-# replays).
+# reader on arbitrary bytes, and FuzzGuard holds the tw-mso guard's
+# eight-bit steps to the per-bit FNV-1a reference on arbitrary bodies and
+# owners. Every ci run hammers each for a few seconds on top of the
+# committed regression corpora (which plain `go test` replays).
 fuzz-short:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=5s ./internal/logic
 	$(GO) test -run=FuzzDecodeGraphStream -fuzz=FuzzDecodeGraphStream -fuzztime=5s ./internal/wire
@@ -56,6 +57,7 @@ fuzz-short:
 	$(GO) test -run=FuzzVerifyHostile -fuzz=FuzzVerifyHostile -fuzztime=5s ./internal/registry
 	$(GO) test -run=FuzzValidate -fuzz=FuzzValidate -fuzztime=5s ./internal/treewidth
 	$(GO) test -run=FuzzReader -fuzz=FuzzReader -fuzztime=5s ./internal/bitio
+	$(GO) test -run=FuzzGuard -fuzz=FuzzGuard -fuzztime=5s ./internal/treewidth
 
 # bench-smoke compiles and runs every benchmark exactly once: benchmarks
 # are the perf PRs' acceptance instruments, so they must not bit-rot

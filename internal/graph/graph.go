@@ -16,6 +16,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -353,8 +354,12 @@ func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int) {
 // filtering g's sorted rows through local gives rows that are already
 // sorted and duplicate-free, written straight into one flat array — no
 // edge list, counting sort or duplicate check, as a Builder would need.
-// The copy probes cp once per vertex and returns its
-// *fault.CancelledError.
+// A row much longer than the block (a cut vertex of high degree, copied
+// once per block it joins) is not scanned: each other member is looked up
+// in it by binary search instead, in member order, so member v costs
+// O(min(deg(v), |verts|·log deg(v))) and the flat array holds at most
+// min(deg(v), |verts|−1) entries for it. The copy probes cp once per
+// vertex and returns its *fault.CancelledError.
 //
 //certlint:longrun
 func (g *Graph) InducedSortedCp(cp *fault.Checkpoint, verts []int, local []int32) (*Graph, error) {
@@ -369,7 +374,7 @@ func (g *Graph) InducedSortedCp(cp *fault.Checkpoint, verts []int, local []int32
 			return nil, err
 		}
 		local[v] = int32(i)
-		total += len(g.adj[v])
+		total += min(len(g.adj[v]), len(verts)-1)
 	}
 	sub := New(len(verts))
 	flat := make([]int32, 0, total) // never regrows: rows may alias it as they land
@@ -378,9 +383,18 @@ func (g *Graph) InducedSortedCp(cp *fault.Checkpoint, verts []int, local []int32
 			return nil, err
 		}
 		start := len(flat)
-		for _, w := range g.adj[v] {
-			if j := local[w]; j >= 0 {
-				flat = append(flat, j)
+		row := g.adj[v]
+		if len(verts)*bits.Len(uint(len(row))) < len(row) {
+			for j, u := range verts {
+				if _, found := slices.BinarySearch(row, int32(u)); found {
+					flat = append(flat, int32(j))
+				}
+			}
+		} else {
+			for _, w := range row {
+				if j := local[w]; j >= 0 {
+					flat = append(flat, j)
+				}
 			}
 		}
 		sub.adj[i] = flat[start:len(flat):len(flat)]

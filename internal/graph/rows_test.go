@@ -375,3 +375,49 @@ func TestInducedSortedMatchesInducedSubgraph(t *testing.T) {
 		t.Fatal("scratch not restored after cancellation")
 	}
 }
+
+// TestInducedSortedLooksUpLongRows: a member whose row is much longer
+// than the copied set — the hub of a star with a few leaf-to-leaf edges,
+// as in a block around a high-degree cut vertex — is copied by looking
+// the other members up in its row; the rows must still be InducedSubgraph's.
+func TestInducedSortedLooksUpLongRows(t *testing.T) {
+	const leaves = 2000
+	b := NewBuilder(leaves + 1)
+	for i := 1; i <= leaves; i++ {
+		b.MustAddEdge(0, i)
+		if i%7 == 0 {
+			b.MustAddEdge(i-1, i)
+		}
+	}
+	g, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := make([]int32, g.N())
+	for i := range local {
+		local[i] = -1
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		verts := []int{0}
+		for v := 1; v <= leaves; v++ {
+			if rng.Intn(100) < 1+trial {
+				verts = append(verts, v)
+			}
+		}
+		var cp fault.Checkpoint
+		got, err := g.InducedSortedCp(&cp, verts, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := g.InducedSubgraph(verts)
+		if got.N() != want.N() || got.M() != want.M() {
+			t.Fatalf("n/m %d/%d, want %d/%d", got.N(), got.M(), want.N(), want.M())
+		}
+		for v := 0; v < got.N(); v++ {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+				t.Fatalf("vertex %d: row %v, want %v", v, got.Neighbors(v), want.Neighbors(v))
+			}
+		}
+	}
+}

@@ -36,9 +36,10 @@ const (
 	// MaxEMSOSetVars bounds the existential set prefix: each set costs one
 	// bit per bag position in the DP state and one certificate bit.
 	MaxEMSOSetVars = 3
-	// MaxEMSOVars bounds the universal first-order prefix: the DP and the
-	// verifier enumerate bag^r tuples, and the clique-locality check
-	// enumerates all r-point worlds.
+	// MaxEMSOVars bounds the universal first-order prefix: the DP's
+	// transition tables enumerate bag^r tuples, the clique-locality check
+	// all r-point worlds, and the clique-tuple check (cliqueTuples) draws
+	// cliques of at most three points.
 	MaxEMSOVars = 3
 )
 
@@ -55,6 +56,11 @@ type EMSO struct {
 	// matrix is Matrix lowered for EvalTuple: variables and sets resolved
 	// to prefix indices, nodes in prefix order.
 	matrix []matrixNode
+	// valid records that no tuple of any world on at most r points
+	// falsifies the matrix (tw-bound's x = x, for one), so no tuple of any
+	// graph does: checkCliqueLocal visits every such world and tuple.
+	// The clique-tuple check then has nothing to look for.
+	valid bool
 
 	// The intro memo caches the introduce-node transition tables of the
 	// table-driven solver, keyed by bag configuration (size, introduced
@@ -186,9 +192,12 @@ func quantifierFree(f logic.Formula) error {
 // is one where the DP would see nothing wrong (all bag-visible tuples
 // fine) while the sentence is still violated by a spread-out tuple — such
 // formulas cannot be certified by this scheme and are rejected here, at
-// compile time.
+// compile time. Along the way it sets phi.valid: a world's tuple loop
+// stops only at a falsified tuple, so the flag ends true exactly when no
+// tuple of any world falsifies the matrix.
 func (phi *EMSO) checkCliqueLocal() error {
 	r, m := len(phi.Vars), len(phi.Sets)
+	phi.valid = true
 	for p := 1; p <= r; p++ {
 		pairs := p * (p - 1) / 2
 		for gbits := 0; gbits < 1<<pairs; gbits++ {
@@ -220,6 +229,7 @@ func (phi *EMSO) checkCliqueLocal() error {
 					if phi.EvalTuple(tuple, func(a, b int) bool { return g.HasEdge(a, b) }, member) {
 						continue
 					}
+					phi.valid = false
 					if cliqueTuple(g, tuple) {
 						cliquesOK = false
 						break
@@ -382,53 +392,118 @@ func forgetWord(s uint64, pos, m int) uint64 {
 	return low | high<<uint(m*pos)
 }
 
-// allTuplesOK enumerates var tuples over the bag and evaluates the matrix;
-// when mustInclude >= 0, only tuples containing that vertex are checked
-// (the others were checked at their own introduce nodes).
+// cliqueTuples is the clique-tuple check shared by Verify and the EMSO
+// DP's witness re-check. It runs over points 0..n-1 shaped like a
+// radius-1 view: point 0, the centre, is adjacent to every other point,
+// and every edge among points 1..n-1 is listed in the out-list of at
+// least one of its endpoints. Verify's centre is the verifying vertex
+// and a neighbour's out-list holds the neighbours its self-verified row
+// marks adjacent, at most T+1 of them; the DP's centre is an introduce
+// node's vertex, the other points its neighbours in the bag.
+type cliqueTuples struct {
+	phi *EMSO
+	n   int
+	// start and out hold the out-lists of points 1..n-1: point a's is
+	// out[start[a]:start[a+1]], and start[0] = start[1] = 0. They are
+	// read only when the matrix has two variables or more (out-lists of
+	// third points only at three), and the centre's is implicit.
+	start []int32
+	out   []int32
+	// adj and member are the adjacency and membership oracles over
+	// points that EvalTuple reads; adj must be symmetric and agree with
+	// the out-lists.
+	adj    func(a, b int) bool
+	member func(set, point int) bool
+	// centred restricts the check to tuples containing the centre.
+	centred bool
+	// probes counts the adjacency questions the enumeration asks:
+	// out-list entries drawn and adj calls made to close a triangle.
+	probes int
+	pts    [MaxEMSOVars]int
+	tuple  [MaxEMSOVars]int
+}
+
+// allTuplesOK reports whether the matrix holds on every tuple whose
+// points are pairwise equal or adjacent, or on every such tuple
+// containing the centre when centred. The compile-time clique-locality
+// check makes the matrix true on every other tuple, and a valid matrix
+// (EMSO.valid) on every tuple, so for one it returns at once.
 //
-// The enumeration is pruned to tuples whose points are pairwise equal or
-// adjacent: the compile-time clique-locality check guarantees the matrix
-// is vacuously true on every other tuple, so skipping them is
-// behaviour-identical while cutting the cost from |bag|^r to roughly the
-// cliques among the candidate points (on a high-degree vertex's
-// neighbourhood this is the difference between deg^r and ~deg).
-func allTuplesOK(phi *EMSO, bag []int, adj func(a, b int) bool, member func(set, point int) bool, mustInclude int) bool {
-	if len(bag) == 0 {
+// Each tuple is reached through its set of distinct points, a clique of
+// at most r points drawn from the out-lists: every point a, every a→b
+// and every path a→b→c that an a–c edge closes. However its edges are
+// listed, a triangle holds such a path, so every clique tuple is checked
+// (a clique whose edges are listed twice is checked twice, which leaves
+// the verdict alone). Out-lists of at most T+1 entries bound the probes
+// by O(n·(T+1)^(r−1)): linear in a view's degree, where drawing every
+// point after every other was Θ(deg^r) at a hub.
+func (ct *cliqueTuples) allTuplesOK() bool {
+	if ct.phi.valid {
 		return true
 	}
-	tc := tupleCheck{phi: phi, bag: bag, adj: adj, member: member, mustInclude: mustInclude}
-	return tc.rec(0, false)
-}
-
-// tupleCheck is the allocation-free enumerator behind allTuplesOK: the
-// tuple buffer lives in the struct (stack-held by the caller) instead of
-// a fresh slice and closure per bag.
-type tupleCheck struct {
-	phi         *EMSO
-	bag         []int
-	adj         func(a, b int) bool
-	member      func(set, point int) bool
-	mustInclude int
-	tuple       [MaxEMSOVars]int
-}
-
-func (tc *tupleCheck) rec(i int, has bool) bool {
-	r := len(tc.phi.Vars)
-	if i == r {
-		if tc.mustInclude >= 0 && !has {
-			return true
+	r := len(ct.phi.Vars)
+	for a := 0; a < ct.n; a++ {
+		if !ct.clique(1, a, 0, 0) {
+			return false
 		}
-		return tc.phi.EvalTuple(tc.tuple[:r], tc.adj, tc.member)
-	}
-next:
-	for _, v := range tc.bag {
-		for j := 0; j < i; j++ {
-			if tc.tuple[j] != v && !tc.adj(tc.tuple[j], v) {
-				continue next // non-clique tuple: vacuously true
+		if r >= 2 {
+			lo, hi := 1, ct.n // the centre's out-list: every other point
+			if a > 0 {
+				lo, hi = int(ct.start[a]), int(ct.start[a+1])
+			}
+			for i := lo; i < hi; i++ {
+				b := i
+				if a > 0 {
+					b = int(ct.out[i])
+				}
+				ct.probes++
+				if !ct.clique(2, a, b, 0) {
+					return false
+				}
+				if r < 3 {
+					continue
+				}
+				for _, c := range ct.out[ct.start[b]:ct.start[b+1]] {
+					ct.probes++
+					if int(c) == a {
+						continue
+					}
+					if a > 0 {
+						ct.probes++
+						if !ct.adj(a, int(c)) {
+							continue
+						}
+					}
+					if !ct.clique(3, a, b, int(c)) {
+						return false
+					}
+				}
 			}
 		}
-		tc.tuple[i] = v
-		if !tc.rec(i+1, has || v == tc.mustInclude) {
+		if ct.centred {
+			break // every clique through the centre is drawn from it
+		}
+	}
+	return true
+}
+
+// clique evaluates the matrix on every r-tuple whose distinct points are
+// exactly the k given ones.
+func (ct *cliqueTuples) clique(k, p0, p1, p2 int) bool {
+	ct.pts = [MaxEMSOVars]int{p0, p1, p2}
+	return ct.fill(0, k, 0)
+}
+
+// fill assigns tuple positions i.. from the clique's k points; used marks
+// the points placed so far, and only tuples using all k are evaluated.
+func (ct *cliqueTuples) fill(i, k int, used uint) bool {
+	r := len(ct.phi.Vars)
+	if i == r {
+		return used != 1<<k-1 || ct.phi.EvalTuple(ct.tuple[:r], ct.adj, ct.member)
+	}
+	for j := 0; j < k; j++ {
+		ct.tuple[i] = ct.pts[j]
+		if !ct.fill(i+1, k, used|1<<j) {
 			return false
 		}
 	}

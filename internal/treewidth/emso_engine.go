@@ -311,24 +311,70 @@ func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([
 		out[v] = uint8(w)
 	}
 	// The DP guarantees the checks below; assert them through the shared
-	// AST evaluator — independently of the transition tables — so a table
-	// bug cannot leak a bogus witness. Checking the introduce nodes alone
-	// covers every constrained tuple: a violating tuple is a clique
+	// matrix evaluator — independently of the transition tables — so a
+	// table bug cannot leak a bogus witness. Checking the introduce nodes
+	// alone covers every constrained tuple: a violating tuple is a clique
 	// (clique-locality), every clique is contained in some nice bag, and
 	// the bottom-most such bag is an introduce node whose introduced
 	// vertex belongs to the clique (its child bag is one vertex short).
-	member := func(set, point int) bool { return out[point]>>uint(set)&1 == 1 }
-	adj := func(a, b int) bool { return g.HasEdge(a, b) }
+	var wc witnessCheck
 	for i := range nice.Nodes {
 		nd := &nice.Nodes[i]
 		if nd.Kind != KindIntroduce {
 			continue
 		}
-		if !allTuplesOK(phi, nd.Bag, adj, member, nd.Vertex) {
+		if !wc.ok(g, phi, nd.Bag, nd.Vertex, out) {
 			return nil, false, fmt.Errorf("treewidth: EMSO DP produced a witness violating the matrix in bag %v", nd.Bag)
 		}
 	}
 	return out, true, nil
+}
+
+// witnessCheck re-checks the DP's witness words at introduce nodes
+// through the shared clique-tuple check; its point and out-list buffers
+// are reused from node to node.
+type witnessCheck struct {
+	pts        []int
+	start, out []int32
+}
+
+// ok reports whether every clique tuple through the introduced vertex x
+// satisfies the matrix under words. The points are x (the centre) and
+// its neighbours in the bag, which hold every clique through x; their
+// out-lists (read only by three-variable matrices) list each edge once,
+// from the endpoint earlier in the bag. Nothing is probed for a valid
+// matrix, which the check passes at once.
+func (wc *witnessCheck) ok(g *graph.Graph, phi *EMSO, bag []int, x int, words []uint8) bool {
+	r := len(phi.Vars)
+	wc.pts = append(wc.pts[:0], x)
+	if r >= 2 && !phi.valid {
+		for _, u := range bag {
+			if u != x && g.HasEdge(x, u) {
+				wc.pts = append(wc.pts, u)
+			}
+		}
+	}
+	pts := wc.pts
+	if r >= 3 && !phi.valid {
+		wc.start = append(wc.start[:0], 0, 0)
+		wc.out = wc.out[:0]
+		for i := 1; i < len(pts); i++ {
+			for j := i + 1; j < len(pts); j++ {
+				if g.HasEdge(pts[i], pts[j]) {
+					wc.out = append(wc.out, int32(j))
+				}
+			}
+			wc.start = append(wc.start, int32(len(wc.out)))
+		}
+	}
+	ct := cliqueTuples{
+		phi: phi, n: len(pts), start: wc.start, out: wc.out, centred: true,
+		adj: func(a, b int) bool {
+			return a != b && (a == 0 || b == 0 || g.HasEdge(pts[a], pts[b]))
+		},
+		member: func(set, p int) bool { return words[pts[p]]>>uint(set)&1 == 1 },
+	}
+	return ct.allTuplesOK()
 }
 
 // tablesFor returns the memoized transition tables of an introduce node,

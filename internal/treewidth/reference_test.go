@@ -2,8 +2,10 @@ package treewidth
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/cert"
 	"repro/internal/graph"
 	"repro/internal/logic"
 )
@@ -275,7 +277,7 @@ func solveEMSOReference(g *graph.Graph, nice *Nice, phi *EMSO) ([]uint8, bool, e
 	adj := func(a, b int) bool { return g.HasEdge(a, b) }
 	for i := range nice.Nodes {
 		bag := nice.Nodes[i].Bag
-		if !allTuplesOK(phi, bag, adj, member, -1) {
+		if !allTuplesOKReference(phi, bag, adj, member, -1) {
 			return nil, false, fmt.Errorf("treewidth: EMSO DP produced a witness violating the matrix in bag %v", bag)
 		}
 	}
@@ -290,7 +292,7 @@ func introduceOK(g *graph.Graph, phi *EMSO, bag []int, pos int, s uint64) bool {
 		p := sort.SearchInts(bag, point)
 		return wordAt(s, p, m)>>uint(set)&1 == 1
 	}
-	return allTuplesOK(phi, bag, func(a, b int) bool { return g.HasEdge(a, b) }, member, bag[pos])
+	return allTuplesOKReference(phi, bag, func(a, b int) bool { return g.HasEdge(a, b) }, member, bag[pos])
 }
 
 // ColorGraph decides c-colorability of g by the standard Courcelle-style
@@ -728,4 +730,144 @@ func diffSorted(a, b []int) []int {
 		}
 	}
 	return out
+}
+
+// allTuplesOKReference is the original clique-tuple enumerator, the
+// executable specification of cliqueTuples.allTuplesOK: it draws every
+// point of the bag after every other and prunes tuples whose points are
+// not pairwise equal or adjacent, so a point set of size n costs Θ(n^r)
+// adjacency probes. When mustInclude >= 0, only tuples containing that
+// point are checked.
+func allTuplesOKReference(phi *EMSO, bag []int, adj func(a, b int) bool, member func(set, point int) bool, mustInclude int) bool {
+	if len(bag) == 0 {
+		return true
+	}
+	tc := tupleCheckReference{phi: phi, bag: bag, adj: adj, member: member, mustInclude: mustInclude}
+	return tc.rec(0, false)
+}
+
+type tupleCheckReference struct {
+	phi         *EMSO
+	bag         []int
+	adj         func(a, b int) bool
+	member      func(set, point int) bool
+	mustInclude int
+	tuple       [MaxEMSOVars]int
+}
+
+func (tc *tupleCheckReference) rec(i int, has bool) bool {
+	r := len(tc.phi.Vars)
+	if i == r {
+		if tc.mustInclude >= 0 && !has {
+			return true
+		}
+		return tc.phi.EvalTuple(tc.tuple[:r], tc.adj, tc.member)
+	}
+next:
+	for _, v := range tc.bag {
+		for j := 0; j < i; j++ {
+			if tc.tuple[j] != v && !tc.adj(tc.tuple[j], v) {
+				continue next // non-clique tuple: vacuously true
+			}
+		}
+		tc.tuple[i] = v
+		if !tc.rec(i+1, has || v == tc.mustInclude) {
+			return false
+		}
+	}
+	return true
+}
+
+// verifyReference is MSOScheme.Verify as it stood before the shared
+// clique-tuple check: binary searches into the bags, and the property
+// checked by allTuplesOKReference over every point of the view with
+// adjacency between two neighbours read off their rows on each probe.
+// The differential tests hold Verify to its verdict at every vertex.
+func verifyReference(s *MSOScheme, v cert.View) bool {
+	phi := s.phi()
+	m := phi.NumSets()
+	var ownBuf Payload
+	own, ok := payloadOf(v.ID, v.Cert, v.Parsed, m, &ownBuf)
+	if !ok {
+		return false
+	}
+	contains := func(ids []graph.ID, id graph.ID) bool {
+		_, found := slices.BinarySearch(ids, id)
+		return found
+	}
+	if len(own.Bag) > s.T+1 {
+		return false
+	}
+	if !contains(own.Bag, v.ID) || !contains(own.Bag, own.BagID) {
+		return false
+	}
+	if own.BagID > v.ID {
+		return false
+	}
+	for i, id := range own.Bag {
+		_, isNb := v.NeighborByID(id)
+		if id == v.ID {
+			isNb = false
+		}
+		if own.Row[i] != isNb {
+			return false
+		}
+	}
+	neighbors := make([]*Payload, len(v.Neighbors))
+	for i, nb := range v.Neighbors {
+		pu, ok := payloadOf(nb.ID, nb.Cert, nb.Parsed, m, new(Payload))
+		if !ok {
+			return false
+		}
+		neighbors[i] = pu
+		if len(pu.Bag) > s.T+1 || !contains(pu.Bag, nb.ID) {
+			return false
+		}
+		uIn := contains(own.Bag, nb.ID)
+		vIn := contains(pu.Bag, v.ID)
+		if !uIn && !vIn {
+			return false
+		}
+		if own.BagID == pu.BagID {
+			if own.Depth != pu.Depth || !slices.Equal(own.Bag, pu.Bag) {
+				return false
+			}
+		} else {
+			if uIn && vIn {
+				return false
+			}
+			if uIn && pu.Depth >= own.Depth {
+				return false
+			}
+			if vIn && own.Depth >= pu.Depth {
+				return false
+			}
+		}
+	}
+	ids := []graph.ID{v.ID}
+	words := []uint64{own.State}
+	points := []int{0}
+	for i, nb := range v.Neighbors {
+		ids = append(ids, nb.ID)
+		words = append(words, neighbors[i].State)
+		points = append(points, i+1)
+	}
+	adj := func(a, b int) bool {
+		if a == b {
+			return false
+		}
+		if a == 0 || b == 0 {
+			return true
+		}
+		pa, pb := neighbors[a-1], neighbors[b-1]
+		if i, ok := slices.BinarySearch(pa.Bag, ids[b]); ok && pa.Row[i] {
+			return true
+		}
+		if i, ok := slices.BinarySearch(pb.Bag, ids[a]); ok && pb.Row[i] {
+			return true
+		}
+		return false
+	}
+	member := func(set, point int) bool { return words[point]>>uint(set)&1 == 1 }
+	return allTuplesOKReference(phi, points, adj, member, -1)
 }

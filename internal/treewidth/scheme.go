@@ -1,7 +1,9 @@
 package treewidth
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -91,6 +93,13 @@ func PropertyFromFormula(f logic.Formula) (Property, error) {
 //     pins each pair's adjacency inside some home bag, and the
 //     self-verified rows expose it — so some member of the violating
 //     clique evaluates the matrix on genuine adjacency values and rejects.
+//     The tuples come from the clique-tuple check the DP's witness
+//     re-check shares (cliqueTuples): the view's evidence adjacency is
+//     built once from the neighbours' rows, at most T+1 entries each, and
+//     every next tuple point is drawn from it, so a vertex of degree d
+//     costs O((d+1)·(T+1)^(r−1)) adjacency probes for r variables. A
+//     valid matrix, such as tw-bound's x = x, has no tuple to find, and
+//     the check returns at once.
 //
 // Certificates are O(t log n) bits — bag id, up to t+1 identifiers, t+1
 // row bits and m witness bits — plus a 16-bit guard binding certs to their
@@ -331,27 +340,64 @@ func decodePrefixInto(body []byte, p *Payload) ([]byte, bool) {
 	return body[len(body)-r.Remaining():], true
 }
 
+// FNV-1a's 64-bit offset basis and prime.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // guardOf folds the owner identifier and the body bits into the guard
-// word (FNV-1a), binding a certificate to its vertex: a swapped, replayed
-// or bit-flipped certificate fails the recomputation at the receiving
-// vertex and its neighbours.
+// word (FNV-1a, one step per body bit), binding a certificate to its
+// vertex: a swapped, replayed or bit-flipped certificate fails the
+// recomputation at the receiving vertex and its neighbours. Only bit 0
+// of each body byte counts.
+//
+// The body is folded eight bits per step, with exactly the per-bit
+// result. The prime is odd, so a step h = (h ^ b)·p moves h by
+// δ·p with δ ∈ {-1, 0, +1} set by b and the parity of h, and that
+// parity is h₀&1 XOR the bits read so far. Eight steps therefore give
+// h₈ = h₀·p⁸ + guardStep[h₀&1][b₁…b₈]; one multiply gathers bit 0 of
+// eight bytes into the table index (first byte lowest).
 func guardOf(owner graph.ID, body []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	o := uint64(owner)
 	for i := 0; i < 8; i++ {
 		h ^= o & 0xff
-		h *= prime64
+		h *= fnvPrime64
 		o >>= 8
+	}
+	for len(body) >= 8 {
+		bits := (binary.LittleEndian.Uint64(body) & 0x0101010101010101) * 0x0102040810204080 >> 56
+		h = h*guardPrime8 + guardStep[h&1][bits]
+		body = body[8:]
 	}
 	for _, b := range body {
 		h ^= uint64(b & 1)
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return h & (1<<guardBits - 1)
+}
+
+// guardPrime8 and guardStep drive guardOf's eight-bit steps: p⁸, and for
+// each start parity and byte of eight body bits the offset h₈ − h₀·p⁸.
+var guardPrime8, guardStep = guardTables()
+
+func guardTables() (p8 uint64, step [2][256]uint64) {
+	p8 = 1
+	for i := 0; i < 8; i++ {
+		p8 *= fnvPrime64
+	}
+	for par := uint64(0); par < 2; par++ {
+		for bits := uint64(0); bits < 256; bits++ {
+			h := par
+			for k := 0; k < 8; k++ {
+				h ^= bits >> k & 1
+				h *= fnvPrime64
+			}
+			step[par][bits] = h - par*p8
+		}
+	}
+	return p8, step
 }
 
 // Holds implements cert.Scheme: the graph admits a tree decomposition of
@@ -642,17 +688,18 @@ func payloadOf(id graph.ID, c cert.Certificate, parsed any, setBits int, buf *Pa
 
 // verifyScratch is the recycled working memory of one Verify call: the
 // payloads decoded when the view carries no parse, the resolved
-// neighbour payloads and the point tables. Verify runs once per vertex
-// per round — and concurrently under the sharded simulator — so each
-// call checks a scratch out of the pool and every buffer is reused
-// across calls instead of reallocated.
+// neighbour payloads and the view's evidence adjacency. Verify runs once
+// per vertex per round — and concurrently under the sharded simulator —
+// so each call checks a scratch out of the pool and every buffer is
+// reused across calls instead of reallocated.
 type verifyScratch struct {
 	own       Payload
 	decoded   []Payload
 	neighbors []*Payload
-	ids       []graph.ID
-	words     []uint64
-	points    []int
+	// order lists the neighbour indices by identifier; start and out are
+	// the out-lists of the clique-tuple check (see evidence).
+	order      []int32
+	start, out []int32
 }
 
 var verifyScratchPool = sync.Pool{New: func() any { return &verifyScratch{} }}
@@ -737,54 +784,92 @@ func (s *MSOScheme) Verify(v cert.View) bool {
 			}
 		}
 	}
+	ok, _ = sc.tuplesOK(phi, &v, own)
+	return ok
+}
+
+// tuplesOK is Verify's property check: the matrix re-evaluated on every
+// clique tuple over {v} ∪ N(v), through the shared clique-tuple check.
+// Point 0 is v itself, the centre, adjacent to every other point; point
+// i+1 is its i-th neighbour. Adjacency between two neighbours is read off
+// their self-verified rows through the trace-root rule: the deeper-homed
+// endpoint of any real edge carries the other in its bag, so an accepted
+// run exposes every real edge among the candidates and claims no fake
+// ones it would need. sc.neighbors holds the neighbours' payloads. The
+// second result is the check's adjacency probes, bag entries read
+// included.
+func (sc *verifyScratch) tuplesOK(phi *EMSO, v *cert.View, own *Payload) (bool, int) {
 	neighbors := sc.neighbors
-	// Property: re-evaluate the matrix on every tuple over {v} ∪ N(v).
-	// Point 0 is v itself, point i+1 its i-th neighbour. Adjacency between
-	// two neighbours is read off their self-verified rows through the
-	// trace-root rule: the deeper-homed endpoint of any real edge carries
-	// the other in its bag, so an accepted run exposes every real edge
-	// among the candidates and claims no fake ones it would need.
-	points := 1 + len(v.Neighbors)
-	sc.ids = append(sc.ids[:0], v.ID)
-	sc.words = append(sc.words[:0], own.State)
-	sc.points = sc.points[:0]
-	for i, nb := range v.Neighbors {
-		sc.ids = append(sc.ids, nb.ID)
-		sc.words = append(sc.words, neighbors[i].State)
+	ct := cliqueTuples{phi: phi, n: 1 + len(neighbors)}
+	if len(phi.Vars) >= 2 && !phi.valid {
+		ct.probes = sc.evidence(v)
+		ct.start, ct.out = sc.start, sc.out
 	}
-	for p := 0; p < points; p++ {
-		sc.points = append(sc.points, p)
-	}
-	ids, words := sc.ids, sc.words
-	adj := func(a, b int) bool {
+	start, out := ct.start, ct.out
+	has := func(a, b int) bool { return slices.Contains(out[start[a]:start[a+1]], int32(b)) }
+	ct.adj = func(a, b int) bool {
 		if a == b {
 			return false
 		}
 		if a == 0 || b == 0 {
 			return true // every candidate but v itself is a neighbour of v
 		}
-		pa, pb := neighbors[a-1], neighbors[b-1]
-		if i, ok := slices.BinarySearch(pa.Bag, ids[b]); ok && pa.Row[i] {
-			return true
-		}
-		if i, ok := slices.BinarySearch(pb.Bag, ids[a]); ok && pb.Row[i] {
-			return true
-		}
-		return false
+		return has(a, b) || has(b, a)
 	}
-	member := func(set, point int) bool { return words[point]>>uint(set)&1 == 1 }
-	// Enumerate only tuples whose points are pairwise equal or adjacent
-	// under the evidence oracle: clique-locality makes the matrix
-	// vacuously true on every other tuple, and the pruning keeps a
-	// high-degree vertex's check near O(deg) instead of O(deg^r). The
-	// shared clique-tuple enumerator runs over point indices here
-	// (mustInclude -1: every tuple the vertex can see is checked).
-	tc := tupleCheck{phi: phi, bag: sc.points, adj: adj, member: member, mustInclude: -1}
-	return tc.rec(0, false)
+	ct.member = func(set, p int) bool {
+		w := own.State
+		if p > 0 {
+			w = neighbors[p-1].State
+		}
+		return w>>uint(set)&1 == 1
+	}
+	return ct.allTuplesOK(), ct.probes
 }
 
-// containsID reports membership in a sorted id slice.
+// evidence builds the view's evidence adjacency once, as the out-lists
+// of the clique-tuple check: neighbour i (point i+1) lists the points its
+// row marks adjacent, skipping its own entry, v's (v is adjacent to
+// every point anyway) and identifiers outside the view. Every list has
+// at most T+1 entries, since Verify checked the bags' sizes; identifiers
+// resolve to points by binary search over the neighbours in identifier
+// order, which runner-built views already are. It returns the number of
+// bag entries read.
+func (sc *verifyScratch) evidence(v *cert.View) int {
+	nbs := v.Neighbors
+	sc.order = sc.order[:0]
+	for i := range nbs {
+		sc.order = append(sc.order, int32(i))
+	}
+	if !slices.IsSortedFunc(nbs, func(x, y cert.NeighborView) int { return cmp.Compare(x.ID, y.ID) }) {
+		slices.SortFunc(sc.order, func(x, y int32) int { return cmp.Compare(nbs[x].ID, nbs[y].ID) })
+	}
+	probes := 0
+	sc.start = append(sc.start[:0], 0, 0)
+	sc.out = sc.out[:0]
+	for i, pu := range sc.neighbors {
+		probes += len(pu.Bag)
+		for k, id := range pu.Bag {
+			if !pu.Row[k] || id == v.ID || id == nbs[i].ID {
+				continue
+			}
+			j, found := slices.BinarySearchFunc(sc.order, id, func(x int32, id graph.ID) int { return cmp.Compare(nbs[x].ID, id) })
+			if found {
+				sc.out = append(sc.out, sc.order[j]+1)
+			}
+		}
+		sc.start = append(sc.start, int32(len(sc.out)))
+	}
+	return probes
+}
+
+// containsID reports membership in a sorted bag. Bags reaching it hold
+// at most T+1 identifiers, so a scan that stops at the first entry not
+// below id beats a binary search.
 func containsID(ids []graph.ID, id graph.ID) bool {
-	_, found := slices.BinarySearch(ids, id)
-	return found
+	for _, x := range ids {
+		if x >= id {
+			return x == id
+		}
+	}
+	return false
 }
