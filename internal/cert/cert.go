@@ -179,7 +179,10 @@ func ParsePass(cp *fault.Checkpoint, p Parser, g *graph.Graph, a Assignment, lo,
 
 // AssembleView builds the radius-1 view of vertex v under assignment a:
 // its identifier and certificate plus each neighbour's, sorted by
-// identifier so no verifier can depend on adjacency-list order. table,
+// identifier so no verifier can depend on adjacency-list order. Rows are
+// sorted by index, so when g's identifiers ascend with the index
+// (g.IDsAscending) the neighbours arrive in identifier order and are not
+// sorted again. table,
 // when non-nil, is the round's parse table, whose entries the view
 // carries as Parsed. The neighbour list is built in buf's storage and
 // returned as the view's Neighbors, so a runner that passes each view's
@@ -199,7 +202,9 @@ func AssembleView(g *graph.Graph, a Assignment, table []any, v int, buf []Neighb
 		}
 		view.Neighbors = append(view.Neighbors, nb)
 	}
-	slices.SortFunc(view.Neighbors, byID)
+	if !g.IDsAscending() {
+		slices.SortFunc(view.Neighbors, byID)
+	}
 	return view
 }
 

@@ -2,6 +2,8 @@ package cert
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -266,6 +268,69 @@ func TestRandomAssignmentShape(t *testing.T) {
 		for _, b := range c {
 			if b > 1 {
 				t.Error("non-binary bit")
+			}
+		}
+	}
+}
+
+// TestAssembleViewSortedByID: a view lists its neighbours by identifier,
+// equal to a reference that sorts every neighbour list, both when the
+// identifiers ascend with the index (the rows are already in order and
+// AssembleView skips the sort) and when they are shuffled.
+func TestAssembleViewSortedByID(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const n = 80
+	ascending := make([]graph.ID, n)
+	for i := range ascending {
+		ascending[i] = graph.ID(3*i + 1 + rng.Intn(3))
+	}
+	shuffled := slices.Clone(ascending)
+	rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, c := range []struct {
+		name string
+		ids  []graph.ID
+		asc  bool
+	}{{"ascending", ascending, true}, {"shuffled", shuffled, false}} {
+		b, err := graph.NewBuilderWithIDs(c.ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < 0.15 {
+					b.MustAddEdge(u, v)
+				}
+			}
+		}
+		g, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.IDsAscending() != c.asc {
+			t.Fatalf("%s: IDsAscending = %v", c.name, g.IDsAscending())
+		}
+		a := make(Assignment, n)
+		table := make([]any, n)
+		for v := range a {
+			a[v] = Certificate{byte(v & 1), byte(v >> 1 & 1)}
+			table[v] = v
+		}
+		var buf []NeighborView
+		for v := 0; v < n; v++ {
+			view := AssembleView(g, a, table, v, buf)
+			buf = view.Neighbors
+			var want []NeighborView
+			for _, u := range g.Neighbors(v) {
+				want = append(want, NeighborView{ID: g.IDOf(int(u)), Cert: a[u], Parsed: table[u]})
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+			if len(view.Neighbors) != len(want) {
+				t.Fatalf("%s vertex %d: %d neighbours, want %d", c.name, v, len(view.Neighbors), len(want))
+			}
+			for i := range want {
+				if got := view.Neighbors[i]; got.ID != want[i].ID || got.Parsed != want[i].Parsed || !slices.Equal(got.Cert, want[i].Cert) {
+					t.Fatalf("%s vertex %d: neighbour %d is %v, want %v", c.name, v, i, got, want[i])
+				}
 			}
 		}
 	}

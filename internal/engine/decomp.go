@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/cert"
@@ -24,9 +25,10 @@ var decompCompute = fault.NewPoint("engine.decomp.compute")
 // workload — the heuristics are quadratic — so this is the engine-level
 // reuse the compile cache cannot provide for graph-specific state.
 //
-// Keys are FNV-64a fingerprints of the graph's sorted rows; a
-// collision would hand a scheme a decomposition of the wrong graph, which
-// the prover's validity check rejects instead of certifying garbage.
+// Keys are 64-bit fingerprints of the graph's vertex count, identifiers
+// and sorted rows (see fingerprint); a collision would hand a scheme a
+// decomposition of the wrong graph, which the prover's validity check
+// rejects instead of certifying garbage.
 type DecompCache struct {
 	flights flight[uint64, *treewidth.Decomposition]
 
@@ -62,36 +64,47 @@ func NewDecompCacheObs(r *obs.Registry) *DecompCache {
 	}
 }
 
-// fingerprint folds g into a cache key: FNV-64a over the vertex count,
-// the identifiers and the sorted neighbour rows, streamed value by value.
-// Hashing the rows directly instead of a serialized encoding keeps the key
-// allocation-free — at a million vertices the old wire-encoding detour
-// materialized a buffer larger than the graph just to hash it.
+// fingerprint folds g into a cache key: the vertex count, the
+// identifiers and the sorted neighbour rows, streamed value by value
+// through fold. Hashing the rows directly instead of a serialized
+// encoding keeps the key allocation-free — at a million vertices the old
+// wire-encoding detour materialized a buffer larger than the graph just
+// to hash it.
 func fingerprint(g *graph.Graph) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346545037)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
-	}
 	n := g.N()
-	mix(uint64(n))
+	h := fold(fingerprintSeed, uint64(n))
 	for v := 0; v < n; v++ {
-		mix(uint64(g.IDOf(v)))
+		h = fold(h, uint64(g.IDOf(v)))
 	}
-	// Row lengths delimit the neighbor stream, so distinct graphs cannot
-	// collide by concatenation.
 	for v := 0; v < n; v++ {
-		row := g.Neighbors(v)
-		mix(uint64(len(row)))
-		for _, w := range row {
-			mix(uint64(w))
-		}
+		h = foldRow(h, g.Neighbors(v))
 	}
 	return h
+}
+
+// foldRow folds one neighbour row into h, its length first: row lengths
+// delimit the neighbour stream, so row streams cannot collide by
+// concatenation.
+func foldRow(h uint64, row []int32) uint64 {
+	h = fold(h, uint64(len(row)))
+	for _, w := range row {
+		h = fold(h, uint64(w))
+	}
+	return h
+}
+
+// fingerprintSeed is the fingerprint's starting state (FNV-64's offset
+// basis).
+const fingerprintSeed = 14695981039346545037
+
+// fold mixes one 64-bit value into the running fingerprint h in one
+// step: xor, a multiply by an odd constant (2⁶⁴/φ) and a rotation that
+// carries the product's well-mixed high bits down to where the next
+// multiply spreads them again. For a fixed value every step is a
+// bijection of h, so two streams that differ in a single value always
+// get distinct fingerprints.
+func fold(h, x uint64) uint64 {
+	return bits.RotateLeft64((h^x)*0x9e3779b97f4a7c15, 29)
 }
 
 // GetCtx returns the cached decomposition for g, computing it with the

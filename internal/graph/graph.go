@@ -43,6 +43,9 @@ type Graph struct {
 	byID  map[ID]int
 	m     int // number of edges
 	maxID ID  // largest identifier, fixed at construction
+	// ascending records, at construction, that identifiers increase with
+	// the index, which makes every sorted row identifier-ordered too.
+	ascending bool
 }
 
 // New creates a graph with n vertices and default identifiers 1..n.
@@ -52,9 +55,10 @@ func New(n int) *Graph {
 		ids[i] = ID(i + 1)
 	}
 	return &Graph{
-		ids:   ids,
-		adj:   make([][]int32, n),
-		maxID: ID(n),
+		ids:       ids,
+		adj:       make([][]int32, n),
+		maxID:     ID(n),
+		ascending: true,
 	}
 }
 
@@ -64,8 +68,9 @@ func NewWithIDs(ids []ID) (*Graph, error) {
 	own := make([]ID, len(ids))
 	copy(own, ids)
 	g := &Graph{
-		ids: own,
-		adj: make([][]int32, len(ids)),
+		ids:       own,
+		adj:       make([][]int32, len(ids)),
+		ascending: true,
 	}
 	if defaultIDs(own) {
 		g.maxID = ID(len(own))
@@ -73,6 +78,9 @@ func NewWithIDs(ids []ID) (*Graph, error) {
 	}
 	byID := make(map[ID]int, len(ids))
 	for i, id := range ids {
+		if i > 0 && id <= ids[i-1] {
+			g.ascending = false
+		}
 		if id <= 0 {
 			return nil, fmt.Errorf("graph: identifier %d at index %d is not positive", id, i)
 		}
@@ -120,6 +128,13 @@ func (g *Graph) IndexOf(id ID) (int, bool) {
 	v, ok := g.byID[id]
 	return v, ok
 }
+
+// IDsAscending reports whether identifiers increase with the vertex
+// index, as they do for default identifiers and for every graph whose
+// identifiers were handed over sorted. It is fixed at construction. Rows
+// are sorted by index, so in such a graph every row is also sorted by
+// identifier.
+func (g *Graph) IDsAscending() bool { return g.ascending }
 
 // MaxID returns the largest identifier in the graph (0 for an empty
 // graph). It is a stored field — the value sits on the cert-encoding hot

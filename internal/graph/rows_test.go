@@ -142,6 +142,97 @@ func TestStructureMatchesReference(t *testing.T) {
 			t.Fatalf("biconnected components diverge\ngot  %v\nwant %v\ngraph %v", got, want, g)
 		}
 	}
+	// Larger shapes: many blocks with far-apart members and one big
+	// block (partial k-trees), hubs (wheels), isolated vertices among
+	// several components, and a DFS 10⁵ vertices deep (a path).
+	big := map[string]*Graph{
+		"wheel-100":        wheelGraph(100),
+		"wheel-2000":       wheelGraph(2_000),
+		"components":       scatteredComponents(),
+		"path-100000":      path(100_000),
+		"partial-2-tree-a": partialKTree(rand.New(rand.NewSource(29)), 2_000, 2, 0.5),
+		"partial-2-tree-b": partialKTree(rand.New(rand.NewSource(30)), 2_000, 2, 0.85),
+		"partial-4-tree-a": partialKTree(rand.New(rand.NewSource(31)), 2_000, 4, 0.5),
+		"partial-4-tree-b": partialKTree(rand.New(rand.NewSource(32)), 2_000, 4, 0.85),
+	}
+	for name, g := range big {
+		if got, want := g.ArticulationPoints(), g.articulationPointsRef(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: articulation points diverge: %d vs %d", name, len(got), len(want))
+		}
+		if got, want := g.BiconnectedComponents(), g.biconnectedComponentsRef(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: biconnected components diverge: %d blocks vs %d", name, len(got), len(want))
+		}
+	}
+}
+
+// wheelGraph returns the wheel with the given rim: hub 0 joined to every
+// vertex of the cycle 1..rim.
+func wheelGraph(rim int) *Graph {
+	g := New(rim + 1)
+	for i := 1; i <= rim; i++ {
+		g.MustAddEdge(0, i)
+		g.MustAddEdge(i, i%rim+1)
+	}
+	return g
+}
+
+// scatteredComponents returns a 200-vertex graph with several components
+// and isolated vertices between and after them: a wheel on 10..30, two
+// triangles sharing vertex 50, a partial 2-tree on 100..179 and a path on
+// 185..190.
+func scatteredComponents() *Graph {
+	g := New(200)
+	for i := 11; i <= 30; i++ {
+		g.MustAddEdge(10, i)
+		g.MustAddEdge(i, 11+(i-10)%20)
+	}
+	for _, e := range [][2]int{{50, 51}, {51, 52}, {52, 50}, {50, 53}, {53, 54}, {54, 50}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	for _, e := range partialKTree(rand.New(rand.NewSource(33)), 80, 2, 0.7).Edges() {
+		g.MustAddEdge(100+e[0], 100+e[1])
+	}
+	for i := 185; i < 190; i++ {
+		g.MustAddEdge(i, i+1)
+	}
+	return g
+}
+
+// partialKTree builds a random partial k-tree on n > k vertices: a
+// random k-tree (each new vertex joined to a k-clique drawn from the ones
+// built so far) with each edge kept with probability keep, so it may fall
+// apart into several components and isolated vertices.
+func partialKTree(rng *rand.Rand, n, k int, keep float64) *Graph {
+	b := NewBuilder(n)
+	var cliques [][]int
+	seed := make([]int, k+1)
+	for i := range seed {
+		seed[i] = i
+		for j := 0; j < i; j++ {
+			if rng.Float64() < keep {
+				b.MustAddEdge(j, i)
+			}
+		}
+	}
+	for drop := range seed {
+		cliques = append(cliques, slices.Delete(slices.Clone(seed), drop, drop+1))
+	}
+	for v := k + 1; v < n; v++ {
+		c := cliques[rng.Intn(len(cliques))]
+		for _, u := range c {
+			if rng.Float64() < keep {
+				b.MustAddEdge(u, v)
+			}
+		}
+		for drop := range c {
+			cliques = append(cliques, append(slices.Delete(slices.Clone(c), drop, drop+1), v))
+		}
+	}
+	g, err := b.Finish()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // TestBuilderMatchesMutable: the bulk Builder and the incremental
@@ -295,11 +386,57 @@ func TestMaxIDFixedAtConstruction(t *testing.T) {
 	}
 }
 
+// TestIDsAscending: identifier order is recorded at construction, true
+// for default identifiers and identifiers handed over ascending, false
+// otherwise, and kept by Builder, Clone and InducedSubgraph.
+func TestIDsAscending(t *testing.T) {
+	for _, c := range []struct {
+		ids  []ID
+		want bool
+	}{
+		{nil, true},
+		{[]ID{1, 2, 3}, true},
+		{[]ID{4, 9, 40}, true},
+		{[]ID{7}, true},
+		{[]ID{7, 3, 42}, false},
+		{[]ID{1, 2, 4, 3}, false},
+	} {
+		g, err := NewWithIDs(c.ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewBuilderWithIDs(c.ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bg, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.IDsAscending() != c.want || bg.IDsAscending() != c.want || g.Clone().IDsAscending() != c.want {
+			t.Fatalf("ids %v: IDsAscending = %v (builder %v), want %v", c.ids, g.IDsAscending(), bg.IDsAscending(), c.want)
+		}
+	}
+	if !New(4).IDsAscending() || !NewBuilder(4).g.IDsAscending() {
+		t.Fatal("default identifiers not ascending")
+	}
+	g, err := NewWithIDs([]ID{7, 3, 42, 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub, _ := g.InducedSubgraph([]int{1, 2, 3}); !sub.IDsAscending() {
+		t.Fatal("induced subgraph on ascending identifiers 3, 42, 50 not ascending")
+	}
+	if sub, _ := g.InducedSubgraph([]int{0, 1}); sub.IDsAscending() {
+		t.Fatal("induced subgraph on identifiers 7, 3 ascending")
+	}
+}
+
 // TestBiconnectedComponentsCpCancels: a cancelled checkpoint stops the
-// block split with the checkpoint's *fault.CancelledError — in the
-// initialisation sweep of a long path, and in the DFS of a clique too
-// small for that sweep to reach a poll — and an inert checkpoint
-// returns the reference's blocks.
+// block split with the checkpoint's *fault.CancelledError — in the DFS
+// of a long path, and in the DFS of a clique whose walk is long even
+// though it has few vertices — and an inert checkpoint returns the
+// reference's blocks.
 func TestBiconnectedComponentsCpCancels(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -1,89 +1,25 @@
 package graph
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/fault"
 )
 
-// ArticulationPoints returns the set of cut vertices of the graph as a
-// sorted list of vertex indices, using Tarjan's low-link algorithm
-// (iteratively, to stay safe on deep graphs).
+// ArticulationPoints returns the cut vertices of the graph as a sorted
+// list of vertex indices, nil if there are none: the vertices that lie in
+// two or more blocks of BiconnectedComponents.
 func (g *Graph) ArticulationPoints() []int {
-	n := g.N()
-	disc := make([]int, n)
-	low := make([]int, n)
-	parent := make([]int, n)
-	isCut := make([]bool, n)
-	for i := range disc {
-		disc[i] = -1
-		parent[i] = -1
-	}
-	timer := 0
-
-	type frame struct {
-		v, childIdx, rootChildren int
-	}
-	for s := 0; s < n; s++ {
-		if disc[s] != -1 {
-			continue
-		}
-		stack := []frame{{v: s}}
-		disc[s] = timer
-		low[s] = timer
-		timer++
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			v := f.v
-			row := g.adj[v]
-			if f.childIdx < len(row) {
-				w := int(row[f.childIdx])
-				f.childIdx++
-				if w == parent[v] {
-					continue
-				}
-				if disc[w] != -1 {
-					if disc[w] < low[v] {
-						low[v] = disc[w]
-					}
-					continue
-				}
-				parent[w] = v
-				if v == s {
-					f.rootChildren++
-				}
-				disc[w] = timer
-				low[w] = timer
-				timer++
-				stack = append(stack, frame{v: w})
-				continue
-			}
-			// Post-order: propagate low-link to parent.
-			stack = stack[:len(stack)-1]
-			if p := parent[v]; p != -1 {
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-				if p != s && low[v] >= disc[p] {
-					isCut[p] = true
-				}
-			}
-		}
-		// Root rule: the DFS root is a cut vertex iff it has >= 2 DFS children.
-		rootChildren := 0
-		for _, w := range g.adj[s] {
-			if parent[w] == s {
-				rootChildren++
-			}
-		}
-		if rootChildren >= 2 {
-			isCut[s] = true
+	blocksOf := make([]int32, g.N())
+	for _, b := range g.BiconnectedComponents() {
+		for _, v := range b {
+			blocksOf[v]++
 		}
 	}
-
 	var out []int
-	for v, cut := range isCut {
-		if cut {
+	for v, k := range blocksOf {
+		if k >= 2 {
 			out = append(out, v)
 		}
 	}
@@ -102,116 +38,123 @@ func (g *Graph) BiconnectedComponents() [][]int {
 }
 
 // BiconnectedComponentsCp returns the blocks of the graph, probing cp on
-// every DFS step and every popped edge: on a partial 4-tree at n=10⁶
-// the split runs for ~0.8s (2-vCPU Xeon), several times a 250ms
-// disconnect budget, so a caller with a deadline can abandon it, getting
-// the checkpoint's *fault.CancelledError. Blocks come out in pop order,
-// each sorted ascending. An epoch-stamped mark array instead of a
-// per-block membership map keeps popping a block down to allocating its
-// output.
+// every DFS step: on a partial 4-tree at n=10⁶ the split runs for about
+// half a second (2-vCPU Xeon), twice a 250ms disconnect budget, so a
+// caller with a deadline can abandon it, getting the checkpoint's
+// *fault.CancelledError. Blocks come out in pop order, each sorted
+// ascending.
+//
+// The walk is Tarjan's low-link DFS over a vertex stack: every vertex is
+// pushed once, when discovered, and a finished child v whose low-link
+// does not reach above its parent p pops the stack down to v; those
+// vertices plus p are p's block through v. That is the vertex set the
+// edge-stack formulation pops at the same moment, without the m-entry
+// edge stack or a duplicate check per popped edge. The DFS state is two
+// int32 arrays (discovery time and low-link), the vertex stack and the
+// frame stack, whose next-lower frame is each vertex's parent.
 //
 //certlint:longrun
 func (g *Graph) BiconnectedComponentsCp(cp *fault.Checkpoint) ([][]int, error) {
 	n := g.N()
-	disc := make([]int, n)
-	low := make([]int, n)
-	parent := make([]int, n)
-	stamp := make([]int, n) // stamp[v] == epoch: v already in the block being popped
-	for i := range disc {
-		if err := cp.Check(); err != nil {
-			return nil, err
-		}
-		disc[i] = -1
-		parent[i] = -1
-		stamp[i] = -1
-	}
-	timer := 0
-	epoch := 0
-	// Every edge is pushed once, so the stack never outgrows m.
-	edgeStack := make([][2]int32, 0, g.m)
-	var blocks [][]int
-
+	// disc[v] is v's discovery time counted from 1, so the zeroed
+	// allocation marks every vertex unvisited.
+	disc := make([]int32, n)
+	low := make([]int32, n)
+	var timer int32
 	type frame struct {
-		v, childIdx int
+		rest []int32 // the row entries not yet walked
+		v    int32
 	}
-	var stack []frame
+	var frames []frame
+	verts := make([]int32, 0, n)
+	mark := make([]uint64, (n+63)/64) // sortBlock's scratch, all zero
+	var blocks [][]int
 	for s := 0; s < n; s++ {
-		if disc[s] != -1 {
+		if disc[s] != 0 {
 			continue
 		}
-		stack = append(stack[:0], frame{v: s})
-		disc[s] = timer
-		low[s] = timer
 		timer++
-		for len(stack) > 0 {
+		disc[s], low[s] = timer, timer
+		frames = append(frames[:0], frame{rest: g.adj[s], v: int32(s)})
+		verts = append(verts[:0], int32(s))
+		for {
 			if err := cp.Check(); err != nil {
 				return nil, err
 			}
-			f := &stack[len(stack)-1]
+			f := &frames[len(frames)-1]
 			v := f.v
-			row := g.adj[v]
-			if f.childIdx < len(row) {
-				w := int(row[f.childIdx])
-				f.childIdx++
-				if w == parent[v] {
-					continue
-				}
-				if disc[w] != -1 {
-					if disc[w] < disc[v] { // back edge
-						edgeStack = append(edgeStack, [2]int32{int32(v), int32(w)})
-						if disc[w] < low[v] {
-							low[v] = disc[w]
-						}
+			if len(f.rest) > 0 {
+				w := f.rest[0]
+				f.rest = f.rest[1:]
+				if d := disc[w]; d != 0 {
+					// A visited neighbour: the tree edge back to the
+					// parent, which does not count, or an edge to an
+					// ancestor or a descendant, of which only the
+					// ancestor's time can lower v's low-link.
+					if d < low[v] && (len(frames) < 2 || w != frames[len(frames)-2].v) {
+						low[v] = d
 					}
 					continue
 				}
-				parent[w] = v
-				edgeStack = append(edgeStack, [2]int32{int32(v), int32(w)})
-				disc[w] = timer
-				low[w] = timer
 				timer++
-				stack = append(stack, frame{v: w})
+				disc[w], low[w] = timer, timer
+				frames = append(frames, frame{rest: g.adj[w], v: w})
+				verts = append(verts, w)
 				continue
 			}
-			stack = stack[:len(stack)-1]
-			p := parent[v]
-			if p == -1 {
-				continue
+			frames = frames[:len(frames)-1]
+			if len(frames) == 0 {
+				break
 			}
-			if low[v] < low[p] {
-				low[p] = low[v]
-			}
+			p := frames[len(frames)-1].v
+			low[p] = min(low[p], low[v])
 			if low[v] < disc[p] {
 				continue
 			}
-			// p separates v's subtree: pop the block down to the tree
-			// edge (p, v).
-			var block []int
-			for len(edgeStack) > 0 {
-				if err := cp.Check(); err != nil {
-					return nil, err
-				}
-				e := edgeStack[len(edgeStack)-1]
-				edgeStack = edgeStack[:len(edgeStack)-1]
-				a, b := int(e[0]), int(e[1])
-				if stamp[a] != epoch {
-					stamp[a] = epoch
-					block = append(block, a)
-				}
-				if stamp[b] != epoch {
-					stamp[b] = epoch
-					block = append(block, b)
-				}
-				if a == p && b == v || a == v && b == p {
-					break
-				}
+			// p separates v's subtree: pop the block down to v.
+			i := len(verts) - 1
+			for verts[i] != v {
+				i--
 			}
-			sort.Ints(block)
+			block := make([]int, len(verts)-i+1)
+			for k, u := range verts[i:] {
+				block[k] = int(u)
+			}
+			block[len(block)-1] = int(p)
+			verts = verts[:i]
+			sortBlock(block, mark)
 			blocks = append(blocks, block)
-			epoch++
 		}
 	}
 	return blocks, nil
+}
+
+// sortBlock sorts block, a non-empty set of distinct vertex indices,
+// ascending. When the index range the block spans is short next to a
+// comparison sort of it — the giant block of a tree-like graph spans
+// little more than its own size — it sets each member's bit in mark and
+// reads the members back in index order instead, one word per 64
+// indices of the range. mark must be all zero, and is again on return.
+func sortBlock(block []int, mark []uint64) {
+	lo, hi := block[0], block[0]
+	for _, v := range block {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if (hi-lo)>>6 >= len(block)*bits.Len(uint(len(block))) {
+		slices.Sort(block)
+		return
+	}
+	for _, v := range block {
+		mark[v>>6] |= 1 << (v & 63)
+	}
+	k := 0
+	for w := lo >> 6; w <= hi>>6; w++ {
+		for x := mark[w]; x != 0; x &= x - 1 {
+			block[k] = w<<6 + bits.TrailingZeros64(x)
+			k++
+		}
+		mark[w] = 0
+	}
 }
 
 // LongestPathVertices returns the number of vertices on a longest simple

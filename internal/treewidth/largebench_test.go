@@ -59,6 +59,27 @@ func BenchmarkLargeDecomposePartialKTree1M(b *testing.B) {
 	benchLargeDecompose(b, 1_000_000)
 }
 
+// BenchmarkDecomposeWheel runs HeuristicCtx on a wheel with a 2¹⁶-vertex
+// rim: one biconnected block of 65,537 vertices, so min-degree alone,
+// eliminating the rim vertex by vertex while the hub's row loses one
+// entry per step. It is the hub case of row removal: deleting each entry
+// eagerly would memmove the hub's row once per rim vertex, quadratic in
+// the rim.
+func BenchmarkDecomposeWheel(b *testing.B) {
+	g := wheel(b, 1<<16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, _, err := HeuristicCtx(context.Background(), g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if w := d.Width(); w != 3 {
+			b.Fatalf("wheel decomposed at width %d, want 3", w)
+		}
+	}
+}
+
 // benchLargeProveVerify measures the tw-mso prove + sequential-verify
 // round trip with the generator-witness decomposition (width exactly 4;
 // the heuristics land at 5-6 on partial k-trees, and the serving path

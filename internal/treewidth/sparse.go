@@ -1,34 +1,43 @@
 package treewidth
 
 import (
-	"cmp"
 	"context"
-	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
 // elimSparse is the sparse working state of the elimination heuristics:
-// neighbour sets as sorted int32 slices over one flat backing array,
-// plus incrementally maintained degrees and, for min-fill only, the
-// same fill-in counts as the dense bitset engine (elimBits). Where the
-// bitset engine pays n²/8 bytes and word-scans per row — unbeatable on
-// small dense graphs, unpayable at n=10⁶ — this engine pays O(n+m)
-// memory and per-round work proportional to the eliminated
-// neighbourhood, which is what makes million-vertex partial k-trees
-// decomposable.
+// neighbour sets as sorted int32 rows over one flat backing array, plus
+// incrementally maintained degrees and, for min-fill only, the same
+// fill-in counts as the dense bitset engine (elimBits). Where the bitset
+// engine pays n²/8 bytes and word-scans per row — unbeatable on small
+// dense graphs, unpayable at n=10⁶ — this engine pays O(n+m) memory and
+// per-round work proportional to the eliminated neighbourhood, which is
+// what makes million-vertex partial k-trees decomposable.
 //
-// The count maintenance mirrors elimBits.eliminate line for line (same
-// pair order, same update formulas, same before/after-insert timing), so
-// the two engines produce bit-identical degree and fill values — the
+// Rows stay ascending but may hold dead entries: eliminating v marks it
+// dead instead of deleting it from every neighbour's row, which at a hub
+// cost one memmove of the hub's row per eliminated neighbour, Θ(deg²) in
+// all. deg counts a row's live entries. The row of the vertex being
+// eliminated is compacted before its bag and fill edges are read off it;
+// every other read (the adjacency probe, the common-neighbour merges)
+// can match live entries only (see eliminate and countFillEdge). A row is
+// compacted in place as soon as its dead entries outnumber its live ones
+// (len > 2·deg), so it never holds more than 2·deg entries, and each
+// compaction is paid for by the removals that left its dead entries.
+//
+// The count maintenance mirrors elimBits.eliminate (same pair order,
+// same before/after-insert timing, and the same counts, read off live
+// degrees and common neighbours where elimBits diffs rows), so the two
+// engines produce bit-identical degree and fill values — the
 // differential tests pin identical elimination orders on every graph
 // where both run.
 type elimSparse struct {
 	n     int
-	nbr   [][]int32 // sorted live (fill-in) neighbour lists
+	nbr   [][]int32 // ascending (fill-in) neighbour rows, dead entries included
 	alive []bool
-	deg   []int
+	deg   []int // live entries per row
 	fill  []int // nil unless counts
 	// counts gates the fill-in maintenance, as in elimBits: only
 	// min-fill reads fill, and on hub-heavy graphs the initial counts
@@ -41,7 +50,7 @@ type elimSparse struct {
 	left   int
 	// touched collects the vertices whose score may have changed during
 	// one eliminate call, deduplicated by an epoch stamp, so the driver
-	// can refresh exactly those heap entries.
+	// can move exactly those heap entries.
 	touched []int32
 	stamp   []int32
 	epoch   int32
@@ -67,8 +76,8 @@ func newElimSparseCp(cp *fault.Checkpoint, g *graph.Graph, counts bool) (*elimSp
 		epoch:  1,
 	}
 	// Rows copied out of the graph into one flat mutable array with
-	// exact capacities: removals shrink in place, the first insertion
-	// into a row reallocates just that row.
+	// exact capacities: compaction shrinks a row in place, the first
+	// insertion into a row reallocates just that row.
 	flat := make([]int32, 0, 2*g.M())
 	for v := 0; v < n; v++ {
 		if err := cp.Check(); err != nil {
@@ -124,26 +133,6 @@ func intersectCountSorted(a, b []int32) int {
 	return c
 }
 
-// diffCountSorted returns |a \ b| for two ascending slices.
-//
-//certlint:hotpath
-func diffCountSorted(a, b []int32) int {
-	c, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			c++
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return c + len(a) - i
-}
-
 // containsSorted reports whether ascending slice a contains x.
 //
 //certlint:hotpath
@@ -179,23 +168,6 @@ func insertSorted32(a []int32, x int32) []int32 {
 	return a
 }
 
-// removeSorted32 removes x from ascending slice a (x must be present).
-//
-//certlint:hotpath
-func removeSorted32(a []int32, x int32) []int32 {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	copy(a[lo:], a[lo+1:])
-	return a[:len(a)-1]
-}
-
 // touch marks v's score as possibly changed in the current epoch.
 func (st *elimSparse) touch(v int32) {
 	if st.stamp[v] != st.epoch {
@@ -204,11 +176,37 @@ func (st *elimSparse) touch(v int32) {
 	}
 }
 
-// bagOf returns v's elimination bag at the current state: the vertex
-// plus its remaining neighbours, sorted (the list is sorted already, so
-// this is one merge-position insert).
-func (st *elimSparse) bagOf(v int) []int {
+// live returns v's row without dead entries, compacting it in place
+// first if it holds any.
+func (st *elimSparse) live(v int) []int32 {
 	row := st.nbr[v]
+	if len(row) != st.deg[v] {
+		row = st.compact(row)
+		st.nbr[v] = row
+	}
+	return row
+}
+
+// compact drops the dead entries of row in place and returns the
+// shortened row, which keeps its capacity.
+//
+//certlint:hotpath
+func (st *elimSparse) compact(row []int32) []int32 {
+	k := 0
+	for _, w := range row {
+		if st.alive[w] {
+			row[k] = w
+			k++
+		}
+	}
+	return row[:k]
+}
+
+// bagOf returns v's elimination bag at the current state: the vertex
+// plus its remaining neighbours, sorted (the live row is sorted already,
+// so this is one merge-position insert).
+func (st *elimSparse) bagOf(v int) []int {
+	row := st.live(v)
 	bag := make([]int, 0, len(row)+1)
 	placed := false
 	for _, w := range row {
@@ -226,24 +224,30 @@ func (st *elimSparse) bagOf(v int) []int {
 
 // eliminate removes v, cliquing its remaining neighbours and keeping
 // every degree (and, with counts on, every fill-in count) exact — the
-// same arithmetic as elimBits.eliminate, on sorted slices — and
-// collecting the touched vertices for the selection heap. It returns
-// v's degree at elimination time.
+// same arithmetic as elimBits.eliminate, on sorted rows — and collecting
+// the touched vertices for the selection heap. It returns v's degree at
+// elimination time.
 //
 //certlint:hotpath
 func (st *elimSparse) eliminate(v int) int {
-	nbrs := st.nbr[v]
+	nbrs := st.live(v)
 	d := len(nbrs)
 	st.touched = st.touched[:0]
 	st.epoch++
 	// Add the missing fill edges among N(v), updating counts as each
 	// edge lands so later pairs see the current adjacency (see
-	// elimBits.eliminate for the counting argument).
+	// elimBits.eliminate for the counting argument). Both endpoints are
+	// live, so a dead entry never answers the probe, which searches the
+	// shorter of the two rows.
 	for i := 0; i < d; i++ {
 		a := nbrs[i]
 		for j := i + 1; j < d; j++ {
 			b := nbrs[j]
-			if containsSorted(st.nbr[a], b) {
+			row, x := st.nbr[a], b
+			if len(st.nbr[b]) < len(row) {
+				row, x = st.nbr[b], a
+			}
+			if containsSorted(row, x) {
 				continue
 			}
 			if st.counts {
@@ -255,30 +259,40 @@ func (st *elimSparse) eliminate(v int) int {
 			st.deg[b]++
 		}
 	}
-	// Detach v: each neighbour loses the pairs {v, y} with y a neighbour
-	// it shares with nobody — exactly its neighbours outside N(v) ∪ {v}.
+	// Detach v: its entry turns dead in every neighbour's row. Each
+	// neighbour w loses the pairs {v, y} with y a neighbour it shares
+	// with nobody — exactly its live neighbours outside N(v) ∪ {v}, and
+	// deg[w] still counts v. nbrs holds live vertices only, so the
+	// intersection ignores w's dead entries.
+	st.alive[v] = false
 	for _, w := range nbrs {
+		row := st.nbr[w]
 		if st.counts {
-			st.fill[w] -= diffCountSorted(st.nbr[w], nbrs) - 1
+			st.fill[w] -= st.deg[w] - intersectCountSorted(row, nbrs) - 1
 		}
 		st.touch(w)
-		st.nbr[w] = removeSorted32(st.nbr[w], int32(v))
 		st.deg[w]--
+		if len(row) > 2*st.deg[w] {
+			st.nbr[w] = st.compact(row)
+		}
 	}
 	st.nbr[v] = nil
-	st.alive[v] = false
 	st.left--
 	return d
 }
 
 // countFillEdge updates the fill-in counts for the fill edge {a, b},
-// about to be added while eliminating v: every live common neighbour
-// of a and b loses the pair from its missing set, and each endpoint
-// gains a missing pair per neighbour the other endpoint lacks.
+// about to be added while eliminating v: every common neighbour of a and
+// b loses the pair from its missing set, and each endpoint gains a
+// missing pair per neighbour the other endpoint lacks — its degree minus
+// the common neighbours, v among them. The rows' dead entries never
+// match: a vertex eliminated while adjacent to both a and b would have
+// joined them by a fill edge, and {a, b} is still missing.
 //
 //certlint:hotpath
 func (st *elimSparse) countFillEdge(v int, a, b int32) {
 	aRow, bRow := st.nbr[a], st.nbr[b]
+	common := 0
 	ai, bi := 0, 0
 	for ai < len(aRow) && bi < len(bRow) {
 		switch {
@@ -287,6 +301,7 @@ func (st *elimSparse) countFillEdge(v int, a, b int32) {
 		case aRow[ai] > bRow[bi]:
 			bi++
 		default:
+			common++
 			if x := aRow[ai]; int(x) != v {
 				st.fill[x]--
 				st.touch(x)
@@ -295,81 +310,135 @@ func (st *elimSparse) countFillEdge(v int, a, b int32) {
 			bi++
 		}
 	}
-	st.fill[a] += diffCountSorted(aRow, bRow)
-	st.fill[b] += diffCountSorted(bRow, aRow)
+	st.fill[a] += st.deg[a] - common
+	st.fill[b] += st.deg[b] - common
 }
 
-// scoreEntry is one lazy-heap entry: a vertex and the score it carried
-// when pushed. Entries whose score no longer matches the live value are
-// discarded on pop; ordering is (score, vertex), which reproduces the
-// dense engine's smallest-score-lowest-index selection exactly.
-type scoreEntry struct {
+// heapEntry is one slot of vertexHeap: a live vertex under its current
+// score. Ordering is (score, vertex), which reproduces the dense engine's
+// smallest-score-lowest-index selection exactly.
+type heapEntry struct {
 	score int64
 	v     int32
 }
 
-// scoreHeap is a binary min-heap of scoreEntry with lazy invalidation.
-type scoreHeap []scoreEntry
-
-func (h scoreHeap) less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score < h[j].score
-	}
-	return h[i].v < h[j].v
+func (e heapEntry) less(f heapEntry) bool {
+	return e.score < f.score || e.score == f.score && e.v < f.v
 }
 
-func (h *scoreHeap) push(e scoreEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
+// vertexHeap is the sparse engine's selection queue: a binary min-heap
+// holding every live vertex exactly once under its exact (score, vertex)
+// key, with pos locating each vertex's slot so that a score change moves
+// the entry in place. Keys are distinct, so the pop sequence depends on
+// the keys alone, not on how the heap was laid out. A bucket queue would
+// move an entry in O(1), but it cannot keep the lowest-index tie-break
+// without an ordered set per bucket.
+type vertexHeap struct {
+	h   []heapEntry
+	pos []int32 // slot of each vertex in h; -1 once popped
+}
+
+// newVertexHeapCp heaps every vertex under its score in vals, bottom-up
+// in O(n), probing the checkpoint through both setup loops.
+//
+//certlint:longrun
+func newVertexHeapCp(cp *fault.Checkpoint, vals []int) (*vertexHeap, error) {
+	n := len(vals)
+	q := &vertexHeap{h: make([]heapEntry, n), pos: make([]int32, n)}
+	for v := 0; v < n; v++ {
+		if err := cp.Check(); err != nil {
+			return nil, err
+		}
+		q.h[v] = heapEntry{score: int64(vals[v]), v: int32(v)}
+		q.pos[v] = int32(v)
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		if err := cp.Check(); err != nil {
+			return nil, err
+		}
+		q.down(i)
+	}
+	return q, nil
+}
+
+// pop removes and returns the vertex with the smallest (score, vertex).
+func (q *vertexHeap) pop() int {
+	top := q.h[0].v
+	last := len(q.h) - 1
+	q.h[0] = q.h[last]
+	q.pos[q.h[0].v] = 0
+	q.h = q.h[:last]
+	q.pos[top] = -1
+	if last > 0 {
+		q.down(0)
+	}
+	return int(top)
+}
+
+// update moves live vertex v to its new score.
+func (q *vertexHeap) update(v int32, score int64) {
+	i := int(q.pos[v])
+	old := q.h[i].score
+	if score == old {
+		return
+	}
+	q.h[i].score = score
+	if score < old {
+		q.up(i)
+	} else {
+		q.down(i)
+	}
+}
+
+// up sifts slot i toward the root.
+//
+//certlint:hotpath
+func (q *vertexHeap) up(i int) {
+	e := q.h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !(*h).less(i, p) {
+		if !e.less(q.h[p]) {
 			break
 		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
+		q.h[i] = q.h[p]
+		q.pos[q.h[i].v] = int32(i)
 		i = p
 	}
+	q.h[i] = e
+	q.pos[e.v] = int32(i)
 }
 
-func (h *scoreHeap) pop() scoreEntry {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
-	i := 0
+// down sifts slot i toward the leaves.
+//
+//certlint:hotpath
+func (q *vertexHeap) down(i int) {
+	h := q.h
+	e := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < last && (*h).less(l, s) {
-			s = l
-		}
-		if r < last && (*h).less(r, s) {
-			s = r
-		}
-		if s == i {
+		c := 2*i + 1
+		if c >= len(h) {
 			break
 		}
-		(*h)[i], (*h)[s] = (*h)[s], (*h)[i]
-		i = s
+		if r := c + 1; r < len(h) && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(e) {
+			break
+		}
+		h[i] = h[c]
+		q.pos[h[i].v] = int32(i)
+		i = c
 	}
-	return top
-}
-
-// cmpScoreEntry orders heap entries by (score, vertex), the order
-// scoreHeap.less uses.
-func cmpScoreEntry(a, b scoreEntry) int {
-	if c := cmp.Compare(a.score, b.score); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.v, b.v)
+	h[i] = e
+	q.pos[e.v] = int32(i)
 }
 
 // runHeuristicSparse is the sparse counterpart of runHeuristic: the same
 // greedy elimination (smallest score wins, lowest index breaks ties),
-// with selection through the lazy min-heap instead of an O(n) scan per
-// round, and bags recorded during the single elimination pass. Fill-in
-// counts are maintained only when the score reads them (min-fill).
+// with selection through the indexed min-heap instead of an O(n) scan
+// per round, and bags recorded during the single elimination pass.
+// Fill-in counts are maintained only when the score reads them
+// (min-fill).
 func runHeuristicSparse(ctx context.Context, g *graph.Graph, score heuristicScore) (*Decomposition, []int, int, error) {
 	return runSparse(ctx, g, score, false)
 }
@@ -390,16 +459,10 @@ func runSparse(ctx context.Context, g *graph.Graph, score heuristicScore, forceC
 	if score == scoreFill {
 		vals = st.fill
 	}
-	h := make(scoreHeap, 0, n+n/2)
-	for v := 0; v < n; v++ {
-		if err := cp.Check(); err != nil {
-			return nil, nil, 0, err
-		}
-		h = append(h, scoreEntry{score: int64(vals[v]), v: int32(v)})
+	q, err := newVertexHeapCp(&cp, vals)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	// A sorted array is a valid heap; (score, vertex) keys are distinct,
-	// so the result does not depend on the sort's stability.
-	slices.SortFunc(h, cmpScoreEntry)
 	order := make([]int, 0, n)
 	bags := make([][]int, 0, n)
 	width := 0
@@ -407,20 +470,15 @@ func runSparse(ctx context.Context, g *graph.Graph, score heuristicScore, forceC
 		if err := cp.Check(); err != nil {
 			return nil, nil, 0, err
 		}
-		e := h.pop()
-		v := int(e.v)
-		if !st.alive[v] || int64(vals[v]) != e.score {
-			continue // stale entry; the live score was re-pushed when it changed
-		}
+		v := q.pop()
 		order = append(order, v)
 		bags = append(bags, st.bagOf(v))
 		if d := st.eliminate(v); d > width {
 			width = d
 		}
+		// Every touched vertex is live: v is never its own neighbour.
 		for _, t := range st.touched {
-			if st.alive[t] {
-				h.push(scoreEntry{score: int64(vals[t]), v: t})
-			}
+			q.update(t, int64(vals[t]))
 		}
 	}
 	return linkEliminationBags(order, bags), order, width, nil

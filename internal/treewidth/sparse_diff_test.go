@@ -6,8 +6,10 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/graphgen"
 )
@@ -56,6 +58,166 @@ func TestSparseMatchesBitset(t *testing.T) {
 			}
 			if wantWidth != gotWidth {
 				t.Fatalf("score %d %v: width %d vs %d", score, g, wantWidth, gotWidth)
+			}
+		}
+	}
+	// Hub-heavy graphs, too big for the random corpus above to reach:
+	// eliminating a hub's neighbours leaves dead entries in its row until
+	// the row is compacted.
+	for _, c := range hubGraphs(t) {
+		for _, score := range []heuristicScore{scoreDegree, scoreFill} {
+			wantD, wantOrder, wantWidth, err := runHeuristic(context.Background(), c.g, score)
+			if err != nil {
+				t.Fatalf("%s score %d: bitset engine: %v", c.name, score, err)
+			}
+			gotD, gotOrder, gotWidth, err := runHeuristicSparse(context.Background(), c.g, score)
+			if err != nil {
+				t.Fatalf("%s score %d: sparse engine: %v", c.name, score, err)
+			}
+			if !reflect.DeepEqual(wantOrder, gotOrder) || wantWidth != gotWidth ||
+				!reflect.DeepEqual(wantD.Bags, gotD.Bags) || !reflect.DeepEqual(wantD.Adj, gotD.Adj) {
+				t.Fatalf("%s score %d: sparse engine diverges from the bitset engine (width %d vs %d)",
+					c.name, score, wantWidth, gotWidth)
+			}
+		}
+	}
+}
+
+// hubCase is one named input of the hub-heavy corpus.
+type hubCase struct {
+	name string
+	g    *graph.Graph
+}
+
+// hubGraphs are hub-heavy inputs that the sparse engine runs and the
+// bitset engine can still check (129 <= n <= MaxDenseVertices): wheels,
+// fans (a hub joined to a path) and a hub joined to a partial 2-tree,
+// with the hub first or last in index order.
+func hubGraphs(tb testing.TB) []hubCase {
+	tb.Helper()
+	return []hubCase{
+		{"wheel-128", wheel(tb, 128)},
+		{"wheel-2000", wheel(tb, 2_000)},
+		{"fan-1000", hubPath(tb, 1_000)},
+		{"fan-4095", hubPath(tb, 4_095)},
+		{"hub-partial-2-tree-3000", hubPartial2Tree(tb, 3_000, 4)},
+	}
+}
+
+// wheel returns the wheel with the given rim: hub 0 joined to every
+// vertex of the cycle 1..rim.
+func wheel(tb testing.TB, rim int) *graph.Graph {
+	tb.Helper()
+	b := graph.NewBuilder(rim + 1)
+	for i := 1; i <= rim; i++ {
+		b.MustAddEdge(0, i)
+		b.MustAddEdge(i, i%rim+1)
+	}
+	g, err := b.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// hubPartial2Tree returns a partial 2-tree on vertices 0..n-2 plus a hub,
+// vertex n-1, joined to every one of them.
+func hubPartial2Tree(tb testing.TB, n int, seed int64) *graph.Graph {
+	tb.Helper()
+	base, _ := graphgen.PartialKTree(n-1, 2, 0.85, rand.New(rand.NewSource(seed)))
+	b := graph.NewBuilder(n)
+	for _, e := range base.Edges() {
+		b.MustAddEdge(e[0], e[1])
+	}
+	for v := 0; v < n-1; v++ {
+		b.MustAddEdge(v, n-1)
+	}
+	g, err := b.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// TestSparseRowsStayCompact steps the sparse engine, as runSparse does,
+// and after every elimination checks every live row: its live entries
+// ascend and number exactly the vertex's degree, and the whole row, dead
+// entries included, holds at most 2·deg entries. A row is compacted once
+// its dead entries outnumber its live ones, so the bound has no additive
+// slack. The steps must also eliminate in runSparse's order. The sweep
+// costs O(n+m) per step, so it runs on the hub-heavy corpus up to 3,000
+// vertices under both scores, and on a 5,000-vertex partial 4-tree under
+// min-degree, the score the engine runs on the giant block of such
+// graphs.
+func TestSparseRowsStayCompact(t *testing.T) {
+	type stepCase struct {
+		hubCase
+		scores []heuristicScore
+	}
+	var cases []stepCase
+	for _, c := range hubGraphs(t) {
+		if c.g.N() <= 3_000 {
+			cases = append(cases, stepCase{c, []heuristicScore{scoreDegree, scoreFill}})
+		}
+	}
+	pk, _ := graphgen.PartialKTree(5_000, 4, 0.85, rand.New(rand.NewSource(5)))
+	cases = append(cases, stepCase{hubCase{"partial-4-tree-5000", pk}, []heuristicScore{scoreDegree}})
+	for _, c := range cases {
+		for _, score := range c.scores {
+			_, want, _, err := runSparse(context.Background(), c.g, score, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cp fault.Checkpoint
+			st, err := newElimSparseCp(&cp, c.g, score == scoreFill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals := st.deg
+			if score == scoreFill {
+				vals = st.fill
+			}
+			q, err := newVertexHeapCp(&cp, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := make([]int, st.n) // the live vertices, in index order
+			for u := range live {
+				live[u] = u
+			}
+			dead := false
+			for step := 0; st.left > 0; step++ {
+				v := q.pop()
+				if v != want[step] {
+					t.Fatalf("%s score %d step %d: popped %d, runSparse eliminated %d", c.name, score, step, v, want[step])
+				}
+				st.bagOf(v)
+				st.eliminate(v)
+				for _, u := range st.touched {
+					q.update(u, int64(vals[u]))
+				}
+				i, _ := slices.BinarySearch(live, v)
+				live = slices.Delete(live, i, i+1)
+				for _, u := range live {
+					row, k, prev := st.nbr[u], 0, int32(-1)
+					for _, w := range row {
+						if w <= prev {
+							t.Fatalf("%s score %d step %d: row %d not ascending: %v", c.name, score, step, u, row)
+						}
+						prev = w
+						if st.alive[w] {
+							k++
+						}
+					}
+					if k != st.deg[u] || len(row) > 2*st.deg[u] {
+						t.Fatalf("%s score %d step %d: row %d holds %d entries, %d live, degree %d",
+							c.name, score, step, u, len(row), k, st.deg[u])
+					}
+					dead = dead || len(row) > k
+				}
+			}
+			if !dead {
+				t.Errorf("%s score %d: no row ever held a dead entry", c.name, score)
 			}
 		}
 	}
