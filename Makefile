@@ -177,32 +177,16 @@ cover:
 	awk "BEGIN { exit !($$total >= $(LINT_COVER_FLOOR)) }" || \
 		{ echo "coverage below floor"; exit 1; }
 
-# bench runs the benchmarks of PKGS (default: every package). With OUT
-# set, the run is converted by cmd/benchjson into a machine-readable
-# snapshot written to OUT; with BASE set as well, benchjson then gates OUT
-# against the BASE snapshot and fails on any shared benchmark whose
-# drift-normalized ns/op regressed by more than 25%. Raw output goes
-# through a temp file, not a pipe, so a failing benchmark fails the
-# target. Packages run one at a time (-p 1) so they do not skew each
-# other; BENCH_LARGE=1 in the environment ungates the n=10⁶ benchmarks.
+# bench runs the benchmarks of PKGS (default: every package), one
+# package at a time (-p 1) so they do not skew each other; BENCH_LARGE=1
+# in the environment ungates the n=10⁶ benchmarks. Regressions are
+# judged by cmd/certbench, which runs the parent commit and the change
+# fresh, side by side.
 #
 #   make bench PKGS=./internal/netsim
-#   make bench PKGS='./internal/logic ./internal/engine ./internal/treewidth ./internal/obs' \
-#        OUT=BENCH_NEW.json BASE=BENCH_PR9.json
 PKGS ?= ./...
 bench:
-ifeq ($(OUT),)
 	$(GO) test -p 1 -bench=. -benchmem -run=NONE -timeout=60m $(PKGS)
-else
-	$(GO) test -p 1 -bench=. -benchmem -run=NONE -timeout=60m $(PKGS) > bench-raw.tmp
-	$(GO) run ./cmd/benchjson < bench-raw.tmp > $(OUT)
-	@rm -f bench-raw.tmp
-	@echo wrote $(OUT)
-endif
-ifneq ($(BASE),)
-	$(GO) run ./cmd/benchjson -compare $(BASE) $(OUT)
-endif
 
 clean:
 	$(GO) clean ./...
-	rm -f bench-raw.tmp

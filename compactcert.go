@@ -6,7 +6,8 @@
 // It exposes, behind one facade:
 //
 //   - the local certification model (schemes, certificate assignments,
-//     a sequential referee and a goroutine-per-node network simulator);
+//     a sequential referee and a sharded network simulator, which splits
+//     the vertices into contiguous shards over a bounded worker pool);
 //   - the paper's certification schemes: constant-size MSO certification
 //     on trees (Theorem 2.2), O(t log n) treedepth certification
 //     (Theorem 2.4), kernelization-based MSO/FO certification on
@@ -208,7 +209,8 @@ func UniversalFormulaScheme(sentence string) (Scheme, error) {
 
 // HeuristicTreeDecomposition computes a tree decomposition with the better
 // of the min-fill and min-degree elimination heuristics, reporting which
-// won.
+// won: "min-fill" or "min-degree", or "blocks" when a graph above 4,096
+// vertices was split into biconnected blocks, each with its own winner.
 func HeuristicTreeDecomposition(g *Graph) (*Decomposition, string, error) {
 	return treewidth.HeuristicCtx(context.TODO(), g)
 }

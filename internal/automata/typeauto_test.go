@@ -1,6 +1,7 @@
 package automata
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graphgen"
 	"repro/internal/logic"
+	"repro/internal/netsim"
 	"repro/internal/rooted"
 )
 
@@ -168,10 +170,13 @@ func TestTypeSchemeTamperDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	detected, changed, err := cert.ProbeTamperDetection(g, s, honest, 25, rng)
+	rep, err := netsim.Default.Sweep(context.Background(), g, s, honest, cert.StandardTampers(), 25, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	detected, changed := 0, 0
+	for _, st := range rep.Stats {
+		detected, changed = detected+st.Detected, changed+st.Mutated
 	}
 	if changed == 0 || detected < changed*9/10 {
 		t.Errorf("tamper detection weak: %d/%d", detected, changed)

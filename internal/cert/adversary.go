@@ -202,34 +202,6 @@ func ProbeSoundness(g *graph.Graph, s Scheme, seeds []Assignment, maxBits, trial
 	return rep, nil
 }
 
-// ProbeTamperDetection attacks a yes-instance: starting from the honest
-// assignment it applies each standard tamper `perTamper` times and counts
-// how often the corruption goes undetected while actually changing the
-// assignment (trials the tamper itself reports as no-ops are skipped).
-// Note that a tamper may occasionally produce another valid certificate
-// assignment (e.g. flipping a bit in an unread field); callers treat the
-// returned rate as a diagnostic, while dedicated tests assert detection of
-// specific, semantically meaningful corruptions.
-func ProbeTamperDetection(g *graph.Graph, s Scheme, honest Assignment, perTamper int, rng *rand.Rand) (detected, changed int, err error) {
-	for _, tm := range StandardTampers() {
-		for i := 0; i < perTamper; i++ {
-			a, mutated := tm.Apply(honest, rng)
-			if !mutated {
-				continue
-			}
-			changed++
-			res, rerr := RunSequential(g, s, a)
-			if rerr != nil {
-				return detected, changed, rerr
-			}
-			if !res.Accepted {
-				detected++
-			}
-		}
-	}
-	return detected, changed, nil
-}
-
 // certificatesEqual compares two certificates byte-wise (nil and empty are
 // equal: both are the empty bit string).
 func certificatesEqual(a, b Certificate) bool {

@@ -27,42 +27,7 @@ func (s degreeAtMost) Prove(g *graph.Graph) (Assignment, error) {
 
 func (s degreeAtMost) Verify(v View) bool { return v.Degree() <= s.D }
 
-// echoScheme gives every vertex the same 8-bit tag and verifies that all
-// neighbours carry the identical tag; it exercises certificate plumbing
-// and tamper detection.
-type echoScheme struct{}
-
-func (echoScheme) Name() string                       { return "echo" }
-func (echoScheme) Holds(g *graph.Graph) (bool, error) { return true, nil }
-func (echoScheme) Prove(g *graph.Graph) (Assignment, error) {
-	a := make(Assignment, g.N())
-	tag := Certificate{1, 0, 1, 1, 0, 0, 1, 0}
-	for v := range a {
-		a[v] = append(Certificate(nil), tag...)
-	}
-	return a, nil
-}
-func (echoScheme) Verify(v View) bool {
-	if len(v.Cert) != 8 {
-		return false
-	}
-	for _, nb := range v.Neighbors {
-		if len(nb.Cert) != 8 {
-			return false
-		}
-		for i := range nb.Cert {
-			if nb.Cert[i] != v.Cert[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-var (
-	_ Scheme = degreeAtMost{}
-	_ Scheme = echoScheme{}
-)
+var _ Scheme = degreeAtMost{}
 
 func TestAssignmentSizes(t *testing.T) {
 	a := Assignment{nil, {1, 0}, {1, 1, 1}}
@@ -153,29 +118,6 @@ func TestProbeSoundnessRequiresNoInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	if _, err := ProbeSoundness(graphgen.Path(4), s, nil, 4, 5, rng); err == nil {
 		t.Fatal("yes-instance accepted by ProbeSoundness")
-	}
-}
-
-func TestTamperDetectionOnEchoScheme(t *testing.T) {
-	g := graphgen.Path(6)
-	s := echoScheme{}
-	honest, err := s.Prove(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	detected, changed, err := ProbeTamperDetection(g, s, honest, 20, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if changed == 0 {
-		t.Fatal("no tampering produced a changed assignment")
-	}
-	// The echo scheme reads every certificate bit, so every change is
-	// detectable — except swapping two identical certificates, which the
-	// tamper itself reports as a no-op and the probe skips.
-	if detected != changed {
-		t.Errorf("detected %d of %d corruptions", detected, changed)
 	}
 }
 

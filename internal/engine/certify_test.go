@@ -111,7 +111,7 @@ func TestCertifyDecomposeOverrunFailsDecompose(t *testing.T) {
 	cache := NewCacheObs(registry.Default(), reg)
 	cache.Decomps = NewDecompCacheObs(reg)
 	pipe := &Pipeline{Cache: cache}
-	// n above the parallel threshold: the block driver probes the
+	// n above the block-split threshold: the block loop probes the
 	// context before its first block.
 	job := Job{Graph: graphgen.Path(5000), Scheme: "tw-mso", Params: registry.Params{Property: "tw-bound", T: 2}}
 	if _, err := cache.GetOrCompile(job.Scheme, job.Params); err != nil {

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graphgen"
 	"repro/internal/logic"
+	"repro/internal/netsim"
 	"repro/internal/rooted"
 	"repro/internal/treedepth"
 )
@@ -151,9 +153,13 @@ func TestMSOSchemeTamperDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	detected, changed, err := cert.ProbeTamperDetection(g, s, honest, 20, rng)
+	rep, err := netsim.Default.Sweep(context.Background(), g, s, honest, cert.StandardTampers(), 20, 7)
 	if err != nil {
 		t.Fatal(err)
+	}
+	detected, changed := 0, 0
+	for _, st := range rep.Stats {
+		detected, changed = detected+st.Detected, changed+st.Mutated
 	}
 	if changed == 0 || detected < changed*8/10 {
 		t.Errorf("tamper detection weak: %d/%d", detected, changed)

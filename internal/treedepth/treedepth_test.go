@@ -1,6 +1,7 @@
 package treedepth
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/cert"
 	"repro/internal/graph"
 	"repro/internal/graphgen"
+	"repro/internal/netsim"
 	"repro/internal/rooted"
 )
 
@@ -415,10 +417,13 @@ func TestSchemeTamperDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(23))
-	detected, changed, err := cert.ProbeTamperDetection(g, s, honest, 20, rng)
+	rep, err := netsim.Default.Sweep(context.Background(), g, s, honest, cert.StandardTampers(), 20, 23)
 	if err != nil {
 		t.Fatal(err)
+	}
+	detected, changed := 0, 0
+	for _, st := range rep.Stats {
+		detected, changed = detected+st.Detected, changed+st.Mutated
 	}
 	if changed == 0 || detected < changed*8/10 {
 		t.Errorf("tamper detection weak: %d/%d", detected, changed)

@@ -68,8 +68,10 @@ func BenchmarkEliminationEngines(b *testing.B) {
 	}
 	engines := []struct {
 		name string
-		run  func(context.Context, *graph.Graph, heuristicScore) (*Decomposition, []int, int, error)
-	}{{"bitset", runHeuristic}, {"sparse", runHeuristicSparse}}
+		run  func(*graph.Graph, heuristicScore) (*Decomposition, []int, int, error)
+	}{{"bitset", bitsetDecomp}, {"sparse", func(g *graph.Graph, score heuristicScore) (*Decomposition, []int, int, error) {
+		return sparseDecomp(g, score, false)
+	}}}
 	for _, in := range inputs {
 		if !useBitset(in.g) {
 			b.Fatalf("%s: useBitset routes it to the sparse engine", in.name)
@@ -79,11 +81,11 @@ func BenchmarkEliminationEngines(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if in.contest {
-						if _, _, _, err := e.run(context.Background(), in.g, scoreFill); err != nil {
+						if _, _, _, err := e.run(in.g, scoreFill); err != nil {
 							b.Fatal(err)
 						}
 					}
-					if _, _, _, err := e.run(context.Background(), in.g, scoreDegree); err != nil {
+					if _, _, _, err := e.run(in.g, scoreDegree); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -9,6 +9,12 @@
 // Fraigniaud et al., arXiv:2112.03195) that the paper's tree-like classes
 // point at.
 //
+// Every elimination appends its order and bags to one decomposition
+// builder (decompBuilder), which lays the tree out once. Above
+// blockSplitThreshold vertices HeuristicCtx splits the graph into its
+// biconnected blocks and decomposes them one after another into one
+// builder; no decomposition starts a goroutine.
+//
 // Every long-running entry point takes a context and returns a
 // *fault.CancelledError once it is done (MinFillCtx, MinDegreeCtx,
 // HeuristicCtx, ExactCtx, MakeNiceCtx, SolveEMSOCtx); there are no
@@ -292,49 +298,130 @@ func IsValid(g *graph.Graph, d *Decomposition) bool { return Validate(g, d) == n
 // fromEliminationOrder builds the tree decomposition induced by an
 // elimination order (a permutation of the vertices): eliminating order[i]
 // creates the bag {order[i]} ∪ its neighbours in the fill-in graph among
-// later vertices, linked by linkEliminationBags. The replay runs on the
-// bitset engine with fill-in counting off — it only reads bags. Its one
-// caller, ExactCtx, never exceeds ExactLimit vertices, well inside the
-// bitset engine's range.
+// later vertices, linked as decompBuilder.link links any run. The replay
+// runs on the bitset engine with fill-in counting off — it only reads
+// bags. Its one caller, ExactCtx, never exceeds ExactLimit vertices, well
+// inside the bitset engine's range.
 func fromEliminationOrder(g *graph.Graph, order []int) *Decomposition {
+	n := g.N()
+	b := newDecompBuilder(n, g.M())
 	st := newElimBits(g, false)
-	bags := make([][]int, len(order))
-	nbrs := make([]int, 0, len(order))
-	for i, v := range order {
-		bags[i] = st.bagOf(v)
+	nbrs := make([]int, 0, n)
+	for _, v := range order {
+		b.closeBag(v, appendMembers(b.newBag(st.deg[v]+1), st.row(v)))
 		nbrs, _ = st.eliminate(v, nbrs)
 	}
-	return linkEliminationBags(order, bags)
+	b.link(0, n, make([]int32, n))
+	return b.finish()
 }
 
-// linkEliminationBags assembles elimination bags (bags[i] is the bag of
-// order[i]: the vertex plus its not-yet-eliminated neighbours at
-// elimination time) into a decomposition: each bag attaches to the bag of
-// its earliest-eliminated later member, or to the next bag in order when
-// it has none, which keeps the tree connected even for disconnected
-// inputs. order is a permutation of 0..n-1, so positions live in a
-// dense slice.
-func linkEliminationBags(order []int, bags [][]int) *Decomposition {
-	n := len(order)
-	pos := make([]int, n)
-	for i, v := range order {
-		pos[v] = i
+// decompBuilder assembles one Decomposition from elimination runs. Every
+// run (a heuristic engine's, or ExactCtx's replay) appends its order and
+// its bags end to end, bag i belonging to order[i]; the bag entries are
+// cut from a few large chunks, so a bag costs no allocation of its own.
+// Tree edges go into one list in creation order, and finish lays the
+// tree rows out once from a degree count, so every row lists its edges
+// in the order they were made.
+type decompBuilder struct {
+	order []int32 // the eliminated vertex of each bag, in its run's indices
+	bags  [][]int
+	verts []int // the chunk the next bags are cut from
+	chunk int   // the size of every chunk after the first
+	edges []int32
+}
+
+// newDecompBuilder sizes a builder for the given number of bags, to be
+// eliminated from a graph with the given number of edges. A tree over
+// bags bags has bags-1 edges. A bag holds its vertex and its edges to
+// later neighbours, original or fill, so the first chunk takes one entry
+// per bag and per edge plus a quarter of the bags for fill edges, and
+// every later chunk an eighth of that.
+func newDecompBuilder(bags, edges int) *decompBuilder {
+	entries := bags + edges + bags/4
+	return &decompBuilder{
+		order: make([]int32, 0, bags),
+		bags:  make([][]int, 0, bags),
+		verts: make([]int, 0, entries),
+		chunk: max(entries/8, 64),
+		edges: make([]int32, 0, 2*max(bags-1, 0)),
 	}
-	d := &Decomposition{Bags: bags, Adj: make([][]int, n)}
-	for i, v := range order {
-		first := -1
-		for _, w := range bags[i] {
-			if w != v && (first == -1 || pos[w] < first) {
-				first = pos[w]
+}
+
+// newBag returns room for a bag of k entries, empty, for closeBag.
+func (b *decompBuilder) newBag(k int) []int {
+	if cap(b.verts)-len(b.verts) < k {
+		b.verts = make([]int, 0, max(k, b.chunk))
+	}
+	return b.verts[len(b.verts) : len(b.verts) : len(b.verts)+k]
+}
+
+// closeBag ends v's bag: bag holds v's remaining neighbours, ascending,
+// and v goes in at its sorted place.
+func (b *decompBuilder) closeBag(v int, bag []int) {
+	bag = append(bag, v)
+	for i := len(bag) - 1; i > 0 && bag[i-1] > v; i-- {
+		bag[i], bag[i-1] = bag[i-1], v
+	}
+	b.verts = b.verts[:len(b.verts)+len(bag)]
+	b.bags = append(b.bags, bag)
+	b.order = append(b.order, int32(v))
+}
+
+// link records the elimination tree of the run in bags [lo, hi), whose
+// order entries are the vertices 0..hi-lo-1: each bag attaches to the bag
+// of its earliest-eliminated later member, or to the next bag when it has
+// none, which keeps the tree connected even for a disconnected input.
+// pos is scratch of at least hi-lo entries.
+func (b *decompBuilder) link(lo, hi int, pos []int32) {
+	for i := lo; i < hi; i++ {
+		pos[b.order[i]] = int32(i)
+	}
+	for i := lo; i < hi; i++ {
+		first := int32(-1)
+		for _, w := range b.bags[i] {
+			// Every member but the bag's own vertex is eliminated later.
+			if p := pos[w]; p > int32(i) && (first == -1 || p < first) {
+				first = p
 			}
 		}
-		if first == -1 && i+1 < n {
-			first = i + 1
+		if first == -1 && i+1 < hi {
+			first = int32(i + 1)
 		}
 		if first != -1 {
-			d.Adj[i] = append(d.Adj[i], first)
-			d.Adj[first] = append(d.Adj[first], i)
+			b.edges = append(b.edges, int32(i), first)
 		}
+	}
+}
+
+// finish lays every tree row out in one array: a degree count, prefix
+// sums, then the edges in creation order. Rows are capacity-clipped, as
+// bags are, so appending to one never writes into the next; a bag
+// without tree edges keeps a nil row. It consumes the builder.
+func (b *decompBuilder) finish() *Decomposition {
+	nb := len(b.bags)
+	d := &Decomposition{Bags: b.bags, Adj: make([][]int, nb)}
+	// end[i+1] counts bag i's degree, the prefix sums make end[i] where
+	// row i starts, and placing each edge advances it to where row i ends.
+	end := make([]int32, nb+1)
+	for _, x := range b.edges {
+		end[x+1]++
+	}
+	for i := 1; i <= nb; i++ {
+		end[i] += end[i-1]
+	}
+	flat := make([]int, len(b.edges))
+	for k := 0; k < len(b.edges); k += 2 {
+		x, y := b.edges[k], b.edges[k+1]
+		flat[end[x]], flat[end[y]] = int(y), int(x)
+		end[x]++
+		end[y]++
+	}
+	start := int32(0)
+	for i, e := range end[:nb] {
+		if e > start {
+			d.Adj[i] = flat[start:e:e]
+		}
+		start = e
 	}
 	return d
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -233,7 +234,7 @@ func TestIntroMemoKeyedOnReadPairs(t *testing.T) {
 // against the retained map-based reference: identical elimination order,
 // identical bags, identical width — which pins the incremental degree and
 // fill-in maintenance exactly (any drift in a single count changes a
-// greedy choice).
+// greedy choice) — and identical trees, linked by the original linker.
 func TestHeuristicMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
@@ -250,7 +251,7 @@ func TestHeuristicMatchesReference(t *testing.T) {
 		}
 		for _, score := range []heuristicScore{scoreDegree, scoreFill} {
 			wantD, wantOrder, wantWidth := runHeuristicReference(g, score)
-			gotD, gotOrder, gotWidth, err := runHeuristic(context.Background(), g, score)
+			gotD, gotOrder, gotWidth, err := bitsetDecomp(g, score)
 			if err != nil {
 				t.Fatalf("seed %d score %d: %v", seed, score, err)
 			}
@@ -276,6 +277,9 @@ func TestHeuristicMatchesReference(t *testing.T) {
 							seed, score, b, gotD.Bags[b], wantD.Bags[b])
 					}
 				}
+			}
+			if !reflect.DeepEqual(wantD.Adj, gotD.Adj) {
+				t.Fatalf("seed %d score %d: tree %v vs reference %v", seed, score, gotD.Adj, wantD.Adj)
 			}
 		}
 	}

@@ -28,13 +28,14 @@ const maxExactSteps = 2_000_000
 // an optimal tree decomposition. It branches over elimination orders with
 // memoization on the eliminated vertex set — the elimination graph after
 // removing a set is independent of the order within the set, so a set
-// reached again with an equal-or-worse running width is pruned. The best
-// heuristic order seeds the upper bound, the degeneracy seeds the lower
-// bound, and simplicial vertices are eliminated forcedly (a safe rule:
-// eliminating a vertex whose remaining neighbourhood is a clique is always
-// optimal). The branch-and-bound checkpoints the context on its step
-// counter, so a doomed search stops within one checkpoint stride instead
-// of running to the step cap.
+// reached again with an equal-or-worse running width is pruned. The
+// heuristic contest's decomposition seeds the upper bound and is returned
+// as it is unless the search finds a narrower order, which is replayed;
+// the degeneracy seeds the lower bound, and simplicial vertices are
+// eliminated forcedly (a safe rule: eliminating a vertex whose remaining
+// neighbourhood is a clique is always optimal). The branch-and-bound
+// checkpoints the context on its step counter, so a doomed search stops
+// within one checkpoint stride instead of running to the step cap.
 func ExactCtx(ctx context.Context, g *graph.Graph) (int, *Decomposition, error) {
 	n := g.N()
 	if n == 0 {
@@ -43,19 +44,12 @@ func ExactCtx(ctx context.Context, g *graph.Graph) (int, *Decomposition, error) 
 	if n > ExactLimit {
 		return 0, nil, fmt.Errorf("treewidth: exact computation limited to %d vertices, got %d", ExactLimit, n)
 	}
-	// Incumbent: the better of the two elimination heuristics.
-	_, orderF, widthF, err := MinFillCtx(ctx, g)
-	if err != nil {
+	b := newDecompBuilder(n, g.M())
+	if _, err := blockContest(ctx, g, b, make([]int32, n)); err != nil {
 		return 0, nil, err
 	}
-	_, orderD, widthD, err := MinDegreeCtx(ctx, g)
-	if err != nil {
-		return 0, nil, err
-	}
-	bestOrder, bestWidth := orderF, widthF
-	if widthD < widthF {
-		bestOrder, bestWidth = orderD, widthD
-	}
+	d := b.finish()
+	bestWidth := d.Width()
 	lower := Degeneracy(g)
 	if bestWidth > lower {
 		s := &exactSolver{
@@ -81,10 +75,10 @@ func ExactCtx(ctx context.Context, g *graph.Graph) (int, *Decomposition, error) 
 				maxExactSteps, n)
 		}
 		if s.bestOrder != nil {
-			bestOrder, bestWidth = s.bestOrder, s.best
+			bestWidth, d = s.best, fromEliminationOrder(g, s.bestOrder)
 		}
 	}
-	return bestWidth, fromEliminationOrder(g, bestOrder), nil
+	return bestWidth, d, nil
 }
 
 type exactSolver struct {

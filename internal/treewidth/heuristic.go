@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -133,16 +132,6 @@ func appendMembers(buf []int, row []uint64) []int {
 	return buf
 }
 
-// bagOf returns v's elimination bag at the current state: the vertex plus
-// its remaining (fill-in) neighbours, sorted.
-func (st *elimBits) bagOf(v int) []int {
-	bag := make([]int, 0, st.deg[v]+1)
-	bag = append(bag, v)
-	bag = appendMembers(bag, st.row(v))
-	sort.Ints(bag)
-	return bag
-}
-
 // eliminate removes v, cliquing its remaining neighbours and keeping every
 // degree and fill-in count exact, and returns v's degree at elimination
 // time (the bag size minus one). nbrs is scratch for the neighbour list.
@@ -209,21 +198,18 @@ const (
 	scoreFill
 )
 
-// runHeuristic eliminates every vertex in the order chosen by the score
-// (smallest score wins, lowest index breaks ties — deterministic) and
-// returns the induced decomposition, the order, and the realized width.
-// The bags are recorded during the single elimination pass — the
-// decomposition costs no second simulation. The per-round checkpoint
-// makes long eliminations cancellable: a round is O(n)-ish, so the
-// amortized probe adds nothing measurable while bounding the reaction
-// time to a few thousand rounds.
+// runHeuristic eliminates every vertex of g in the order chosen by the
+// score (smallest score wins, lowest index breaks ties — deterministic),
+// appends the order and the bags to b during that single pass, and
+// returns the realized width. The per-round checkpoint makes long
+// eliminations cancellable: a round is O(n)-ish, so the amortized probe
+// adds nothing measurable while bounding the reaction time to a few
+// thousand rounds.
 //
 //certlint:longrun
-func runHeuristic(ctx context.Context, g *graph.Graph, score heuristicScore) (*Decomposition, []int, int, error) {
+func runHeuristic(ctx context.Context, g *graph.Graph, score heuristicScore, b *decompBuilder) (int, error) {
 	st := newElimBits(g, score == scoreFill)
 	n := g.N()
-	order := make([]int, 0, n)
-	bags := make([][]int, 0, n)
 	nbrs := make([]int, 0, n)
 	width := 0
 	vals := st.deg
@@ -233,7 +219,7 @@ func runHeuristic(ctx context.Context, g *graph.Graph, score heuristicScore) (*D
 	cp := fault.NewCheckpoint(ctx, "decompose")
 	for st.left > 0 {
 		if err := cp.Check(); err != nil {
-			return nil, nil, 0, err
+			return 0, err
 		}
 		best, bestScore := -1, 0
 		for v := 0; v < n; v++ {
@@ -244,26 +230,42 @@ func runHeuristic(ctx context.Context, g *graph.Graph, score heuristicScore) (*D
 				best, bestScore = v, s
 			}
 		}
-		order = append(order, best)
-		bags = append(bags, st.bagOf(best))
+		b.closeBag(best, appendMembers(b.newBag(st.deg[best]+1), st.row(best)))
 		var d int
 		nbrs, d = st.eliminate(best, nbrs)
 		if d > width {
 			width = d
 		}
 	}
-	return linkEliminationBags(order, bags), order, width, nil
+	return width, nil
 }
 
-// minScoreDecomp dispatches one greedy elimination run to the engine
-// that fits the graph; both engines produce identical orders, bags and
-// widths (pinned by differential tests), so the choice is purely a
-// performance decision.
-func minScoreDecomp(ctx context.Context, g *graph.Graph, score heuristicScore) (*Decomposition, []int, int, error) {
+// runEngine appends one greedy elimination run of g to b on the engine
+// that fits the graph and returns its width; both engines produce
+// identical orders, bags and widths (pinned by differential tests), so
+// the choice is purely a performance decision.
+func runEngine(ctx context.Context, g *graph.Graph, score heuristicScore, b *decompBuilder) (int, error) {
 	if useBitset(g) {
-		return runHeuristic(ctx, g, score)
+		return runHeuristic(ctx, g, score, b)
 	}
-	return runHeuristicSparse(ctx, g, score)
+	return runSparse(ctx, g, score, false, b)
+}
+
+// minScoreDecomp runs one greedy elimination of g and returns the
+// induced decomposition, the elimination order, and the realized width.
+func minScoreDecomp(ctx context.Context, g *graph.Graph, score heuristicScore) (*Decomposition, []int, int, error) {
+	n := g.N()
+	b := newDecompBuilder(n, g.M())
+	width, err := runEngine(ctx, g, score, b)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	b.link(0, n, make([]int32, n))
+	order := make([]int, n)
+	for i, v := range b.order {
+		order[i] = int(v)
+	}
+	return b.finish(), order, width, nil
 }
 
 // MinDegreeCtx runs the minimum-degree elimination heuristic and returns
@@ -286,26 +288,35 @@ func MinFillCtx(ctx context.Context, g *graph.Graph) (*Decomposition, []int, int
 	return minScoreDecomp(ctx, g, scoreFill)
 }
 
-// parallelThreshold is the size above which HeuristicCtx hands the graph
-// to the component/block-parallel driver instead of running the contest
-// on the whole graph.
-const parallelThreshold = 1 << 12
+// blockSplitThreshold is the size above which HeuristicCtx splits the
+// graph into its biconnected blocks and decomposes them one by one;
+// smaller graphs are eliminated whole.
+const blockSplitThreshold = 1 << 12
 
 // HeuristicCtx runs the elimination heuristics and returns the narrower
-// decomposition together with the name of the winning method. Small
-// graphs run the min-fill vs min-degree contest (blockContest) on the
-// whole graph; larger graphs go through the parallel
-// per-component/per-block driver (see parallel.go), which applies the
-// same contest block by block. The context reaches every elimination
-// engine it dispatches to.
+// decomposition together with the name of the winning method. Graphs
+// above blockSplitThreshold vertices are split into biconnected blocks
+// first, and the min-fill vs min-degree contest (blockContest) runs
+// block by block (see decomposeBlocks); smaller graphs run it whole.
+// The context reaches the block split and every elimination engine.
 func HeuristicCtx(ctx context.Context, g *graph.Graph) (*Decomposition, string, error) {
 	if err := checkHeuristicInput(g); err != nil {
 		return nil, "", err
 	}
-	if g.N() > parallelThreshold {
-		return heuristicParallel(ctx, g, 0)
+	n := g.N()
+	if n <= blockSplitThreshold {
+		whole := make([]int, n)
+		for v := range whole {
+			whole[v] = v
+		}
+		return decomposeBlocks(ctx, g, [][]int{whole})
 	}
-	return blockContest(ctx, g)
+	cp := fault.NewCheckpoint(ctx, "decompose")
+	blocks, err := g.BiconnectedComponentsCp(&cp)
+	if err != nil {
+		return nil, "", err
+	}
+	return decomposeBlocks(ctx, g, blocks)
 }
 
 // Degeneracy returns the graph's degeneracy (the max over the elimination

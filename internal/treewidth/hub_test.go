@@ -2,6 +2,7 @@ package treewidth
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -137,4 +138,27 @@ func BenchmarkTWMSOVerifyHub(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestHeuristicAllocationsPerVertex: the block split decomposes into one
+// builder, whose bags are cut from shared chunks and whose tree rows are
+// laid out once, so HeuristicCtx on a 20,000-vertex partial 4-tree (29
+// blocks, the largest through the min-fill vs min-degree contest) makes
+// at most one allocation per vertex, where one slice per bag or per tree
+// row would make several. Most of what is left is the sparse engine
+// giving a row its own array on its first fill edge.
+func TestHeuristicAllocationsPerVertex(t *testing.T) {
+	g, _ := graphgen.PartialKTree(20_000, 4, 0.85, rand.New(rand.NewSource(1)))
+	if blocks := len(g.BiconnectedComponents()); blocks != 29 {
+		t.Fatalf("%d blocks, want 29", blocks)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, _, err := HeuristicCtx(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations for %d vertices", allocs, g.N())
+	if allocs > float64(g.N()) {
+		t.Errorf("HeuristicCtx made %.0f allocations on %d vertices, want at most one per vertex", allocs, g.N())
+	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // The large-n raw-speed set: million-vertex partial 4-trees through the
-// sparse heuristics, the parallel block decomposition and the full
+// sparse heuristics, the block-split decomposition and the full
 // prove+verify round trip. The 1e5 sizes run everywhere (bench-smoke
 // keeps them from bit-rotting); the 1e6 sizes take tens of seconds per
 // iteration and only run with BENCH_LARGE=1 set.
@@ -42,7 +42,7 @@ func benchLargeDecompose(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, _, err := heuristicParallel(context.Background(), g, 0)
+		d, _, err := HeuristicCtx(context.Background(), g)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -115,7 +115,117 @@ func runHeuristicReference(g *graph.Graph, score heuristicScore) (*Decomposition
 			width = d
 		}
 	}
-	return linkEliminationBags(order, bags), order, width
+	return linkEliminationBagsReference(order, bags), order, width
+}
+
+// linkEliminationBagsReference is the original elimination-tree linker:
+// bags[i] is the bag of order[i], and each bag attaches to the bag of its
+// earliest-eliminated later member, or to the next bag in order when it
+// has none, growing every tree row by append.
+func linkEliminationBagsReference(order []int, bags [][]int) *Decomposition {
+	n := len(order)
+	pos := make([]int, n)
+	for i, v := range order {
+		pos[v] = i
+	}
+	d := &Decomposition{Bags: bags, Adj: make([][]int, n)}
+	for i, v := range order {
+		first := -1
+		for _, w := range bags[i] {
+			if w != v && (first == -1 || pos[w] < first) {
+				first = pos[w]
+			}
+		}
+		if first == -1 && i+1 < n {
+			first = i + 1
+		}
+		if first != -1 {
+			d.Adj[i] = append(d.Adj[i], first)
+			d.Adj[first] = append(d.Adj[first], i)
+		}
+	}
+	return d
+}
+
+// decomposeBlocksReference is the original assembly of a block-split
+// decomposition, on the reference elimination: one decomposition per
+// block (the min-fill vs min-degree contest on the induced subgraph,
+// bags mapped back to g) and per isolated vertex, concatenated with
+// shifted tree rows, glued at cut vertices, and chained into one tree by
+// a search from bag 0 that links every unreached piece to it. Blocks
+// must be small enough for the contest (at most largeBlockMinDegreeOnly
+// vertices).
+func decomposeBlocksReference(g *graph.Graph, blocks [][]int) *Decomposition {
+	n := g.N()
+	var pieces []*Decomposition
+	for _, block := range blocks {
+		sub, _ := g.InducedSubgraph(block)
+		d, _, wf := runHeuristicReference(sub, scoreFill)
+		if dd, _, wd := runHeuristicReference(sub, scoreDegree); wd < wf {
+			d = dd
+		}
+		for _, bag := range d.Bags {
+			for k, v := range bag {
+				bag[k] = block[v]
+			}
+		}
+		pieces = append(pieces, d)
+	}
+	for v := 0; v < n; v++ {
+		if g.Degree(v) == 0 {
+			pieces = append(pieces, &Decomposition{Bags: [][]int{{v}}, Adj: [][]int{nil}})
+		}
+	}
+	out := &Decomposition{}
+	offset := make([]int, len(pieces))
+	for i, d := range pieces {
+		offset[i] = len(out.Bags)
+		out.Bags = append(out.Bags, d.Bags...)
+		for _, adj := range d.Adj {
+			for k := range adj {
+				adj[k] += offset[i]
+			}
+		}
+		out.Adj = append(out.Adj, d.Adj...)
+	}
+	link := func(a, b int) {
+		out.Adj[a] = append(out.Adj[a], b)
+		out.Adj[b] = append(out.Adj[b], a)
+	}
+	anchor := make([]int, n)
+	for v := range anchor {
+		anchor[v] = -1
+	}
+	for i, d := range pieces {
+		for bi, bag := range d.Bags {
+			for _, v := range bag {
+				if anchor[v] == -1 {
+					anchor[v] = bi + offset[i]
+				} else if anchor[v] < offset[i] {
+					link(anchor[v], bi+offset[i])
+					anchor[v] = bi + offset[i]
+				}
+			}
+		}
+	}
+	seen := make([]bool, len(out.Bags))
+	var mark func(b int)
+	mark = func(b int) {
+		seen[b] = true
+		for _, c := range out.Adj[b] {
+			if !seen[c] {
+				mark(c)
+			}
+		}
+	}
+	mark(0)
+	for i := range pieces {
+		if !seen[offset[i]] {
+			link(0, offset[i])
+			mark(offset[i])
+		}
+	}
+	return out
 }
 
 // evalTupleReference is the original matrix evaluator, which walks the

@@ -202,26 +202,6 @@ func (st *elimSparse) compact(row []int32) []int32 {
 	return row[:k]
 }
 
-// bagOf returns v's elimination bag at the current state: the vertex
-// plus its remaining neighbours, sorted (the live row is sorted already,
-// so this is one merge-position insert).
-func (st *elimSparse) bagOf(v int) []int {
-	row := st.live(v)
-	bag := make([]int, 0, len(row)+1)
-	placed := false
-	for _, w := range row {
-		if !placed && int(w) > v {
-			bag = append(bag, v)
-			placed = true
-		}
-		bag = append(bag, int(w))
-	}
-	if !placed {
-		bag = append(bag, v)
-	}
-	return bag
-}
-
 // eliminate removes v, cliquing its remaining neighbours and keeping
 // every degree (and, with counts on, every fill-in count) exact — the
 // same arithmetic as elimBits.eliminate, on sorted rows — and collecting
@@ -433,46 +413,41 @@ func (q *vertexHeap) down(i int) {
 	q.pos[e.v] = int32(i)
 }
 
-// runHeuristicSparse is the sparse counterpart of runHeuristic: the same
-// greedy elimination (smallest score wins, lowest index breaks ties),
-// with selection through the indexed min-heap instead of an O(n) scan
-// per round, and bags recorded during the single elimination pass.
-// Fill-in counts are maintained only when the score reads them
-// (min-fill).
-func runHeuristicSparse(ctx context.Context, g *graph.Graph, score heuristicScore) (*Decomposition, []int, int, error) {
-	return runSparse(ctx, g, score, false)
-}
-
-// runSparse is runHeuristicSparse with the fill-in gate exposed to the
-// tests: forceCounts maintains the counts under min-degree too, which
-// must leave the elimination order untouched.
+// runSparse is the sparse counterpart of runHeuristic: the same greedy
+// elimination (smallest score wins, lowest index breaks ties), with
+// selection through the indexed min-heap instead of an O(n) scan per
+// round, appending the order and the bags to b during the single
+// elimination pass. Fill-in counts are maintained only when the score
+// reads them (min-fill); forceCounts, for the tests, maintains them under
+// min-degree too, which must leave the elimination order untouched.
 //
 //certlint:longrun
-func runSparse(ctx context.Context, g *graph.Graph, score heuristicScore, forceCounts bool) (*Decomposition, []int, int, error) {
+func runSparse(ctx context.Context, g *graph.Graph, score heuristicScore, forceCounts bool, b *decompBuilder) (int, error) {
 	cp := fault.NewCheckpoint(ctx, "decompose")
 	st, err := newElimSparseCp(&cp, g, forceCounts || score == scoreFill)
 	if err != nil {
-		return nil, nil, 0, err
+		return 0, err
 	}
-	n := st.n
 	vals := st.deg
 	if score == scoreFill {
 		vals = st.fill
 	}
 	q, err := newVertexHeapCp(&cp, vals)
 	if err != nil {
-		return nil, nil, 0, err
+		return 0, err
 	}
-	order := make([]int, 0, n)
-	bags := make([][]int, 0, n)
 	width := 0
 	for st.left > 0 {
 		if err := cp.Check(); err != nil {
-			return nil, nil, 0, err
+			return 0, err
 		}
 		v := q.pop()
-		order = append(order, v)
-		bags = append(bags, st.bagOf(v))
+		row := st.live(v)
+		bag := b.newBag(len(row) + 1)
+		for _, w := range row {
+			bag = append(bag, int(w))
+		}
+		b.closeBag(v, bag)
 		if d := st.eliminate(v); d > width {
 			width = d
 		}
@@ -481,5 +456,5 @@ func runSparse(ctx context.Context, g *graph.Graph, score heuristicScore, forceC
 			q.update(t, int64(vals[t]))
 		}
 	}
-	return linkEliminationBags(order, bags), order, width, nil
+	return width, nil
 }

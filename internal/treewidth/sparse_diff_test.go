@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -27,6 +28,36 @@ func randomGraphForDiff(rng *rand.Rand, n int, p float64) *graph.Graph {
 	return g
 }
 
+// bitsetDecomp and sparseDecomp run one elimination engine into a
+// builder of their own and link the run, as minScoreDecomp does for the
+// engine eliminate picks: the decomposition, the order and the width.
+func bitsetDecomp(g *graph.Graph, score heuristicScore) (*Decomposition, []int, int, error) {
+	return engineDecomp(g, func(b *decompBuilder) (int, error) {
+		return runHeuristic(context.Background(), g, score, b)
+	})
+}
+
+func sparseDecomp(g *graph.Graph, score heuristicScore, forceCounts bool) (*Decomposition, []int, int, error) {
+	return engineDecomp(g, func(b *decompBuilder) (int, error) {
+		return runSparse(context.Background(), g, score, forceCounts, b)
+	})
+}
+
+func engineDecomp(g *graph.Graph, run func(*decompBuilder) (int, error)) (*Decomposition, []int, int, error) {
+	n := g.N()
+	b := newDecompBuilder(n, g.M())
+	width, err := run(b)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	b.link(0, n, make([]int32, n))
+	order := make([]int, n)
+	for i, v := range b.order {
+		order[i] = int(v)
+	}
+	return b.finish(), order, width, nil
+}
+
 // TestSparseMatchesBitset pins the sparse sorted-slice engine to the
 // dense bitset engine: identical elimination order, bags, width and
 // decomposition tree on random graphs across densities, for both
@@ -39,11 +70,11 @@ func TestSparseMatchesBitset(t *testing.T) {
 			n := 2 + rng.Intn(60)
 			p := []float64{0.05, 0.15, 0.4, 0.8}[trial%4]
 			g := randomGraphForDiff(rng, n, p)
-			wantD, wantOrder, wantWidth, err := runHeuristic(context.Background(), g, score)
+			wantD, wantOrder, wantWidth, err := bitsetDecomp(g, score)
 			if err != nil {
 				t.Fatalf("score %d %v: bitset engine: %v", score, g, err)
 			}
-			gotD, gotOrder, gotWidth, err := runHeuristicSparse(context.Background(), g, score)
+			gotD, gotOrder, gotWidth, err := sparseDecomp(g, score, false)
 			if err != nil {
 				t.Fatalf("score %d %v: sparse engine: %v", score, g, err)
 			}
@@ -66,11 +97,11 @@ func TestSparseMatchesBitset(t *testing.T) {
 	// the row is compacted.
 	for _, c := range hubGraphs(t) {
 		for _, score := range []heuristicScore{scoreDegree, scoreFill} {
-			wantD, wantOrder, wantWidth, err := runHeuristic(context.Background(), c.g, score)
+			wantD, wantOrder, wantWidth, err := bitsetDecomp(c.g, score)
 			if err != nil {
 				t.Fatalf("%s score %d: bitset engine: %v", c.name, score, err)
 			}
-			gotD, gotOrder, gotWidth, err := runHeuristicSparse(context.Background(), c.g, score)
+			gotD, gotOrder, gotWidth, err := sparseDecomp(c.g, score, false)
 			if err != nil {
 				t.Fatalf("%s score %d: sparse engine: %v", c.name, score, err)
 			}
@@ -164,7 +195,7 @@ func TestSparseRowsStayCompact(t *testing.T) {
 	cases = append(cases, stepCase{hubCase{"partial-4-tree-5000", pk}, []heuristicScore{scoreDegree}})
 	for _, c := range cases {
 		for _, score := range c.scores {
-			_, want, _, err := runSparse(context.Background(), c.g, score, false)
+			_, want, _, err := sparseDecomp(c.g, score, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +222,7 @@ func TestSparseRowsStayCompact(t *testing.T) {
 				if v != want[step] {
 					t.Fatalf("%s score %d step %d: popped %d, runSparse eliminated %d", c.name, score, step, v, want[step])
 				}
-				st.bagOf(v)
+				st.live(v)
 				st.eliminate(v)
 				for _, u := range st.touched {
 					q.update(u, int64(vals[u]))
@@ -224,19 +255,21 @@ func TestSparseRowsStayCompact(t *testing.T) {
 }
 
 // TestSparseMatchesReference pins the sparse engine directly to the
-// executable map-based specification, independent of the bitset engine.
+// executable map-based specification, independent of the bitset engine,
+// and the builder's linking to the original linker, which chains the
+// components of a disconnected graph through the next bag.
 func TestSparseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, score := range []heuristicScore{scoreDegree, scoreFill} {
 		for trial := 0; trial < 30; trial++ {
 			g := randomGraphForDiff(rng, 2+rng.Intn(40), 0.25)
 			wantD, wantOrder, wantWidth := runHeuristicReference(g, score)
-			gotD, gotOrder, gotWidth, err := runHeuristicSparse(context.Background(), g, score)
+			gotD, gotOrder, gotWidth, err := sparseDecomp(g, score, false)
 			if err != nil {
 				t.Fatalf("score %d %v: sparse engine: %v", score, g, err)
 			}
 			if !reflect.DeepEqual(wantOrder, gotOrder) || wantWidth != gotWidth ||
-				!reflect.DeepEqual(wantD.Bags, gotD.Bags) {
+				!reflect.DeepEqual(wantD.Bags, gotD.Bags) || !reflect.DeepEqual(wantD.Adj, gotD.Adj) {
 				t.Fatalf("score %d %v: sparse diverges from reference", score, g)
 			}
 		}
@@ -259,11 +292,11 @@ func TestSparseFillGateKeepsOrder(t *testing.T) {
 		cases = append(cases, g)
 	}
 	for _, g := range cases {
-		wantD, wantOrder, wantWidth, err := runSparse(context.Background(), g, scoreDegree, true)
+		wantD, wantOrder, wantWidth, err := sparseDecomp(g, scoreDegree, true)
 		if err != nil {
 			t.Fatalf("n=%d: counts on: %v", g.N(), err)
 		}
-		gotD, gotOrder, gotWidth, err := runSparse(context.Background(), g, scoreDegree, false)
+		gotD, gotOrder, gotWidth, err := sparseDecomp(g, scoreDegree, false)
 		if err != nil {
 			t.Fatalf("n=%d: counts off: %v", g.N(), err)
 		}
@@ -279,50 +312,120 @@ func TestSparseFillGateKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestHeuristicGolden pins HeuristicCtx's output on the certbench graph
-// shape, PartialKTree(n, 4, 0.85), to fingerprints recorded before the
-// giant-block path was optimised: FNV-64a over fmt.Sprint(d.Bags, d.Adj).
-// Certificates are derived from these decompositions, so a speed-up
-// that moves a single bag or tree edge changes certificates. n=5,000
-// runs every block through the min-fill vs min-degree contest; n=40,000
-// and n=100,000 each have one block above largeBlockMinDegreeOnly,
-// which runs min-degree alone.
+// TestHeuristicGolden pins HeuristicCtx's output to fingerprints
+// recorded before the code they cover was optimised or restructured:
+// FNV-64a over fmt.Sprint(d.Bags, d.Adj). Certificates are derived from
+// these decompositions, so a change that moves a single bag or tree edge
+// changes certificates. The partial 4-tree rows are the certbench graph
+// shape, PartialKTree(n, 4, 0.85): at n=5,000 every block runs the
+// min-fill vs min-degree contest, while n=40,000 and n=100,000 each have
+// one block above largeBlockMinDegreeOnly, which runs min-degree alone.
+// The last three rows cover the rest of the block assembly above the
+// split threshold: a shuffled union of partial 2-, 3- and 4-trees with
+// 300 isolated vertices (component chaining), 2,500 triangles sharing
+// one vertex (2,500 blocks glued at one cut vertex), and a wheel (one
+// block spanning the graph, eliminated on the graph itself).
 func TestHeuristicGolden(t *testing.T) {
 	for _, c := range []struct {
-		n     int
-		seed  int64
-		giant bool // one block above largeBlockMinDegreeOnly
-		hash  uint64
+		name   string
+		g      func() *graph.Graph
+		giant  bool // one block above largeBlockMinDegreeOnly
+		method string
+		width  int
+		hash   uint64
 	}{
-		{5_000, 1, false, 0x0fa85d3619f2acd7},
-		{5_000, 2, false, 0x088646587e72ff89},
-		{40_000, 1, true, 0x2d138c1ec2e061b8},
-		{40_000, 2, true, 0x1d033ae903a434e3},
-		{100_000, 1, true, 0x7935576efcc52400},
-		{100_000, 2, true, 0xe25067f47becfa65},
+		{"partial-4-tree-5k-1", partialKTreeGolden(5_000, 1), false, "blocks", 5, 0x0fa85d3619f2acd7},
+		{"partial-4-tree-5k-2", partialKTreeGolden(5_000, 2), false, "blocks", 5, 0x088646587e72ff89},
+		{"partial-4-tree-40k-1", partialKTreeGolden(40_000, 1), true, "blocks", 5, 0x2d138c1ec2e061b8},
+		{"partial-4-tree-40k-2", partialKTreeGolden(40_000, 2), true, "blocks", 5, 0x1d033ae903a434e3},
+		{"partial-4-tree-100k-1", partialKTreeGolden(100_000, 1), true, "blocks", 5, 0x7935576efcc52400},
+		{"partial-4-tree-100k-2", partialKTreeGolden(100_000, 2), true, "blocks", 5, 0xe25067f47becfa65},
+		{"shuffled-forest", func() *graph.Graph { return shuffledForest(t) }, false, "blocks", 5, 0x97453687e7c9c520},
+		{"triangle-star-2500", func() *graph.Graph { return triangleStar(t, 2_500) }, false, "blocks", 2, 0xeefa54be35c15a0a},
+		{"wheel-5000", func() *graph.Graph { return wheel(t, 5_000) }, false, "min-fill", 3, 0xaf18618fc2c26e6d},
 	} {
-		if c.n > 40_000 && testing.Short() {
+		if strings.HasPrefix(c.name, "partial-4-tree-100k") && testing.Short() {
 			continue
 		}
-		g, _ := graphgen.PartialKTree(c.n, 4, 0.85, rand.New(rand.NewSource(c.seed)))
+		g := c.g()
 		giant := false
 		for _, b := range g.BiconnectedComponents() {
 			giant = giant || len(b) > largeBlockMinDegreeOnly
 		}
 		if giant != c.giant {
-			t.Fatalf("n=%d seed %d: giant block %v, want %v", c.n, c.seed, giant, c.giant)
+			t.Fatalf("%s: giant block %v, want %v", c.name, giant, c.giant)
 		}
 		d, method, err := HeuristicCtx(context.Background(), g)
 		if err != nil {
-			t.Fatalf("n=%d seed %d: %v", c.n, c.seed, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		h := fnv.New64a()
 		fmt.Fprint(h, d.Bags, d.Adj)
-		if got := h.Sum64(); got != c.hash || method != "parallel" || d.Width() != 5 {
-			t.Errorf("n=%d seed %d: fingerprint %016x method %s width %d, want %016x parallel 5",
-				c.n, c.seed, got, method, d.Width(), c.hash)
+		if got := h.Sum64(); got != c.hash || method != c.method || d.Width() != c.width {
+			t.Errorf("%s: fingerprint %016x method %s width %d, want %016x %s %d",
+				c.name, got, method, d.Width(), c.hash, c.method, c.width)
 		}
 	}
+}
+
+// partialKTreeGolden returns the constructor of TestHeuristicGolden's
+// partial 4-tree rows.
+func partialKTreeGolden(n int, seed int64) func() *graph.Graph {
+	return func() *graph.Graph {
+		g, _ := graphgen.PartialKTree(n, 4, 0.85, rand.New(rand.NewSource(seed)))
+		return g
+	}
+}
+
+// shuffledForest returns partial 2-, 3- and 4-trees of 1,500, 2,000 and
+// 2,500 vertices (the first keeping few enough edges to split into
+// hundreds of blocks) and 300 isolated vertices, all relabelled by one
+// seeded permutation, so components and isolated vertices interleave in
+// index order.
+func shuffledForest(tb testing.TB) *graph.Graph {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(17))
+	var parts []*graph.Graph
+	for _, p := range []struct {
+		n, k int
+		keep float64
+	}{{1_500, 2, 0.6}, {2_000, 3, 0.85}, {2_500, 4, 0.85}} {
+		g, _ := graphgen.PartialKTree(p.n, p.k, p.keep, rng)
+		parts = append(parts, g)
+	}
+	n := 1_500 + 2_000 + 2_500 + 300
+	perm := rng.Perm(n)
+	b := graph.NewBuilder(n)
+	base := 0
+	for _, p := range parts {
+		for _, e := range p.Edges() {
+			b.MustAddEdge(perm[base+e[0]], perm[base+e[1]])
+		}
+		base += p.N()
+	}
+	g, err := b.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// triangleStar returns k triangles sharing vertex 0: triangle i is
+// {0, 2i+1, 2i+2}.
+func triangleStar(tb testing.TB, k int) *graph.Graph {
+	tb.Helper()
+	b := graph.NewBuilder(2*k + 1)
+	for i := 0; i < k; i++ {
+		a, c := 2*i+1, 2*i+2
+		b.MustAddEdge(0, a)
+		b.MustAddEdge(0, c)
+		b.MustAddEdge(a, c)
+	}
+	g, err := b.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }
 
 // TestSparseBitsetAcrossBoundary runs both engines on partial k-trees
@@ -334,11 +437,11 @@ func TestSparseBitsetAcrossBoundary(t *testing.T) {
 	}
 	for _, n := range []int{MaxDenseVertices - 2, MaxDenseVertices + 8} {
 		g, _ := graphgen.PartialKTree(n, 3, 0.7, rand.New(rand.NewSource(int64(n))))
-		wantD, wantOrder, wantWidth, err := runHeuristic(context.Background(), g, scoreDegree)
+		wantD, wantOrder, wantWidth, err := bitsetDecomp(g, scoreDegree)
 		if err != nil {
 			t.Fatalf("n=%d: bitset engine: %v", n, err)
 		}
-		gotD, gotOrder, gotWidth, err := runHeuristicSparse(context.Background(), g, scoreDegree)
+		gotD, gotOrder, gotWidth, err := sparseDecomp(g, scoreDegree, false)
 		if err != nil {
 			t.Fatalf("n=%d: sparse engine: %v", n, err)
 		}
@@ -379,10 +482,15 @@ func TestHeuristicsAboveFormerCap(t *testing.T) {
 	}
 }
 
-// TestHeuristicParallelValid checks the parallel driver end to end:
-// valid decompositions on connected, disconnected and block-rich
-// graphs, deterministic across repeat runs and worker counts.
-func TestHeuristicParallelValid(t *testing.T) {
+// TestDecomposeBlocksMatchesReference holds the block split's one
+// decomposition builder to the original assembly
+// (decomposeBlocksReference: one decomposition per piece on the
+// reference elimination, offset concatenation, glue, and chaining by a
+// search from bag 0), bag for bag and tree row for tree row, on
+// connected, disconnected and block-rich graphs split below the size
+// where HeuristicCtx would split them. Every result must be valid, and a
+// repeat run must give the same decomposition.
+func TestDecomposeBlocksMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cases := []*graph.Graph{}
 	// Partial k-trees: bridge-rich once edges are dropped.
@@ -390,10 +498,11 @@ func TestHeuristicParallelValid(t *testing.T) {
 		g, _ := graphgen.PartialKTree(n, 3, 0.5, rng)
 		cases = append(cases, g)
 	}
-	// A pure k-tree: one biconnected block, exercises the direct path.
+	// A pure k-tree: one biconnected block spanning the graph.
 	kg, _ := graphgen.KTree(120, 4, rng)
 	cases = append(cases, kg)
-	// Disconnected: random graph plus isolated vertices.
+	// Disconnected: random graph plus isolated vertices, and isolated
+	// vertices alone.
 	dg := graph.New(80)
 	for u := 0; u < 50; u++ {
 		for v := u + 1; v < 50; v++ {
@@ -402,34 +511,49 @@ func TestHeuristicParallelValid(t *testing.T) {
 			}
 		}
 	}
-	cases = append(cases, dg)
+	cases = append(cases, dg, graph.New(5))
 	// Star of triangles: many blocks through one cut vertex.
-	sg := graph.New(41)
-	for i := 0; i < 20; i++ {
-		a, b := 1+2*i, 2+2*i
-		sg.MustAddEdge(0, a)
-		sg.MustAddEdge(0, b)
-		sg.MustAddEdge(a, b)
+	cases = append(cases, triangleStar(t, 20))
+	// Disconnected and block-rich under shuffled indices: partial 2-trees
+	// joined with isolated vertices and relabelled.
+	for trial := 0; trial < 6; trial++ {
+		n := 40 + rng.Intn(160)
+		base, _ := graphgen.PartialKTree(n, 2, 0.55, rng)
+		perm := rng.Perm(n + 10)
+		b := graph.NewBuilder(n + 10)
+		for _, e := range base.Edges() {
+			b.MustAddEdge(perm[e[0]], perm[e[1]])
+		}
+		g, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, g)
 	}
-	cases = append(cases, sg)
 
 	for ci, g := range cases {
+		blocks := g.BiconnectedComponents()
+		want := decomposeBlocksReference(g, blocks)
 		var first *Decomposition
-		for _, workers := range []int{1, 4} {
-			d, method, err := heuristicParallel(context.Background(), g, workers)
+		for run := 0; run < 2; run++ {
+			d, method, err := decomposeBlocks(context.Background(), g, blocks)
 			if err != nil {
-				t.Fatalf("case %d workers %d: %v", ci, workers, err)
+				t.Fatalf("case %d: %v", ci, err)
 			}
 			if method == "" {
 				t.Fatalf("case %d: empty method", ci)
 			}
 			if err := Validate(g, d); err != nil {
-				t.Fatalf("case %d workers %d: invalid: %v", ci, workers, err)
+				t.Fatalf("case %d: invalid: %v", ci, err)
+			}
+			if !reflect.DeepEqual(want.Bags, d.Bags) || !reflect.DeepEqual(want.Adj, d.Adj) {
+				t.Fatalf("case %d (n=%d, %d blocks): assembly differs from the reference\nwant %v %v\ngot  %v %v",
+					ci, g.N(), len(blocks), want.Bags, want.Adj, d.Bags, d.Adj)
 			}
 			if first == nil {
 				first = d
 			} else if !reflect.DeepEqual(first.Bags, d.Bags) || !reflect.DeepEqual(first.Adj, d.Adj) {
-				t.Fatalf("case %d: result depends on worker count", ci)
+				t.Fatalf("case %d: a repeat run differs", ci)
 			}
 		}
 	}

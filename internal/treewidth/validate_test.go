@@ -20,9 +20,9 @@ type decompCase struct {
 }
 
 // decompCorpus collects the decompositions the package tests build: the
-// elimination heuristics and the parallel block heuristic on the
-// standard families, exact search on small random graphs, k-tree
-// witnesses, the join-heavy book graphs and a single vertex.
+// elimination heuristics and HeuristicCtx on the standard families,
+// exact search on small random graphs, k-tree witnesses, the join-heavy
+// book graphs and a single vertex.
 func decompCorpus(t testing.TB) []decompCase {
 	t.Helper()
 	ctx := context.Background()
