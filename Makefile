@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet vet-bench test test-race fuzz-short bench-smoke metrics-smoke slo slo-smoke chaos-smoke ci bench fmt-check lint cover clean
+.PHONY: all build vet vet-bench test test-bench test-race fuzz-short bench-smoke metrics-smoke slo slo-smoke chaos-smoke ci bench fmt-check lint cover clean
 
 all: ci
 
@@ -19,6 +19,13 @@ vet-bench:
 
 test:
 	$(GO) test ./...
+
+# test-bench runs the benchmark module's own tests, offline like
+# vet-bench: a change that breaks a workload's verdicts or its metric
+# tables fails here instead of when the benchmark runs. -short skips the
+# service-mix workload, which boots a certserver.
+test-bench:
+	$(GO) -C cmd/certbench test -short ./...
 
 # test-race re-runs the suite under the race detector with shuffled test
 # order: the sharded simulator and the batch pipeline are the most
@@ -148,13 +155,14 @@ chaos-smoke:
 # ci is the tier-1 gate: everything must be gofmt-clean, build, vet clean
 # (the benchmark module included), lint clean (certlint runs before the
 # tests: an invariant violation should fail fast, not hide behind a long
-# test run), and pass — including under the race detector, a short
-# decoder fuzz, a one-iteration benchmark smoke run, a live /metrics
-# exposition check, a short sustained-load SLO smoke, a seeded
-# fault-injection smoke, and the internal/lint coverage floor.
+# test run), and pass — including the benchmark module's tests, the
+# suite under the race detector, a short decoder fuzz, a one-iteration
+# benchmark smoke run, a live /metrics exposition check, a short
+# sustained-load SLO smoke, a seeded fault-injection smoke, and the
+# internal/lint coverage floor.
 # Performance regressions are gated by cmd/certbench, which runs the
 # parent commit and the change fresh, side by side.
-ci: fmt-check build vet vet-bench lint test test-race fuzz-short bench-smoke metrics-smoke slo-smoke chaos-smoke cover
+ci: fmt-check build vet vet-bench lint test test-bench test-race fuzz-short bench-smoke metrics-smoke slo-smoke chaos-smoke cover
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -14,8 +14,12 @@
 //     bounded-treedepth graphs (Theorem 2.6), minor-freeness schemes
 //     (Corollary 2.7), and the generic baselines (universal, existential
 //     FO, depth-2 FO — Lemma 2.1);
-//   - the lower-bound machinery (Theorems 2.3 and 2.5): gadget builders,
-//     string coders and the communication-complexity reduction.
+//   - tree decompositions for the treewidth scheme (heuristic and exact
+//     construction, validation) and graph generators.
+//
+// The lower-bound machinery (Theorems 2.3 and 2.5: gadget builders,
+// string coders, the communication-complexity reduction) is not part of
+// the facade; cmd/experiments drives it.
 //
 // Quick start:
 //

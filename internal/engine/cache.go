@@ -81,7 +81,7 @@ func NewCacheObs(reg *registry.Registry, r *obs.Registry) *Cache {
 	return &Cache{
 		reg:           reg,
 		Obs:           r,
-		flights:       flight[string, cert.Scheme]{name: "compile"},
+		flights:       flight[string, cert.Scheme]{name: "compile", max: maxCompileEntries},
 		canon:         map[string]string{},
 		hits:          cacheCounter(r, "compile", "hit"),
 		misses:        cacheCounter(r, "compile", "miss"),
@@ -91,6 +91,14 @@ func NewCacheObs(reg *registry.Registry, r *obs.Registry) *Cache {
 		compilePhase:  PhaseHistogram(r, "compile"),
 	}
 }
+
+// maxCompileEntries bounds the compiled schemes the cache pins: keys are
+// client-controlled (every width bound t and every canonical formula is a
+// fresh one), and a tw-mso formula brings its own transition-table memo,
+// so without a cap a client iterating over them would grow the server's
+// memory monotonically. Eviction is arbitrary, like the decomp cache;
+// holders of an evicted scheme keep it, later requests recompile.
+const maxCompileEntries = 256
 
 // maxCanonEntries bounds the formula canonicalization memo: raw spellings
 // are client-controlled, so the memo would otherwise grow with every

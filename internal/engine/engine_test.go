@@ -123,6 +123,25 @@ func TestCacheFailureNotPinned(t *testing.T) {
 	}
 }
 
+// The compile cache is bounded: keys are client-controlled, so distinct
+// properties, width bounds or formulas must not grow it without limit.
+func TestCacheBounded(t *testing.T) {
+	var compiles atomic.Int64
+	c := NewCache(countingRegistry(t, &compiles, nil))
+	const keys = maxCompileEntries + 44
+	for i := 0; i < keys; i++ {
+		if _, err := c.GetOrCompile("counted", registry.Params{Property: fmt.Sprint("p", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := compiles.Load(); got != keys {
+		t.Fatalf("compiled %d times for %d distinct keys", got, keys)
+	}
+	if st := c.Stats(); st.Size > maxCompileEntries || st.Misses != keys {
+		t.Fatalf("stats = %+v after %d distinct keys, want size <= %d", st, keys, maxCompileEntries)
+	}
+}
+
 // Uncacheable params (closures) bypass the cache.
 func TestCacheBypass(t *testing.T) {
 	c := NewCache(registry.Default())

@@ -29,36 +29,3 @@ func Log2TypeBound(d, k, t int) float64 {
 	}
 	return res
 }
-
-// Log2KernelSizeBound returns log2 of a crude upper bound on the kernel
-// size implied by Proposition 6.2: at most t levels, with each vertex
-// having at most k children per end type of the next depth, giving
-// at most prod over depths of (k * f_{d+1}) branching. Returned in log2
-// form with +Inf on overflow; the measured kernels of experiment E6 are
-// astronomically smaller.
-func Log2KernelSizeBound(k, t int) float64 {
-	total := 0.0
-	width := 0.0 // log2 of the number of vertices at the current depth
-	for d := 1; d < t; d++ {
-		fNext := Log2TypeBound(d+1, k, t)
-		if math.IsInf(fNext, 1) {
-			return math.Inf(1)
-		}
-		// Each vertex at depth d has at most k children per end type at
-		// depth d+1: log2(k) + fNext more width.
-		width += math.Log2(float64(k)) + fNext
-		if width > 1024 {
-			return math.Inf(1)
-		}
-		total = logAdd2(total, width)
-	}
-	return total
-}
-
-// logAdd2 computes log2(2^a + 2^b) stably.
-func logAdd2(a, b float64) float64 {
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log2(1+math.Exp2(b-a))
-}

@@ -64,9 +64,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// ObserveSince records the time elapsed since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0)) }
-
 // HistogramSnapshot is a point-in-time view with estimated quantiles.
 type HistogramSnapshot struct {
 	// Count is the total number of observations.

@@ -36,10 +36,11 @@ const (
 	// MaxEMSOSetVars bounds the existential set prefix: each set costs one
 	// bit per bag position in the DP state and one certificate bit.
 	MaxEMSOSetVars = 3
-	// MaxEMSOVars bounds the universal first-order prefix: the DP's
-	// transition tables enumerate bag^r tuples, the clique-locality check
-	// all r-point worlds, and the clique-tuple check (cliqueTuples) draws
-	// cliques of at most three points.
+	// MaxEMSOVars bounds the universal first-order prefix: the
+	// clique-locality check enumerates all r-point worlds, and the
+	// clique-tuple walk (cliqueTuples) that the DP's transition tables,
+	// its witness re-check and Verify share draws cliques of at most
+	// three points.
 	MaxEMSOVars = 3
 )
 
@@ -64,16 +65,14 @@ type EMSO struct {
 
 	// The intro memo caches the introduce-node transition tables of the
 	// table-driven solver, keyed by bag configuration (size, introduced
-	// position, adjacency of the bag pairs the table reads) — packed into
-	// a uint64 for the common narrow bags, a byte string for wide ones. Library sentences are
-	// compiled once and shared process-wide, so the memo amortizes table
-	// construction across every decomposition the sentence is ever
-	// solved on. Typed maps under an RWMutex (instead of a sync.Map)
-	// keep the read path free of interface boxing — the lookup runs once
-	// per introduce node.
-	introMu  sync.RWMutex
-	introU64 map[uint64]*introTables
-	introStr map[string]*introTables
+	// position, adjacency of the bag pairs the table reads; see
+	// tablesFor). Library sentences are compiled once and shared
+	// process-wide, so the memo amortizes table construction across every
+	// decomposition the sentence is ever solved on. A typed map under an
+	// RWMutex (instead of a sync.Map) keeps the read path free of
+	// interface boxing — the lookup runs once per introduce node.
+	introMu sync.RWMutex
+	intro   map[string]*introTables
 }
 
 // NumSets returns the number of existentially quantified sets (the
@@ -392,14 +391,16 @@ func forgetWord(s uint64, pos, m int) uint64 {
 	return low | high<<uint(m*pos)
 }
 
-// cliqueTuples is the clique-tuple check shared by Verify and the EMSO
-// DP's witness re-check. It runs over points 0..n-1 shaped like a
-// radius-1 view: point 0, the centre, is adjacent to every other point,
-// and every edge among points 1..n-1 is listed in the out-list of at
-// least one of its endpoints. Verify's centre is the verifying vertex
-// and a neighbour's out-list holds the neighbours its self-verified row
-// marks adjacent, at most T+1 of them; the DP's centre is an introduce
-// node's vertex, the other points its neighbours in the bag.
+// cliqueTuples is the one clique-tuple walk of the package: Verify's
+// property check, the EMSO DP's witness re-check and the DP's transition
+// tables all draw their cliques from it. It runs over points 0..n-1
+// shaped like a radius-1 view: point 0, the centre, is adjacent to every
+// other point, and every edge among points 1..n-1 is listed in the
+// out-list of at least one of its endpoints. Verify's centre is the
+// verifying vertex and a neighbour's out-list holds the neighbours its
+// self-verified row marks adjacent, at most T+1 of them; the DP's centre
+// is an introduce node's vertex, the other points its neighbours in the
+// bag (centredWalk lays them out).
 type cliqueTuples struct {
 	phi *EMSO
 	n   int
@@ -428,22 +429,25 @@ type cliqueTuples struct {
 // containing the centre when centred. The compile-time clique-locality
 // check makes the matrix true on every other tuple, and a valid matrix
 // (EMSO.valid) on every tuple, so for one it returns at once.
-//
-// Each tuple is reached through its set of distinct points, a clique of
-// at most r points drawn from the out-lists: every point a, every a→b
-// and every path a→b→c that an a–c edge closes. However its edges are
-// listed, a triangle holds such a path, so every clique tuple is checked
-// (a clique whose edges are listed twice is checked twice, which leaves
-// the verdict alone). Out-lists of at most T+1 entries bound the probes
-// by O(n·(T+1)^(r−1)): linear in a view's degree, where drawing every
-// point after every other was Θ(deg^r) at a hub.
 func (ct *cliqueTuples) allTuplesOK() bool {
-	if ct.phi.valid {
-		return true
-	}
+	return ct.phi.valid || ct.eachClique(ct.clique)
+}
+
+// eachClique calls visit(k, p0, p1, p2) on every clique of at most r
+// points, the clique being the first k of p0, p1, p2, and stops at the
+// first visit that returns false; it reports whether none did. A clique
+// tuple is reached through its set of distinct points, drawn from the
+// out-lists: every point a, every a→b and every path a→b→c that an a–c
+// edge closes. However its edges are listed, a triangle holds such a
+// path, so every clique is visited (one whose edges are listed twice is
+// visited twice), and centred, every clique through the centre, each from
+// the centre first. Out-lists of at most T+1 entries bound the probes by
+// O(n·(T+1)^(r−1)): linear in a view's degree, where drawing every point
+// after every other was Θ(deg^r) at a hub.
+func (ct *cliqueTuples) eachClique(visit func(k, p0, p1, p2 int) bool) bool {
 	r := len(ct.phi.Vars)
 	for a := 0; a < ct.n; a++ {
-		if !ct.clique(1, a, 0, 0) {
+		if !visit(1, a, 0, 0) {
 			return false
 		}
 		if r >= 2 {
@@ -457,7 +461,7 @@ func (ct *cliqueTuples) allTuplesOK() bool {
 					b = int(ct.out[i])
 				}
 				ct.probes++
-				if !ct.clique(2, a, b, 0) {
+				if !visit(2, a, b, 0) {
 					return false
 				}
 				if r < 3 {
@@ -474,7 +478,7 @@ func (ct *cliqueTuples) allTuplesOK() bool {
 							continue
 						}
 					}
-					if !ct.clique(3, a, b, int(c)) {
+					if !visit(3, a, b, int(c)) {
 						return false
 					}
 				}

@@ -127,6 +127,60 @@ func TestSolveEMSODifferential(t *testing.T) {
 	}
 }
 
+// TestIntroTablesMatchReference holds the DP's transition tables to the
+// reference introduce check on every state of every configuration:
+// random adjacency on bags of 1–6 positions, each position in turn the
+// introduced one. The differential solve only reads the entries a DP
+// happens to reach; this reads them all. One compiled sentence serves
+// every configuration, so later lookups also go through the memo.
+func TestIntroTablesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, f := range []logic.Formula{
+		logic.TrueSentence(), logic.TwoColorable(), logic.ThreeColorable(), logic.TriangleFree(),
+		logic.MustParse("existsset S. forall x. forall y. x ~ y -> !(x in S & y in S)"),
+		logic.MustParse(hitTriangles),
+	} {
+		phi := MustCompileEMSO(f)
+		m := phi.NumSets()
+		checked, rejected := 0, 0
+		for k := 1; k <= 6; k++ {
+			for trial := 0; trial < 12; trial++ {
+				g := graph.New(k)
+				density := rng.Float64()
+				for i := 0; i < k; i++ {
+					for j := i + 1; j < k; j++ {
+						if rng.Float64() < density {
+							g.MustAddEdge(i, j)
+						}
+					}
+				}
+				bag := make([]int, k)
+				for i := range bag {
+					bag[i] = i
+				}
+				sv := &emsoSolver{g: g, phi: phi, m: m}
+				for pos := 0; pos < k; pos++ {
+					tb := sv.tablesFor(bag, pos)
+					for s := uint64(0); s < 1<<uint(m*k); s++ {
+						want := introduceOK(g, phi, bag, pos, s)
+						if got := tb.admits(s, m); got != want {
+							t.Fatalf("%s: bag size %d, edges %v, position %d, state %#x: tables %v, reference %v",
+								f, k, g.Edges(), pos, s, got, want)
+						}
+						checked++
+						if !want {
+							rejected++
+						}
+					}
+				}
+			}
+		}
+		if phi.valid != (rejected == 0) {
+			t.Fatalf("%s: %d of %d states rejected, valid matrix %v", f, rejected, checked, phi.valid)
+		}
+	}
+}
+
 // TestSolveEMSOJoinHeavyEndToEnd pins the join path with a real
 // certification round trip on a book graph.
 func TestSolveEMSOJoinHeavyEndToEnd(t *testing.T) {
@@ -170,9 +224,9 @@ func TestTracebackErrorTyped(t *testing.T) {
 func TestIntroMemoBounded(t *testing.T) {
 	phi := MustCompileEMSO(logic.TrueSentence())
 	phi.introMu.Lock()
-	phi.introU64 = map[uint64]*introTables{}
+	phi.intro = map[string]*introTables{}
 	for i := 0; i < maxIntroMemoEntries; i++ {
-		phi.introU64[uint64(i)] = &introTables{}
+		phi.intro[fmt.Sprint("synthetic-", i)] = &introTables{}
 	}
 	phi.introMu.Unlock()
 	// The next solve needs a table for some configuration not in the
@@ -190,7 +244,7 @@ func TestIntroMemoBounded(t *testing.T) {
 		t.Fatalf("solve on full memo: ok=%v err=%v", ok, err)
 	}
 	phi.introMu.Lock()
-	total := len(phi.introU64) + len(phi.introStr)
+	total := len(phi.intro)
 	phi.introMu.Unlock()
 	if total > maxIntroMemoEntries {
 		t.Fatalf("memo grew past its bound: %d entries (cap %d)", total, maxIntroMemoEntries)
@@ -223,10 +277,29 @@ func TestIntroMemoKeyedOnReadPairs(t *testing.T) {
 		}
 	}
 	phi.introMu.Lock()
-	entries := len(phi.introU64) + len(phi.introStr)
+	entries := len(phi.intro)
 	phi.introMu.Unlock()
 	if entries == 0 || entries > len(configs) {
 		t.Fatalf("%d memo entries for %d (bag size, position) configurations", entries, len(configs))
+	}
+}
+
+// TestIntroMemoHitAllocationFree: tablesFor runs once per introduce
+// node, so a memo hit must not allocate. A key buffer or adjacency
+// closure that escapes to the heap would cost one allocation per node,
+// 10⁵ and more on a large prove.
+func TestIntroMemoHitAllocationFree(t *testing.T) {
+	g := hubPath(t, 5) // a hub joined to a path: every position sees triangles
+	bag := []int{0, 1, 2, 3, 4, 5}
+	for _, f := range []logic.Formula{logic.TrueSentence(), logic.ThreeColorable(), logic.MustParse(hitTriangles)} {
+		phi := MustCompileEMSO(f)
+		sv := &emsoSolver{g: g, phi: phi, m: phi.NumSets()}
+		for pos := range bag {
+			sv.tablesFor(bag, pos)
+			if allocs := testing.AllocsPerRun(50, func() { sv.tablesFor(bag, pos) }); allocs != 0 {
+				t.Errorf("%s: a memo hit at position %d allocates %v times", f, pos, allocs)
+			}
+		}
 	}
 }
 

@@ -35,7 +35,9 @@ var errUnknownNodeKind = errors.New("treewidth: unknown nice-decomposition node 
 //     node's admissible-word transition table depends only on the bag
 //     size, the introduced position and the adjacency pattern among the
 //     bag vertices, so tables are memoized on the compiled sentence and
-//     shared across nodes, decompositions and solver runs;
+//     shared across nodes, decompositions and solver runs; a table's
+//     cliques come from the clique-tuple walk (cliqueTuples) that Verify
+//     and the witness re-check use;
 //   - the traceback stores one predecessor word per forget-node state
 //     during the bottom-up pass instead of re-probing child tables, so
 //     witness extraction is a walk over binary searches;
@@ -67,10 +69,10 @@ func (e *TracebackError) Error() string {
 // the smallest forgotten word first — the reference traceback's choice.
 const emsoWordShift = MaxEMSOSetVars
 
-// introGroup is one distinct-position set of an introduce node's
-// transition table: the clique var-tuples over exactly these bag
-// positions are admissible iff the bit of the packed word combination
-// (m bits per position, in pos order) is set in ok.
+// introGroup is one clique of an introduce node's configuration: the bag
+// positions of its points, the introduced one first, and the table of
+// their word combinations (m bits per point, in pos order) under which
+// every var-tuple over exactly these points satisfies the matrix.
 type introGroup struct {
 	pos []int
 	ok  []uint64
@@ -101,100 +103,42 @@ func (tb *introTables) admits(s uint64, m int) bool {
 	return true
 }
 
-// buildIntroTables evaluates the matrix once per (group, word combination)
-// of the configuration: bagSize positions, introduced position pos,
-// adjacency among positions given by adj. Every clique var-tuple over the
-// positions that involves pos is grouped by its distinct-position set;
-// each group's table then answers "do all of my tuples satisfy the
-// matrix under these memberships" with one bit probe.
-func buildIntroTables(phi *EMSO, bagSize, pos int, adj func(i, j int) bool) *introTables {
-	r, m := len(phi.Vars), len(phi.Sets)
-	type groupAcc struct {
-		key    uint64
-		pos    []int
-		tuples [][]int
+// buildIntroTables evaluates the matrix once per (clique, word
+// combination) of the configuration: n bag positions, introduced position
+// pos, adjacency among positions given by adj. Its cliques are the ones
+// the witness re-check walks around pos, every clique through pos once,
+// and each clique's table answers "do all var-tuples over exactly these
+// points satisfy the matrix under these memberships" with one bit probe.
+// A valid matrix has no tuple to fail and gets no groups.
+func buildIntroTables(phi *EMSO, n, pos int, adj func(i, j int) bool) *introTables {
+	tb := &introTables{}
+	if phi.valid {
+		return tb
 	}
-	// Groups are keyed by their sorted distinct positions packed 14 bits
-	// apiece (r <= 3 distinct positions, each a bag-internal index well
-	// under 2^14 for any bag the DP could afford to process).
-	accs := map[uint64]*groupAcc{}
-	tuple := make([]int, r)
-	var rec func(i int, has bool)
-	rec = func(i int, has bool) {
-		if i == r {
-			if !has {
-				return
-			}
-			var dp [MaxEMSOVars]int
-			k := 0
-			for _, p := range tuple {
-				at := 0
-				for at < k && dp[at] < p {
-					at++
-				}
-				if at < k && dp[at] == p {
-					continue
-				}
-				copy(dp[at+1:k+1], dp[at:k])
-				dp[at] = p
-				k++
-			}
-			key := uint64(0)
-			for i := 0; i < k; i++ {
-				key = key<<14 | uint64(dp[i]+1)
-			}
-			ga := accs[key]
-			if ga == nil {
-				ga = &groupAcc{key: key, pos: append([]int(nil), dp[:k]...)}
-				accs[key] = ga
-			}
-			ga.tuples = append(ga.tuples, slices.Clone(tuple))
-			return
+	var w centredWalk
+	ct := w.layout(phi, n, pos, adj)
+	pts := w.pts
+	m := len(phi.Sets)
+	var clq [MaxEMSOVars]int // the clique being tabled: its first k points
+	k, combo := 0, 0
+	ct.adj = func(a, b int) bool { return a != b && (a == 0 || b == 0 || adj(pts[a], pts[b])) }
+	ct.member = func(set, p int) bool {
+		return combo>>uint(m*slices.Index(clq[:k], p)+set)&1 == 1
+	}
+	ct.eachClique(func(kk, p0, p1, p2 int) bool {
+		k, clq = kk, [MaxEMSOVars]int{p0, p1, p2}
+		g := introGroup{pos: make([]int, k), ok: make([]uint64, (1<<uint(m*k)+63)/64)}
+		for i := range g.pos {
+			g.pos[i] = pts[clq[i]]
 		}
-	next:
-		for p := 0; p < bagSize; p++ {
-			for j := 0; j < i; j++ {
-				if tuple[j] != p && !adj(tuple[j], p) {
-					continue next // non-clique tuple: vacuously true
-				}
-			}
-			tuple[i] = p
-			rec(i+1, has || p == pos)
-		}
-	}
-	rec(0, false)
-	ordered := make([]*groupAcc, 0, len(accs))
-	for _, ga := range accs {
-		ordered = append(ordered, ga)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].key < ordered[j].key })
-	tb := &introTables{groups: make([]introGroup, 0, len(ordered))}
-	for _, ga := range ordered {
-		k := len(ga.pos)
-		combos := 1 << uint(m*k)
-		ok := make([]uint64, (combos+63)/64)
-		for combo := 0; combo < combos; combo++ {
-			member := func(set, point int) bool {
-				for rank, p := range ga.pos {
-					if p == point {
-						return combo>>uint(m*rank+set)&1 == 1
-					}
-				}
-				return false
-			}
-			good := true
-			for _, tp := range ga.tuples {
-				if !phi.EvalTuple(tp, adj, member) {
-					good = false
-					break
-				}
-			}
-			if good {
-				ok[combo>>6] |= 1 << uint(combo&63)
+		for combo = 0; combo < 1<<uint(m*k); combo++ {
+			if ct.clique(k, p0, p1, p2) {
+				g.ok[combo>>6] |= 1 << uint(combo&63)
 			}
 		}
-		tb.groups = append(tb.groups, introGroup{pos: ga.pos, ok: ok})
-	}
+		tb.groups = append(tb.groups, g)
+		return true
+	})
 	return tb
 }
 
@@ -310,86 +254,97 @@ func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([
 		}
 		out[v] = uint8(w)
 	}
-	// The DP guarantees the checks below; assert them through the shared
-	// matrix evaluator — independently of the transition tables — so a
-	// table bug cannot leak a bogus witness. Checking the introduce nodes
-	// alone covers every constrained tuple: a violating tuple is a clique
-	// (clique-locality), every clique is contained in some nice bag, and
-	// the bottom-most such bag is an introduce node whose introduced
-	// vertex belongs to the clique (its child bag is one vertex short).
-	var wc witnessCheck
+	// The DP guarantees the checks below; assert them, so that a bug in the
+	// table packing (the group positions and combination bits admits
+	// reads), the memo (a key that misses a pair the table reads), the
+	// bottom-up pass or the traceback cannot leak a bogus witness. The
+	// cliques come from the walk the tables were built from, but the
+	// matrix is evaluated on the witness words themselves. Checking the
+	// introduce nodes alone covers every constrained tuple: a violating
+	// tuple is a clique (clique-locality), every clique is contained in
+	// some nice bag, and the bottom-most such bag is an introduce node
+	// whose introduced vertex belongs to the clique (its child bag is one
+	// vertex short).
+	var wc centredWalk
 	for i := range nice.Nodes {
 		nd := &nice.Nodes[i]
 		if nd.Kind != KindIntroduce {
 			continue
 		}
-		if !wc.ok(g, phi, nd.Bag, nd.Vertex, out) {
+		if !wc.witnessOK(g, phi, nd.Bag, nd.Vertex, out) {
 			return nil, false, fmt.Errorf("treewidth: EMSO DP produced a witness violating the matrix in bag %v", nd.Bag)
 		}
 	}
 	return out, true, nil
 }
 
-// witnessCheck re-checks the DP's witness words at introduce nodes
-// through the shared clique-tuple check; its point and out-list buffers
-// are reused from node to node.
-type witnessCheck struct {
-	pts        []int
+// centredWalk lays out the points of a clique walk centred on one bag
+// position: the centre first (point 0), then every position adjacent to
+// it in bag order, which together hold every clique through the centre.
+// Out-lists, read only by three-variable matrices, list each edge among
+// those positions once, from the point earlier in the bag. The witness
+// re-check and the transition tables both walk through it; its buffers
+// are reused from layout to layout.
+type centredWalk struct {
+	pts        []int // the bag position of each point
 	start, out []int32
 }
 
-// ok reports whether every clique tuple through the introduced vertex x
-// satisfies the matrix under words. The points are x (the centre) and
-// its neighbours in the bag, which hold every clique through x; their
-// out-lists (read only by three-variable matrices) list each edge once,
-// from the endpoint earlier in the bag. Nothing is probed for a valid
-// matrix, which the check passes at once.
-func (wc *witnessCheck) ok(g *graph.Graph, phi *EMSO, bag []int, x int, words []uint8) bool {
+// layout lays the walk out around position pos of an n-position bag
+// whose adjacency adj reports, reading only pairs through pos for two
+// variables and no pair for one, and returns the centred clique-tuple
+// check over it, still without its oracles.
+func (w *centredWalk) layout(phi *EMSO, n, pos int, adj func(i, j int) bool) cliqueTuples {
 	r := len(phi.Vars)
-	wc.pts = append(wc.pts[:0], x)
-	if r >= 2 && !phi.valid {
-		for _, u := range bag {
-			if u != x && g.HasEdge(x, u) {
-				wc.pts = append(wc.pts, u)
+	w.pts = append(w.pts[:0], pos)
+	if r >= 2 {
+		for p := 0; p < n; p++ {
+			if p != pos && adj(pos, p) {
+				w.pts = append(w.pts, p)
 			}
 		}
 	}
-	pts := wc.pts
-	if r >= 3 && !phi.valid {
-		wc.start = append(wc.start[:0], 0, 0)
-		wc.out = wc.out[:0]
-		for i := 1; i < len(pts); i++ {
-			for j := i + 1; j < len(pts); j++ {
-				if g.HasEdge(pts[i], pts[j]) {
-					wc.out = append(wc.out, int32(j))
+	if r >= 3 {
+		w.start = append(w.start[:0], 0, 0)
+		w.out = w.out[:0]
+		for i := 1; i < len(w.pts); i++ {
+			for j := i + 1; j < len(w.pts); j++ {
+				if adj(w.pts[i], w.pts[j]) {
+					w.out = append(w.out, int32(j))
 				}
 			}
-			wc.start = append(wc.start, int32(len(wc.out)))
+			w.start = append(w.start, int32(len(w.out)))
 		}
 	}
-	ct := cliqueTuples{
-		phi: phi, n: len(pts), start: wc.start, out: wc.out, centred: true,
-		adj: func(a, b int) bool {
-			return a != b && (a == 0 || b == 0 || g.HasEdge(pts[a], pts[b]))
-		},
-		member: func(set, p int) bool { return words[pts[p]]>>uint(set)&1 == 1 },
+	return cliqueTuples{phi: phi, n: len(w.pts), start: w.start, out: w.out, centred: true}
+}
+
+// witnessOK reports whether every clique tuple through the introduced
+// vertex x of bag satisfies the matrix under words. A valid matrix passes
+// at once, with nothing probed.
+func (w *centredWalk) witnessOK(g *graph.Graph, phi *EMSO, bag []int, x int, words []uint8) bool {
+	if phi.valid {
+		return true
 	}
+	ct := w.layout(phi, len(bag), sort.SearchInts(bag, x), func(i, j int) bool { return g.HasEdge(bag[i], bag[j]) })
+	pts := w.pts
+	ct.adj = func(a, b int) bool {
+		return a != b && (a == 0 || b == 0 || g.HasEdge(bag[pts[a]], bag[pts[b]]))
+	}
+	ct.member = func(set, p int) bool { return words[bag[pts[p]]]>>uint(set)&1 == 1 }
 	return ct.allTuplesOK()
 }
 
 // tablesFor returns the memoized transition tables of an introduce node,
 // building them on first sight of the node's configuration.
 func (sv *emsoSolver) tablesFor(bag []int, pos int) *introTables {
-	n := len(bag)
-	// Pack the configuration: size, introduced position, and the
-	// adjacency bits of exactly the bag pairs the table reads. A table
-	// only reads pairs inside clique tuples that contain the introduced
-	// position: no pair for one variable, the introduced position's row
-	// for two, every pair (in i<j order) for three. Bags can be
-	// arbitrarily large when the sentence has no set variables (the state
-	// count stays 1 regardless of width, so the MaxDPStates bound never
-	// trips), so the pair bitmap is sized to the bag.
-	r := len(sv.phi.Vars)
+	// The configuration's key: bag size and introduced position, two
+	// bytes each, then the adjacency bits of exactly the bag pairs the
+	// walk around pos reads (see pairBit). Bags can be arbitrarily large
+	// when the sentence has no set variables (the state count stays 1
+	// regardless of width, so the MaxDPStates bound never trips), so a
+	// wide bag's key outgrows the stack buffer.
+	n, r := len(bag), len(sv.phi.Vars)
 	pairs := 0
 	switch {
 	case r == 2:
@@ -397,99 +352,75 @@ func (sv *emsoSolver) tablesFor(bag []int, pos int) *introTables {
 	case r > 2:
 		pairs = n * (n - 1) / 2
 	}
-	// bitOf is the key bit of pair (i,j), or -1 for a pair the table
-	// does not read.
-	bitOf := func(i, j int) int {
-		if i > j {
-			i, j = j, i
-		}
-		switch {
-		case r > 2:
-			// Pair (i,j) sits at offset sum of the first i row lengths
-			// plus (j-i-1): rows have n-1, n-2, ... entries.
-			return i*(2*n-i-1)/2 + (j - i - 1)
-		case r == 2 && i == pos:
-			return j - 1
-		case r == 2 && j == pos:
-			return i
-		}
-		return -1
+	var small [40]byte
+	var key []byte
+	if need := 4 + (pairs+7)/8; need <= len(small) {
+		key = small[:need]
+	} else {
+		key = make([]byte, need)
 	}
-	var small [4]uint64
-	adjWords := small[:]
-	if words := (pairs + 63) / 64; words > len(adjWords) {
-		adjWords = make([]uint64, words)
-	}
+	key[0], key[1], key[2], key[3] = byte(n), byte(n>>8), byte(pos), byte(pos>>8)
 	if pairs > 0 {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if b := bitOf(i, j); b >= 0 && sv.g.HasEdge(bag[i], bag[j]) {
-					adjWords[b>>6] |= 1 << uint(b&63)
+				if b := pairBit(r, n, pos, i, j); b >= 0 && sv.g.HasEdge(bag[i], bag[j]) {
+					key[4+b/8] |= 1 << uint(b%8)
 				}
 			}
 		}
 	}
 	phi := sv.phi
-	var keyU64 uint64
-	var keyStr string
-	if pairs <= 52 && n < 32 {
-		keyU64 = 1<<63 | uint64(n)<<58 | uint64(pos)<<52 | adjWords[0]
-		phi.introMu.RLock()
-		tb := phi.introU64[keyU64]
-		phi.introMu.RUnlock()
-		if tb != nil {
-			return tb
-		}
+	phi.introMu.RLock()
+	tb := phi.intro[string(key)]
+	phi.introMu.RUnlock()
+	if tb != nil {
+		return tb
+	}
+	// The build's adjacency reads the miss path's own copy of the key, so
+	// the lookup above stays on the stack.
+	k := string(key)
+	tb = buildIntroTables(phi, n, pos, func(i, j int) bool {
+		b := pairBit(r, n, pos, i, j)
+		return b >= 0 && k[4+b/8]>>uint(b%8)&1 == 1
+	})
+	phi.introMu.Lock()
+	if prev := phi.intro[k]; prev != nil {
+		tb = prev // a concurrent solver won the build; share its tables
 	} else {
-		// Wide bags (reachable with few or no set variables) fall back to
-		// a byte key; the build below dwarfs the allocation anyway.
-		raw := make([]byte, 4, 4+8*len(adjWords))
-		raw[0], raw[1] = byte(n), byte(n>>8)
-		raw[2], raw[3] = byte(pos), byte(pos>>8)
-		for _, w := range adjWords {
-			for s := 0; s < 64; s += 8 {
-				raw = append(raw, byte(w>>uint(s)))
+		if phi.intro == nil {
+			phi.intro = map[string]*introTables{}
+		}
+		if len(phi.intro) >= maxIntroMemoEntries {
+			for old := range phi.intro {
+				delete(phi.intro, old)
+				break
 			}
 		}
-		keyStr = string(raw)
-		phi.introMu.RLock()
-		tb := phi.introStr[keyStr]
-		phi.introMu.RUnlock()
-		if tb != nil {
-			return tb
-		}
-	}
-	// An unread pair builds as a non-edge: it only prunes tuples that
-	// miss the introduced position, which the build discards anyway.
-	adj := func(i, j int) bool {
-		b := bitOf(i, j)
-		return b >= 0 && adjWords[b>>6]>>(uint(b)&63)&1 == 1
-	}
-	tb := buildIntroTables(phi, n, pos, adj)
-	phi.introMu.Lock()
-	if keyStr != "" {
-		if phi.introStr == nil {
-			phi.introStr = map[string]*introTables{}
-		}
-		if prev := phi.introStr[keyStr]; prev != nil {
-			tb = prev // a concurrent solver won the build; share its tables
-		} else {
-			phi.evictIntroLocked()
-			phi.introStr[keyStr] = tb
-		}
-	} else {
-		if phi.introU64 == nil {
-			phi.introU64 = map[uint64]*introTables{}
-		}
-		if prev := phi.introU64[keyU64]; prev != nil {
-			tb = prev
-		} else {
-			phi.evictIntroLocked()
-			phi.introU64[keyU64] = tb
-		}
+		phi.intro[k] = tb
 	}
 	phi.introMu.Unlock()
 	return tb
+}
+
+// pairBit is the key bit of bag pair (i,j) in an n-position configuration
+// with introduced position pos and r variables, or -1 for a pair the
+// walk around pos never reads: none for one variable, the pairs through
+// pos for two, every pair (in i<j order) for three.
+func pairBit(r, n, pos, i, j int) int {
+	if i > j {
+		i, j = j, i
+	}
+	switch {
+	case r > 2:
+		// Pair (i,j) sits at offset sum of the first i row lengths plus
+		// (j-i-1): rows have n-1, n-2, ... entries.
+		return i*(2*n-i-1)/2 + (j - i - 1)
+	case r == 2 && i == pos:
+		return j - 1
+	case r == 2 && j == pos:
+		return i
+	}
+	return -1
 }
 
 // maxIntroMemoEntries bounds the per-sentence transition-table memo:
@@ -499,22 +430,6 @@ func (sv *emsoSolver) tablesFor(bag []int, pos int) *introTables {
 // entry is evicted, mirroring the engine's decomposition cache; solvers
 // already holding a table keep their pointer and later runs recompute.
 const maxIntroMemoEntries = 4096
-
-// evictIntroLocked drops one arbitrary memo entry when the combined memo
-// is full. Callers hold introMu.
-func (phi *EMSO) evictIntroLocked() {
-	if len(phi.introU64)+len(phi.introStr) < maxIntroMemoEntries {
-		return
-	}
-	for k := range phi.introU64 {
-		delete(phi.introU64, k)
-		return
-	}
-	for k := range phi.introStr {
-		delete(phi.introStr, k)
-		return
-	}
-}
 
 // up runs the bottom-up pass in node index order — a post-order, since
 // MakeNiceCtx stores children first — filling sc.valid (sorted state

@@ -82,7 +82,13 @@ func PropertyFromFormula(f logic.Formula) (Property, error) {
 //   - bag agreement: neighbours claiming the same home bag agree on depth
 //     and contents; neighbours with different home bags are in strict
 //     ancestor order (exactly one containment, container strictly
-//     shallower), which rules out cycles among bag claims;
+//     shallower). That orders each pair of neighbours only: two vertices
+//     that share a bag without being adjacent never compare it, so the
+//     claimed bags need not form one tree, and the width certificate is
+//     not sound. On the treewidth-3 graph with edges 0-1 0-2 0-3 0-5 1-2
+//     1-3 1-5 2-4 3-4, vertex v taking its certificate from the honest
+//     tw-bound T=2 proof of G − e_v, where e = (1-2, 0-2, 3-4, 0-2, 1-3,
+//     1-3) for v = 0..5, is accepted at every vertex;
 //   - adjacency rows: each vertex checks its own row against its actual
 //     neighbourhood (it sees exactly its neighbours' identifiers), so an
 //     accepted run's rows are ground truth for everyone who reads them;
@@ -93,13 +99,13 @@ func PropertyFromFormula(f logic.Formula) (Property, error) {
 //     pins each pair's adjacency inside some home bag, and the
 //     self-verified rows expose it — so some member of the violating
 //     clique evaluates the matrix on genuine adjacency values and rejects.
-//     The tuples come from the clique-tuple check the DP's witness
-//     re-check shares (cliqueTuples): the view's evidence adjacency is
-//     built once from the neighbours' rows, at most T+1 entries each, and
-//     every next tuple point is drawn from it, so a vertex of degree d
-//     costs O((d+1)·(T+1)^(r−1)) adjacency probes for r variables. A
-//     valid matrix, such as tw-bound's x = x, has no tuple to find, and
-//     the check returns at once.
+//     The tuples come from the clique-tuple walk the DP's transition
+//     tables and witness re-check share (cliqueTuples): the view's
+//     evidence adjacency is built once from the neighbours' rows, at most
+//     T+1 entries each, and every next tuple point is drawn from it, so a
+//     vertex of degree d costs O((d+1)·(T+1)^(r−1)) adjacency probes for
+//     r variables. A valid matrix, such as tw-bound's x = x, has no tuple
+//     to find, and the check returns at once.
 //
 // Certificates are O(t log n) bits — bag id, up to t+1 identifiers, t+1
 // row bits and m witness bits — plus a 16-bit guard binding certs to their

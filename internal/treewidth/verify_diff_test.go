@@ -269,7 +269,7 @@ func TestVerifyCyclicEvidence(t *testing.T) {
 // TestWitnessCheckMatchesReference holds the DP side of the shared
 // clique-tuple check to the original enumerator: at every introduce node
 // of nice decompositions of partial k-trees and a hub joined to a path,
-// under random witness words, witnessCheck.ok must give the verdict of
+// under random witness words, centredWalk.witnessOK must give the verdict of
 // allTuplesOKReference over the node's bag restricted to tuples through
 // the introduced vertex.
 func TestWitnessCheckMatchesReference(t *testing.T) {
@@ -298,7 +298,7 @@ func TestWitnessCheckMatchesReference(t *testing.T) {
 		}
 		adj := func(a, b int) bool { return g.HasEdge(a, b) }
 		for _, phi := range phis {
-			var wc witnessCheck
+			var wc centredWalk
 			for trial := 0; trial < 4; trial++ {
 				words := make([]uint8, g.N())
 				for v := range words {
@@ -311,7 +311,7 @@ func TestWitnessCheckMatchesReference(t *testing.T) {
 						continue
 					}
 					want := allTuplesOKReference(phi, nd.Bag, adj, member, nd.Vertex)
-					if got := wc.ok(g, phi, nd.Bag, nd.Vertex, words); got != want {
+					if got := wc.witnessOK(g, phi, nd.Bag, nd.Vertex, words); got != want {
 						t.Fatalf("graph %d %s node %d (bag %v, vertex %d): check %v, reference %v",
 							gi, phi, i, nd.Bag, nd.Vertex, got, want)
 					}
