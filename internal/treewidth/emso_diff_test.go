@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cert"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/graphgen"
 	"repro/internal/logic"
@@ -154,13 +155,13 @@ func TestIntroTablesMatchReference(t *testing.T) {
 						}
 					}
 				}
-				bag := make([]int, k)
+				bag, bag32 := make([]int, k), make([]int32, k)
 				for i := range bag {
-					bag[i] = i
+					bag[i], bag32[i] = i, int32(i)
 				}
 				sv := &emsoSolver{g: g, phi: phi, m: m}
 				for pos := 0; pos < k; pos++ {
-					tb := sv.tablesFor(bag, pos)
+					tb := sv.tablesFor(bag32, pos)
 					for s := uint64(0); s < 1<<uint(m*k); s++ {
 						want := introduceOK(g, phi, bag, pos, s)
 						if got := tb.admits(s, m); got != want {
@@ -217,12 +218,38 @@ func TestTracebackErrorTyped(t *testing.T) {
 	}
 }
 
+// TestTableListPresized: the bottom-up pass never holds more tables
+// than the forget count and waiting bound MakeNiceCtx records, so the
+// list SolveEMSOCtx presizes from them never grows.
+func TestTableListPresized(t *testing.T) {
+	ctx := context.Background()
+	phi := MustCompileEMSO(logic.TrueSentence()) // no table is ever empty
+	for _, c := range decompCorpus(t) {
+		for _, root := range []int{0, len(c.d.Bags) - 1} {
+			nice, err := MakeNiceCtx(ctx, c.d, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := &emsoScratch{slot: make([]int32, nice.NumNodes())}
+			sv := &emsoSolver{g: c.g, nice: nice, phi: phi, sc: sc, cp: fault.NewCheckpoint(ctx, "prove")}
+			if ok, err := sv.up(); err != nil || !ok {
+				t.Fatalf("%s root %d: ok=%v err=%v", c.name, root, ok, err)
+			}
+			if n := len(sc.tables); n > nice.forgets+nice.waiting {
+				t.Fatalf("%s root %d: %d tables held, presized for %d forget and %d waiting",
+					c.name, root, n, nice.forgets, nice.waiting)
+			}
+		}
+	}
+}
+
 // TestIntroMemoBounded pins the transition-table memo's eviction: the
 // configurations are graph-controlled, so the memo must stay bounded no
 // matter how many distinct bag adjacency patterns a long-lived process
 // meets.
 func TestIntroMemoBounded(t *testing.T) {
-	phi := MustCompileEMSO(logic.TrueSentence())
+	// 2-colourability: a valid matrix (tw-bound) would build no table.
+	phi := MustCompileEMSO(logic.TwoColorable())
 	phi.introMu.Lock()
 	phi.intro = map[string]*introTables{}
 	for i := 0; i < maxIntroMemoEntries; i++ {
@@ -244,18 +271,24 @@ func TestIntroMemoBounded(t *testing.T) {
 		t.Fatalf("solve on full memo: ok=%v err=%v", ok, err)
 	}
 	phi.introMu.Lock()
-	total := len(phi.intro)
+	total, built := len(phi.intro), 0
+	for k := range phi.intro {
+		if !strings.HasPrefix(k, "synthetic-") {
+			built++
+		}
+	}
 	phi.introMu.Unlock()
-	if total > maxIntroMemoEntries {
-		t.Fatalf("memo grew past its bound: %d entries (cap %d)", total, maxIntroMemoEntries)
+	if total > maxIntroMemoEntries || built == 0 {
+		t.Fatalf("memo holds %d entries (cap %d), %d of them built by the solve", total, maxIntroMemoEntries, built)
 	}
 }
 
 // TestIntroMemoKeyedOnReadPairs pins the memo key to the bag pairs a
-// transition table reads: a one-variable sentence (tw-bound) reads no
-// pair, so solving a 5,000-vertex partial 4-tree must leave at most one
-// memo entry per (bag size, introduced position), however many
-// adjacency patterns its bags show.
+// transition table reads: a one-variable sentence reads no pair, so
+// solving a 5,000-vertex partial 4-tree must leave at most one memo entry
+// per (bag size, introduced position), however many adjacency patterns
+// its bags show. The sentence has a set variable, so its matrix is not
+// valid; tw-bound's valid one must leave no entry at all.
 func TestIntroMemoKeyedOnReadPairs(t *testing.T) {
 	g, _ := graphgen.PartialKTree(5000, 4, 0.85, rand.New(rand.NewSource(3)))
 	d, _, err := HeuristicCtx(context.Background(), g)
@@ -266,21 +299,26 @@ func TestIntroMemoKeyedOnReadPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi := MustCompileEMSO(logic.TrueSentence())
-	if _, ok, err := SolveEMSOCtx(context.Background(), g, nice, phi); err != nil || !ok {
-		t.Fatalf("solve: ok=%v err=%v", ok, err)
-	}
 	configs := map[[2]int]bool{}
-	for _, nd := range nice.Nodes {
+	for i, nd := range nice.Nodes {
 		if nd.Kind == KindIntroduce {
-			configs[[2]int{len(nd.Bag), sort.SearchInts(nd.Bag, nd.Vertex)}] = true
+			configs[[2]int{len(nice.Bag(i)), int(nd.Pos)}] = true
 		}
 	}
-	phi.introMu.Lock()
-	entries := len(phi.intro)
-	phi.introMu.Unlock()
-	if entries == 0 || entries > len(configs) {
-		t.Fatalf("%d memo entries for %d (bag size, position) configurations", entries, len(configs))
+	entries := func(f logic.Formula) int {
+		phi := MustCompileEMSO(f)
+		if _, ok, err := SolveEMSOCtx(context.Background(), g, nice, phi); err != nil || !ok {
+			t.Fatalf("%s: solve: ok=%v err=%v", f, ok, err)
+		}
+		phi.introMu.Lock()
+		defer phi.introMu.Unlock()
+		return len(phi.intro)
+	}
+	if n := entries(logic.MustParse("existsset S. forall x. x in S")); n == 0 || n > len(configs) {
+		t.Fatalf("%d memo entries for %d (bag size, position) configurations", n, len(configs))
+	}
+	if n := entries(logic.TrueSentence()); n != 0 {
+		t.Fatalf("tw-bound's valid matrix left %d memo entries, want none", n)
 	}
 }
 
@@ -290,7 +328,7 @@ func TestIntroMemoKeyedOnReadPairs(t *testing.T) {
 // 10⁵ and more on a large prove.
 func TestIntroMemoHitAllocationFree(t *testing.T) {
 	g := hubPath(t, 5) // a hub joined to a path: every position sees triangles
-	bag := []int{0, 1, 2, 3, 4, 5}
+	bag := []int32{0, 1, 2, 3, 4, 5}
 	for _, f := range []logic.Formula{logic.TrueSentence(), logic.ThreeColorable(), logic.MustParse(hitTriangles)} {
 		phi := MustCompileEMSO(f)
 		sv := &emsoSolver{g: g, phi: phi, m: phi.NumSets()}

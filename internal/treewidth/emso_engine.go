@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/fault"
@@ -26,10 +25,14 @@ var errUnknownNodeKind = errors.New("treewidth: unknown nice-decomposition node 
 // The engine differs from the reference in mechanics only:
 //
 //   - one pass over the nice nodes in index order (MakeNiceCtx stores
-//     them children-first) instead of recursive closures, with per-node
-//     state sets held in sorted []uint64 slices:
-//     join is a linear merge-intersect, forget is a project+sort+dedup,
-//     introduce appends and sorts;
+//     them children-first) instead of recursive closures, with state sets
+//     held in sorted []uint64 slices: join is a linear merge-intersect,
+//     forget is a project+sort+dedup, introduce appends and sorts. Each
+//     node reads the position of its vertex from the node (NiceNode.Pos)
+//     instead of searching its bag, and reaches its children's tables
+//     through one int32 slot per node: a table list, presized from the
+//     forget-node count, holds every forget table and the few others
+//     still waiting for their parent;
 //   - the matrix is evaluated once per (bag configuration, word
 //     combination) instead of once per (state, word) pair: each introduce
 //     node's admissible-word transition table depends only on the bag
@@ -37,7 +40,8 @@ var errUnknownNodeKind = errors.New("treewidth: unknown nice-decomposition node 
 //     bag vertices, so tables are memoized on the compiled sentence and
 //     shared across nodes, decompositions and solver runs; a table's
 //     cliques come from the clique-tuple walk (cliqueTuples) that Verify
-//     and the witness re-check use;
+//     and the witness re-check use. A valid matrix (tw-bound's) admits
+//     every state, so it builds no table and skips the witness re-check;
 //   - the traceback stores one predecessor word per forget-node state
 //     during the bottom-up pass instead of re-probing child tables, so
 //     witness extraction is a walk over binary searches;
@@ -143,12 +147,19 @@ func buildIntroTables(phi *EMSO, n, pos int, adj func(i, j int) bool) *introTabl
 }
 
 // emsoScratch is the recycled working memory of one solver run: state
-// buffers, the forget-table arenas and the traceback stack. A run checks
-// one scratch out of the pool, so concurrent solves never share buffers.
+// buffers, the table list, the forget-table arenas and the traceback
+// stack. A run checks one scratch out of the pool, so concurrent solves
+// never share buffers.
 type emsoScratch struct {
 	freeStates [][]uint64
-	valid      [][]uint64
-	preds      [][]uint8
+	// slot maps each nice node to the entry of tables holding its state
+	// table. The list holds every forget node's table with its
+	// predecessor words, which the traceback reads, and the tables of
+	// other nodes still waiting for their parent: a consumed child's
+	// entry goes on free and is reused, a forget node's never is.
+	slot   []int32
+	tables []emsoTable
+	free   []int32
 	// forget and forgetPreds are the arenas every forget node's state
 	// table and predecessor words are cut from: the traceback reads them
 	// after the bottom-up pass, so they never go back to freeStates. A
@@ -159,8 +170,15 @@ type emsoScratch struct {
 	stack       []emsoFrame
 }
 
+// emsoTable is one entry of the table list: a node's sorted states and,
+// for a forget node, the predecessor word of each.
+type emsoTable struct {
+	states []uint64
+	preds  []uint8
+}
+
 type emsoFrame struct {
-	t int
+	t int32
 	s uint64
 }
 
@@ -181,17 +199,31 @@ func (sc *emsoScratch) putStates(s []uint64) {
 	}
 }
 
-// release returns every free-list table still held for nice's nodes to
-// the free lists — forget tables are arena-backed and only dropped — and
-// hands the scratch back to the pool.
-func (sc *emsoScratch) release(nice *Nice) {
-	for i, s := range sc.valid {
-		if s != nil && nice.Nodes[i].Kind != KindForget {
-			sc.putStates(s)
-		}
-		sc.valid[i] = nil
-		sc.preds[i] = nil
+// keep gives node t's table an entry of the list: a fresh one for a
+// forget node's, a consumed child's when one is free for any other.
+func (sc *emsoScratch) keep(t int, forget bool, tb emsoTable) {
+	if n := len(sc.free); !forget && n > 0 {
+		sc.slot[t] = sc.free[n-1]
+		sc.free = sc.free[:n-1]
+		sc.tables[sc.slot[t]] = tb
+		return
 	}
+	sc.slot[t] = int32(len(sc.tables))
+	sc.tables = append(sc.tables, tb)
+}
+
+// release recycles the tables still waiting for a parent and hands the
+// scratch back to the pool. Forget tables, the entries with predecessor
+// words, are arena-backed and only dropped (an empty one may have nil
+// words, but then it has no capacity to recycle either).
+func (sc *emsoScratch) release() {
+	for _, tb := range sc.tables {
+		if tb.preds == nil {
+			sc.putStates(tb.states)
+		}
+	}
+	clear(sc.tables)
+	sc.tables, sc.free = sc.tables[:0], sc.free[:0]
 	emsoScratchPool.Put(sc)
 }
 
@@ -224,21 +256,18 @@ func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([
 		}
 	}
 	sc := emsoScratchPool.Get().(*emsoScratch)
-	if cap(sc.valid) < len(nice.Nodes) {
-		sc.valid = make([][]uint64, len(nice.Nodes))
-		sc.preds = make([][]uint8, len(nice.Nodes))
-	} else {
-		sc.valid = sc.valid[:len(nice.Nodes)]
-		sc.preds = sc.preds[:len(nice.Nodes)]
-		for i := range sc.valid {
-			sc.valid[i] = nil
-			sc.preds[i] = nil
-		}
+	if cap(sc.slot) < len(nice.Nodes) {
+		sc.slot = make([]int32, len(nice.Nodes))
+	}
+	// Every slot is written before it is read: children come first.
+	sc.slot = sc.slot[:len(nice.Nodes)]
+	if n := nice.forgets + nice.waiting; cap(sc.tables) < n {
+		sc.tables = make([]emsoTable, 0, n)
 	}
 	sc.forget, sc.forgetPreds = sc.forget[:0], sc.forgetPreds[:0]
 	sv := &emsoSolver{g: g, nice: nice, phi: phi, m: m, sc: sc,
 		cp: fault.NewCheckpoint(ctx, "prove")}
-	defer sc.release(nice)
+	defer sc.release()
 	ok, err := sv.up()
 	if err != nil || !ok {
 		return nil, false, err
@@ -264,15 +293,15 @@ func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([
 	// tuple is a clique (clique-locality), every clique is contained in
 	// some nice bag, and the bottom-most such bag is an introduce node
 	// whose introduced vertex belongs to the clique (its child bag is one
-	// vertex short).
+	// vertex short). A valid matrix constrains no tuple.
+	if phi.valid {
+		return out, true, nil
+	}
 	var wc centredWalk
-	for i := range nice.Nodes {
-		nd := &nice.Nodes[i]
-		if nd.Kind != KindIntroduce {
-			continue
-		}
-		if !wc.witnessOK(g, phi, nd.Bag, nd.Vertex, out) {
-			return nil, false, fmt.Errorf("treewidth: EMSO DP produced a witness violating the matrix in bag %v", nd.Bag)
+	for t := range nice.Nodes {
+		nd := &nice.Nodes[t]
+		if nd.Kind == KindIntroduce && !wc.witnessOK(g, phi, nice.Bag(t), int(nd.Pos), out) {
+			return nil, false, fmt.Errorf("treewidth: EMSO DP produced a witness violating the matrix in bag %v", nice.Bag(t))
 		}
 	}
 	return out, true, nil
@@ -319,17 +348,17 @@ func (w *centredWalk) layout(phi *EMSO, n, pos int, adj func(i, j int) bool) cli
 	return cliqueTuples{phi: phi, n: len(w.pts), start: w.start, out: w.out, centred: true}
 }
 
-// witnessOK reports whether every clique tuple through the introduced
-// vertex x of bag satisfies the matrix under words. A valid matrix passes
-// at once, with nothing probed.
-func (w *centredWalk) witnessOK(g *graph.Graph, phi *EMSO, bag []int, x int, words []uint8) bool {
+// witnessOK reports whether every clique tuple through position pos of
+// bag satisfies the matrix under words. A valid matrix passes at once,
+// with nothing probed.
+func (w *centredWalk) witnessOK(g *graph.Graph, phi *EMSO, bag []int32, pos int, words []uint8) bool {
 	if phi.valid {
 		return true
 	}
-	ct := w.layout(phi, len(bag), sort.SearchInts(bag, x), func(i, j int) bool { return g.HasEdge(bag[i], bag[j]) })
+	ct := w.layout(phi, len(bag), pos, func(i, j int) bool { return g.HasEdge(int(bag[i]), int(bag[j])) })
 	pts := w.pts
 	ct.adj = func(a, b int) bool {
-		return a != b && (a == 0 || b == 0 || g.HasEdge(bag[pts[a]], bag[pts[b]]))
+		return a != b && (a == 0 || b == 0 || g.HasEdge(int(bag[pts[a]]), int(bag[pts[b]])))
 	}
 	ct.member = func(set, p int) bool { return words[bag[pts[p]]]>>uint(set)&1 == 1 }
 	return ct.allTuplesOK()
@@ -337,7 +366,7 @@ func (w *centredWalk) witnessOK(g *graph.Graph, phi *EMSO, bag []int, x int, wor
 
 // tablesFor returns the memoized transition tables of an introduce node,
 // building them on first sight of the node's configuration.
-func (sv *emsoSolver) tablesFor(bag []int, pos int) *introTables {
+func (sv *emsoSolver) tablesFor(bag []int32, pos int) *introTables {
 	// The configuration's key: bag size and introduced position, two
 	// bytes each, then the adjacency bits of exactly the bag pairs the
 	// walk around pos reads (see pairBit). Bags can be arbitrarily large
@@ -363,7 +392,7 @@ func (sv *emsoSolver) tablesFor(bag []int, pos int) *introTables {
 	if pairs > 0 {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if b := pairBit(r, n, pos, i, j); b >= 0 && sv.g.HasEdge(bag[i], bag[j]) {
+				if b := pairBit(r, n, pos, i, j); b >= 0 && sv.g.HasEdge(int(bag[i]), int(bag[j])) {
 					key[4+b/8] |= 1 << uint(b%8)
 				}
 			}
@@ -431,11 +460,16 @@ func pairBit(r, n, pos, i, j int) int {
 // already holding a table keep their pointer and later runs recompute.
 const maxIntroMemoEntries = 4096
 
+// admitAll is the transition table of a valid matrix: no groups, so it
+// admits every state.
+var admitAll introTables
+
 // up runs the bottom-up pass in node index order — a post-order, since
-// MakeNiceCtx stores children first — filling sc.valid (sorted state
-// slices) and sc.preds (forget-node predecessor words). It reports
-// whether the root accepts; an empty state set anywhere short-circuits
-// to false (all four node transitions preserve emptiness upward).
+// MakeNiceCtx stores children first — giving each node's sorted state
+// table an entry of sc.tables, with its predecessor words at a forget
+// node. It reports whether the root accepts; an empty state set anywhere
+// short-circuits to false (all four node transitions preserve emptiness
+// upward).
 //
 //certlint:hotpath
 func (sv *emsoSolver) up() (bool, error) {
@@ -445,39 +479,40 @@ func (sv *emsoSolver) up() (bool, error) {
 			return false, err
 		}
 		node := &sv.nice.Nodes[t]
-		var out []uint64
+		var tb emsoTable
 		switch node.Kind {
 		case KindLeaf:
-			out = append(sc.getStates(), 0)
+			tb.states = append(sc.getStates(), 0)
 		case KindIntroduce:
-			c := node.Children[0]
-			pos := sort.SearchInts(node.Bag, node.Vertex)
-			tb := sv.tablesFor(node.Bag, pos)
+			c, pos := node.Child[0], int(node.Pos)
+			admit := &admitAll
+			if !sv.phi.valid {
+				admit = sv.tablesFor(sv.nice.Bag(t), pos)
+			}
 			nw := uint64(1) << uint(m)
-			out = sc.getStates()
-			for _, cs := range sc.valid[c] {
+			out := sc.getStates()
+			for _, cs := range sc.tables[sc.slot[c]].states {
 				for w := uint64(0); w < nw; w++ {
 					s := expandWord(cs, pos, m, w)
-					if tb.admits(s, m) {
+					if admit.admits(s, m) {
 						out = append(out, s)
 					}
 				}
 			}
 			slices.Sort(out)
+			tb.states = out
 			sv.releaseChild(c)
 		case KindForget:
-			c := node.Children[0]
-			childBag := sv.nice.Nodes[c].Bag
-			pos := sort.SearchInts(childBag, node.Vertex)
+			c, pos := node.Child[0], int(node.Pos)
 			buf := sc.getStates()
-			for _, cs := range sc.valid[c] {
+			for _, cs := range sc.tables[sc.slot[c]].states {
 				buf = append(buf, forgetWord(cs, pos, m)<<emsoWordShift|wordAt(cs, pos, m))
 			}
 			slices.Sort(buf)
 			if cap(sc.forget)-len(sc.forget) < len(buf) {
-				// A fresh block: at least half the node count, which
-				// holds every forget table of a set-free sentence.
-				block := max(len(buf), 2*cap(sc.forget), len(sv.nice.Nodes)/2)
+				// A fresh block: at least one entry per forget node,
+				// which holds every forget table of a set-free sentence.
+				block := max(len(buf), 2*cap(sc.forget), sv.nice.forgets)
 				sc.forget = make([]uint64, 0, block)
 				sc.forgetPreds = make([]uint8, 0, block)
 			}
@@ -493,13 +528,12 @@ func (sv *emsoSolver) up() (bool, error) {
 			}
 			sc.putStates(buf)
 			hi := len(sc.forget)
-			out = sc.forget[lo:hi:hi]
-			sc.preds[t] = sc.forgetPreds[lo:hi:hi]
+			tb = emsoTable{states: sc.forget[lo:hi:hi], preds: sc.forgetPreds[lo:hi:hi]}
 			sv.releaseChild(c)
 		case KindJoin:
-			l, r := node.Children[0], node.Children[1]
-			left, right := sc.valid[l], sc.valid[r]
-			out = sc.getStates()
+			l, r := node.Child[0], node.Child[1]
+			left, right := sc.tables[sc.slot[l]].states, sc.tables[sc.slot[r]].states
+			out := sc.getStates()
 			i, j := 0, 0
 			for i < len(left) && j < len(right) {
 				switch {
@@ -513,28 +547,33 @@ func (sv *emsoSolver) up() (bool, error) {
 					j++
 				}
 			}
+			tb.states = out
 			sv.releaseChild(l)
 			sv.releaseChild(r)
 		default:
 			return false, errUnknownNodeKind
 		}
-		sc.valid[t] = out
-		if len(out) == 0 {
+		sc.keep(t, node.Kind == KindForget, tb)
+		if len(tb.states) == 0 {
 			return false, nil
 		}
 	}
-	root := sc.valid[sv.nice.Root]
+	root := sc.tables[sc.slot[sv.nice.Root]].states
 	return len(root) > 0 && root[0] == 0, nil
 }
 
-// releaseChild recycles a consumed child table. Forget-node tables are
-// kept: the traceback binary-searches them to index the predecessor words.
-func (sv *emsoSolver) releaseChild(c int) {
+// releaseChild recycles a consumed child's table and list entry. Forget
+// tables are kept: the traceback binary-searches them to index the
+// predecessor words.
+func (sv *emsoSolver) releaseChild(c int32) {
 	if sv.nice.Nodes[c].Kind == KindForget {
 		return
 	}
-	sv.sc.putStates(sv.sc.valid[c])
-	sv.sc.valid[c] = nil
+	sc := sv.sc
+	e := sc.slot[c]
+	sc.putStates(sc.tables[e].states)
+	sc.tables[e].states = nil
+	sc.free = append(sc.free, e)
 }
 
 // traceback walks the accepted root state back down, reading the
@@ -546,7 +585,7 @@ func (sv *emsoSolver) traceback() ([]int16, error) {
 	for i := range words {
 		words[i] = -1
 	}
-	sc.stack = append(sc.stack[:0], emsoFrame{t: sv.nice.Root})
+	sc.stack = append(sc.stack[:0], emsoFrame{t: int32(sv.nice.Root)})
 	for len(sc.stack) > 0 {
 		f := sc.stack[len(sc.stack)-1]
 		sc.stack = sc.stack[:len(sc.stack)-1]
@@ -554,28 +593,36 @@ func (sv *emsoSolver) traceback() ([]int16, error) {
 		switch node.Kind {
 		case KindLeaf:
 		case KindIntroduce:
-			pos := sort.SearchInts(node.Bag, node.Vertex)
+			pos := int(node.Pos)
 			if words[node.Vertex] == -1 {
 				words[node.Vertex] = int16(wordAt(f.s, pos, m))
 			}
-			sc.stack = append(sc.stack, emsoFrame{t: node.Children[0], s: forgetWord(f.s, pos, m)})
+			sc.stack = append(sc.stack, emsoFrame{t: node.Child[0], s: forgetWord(f.s, pos, m)})
 		case KindForget:
-			states := sc.valid[f.t]
-			idx, found := slices.BinarySearch(states, f.s)
+			tb := &sc.tables[sc.slot[f.t]]
+			idx, found := slices.BinarySearch(tb.states, f.s)
 			if !found {
-				return nil, &TracebackError{Node: f.t, Kind: node.Kind, Bag: node.Bag}
+				return nil, sv.stuck(f.t)
 			}
-			childBag := sv.nice.Nodes[node.Children[0]].Bag
-			pos := sort.SearchInts(childBag, node.Vertex)
-			cs := expandWord(f.s, pos, m, uint64(sc.preds[f.t][idx]))
-			sc.stack = append(sc.stack, emsoFrame{t: node.Children[0], s: cs})
+			cs := expandWord(f.s, int(node.Pos), m, uint64(tb.preds[idx]))
+			sc.stack = append(sc.stack, emsoFrame{t: node.Child[0], s: cs})
 		case KindJoin:
 			sc.stack = append(sc.stack,
-				emsoFrame{t: node.Children[0], s: f.s},
-				emsoFrame{t: node.Children[1], s: f.s})
+				emsoFrame{t: node.Child[0], s: f.s},
+				emsoFrame{t: node.Child[1], s: f.s})
 		default:
-			return nil, &TracebackError{Node: f.t, Kind: node.Kind, Bag: node.Bag}
+			return nil, sv.stuck(f.t)
 		}
 	}
 	return words, nil
+}
+
+// stuck reports that the traceback could not go on below node t.
+func (sv *emsoSolver) stuck(t int32) error {
+	bag := sv.nice.Bag(int(t))
+	e := &TracebackError{Node: int(t), Kind: sv.nice.Nodes[t].Kind, Bag: make([]int, len(bag))}
+	for i, v := range bag {
+		e.Bag[i] = int(v)
+	}
+	return e
 }

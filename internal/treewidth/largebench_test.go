@@ -145,6 +145,34 @@ func BenchmarkLargeTWMSOProve100k(b *testing.B) {
 	}
 }
 
+// BenchmarkLargeNiceDP100k measures the nice conversion and the EMSO DP
+// alone on the certbench instance — a 10⁵-vertex partial 4-tree, its
+// heuristic decomposition computed before the timer, tw-bound — the two
+// layers certify-large's ledger probe times as treewidth.nice and
+// treewidth.emso_dp.
+func BenchmarkLargeNiceDP100k(b *testing.B) {
+	g := largeKTree(b, 100_000)
+	d, _, err := HeuristicCtx(context.Background(), g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prop, ok := PropertyByName("tw-bound")
+	if !ok {
+		b.Fatal("tw-bound property missing")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nice, err := MakeNiceCtx(context.Background(), d, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, ok, err := SolveEMSOCtx(context.Background(), g, nice, prop.Phi); err != nil || !ok {
+			b.Fatalf("solve: ok=%v err=%v", ok, err)
+		}
+	}
+}
+
 // BenchmarkLargeTWMSOVerify100k measures one verification round over
 // honest tw-mso certificates of the certbench graph shape — a 10⁵-vertex
 // partial 4-tree, heuristic decomposition, t=6 — on the sequential

@@ -3,6 +3,7 @@ package treewidth
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/fault"
 )
@@ -35,13 +36,21 @@ func (k NodeKind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// NiceNode is one node of a nice decomposition. Bag is sorted; Vertex is
-// the introduced/forgotten vertex for those kinds (-1 otherwise).
+// NiceNode is one node of a nice decomposition: a fixed-size record with
+// no pointers, so the node slice is one allocation the garbage collector
+// never scans. Its bag is a span of its Nice's bag arena (read it with
+// Nice.Bag). Vertex is the introduced or forgotten vertex and Pos its
+// position in the bag the dynamic programs read there, the node's own bag
+// for an introduce node and its child's for a forget node; both are -1
+// for the other kinds. Child holds the children, -1 where there is none:
+// introduce and forget nodes have Child[0], joins both.
 type NiceNode struct {
-	Kind     NodeKind
-	Bag      []int
-	Vertex   int
-	Children []int
+	Kind   NodeKind
+	Vertex int32
+	Pos    int32
+	Child  [2]int32
+	bagOff int32
+	bagLen int32
 }
 
 // Nice is a nice (rooted, binary, single-change) tree decomposition: every
@@ -50,12 +59,16 @@ type NiceNode struct {
 // Courcelle-style dynamic programs run over this form. MakeNiceCtx
 // stores the nodes children-first — every child has a smaller index
 // than its parent, so index order is a post-order and the root comes
-// last — and bags and child lists are read-only views into shared
-// arenas.
+// last — and every bag is a span of one int32 arena.
 type Nice struct {
 	Nodes []NiceNode
 	Root  int
+	bags  []int32
 	width int
+	// forgets counts the forget nodes, and waiting bounds how many nodes
+	// are built and not yet consumed by their parent at any point of
+	// index order: the EMSO DP sizes its table list from the two.
+	forgets, waiting int
 }
 
 // NumNodes returns the node count.
@@ -64,6 +77,12 @@ func (n *Nice) NumNodes() int { return len(n.Nodes) }
 // Width returns the width of the nice decomposition (recorded by
 // MakeNiceCtx: the largest bag size minus one).
 func (n *Nice) Width() int { return n.width }
+
+// Bag returns node t's bag, sorted: a read-only view into the arena.
+func (n *Nice) Bag(t int) []int32 {
+	nd := &n.Nodes[t]
+	return n.bags[nd.bagOff : nd.bagOff+nd.bagLen : nd.bagOff+nd.bagLen]
+}
 
 // MakeNiceCtx converts a valid tree decomposition rooted at the given bag
 // (rootCp checks the tree as it roots it; the bags are taken as valid)
@@ -74,14 +93,15 @@ func (n *Nice) Width() int { return n.width }
 // so the nice root's bag is empty.
 //
 // The conversion first counts the nodes and bag entries exactly (from
-// each bag's child count and |child∖bag|, |bag∖child| per tree edge),
-// then allocates the node slice and two arenas — one for every bag, one
-// for every child list — and walks the tree with an explicit stack, so
-// its memory is a handful of allocations and its Go stack is flat however
-// deep the decomposition is (a path's has depth n-1). Join bags share the
-// bag of their first chain's top, a leaf's introduce chain shares prefixes
-// of one copy of the leaf bag, and the root's forget chain shares prefixes
-// of the root bag. The walk checkpoints the context once per bag, so
+// each bag's child count and |child∖bag|, |bag∖child| per tree edge) and
+// fails if either count, or a vertex, does not fit an int32, before it
+// allocates anything for the output. It then allocates the node slice and
+// the bag arena and walks the tree with an explicit stack, so its memory
+// is a handful of allocations and its Go stack is flat however deep the
+// decomposition is (a path's has depth n-1). Join bags share the bag of
+// their first chain's top, a leaf's introduce chain shares prefixes of one
+// copy of the leaf bag, and the root's forget chain shares prefixes of
+// the root bag. The walk checkpoints the context once per bag, so
 // abandoning the nice form of a million-bag decomposition costs at most
 // one stride.
 func MakeNiceCtx(ctx context.Context, d *Decomposition, root int) (*Nice, error) {
@@ -110,9 +130,13 @@ func makeNice(cp *fault.Checkpoint, d *Decomposition, r rooting) (*Nice, error) 
 	}
 	kids := func(b int) []int32 { return r.order[first[b] : first[b]+count[b]] }
 	nodes, bagEntries, maxBag := len(d.Bags[root]), 0, 0
+	forgets := len(d.Bags[root]) // the root's forget chain
 	for b, bag := range d.Bags {
 		if err := cp.Check(); err != nil {
 			return nil, err
+		}
+		if k := len(bag); k > 0 && (bag[0] < 0 || bag[k-1] > math.MaxInt32) {
+			return nil, fmt.Errorf("treewidth: bag %d holds a vertex outside [0, %d]", b, math.MaxInt32)
 		}
 		maxBag = max(maxBag, len(bag))
 		if count[b] == 0 {
@@ -121,29 +145,32 @@ func makeNice(cp *fault.Checkpoint, d *Decomposition, r rooting) (*Nice, error) 
 		} else {
 			nodes += int(count[b]) - 1 // joins
 		}
-		if b == root {
-			continue
+		if b != root {
+			up := d.Bags[r.parent[b]]
+			shared := sharedSorted(bag, up)
+			fs, intros := len(bag)-shared, len(up)-shared
+			nodes += fs + intros
+			forgets += fs
+			// Forget bags shrink from |bag|-1 to shared, introduce bags
+			// grow from shared+1 to |up|.
+			bagEntries += (len(bag)-1+shared)*fs/2 + (shared+1+len(up))*intros/2
 		}
-		up := d.Bags[r.parent[b]]
-		shared := sharedSorted(bag, up)
-		forgets, intros := len(bag)-shared, len(up)-shared
-		nodes += forgets + intros
-		// Forget bags shrink from |bag|-1 to shared, introduce bags grow
-		// from shared+1 to |up|.
-		bagEntries += (len(bag)-1+shared)*forgets/2 + (shared+1+len(up))*intros/2
+		if nodes > math.MaxInt32 || bagEntries > math.MaxInt32 {
+			return nil, fmt.Errorf("treewidth: the nice form of a %d-bag decomposition needs more than %d nodes or bag entries",
+				nb, math.MaxInt32)
+		}
 	}
 	a := &niceArena{
-		nodes:    make([]NiceNode, 0, nodes),
-		bags:     make([]int, 0, bagEntries),
-		children: make([]int, 0, nodes-1), // every node but the root is one child
+		nodes: make([]NiceNode, 0, nodes),
+		bags:  make([]int32, 0, bagEntries),
 	}
 	// Walk the tree children-first. A frame's chain tops wait on the tops
 	// stack until its last child is done; a finished bag's top node hangs
 	// off its parent through a forget-then-introduce chain.
 	type frame struct{ b, next, tops int }
 	stack := []frame{{b: root}}
-	var tops []int
-	top := -1
+	var tops []int32
+	top, waiting := int32(-1), 1
 	for len(stack) > 0 {
 		if err := cp.Check(); err != nil {
 			return nil, err
@@ -161,17 +188,23 @@ func makeNice(cp *fault.Checkpoint, d *Decomposition, r rooting) (*Nice, error) 
 		if count[f.b] == 0 {
 			// Introduce the bag vertex by vertex above an empty leaf:
 			// the chain's bags are prefixes of one copy.
-			full := a.bag(bag, -1, -1)
-			top = a.node(KindLeaf, full[:0:0], -1, -1)
+			off := int32(len(a.bags))
+			for _, v := range bag {
+				a.bags = append(a.bags, int32(v))
+			}
+			top = a.add(NiceNode{Kind: KindLeaf, Vertex: -1, Pos: -1, Child: [2]int32{-1, -1}, bagOff: off})
 			for i, v := range bag {
-				top = a.node(KindIntroduce, full[:i+1:i+1], v, top)
+				top = a.add(NiceNode{Kind: KindIntroduce, Vertex: int32(v), Pos: int32(i), Child: [2]int32{top, -1},
+					bagOff: off, bagLen: int32(i + 1)})
 			}
 		} else {
 			// Fold the chain tops left-deep with binary joins sharing the
 			// first top's bag, which equals this bag.
 			top = tops[f.tops]
 			for _, other := range tops[f.tops+1:] {
-				top = a.join(top, other)
+				l := &a.nodes[top]
+				top = a.add(NiceNode{Kind: KindJoin, Vertex: -1, Pos: -1, Child: [2]int32{top, other},
+					bagOff: l.bagOff, bagLen: l.bagLen})
 			}
 			tops = tops[:f.tops]
 		}
@@ -188,8 +221,7 @@ func makeNice(cp *fault.Checkpoint, d *Decomposition, r rooting) (*Nice, error) 
 				j++
 			}
 			if j == len(up) || up[j] != bag[i] {
-				cur := a.nodes[top].Bag
-				top = a.node(KindForget, a.bag(cur, bag[i], -1), bag[i], top)
+				top = a.step(KindForget, top, int32(bag[i]))
 			}
 		}
 		for i, j := 0, 0; j < len(up); j++ {
@@ -197,68 +229,61 @@ func makeNice(cp *fault.Checkpoint, d *Decomposition, r rooting) (*Nice, error) 
 				i++
 			}
 			if i == len(bag) || bag[i] != up[j] {
-				cur := a.nodes[top].Bag
-				top = a.node(KindIntroduce, a.bag(cur, -1, up[j]), up[j], top)
+				top = a.step(KindIntroduce, top, int32(up[j]))
 			}
 		}
 		tops = append(tops, top)
+		// Every node built and not yet consumed is a pending top or
+		// the one a chain is growing from.
+		waiting = max(waiting, len(tops)+1)
 	}
 	// Forget the root bag down to empty, last vertex first: the chain's
 	// bags are prefixes of the root bag.
-	cur := a.nodes[top].Bag
-	for i := len(cur) - 1; i >= 0; i-- {
-		top = a.node(KindForget, cur[:i:i], cur[i], top)
+	cur := a.nodes[top]
+	for i := cur.bagLen - 1; i >= 0; i-- {
+		top = a.add(NiceNode{Kind: KindForget, Vertex: a.bags[cur.bagOff+i], Pos: i, Child: [2]int32{top, -1},
+			bagOff: cur.bagOff, bagLen: i})
 	}
-	return &Nice{Nodes: a.nodes, Root: top, width: maxBag - 1}, nil
+	return &Nice{Nodes: a.nodes, Root: int(top), bags: a.bags, width: maxBag - 1,
+		forgets: forgets, waiting: waiting}, nil
 }
 
 // niceArena holds MakeNiceCtx's output while it is built: the nodes and
-// the two arenas their bags and child lists are cut from, each sized
-// exactly up front.
+// the arena their bags are cut from, each sized exactly up front.
 type niceArena struct {
-	nodes    []NiceNode
-	bags     []int
-	children []int
+	nodes []NiceNode
+	bags  []int32
 }
 
-// node appends a leaf (child -1), introduce or forget node and returns
-// its index.
-func (a *niceArena) node(kind NodeKind, bag []int, v, child int) int {
-	lo := len(a.children)
-	if child >= 0 {
-		a.children = append(a.children, child)
-	}
-	a.nodes = append(a.nodes, NiceNode{Kind: kind, Bag: bag, Vertex: v, Children: a.children[lo:len(a.children):len(a.children)]})
-	return len(a.nodes) - 1
+// add appends a node and returns its index.
+func (a *niceArena) add(nd NiceNode) int32 {
+	a.nodes = append(a.nodes, nd)
+	return int32(len(a.nodes) - 1)
 }
 
-// join appends a join of two nodes with equal bags, sharing the left
-// child's bag.
-func (a *niceArena) join(l, r int) int {
-	a.children = append(a.children, l, r)
-	k := len(a.children)
-	a.nodes = append(a.nodes, NiceNode{Kind: KindJoin, Bag: a.nodes[l].Bag, Vertex: -1, Children: a.children[k-2 : k : k]})
-	return len(a.nodes) - 1
-}
-
-// bag copies the sorted slice src into the bag arena without drop (-1:
-// drop nothing) and with add inserted (-1: add nothing), and returns the
-// copy capped at its length.
-func (a *niceArena) bag(src []int, drop, add int) []int {
-	lo := len(a.bags)
-	for _, x := range src {
-		if add >= 0 && add < x {
-			a.bags = append(a.bags, add)
-			add = -1
+// step appends a forget or introduce node of v above node c, copying c's
+// bag into the arena without or with v, and returns its index.
+func (a *niceArena) step(kind NodeKind, c, v int32) int32 {
+	src := a.nodes[c]
+	nd := NiceNode{Kind: kind, Vertex: v, Child: [2]int32{c, -1}, bagOff: int32(len(a.bags))}
+	insert := kind == KindIntroduce
+	for i, x := range a.bags[src.bagOff : src.bagOff+src.bagLen] {
+		if x == v { // forgotten: its position is in the child's bag
+			nd.Pos = int32(i)
+			continue
 		}
-		if x != drop {
-			a.bags = append(a.bags, x)
+		if insert && v < x {
+			nd.Pos, insert = int32(len(a.bags))-nd.bagOff, false
+			a.bags = append(a.bags, v)
 		}
+		a.bags = append(a.bags, x)
 	}
-	if add >= 0 {
-		a.bags = append(a.bags, add)
+	if insert {
+		nd.Pos = int32(len(a.bags)) - nd.bagOff
+		a.bags = append(a.bags, v)
 	}
-	return a.bags[lo:len(a.bags):len(a.bags)]
+	nd.bagLen = int32(len(a.bags)) - nd.bagOff
+	return a.add(nd)
 }
 
 // sharedSorted counts the entries two sorted slices have in common.

@@ -281,7 +281,9 @@ func (ev *astEval) eval(f logic.Formula) bool {
 // emso_engine.go) replaced it on the hot path; this implementation is
 // retained as the executable specification that the differential property
 // test drives the optimized engine against — verdicts and extracted
-// witness words must match byte for byte.
+// witness words must match byte for byte. It reads the nodes' kinds,
+// vertices, children and bags, and finds each vertex's position by
+// searching the bag rather than reading NiceNode.Pos.
 func solveEMSOReference(g *graph.Graph, nice *Nice, phi *EMSO) ([]uint8, bool, error) {
 	m := len(phi.Sets)
 	states := 1
@@ -304,26 +306,26 @@ func solveEMSOReference(g *graph.Graph, nice *Nice, phi *EMSO) ([]uint8, bool, e
 		case KindLeaf:
 			out[0] = struct{}{}
 		case KindIntroduce:
-			child := up(node.Children[0])
-			pos := sort.SearchInts(node.Bag, node.Vertex)
+			child := up(int(node.Child[0]))
+			bag := bagInts(nice, t)
+			pos := sort.SearchInts(bag, int(node.Vertex))
 			for cs := range child {
 				for w := uint64(0); w < 1<<uint(m); w++ {
 					s := expandWord(cs, pos, m, w)
-					if introduceOK(g, phi, node.Bag, pos, s) {
+					if introduceOK(g, phi, bag, pos, s) {
 						out[s] = struct{}{}
 					}
 				}
 			}
 		case KindForget:
-			child := up(node.Children[0])
-			childBag := nice.Nodes[node.Children[0]].Bag
-			pos := sort.SearchInts(childBag, node.Vertex)
+			child := up(int(node.Child[0]))
+			pos := sort.SearchInts(bagInts(nice, int(node.Child[0])), int(node.Vertex))
 			for cs := range child {
 				out[forgetWord(cs, pos, m)] = struct{}{}
 			}
 		case KindJoin:
-			left := up(node.Children[0])
-			right := up(node.Children[1])
+			left := up(int(node.Child[0]))
+			right := up(int(node.Child[1]))
 			for s := range left {
 				if _, ok := right[s]; ok {
 					out[s] = struct{}{}
@@ -347,29 +349,28 @@ func solveEMSOReference(g *graph.Graph, nice *Nice, phi *EMSO) ([]uint8, bool, e
 		case KindLeaf:
 			return nil
 		case KindIntroduce:
-			pos := sort.SearchInts(node.Bag, node.Vertex)
+			pos := sort.SearchInts(bagInts(nice, t), int(node.Vertex))
 			if words[node.Vertex] == -1 {
 				words[node.Vertex] = int16(wordAt(s, pos, m))
 			}
-			return down(node.Children[0], forgetWord(s, pos, m))
+			return down(int(node.Child[0]), forgetWord(s, pos, m))
 		case KindForget:
-			childBag := nice.Nodes[node.Children[0]].Bag
-			pos := sort.SearchInts(childBag, node.Vertex)
-			child := valid[node.Children[0]]
+			pos := sort.SearchInts(bagInts(nice, int(node.Child[0])), int(node.Vertex))
+			child := valid[node.Child[0]]
 			for w := uint64(0); w < 1<<uint(m); w++ {
 				cs := expandWord(s, pos, m, w)
 				if _, ok := child[cs]; ok {
-					return down(node.Children[0], cs)
+					return down(int(node.Child[0]), cs)
 				}
 			}
-			return &TracebackError{Node: t, Kind: node.Kind, Bag: node.Bag}
+			return &TracebackError{Node: t, Kind: node.Kind, Bag: bagInts(nice, t)}
 		case KindJoin:
-			if err := down(node.Children[0], s); err != nil {
+			if err := down(int(node.Child[0]), s); err != nil {
 				return err
 			}
-			return down(node.Children[1], s)
+			return down(int(node.Child[1]), s)
 		}
-		return &TracebackError{Node: t, Kind: node.Kind, Bag: node.Bag}
+		return &TracebackError{Node: t, Kind: node.Kind, Bag: bagInts(nice, t)}
 	}
 	if err := down(nice.Root, 0); err != nil {
 		return nil, false, err
@@ -386,12 +387,22 @@ func solveEMSOReference(g *graph.Graph, nice *Nice, phi *EMSO) ([]uint8, bool, e
 	member := func(set, point int) bool { return out[point]>>uint(set)&1 == 1 }
 	adj := func(a, b int) bool { return g.HasEdge(a, b) }
 	for i := range nice.Nodes {
-		bag := nice.Nodes[i].Bag
+		bag := bagInts(nice, i)
 		if !allTuplesOKReference(phi, bag, adj, member, -1) {
 			return nil, false, fmt.Errorf("treewidth: EMSO DP produced a witness violating the matrix in bag %v", bag)
 		}
 	}
 	return out, true, nil
+}
+
+// bagInts copies node t's bag out of the arena as ints, the shape the
+// reference checks read.
+func bagInts(nice *Nice, t int) []int {
+	bag := make([]int, 0, len(nice.Bag(t)))
+	for _, v := range nice.Bag(t) {
+		bag = append(bag, int(v))
+	}
+	return bag
 }
 
 // introduceOK checks every matrix tuple over the bag that involves the
@@ -438,26 +449,26 @@ func ColorGraph(g *graph.Graph, nice *Nice, c int) ([]int, bool, error) {
 		case KindLeaf:
 			out[0] = struct{}{}
 		case KindIntroduce:
-			child := up(node.Children[0])
-			pos := sort.SearchInts(node.Bag, node.Vertex)
+			child := up(int(node.Child[0]))
+			bag := bagInts(nice, t)
+			pos := sort.SearchInts(bag, int(node.Vertex))
 			for cs := range child {
 				for col := 0; col < c; col++ {
-					s, ok := introduceState(g, node.Bag, pos, col, cs)
+					s, ok := introduceState(g, bag, pos, col, cs)
 					if ok {
 						out[s] = struct{}{}
 					}
 				}
 			}
 		case KindForget:
-			child := up(node.Children[0])
-			childBag := nice.Nodes[node.Children[0]].Bag
-			pos := sort.SearchInts(childBag, node.Vertex)
+			child := up(int(node.Child[0]))
+			pos := sort.SearchInts(bagInts(nice, int(node.Child[0])), int(node.Vertex))
 			for cs := range child {
 				out[forgetState(cs, pos)] = struct{}{}
 			}
 		case KindJoin:
-			left := up(node.Children[0])
-			right := up(node.Children[1])
+			left := up(int(node.Child[0]))
+			right := up(int(node.Child[1]))
 			for s := range left {
 				if _, ok := right[s]; ok {
 					out[s] = struct{}{}
@@ -485,28 +496,27 @@ func ColorGraph(g *graph.Graph, nice *Nice, c int) ([]int, bool, error) {
 		case KindLeaf:
 			return nil
 		case KindIntroduce:
-			pos := sort.SearchInts(node.Bag, node.Vertex)
+			pos := sort.SearchInts(bagInts(nice, t), int(node.Vertex))
 			col := int(s >> uint(2*pos) & 3)
 			if colors[node.Vertex] == -1 {
 				colors[node.Vertex] = col
 			}
-			return down(node.Children[0], forgetState(s, pos))
+			return down(int(node.Child[0]), forgetState(s, pos))
 		case KindForget:
-			childBag := nice.Nodes[node.Children[0]].Bag
-			pos := sort.SearchInts(childBag, node.Vertex)
-			child := valid[node.Children[0]]
+			pos := sort.SearchInts(bagInts(nice, int(node.Child[0])), int(node.Vertex))
+			child := valid[node.Child[0]]
 			for col := 0; col < c; col++ {
 				cs := expandState(s, pos, col)
 				if _, ok := child[cs]; ok {
-					return down(node.Children[0], cs)
+					return down(int(node.Child[0]), cs)
 				}
 			}
 			return fmt.Errorf("treewidth: colouring DP traceback stuck at forget node %d", t)
 		case KindJoin:
-			if err := down(node.Children[0], s); err != nil {
+			if err := down(int(node.Child[0]), s); err != nil {
 				return err
 			}
-			return down(node.Children[1], s)
+			return down(int(node.Child[1]), s)
 		}
 		return fmt.Errorf("treewidth: unknown node kind %v", node.Kind)
 	}
@@ -706,11 +716,28 @@ func sortedIntersect(a, b []int) bool {
 	return false
 }
 
+// refNiceNode is the original nice-node shape: one fresh slice per bag
+// and child list.
+type refNiceNode struct {
+	Kind     NodeKind
+	Bag      []int
+	Vertex   int
+	Children []int
+}
+
+// refNice is the original nice decomposition: its nodes, the root's
+// index and the width.
+type refNice struct {
+	Nodes []refNiceNode
+	Root  int
+	width int
+}
+
 // makeNiceReference is the original recursive nice conversion, one fresh
 // slice per bag and child list. MakeNiceCtx must build the same nodes in
 // the same index order: the EMSO DP's witness, and so every certificate,
 // follows the tree's shape.
-func makeNiceReference(d *Decomposition, root int) (*Nice, error) {
+func makeNiceReference(d *Decomposition, root int) (*refNice, error) {
 	parent, order, err := rootedReference(d, root)
 	if err != nil {
 		return nil, err
@@ -721,8 +748,8 @@ func makeNiceReference(d *Decomposition, root int) (*Nice, error) {
 			children[parent[b]] = append(children[parent[b]], b)
 		}
 	}
-	nice := &Nice{width: -1}
-	add := func(nd NiceNode) int {
+	nice := &refNice{width: -1}
+	add := func(nd refNiceNode) int {
 		if nd.Bag == nil {
 			nd.Bag = []int{}
 		}
@@ -734,11 +761,11 @@ func makeNiceReference(d *Decomposition, root int) (*Nice, error) {
 	build = func(b int) int {
 		bag := append([]int(nil), d.Bags[b]...)
 		if len(children[b]) == 0 {
-			node := add(NiceNode{Kind: KindLeaf, Vertex: -1})
+			node := add(refNiceNode{Kind: KindLeaf, Vertex: -1})
 			cur := []int{}
 			for _, v := range bag {
 				cur = insertSorted(cur, v)
-				node = add(NiceNode{Kind: KindIntroduce, Bag: cur, Vertex: v, Children: []int{node}})
+				node = add(refNiceNode{Kind: KindIntroduce, Bag: cur, Vertex: v, Children: []int{node}})
 			}
 			return node
 		}
@@ -748,17 +775,17 @@ func makeNiceReference(d *Decomposition, root int) (*Nice, error) {
 			cur := append([]int(nil), d.Bags[c]...)
 			for _, v := range diffSorted(d.Bags[c], bag) {
 				cur = removeSorted(cur, v)
-				node = add(NiceNode{Kind: KindForget, Bag: cur, Vertex: v, Children: []int{node}})
+				node = add(refNiceNode{Kind: KindForget, Bag: cur, Vertex: v, Children: []int{node}})
 			}
 			for _, v := range diffSorted(bag, d.Bags[c]) {
 				cur = insertSorted(cur, v)
-				node = add(NiceNode{Kind: KindIntroduce, Bag: cur, Vertex: v, Children: []int{node}})
+				node = add(refNiceNode{Kind: KindIntroduce, Bag: cur, Vertex: v, Children: []int{node}})
 			}
 			tops = append(tops, node)
 		}
 		node := tops[0]
 		for _, other := range tops[1:] {
-			node = add(NiceNode{Kind: KindJoin, Bag: bag, Vertex: -1, Children: []int{node, other}})
+			node = add(refNiceNode{Kind: KindJoin, Bag: bag, Vertex: -1, Children: []int{node, other}})
 		}
 		return node
 	}
@@ -767,7 +794,7 @@ func makeNiceReference(d *Decomposition, root int) (*Nice, error) {
 	for len(cur) > 0 {
 		v := cur[len(cur)-1]
 		cur = removeSorted(cur, v)
-		top = add(NiceNode{Kind: KindForget, Bag: cur, Vertex: v, Children: []int{top}})
+		top = add(refNiceNode{Kind: KindForget, Bag: cur, Vertex: v, Children: []int{top}})
 	}
 	nice.Root = top
 	return nice, nil

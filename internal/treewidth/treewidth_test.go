@@ -2,7 +2,9 @@ package treewidth
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -330,30 +332,31 @@ func TestMakeNiceShape(t *testing.T) {
 	if nice.Width() != d.Width() {
 		t.Fatalf("nice width %d, decomposition width %d", nice.Width(), d.Width())
 	}
-	if len(nice.Nodes[nice.Root].Bag) != 0 {
-		t.Fatalf("nice root bag not empty: %v", nice.Nodes[nice.Root].Bag)
+	if bag := nice.Bag(nice.Root); len(bag) != 0 {
+		t.Fatalf("nice root bag not empty: %v", bag)
 	}
 	for i, nd := range nice.Nodes {
+		bag := nice.Bag(i)
 		switch nd.Kind {
 		case KindLeaf:
-			if len(nd.Children) != 0 || len(nd.Bag) != 0 {
-				t.Fatalf("node %d: malformed leaf %+v", i, nd)
+			if nd.Child != [2]int32{-1, -1} || len(bag) != 0 {
+				t.Fatalf("node %d: malformed leaf %+v with bag %v", i, nd, bag)
 			}
 		case KindIntroduce, KindForget:
-			if len(nd.Children) != 1 {
-				t.Fatalf("node %d: %v with %d children", i, nd.Kind, len(nd.Children))
+			if nd.Child[0] < 0 || nd.Child[1] != -1 {
+				t.Fatalf("node %d: %v with children %v", i, nd.Kind, nd.Child)
 			}
-			child := nice.Nodes[nd.Children[0]].Bag
+			child := nice.Bag(int(nd.Child[0]))
 			want := len(child) + 1
 			if nd.Kind == KindForget {
 				want = len(child) - 1
 			}
-			if len(nd.Bag) != want {
-				t.Fatalf("node %d: %v bag %v from child bag %v", i, nd.Kind, nd.Bag, child)
+			if len(bag) != want {
+				t.Fatalf("node %d: %v bag %v from child bag %v", i, nd.Kind, bag, child)
 			}
 		case KindJoin:
-			if len(nd.Children) != 2 {
-				t.Fatalf("node %d: join with %d children", i, len(nd.Children))
+			if nd.Child[0] < 0 || nd.Child[1] < 0 {
+				t.Fatalf("node %d: join with children %v", i, nd.Child)
 			}
 		}
 	}
@@ -380,13 +383,90 @@ func TestMakeNiceDeepPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bag := nice.Nodes[nice.Root].Bag; len(bag) != 0 {
+	if bag := nice.Bag(nice.Root); len(bag) != 0 {
 		t.Fatalf("nice root bag %v, want empty", bag)
 	}
 	// The far leaf and its two introduces, one forget and one introduce
 	// per tree edge, and the root bag's two forgets.
 	if want := 3 + 2*(nb-1) + 2; nice.NumNodes() != want || nice.Width() != 1 {
 		t.Fatalf("%d nodes of width %d, want %d of width 1", nice.NumNodes(), nice.Width(), want)
+	}
+}
+
+// TestMakeNiceInt32Guard: two disjoint bags of 70,000 vertices each
+// (about 1 MB) have a nice form of 280,001 nodes, but its forget and
+// introduce chains would copy about 4.9·10⁹ bag entries, past an int32
+// arena offset. MakeNiceCtx must refuse before it allocates the arena
+// (about 20 GB of int32 entries), and refuse a bag vertex past int32.
+func TestMakeNiceInt32Guard(t *testing.T) {
+	const k = 70_000
+	d := &Decomposition{Bags: [][]int{make([]int, k), make([]int, k)}, Adj: [][]int{{1}, {0}}}
+	for i := 0; i < k; i++ {
+		d.Bags[0][i], d.Bags[1][i] = i, k+i
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nice, err := MakeNiceCtx(context.Background(), d, 0)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a nice form of %d nodes was built past the int32 bound", nice.NumNodes())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing allocated %d bytes", grew)
+	}
+	// A vertex past int32 would be truncated in the arena.
+	v := math.MaxInt32
+	v++ // where int has 32 bits, this wraps negative: refused too
+	wide := &Decomposition{Bags: [][]int{{0, v}}, Adj: [][]int{nil}}
+	if _, err := MakeNiceCtx(context.Background(), wide, 0); err == nil {
+		t.Fatal("a bag vertex past int32 was accepted")
+	}
+}
+
+// TestNiceDPBytesPerNode pins the memory of the nice conversion and of
+// the EMSO DP per nice node on a 2·10⁴-vertex partial 4-tree (heuristic
+// decomposition, tw-bound): at most 48 bytes per node for MakeNiceCtx,
+// and at most 24 for SolveEMSOCtx from an empty scratch pool, where
+// per-node slices (a bag and child list per node, a table and
+// predecessor slice per node in the DP) would cost about 94 and 53. Not
+// parallel: TotalAlloc counts every goroutine's allocations.
+func TestNiceDPBytesPerNode(t *testing.T) {
+	ctx := context.Background()
+	g, _ := graphgen.PartialKTree(20_000, 4, 0.85, rand.New(rand.NewSource(9)))
+	d, _, err := HeuristicCtx(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prop, _ := PropertyByName("tw-bound")
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var nice *Nice
+	niceBytes := allocated(func() { nice, err = MakeNiceCtx(ctx, d, 0) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two collections empty the scratch pool: the first moves its entries
+	// to the victim cache, the second drops them.
+	runtime.GC()
+	runtime.GC()
+	var ok bool
+	dpBytes := allocated(func() { _, ok, err = SolveEMSOCtx(ctx, g, nice, prop.Phi) })
+	if err != nil || !ok {
+		t.Fatalf("solve: ok=%v err=%v", ok, err)
+	}
+	nodes := float64(nice.NumNodes())
+	t.Logf("%d nice nodes: MakeNiceCtx %.1f B/node, SolveEMSOCtx %.1f B/node",
+		nice.NumNodes(), float64(niceBytes)/nodes, float64(dpBytes)/nodes)
+	if per := float64(niceBytes) / nodes; per > 48 {
+		t.Errorf("MakeNiceCtx allocates %.1f bytes per nice node, want at most 48", per)
+	}
+	if per := float64(dpBytes) / nodes; per > 24 {
+		t.Errorf("SolveEMSOCtx allocates %.1f bytes per nice node, want at most 24", per)
 	}
 }
 

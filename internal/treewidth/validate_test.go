@@ -189,7 +189,10 @@ func TestValidateMatchesReference(t *testing.T) {
 
 // TestMakeNiceMatchesReference checks that the arena-built nice
 // conversion reproduces the original recursive one node for node, in
-// the same index order, with exactly sized arenas.
+// the same index order, with exactly sized arenas: kinds, vertices, bags
+// and children read through Nice's accessors, each node's position
+// checked against the bag it indexes, and the forget count the DP sizes
+// its table list from.
 func TestMakeNiceMatchesReference(t *testing.T) {
 	for _, c := range decompCorpus(t) {
 		for _, root := range []int{0, len(c.d.Bags) - 1} {
@@ -201,18 +204,47 @@ func TestMakeNiceMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Root != want.Root || got.Width() != want.Width() || len(got.Nodes) != len(want.Nodes) {
+			if got.Root != want.Root || got.Width() != want.width || got.NumNodes() != len(want.Nodes) {
 				t.Fatalf("%s root %d: root/width/nodes %d/%d/%d, want %d/%d/%d", c.name, root,
-					got.Root, got.Width(), len(got.Nodes), want.Root, want.Width(), len(want.Nodes))
+					got.Root, got.Width(), got.NumNodes(), want.Root, want.width, len(want.Nodes))
 			}
-			if cap(got.Nodes) != len(got.Nodes) {
-				t.Fatalf("%s root %d: %d nodes in a slice sized for %d", c.name, root, len(got.Nodes), cap(got.Nodes))
+			if cap(got.Nodes) != len(got.Nodes) || cap(got.bags) != len(got.bags) {
+				t.Fatalf("%s root %d: %d nodes and %d bag entries in slices sized for %d and %d",
+					c.name, root, len(got.Nodes), len(got.bags), cap(got.Nodes), cap(got.bags))
 			}
+			forgets := 0
 			for i, nd := range got.Nodes {
 				w := want.Nodes[i]
-				if nd.Kind != w.Kind || nd.Vertex != w.Vertex || !slices.Equal(nd.Bag, w.Bag) || !slices.Equal(nd.Children, w.Children) {
-					t.Fatalf("%s root %d: node %d is %+v, want %+v", c.name, root, i, nd, w)
+				kids := []int{}
+				for _, k := range nd.Child {
+					if k >= 0 {
+						kids = append(kids, int(k))
+					}
 				}
+				if nd.Kind != w.Kind || int(nd.Vertex) != w.Vertex || !slices.Equal(bagInts(got, i), w.Bag) ||
+					!slices.Equal(kids, w.Children) || nd.Child[0] < 0 && nd.Child[1] >= 0 {
+					t.Fatalf("%s root %d: node %d is %+v with bag %v, want %+v", c.name, root, i, nd, got.Bag(i), w)
+				}
+				// Pos indexes the bag the DP reads: an introduce node's
+				// own, a forget node's child's.
+				switch nd.Kind {
+				case KindIntroduce:
+					if bag := got.Bag(i); nd.Pos < 0 || int(nd.Pos) >= len(bag) || bag[nd.Pos] != nd.Vertex {
+						t.Fatalf("%s root %d: introduce node %d of %d at position %d of %v", c.name, root, i, nd.Vertex, nd.Pos, bag)
+					}
+				case KindForget:
+					forgets++
+					if bag := got.Bag(int(nd.Child[0])); nd.Pos < 0 || int(nd.Pos) >= len(bag) || bag[nd.Pos] != nd.Vertex {
+						t.Fatalf("%s root %d: forget node %d of %d at position %d of child bag %v", c.name, root, i, nd.Vertex, nd.Pos, bag)
+					}
+				default:
+					if nd.Pos != -1 {
+						t.Fatalf("%s root %d: %v node %d has position %d", c.name, root, nd.Kind, i, nd.Pos)
+					}
+				}
+			}
+			if got.forgets != forgets {
+				t.Fatalf("%s root %d: %d forget nodes counted as %d", c.name, root, forgets, got.forgets)
 			}
 		}
 	}

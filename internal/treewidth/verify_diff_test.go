@@ -310,10 +310,10 @@ func TestWitnessCheckMatchesReference(t *testing.T) {
 					if nd.Kind != KindIntroduce {
 						continue
 					}
-					want := allTuplesOKReference(phi, nd.Bag, adj, member, nd.Vertex)
-					if got := wc.witnessOK(g, phi, nd.Bag, nd.Vertex, words); got != want {
+					want := allTuplesOKReference(phi, bagInts(nice, i), adj, member, int(nd.Vertex))
+					if got := wc.witnessOK(g, phi, nice.Bag(i), int(nd.Pos), words); got != want {
 						t.Fatalf("graph %d %s node %d (bag %v, vertex %d): check %v, reference %v",
-							gi, phi, i, nd.Bag, nd.Vertex, got, want)
+							gi, phi, i, nice.Bag(i), nd.Vertex, got, want)
 					}
 					checked++
 					if !want {
