@@ -51,7 +51,9 @@ func (g *Graph) BiconnectedComponents() [][]int {
 // edge-stack formulation pops at the same moment, without the m-entry
 // edge stack or a duplicate check per popped edge. The DFS state is two
 // int32 arrays (discovery time and low-link), the vertex stack and the
-// frame stack, whose next-lower frame is each vertex's parent.
+// frame stack, whose next-lower frame is each vertex's parent. A frame is
+// 8 bytes, the vertex and the position of its next row entry, so a DFS
+// as deep as the graph (the rim of a wheel) costs 8 bytes per level.
 //
 //certlint:longrun
 func (g *Graph) BiconnectedComponentsCp(cp *fault.Checkpoint) ([][]int, error) {
@@ -62,8 +64,8 @@ func (g *Graph) BiconnectedComponentsCp(cp *fault.Checkpoint) ([][]int, error) {
 	low := make([]int32, n)
 	var timer int32
 	type frame struct {
-		rest []int32 // the row entries not yet walked
 		v    int32
+		next int32 // the position in g.adj[v] of the next entry to walk
 	}
 	var frames []frame
 	verts := make([]int32, 0, n)
@@ -75,7 +77,7 @@ func (g *Graph) BiconnectedComponentsCp(cp *fault.Checkpoint) ([][]int, error) {
 		}
 		timer++
 		disc[s], low[s] = timer, timer
-		frames = append(frames[:0], frame{rest: g.adj[s], v: int32(s)})
+		frames = append(frames[:0], frame{v: int32(s)})
 		verts = append(verts[:0], int32(s))
 		for {
 			if err := cp.Check(); err != nil {
@@ -83,9 +85,9 @@ func (g *Graph) BiconnectedComponentsCp(cp *fault.Checkpoint) ([][]int, error) {
 			}
 			f := &frames[len(frames)-1]
 			v := f.v
-			if len(f.rest) > 0 {
-				w := f.rest[0]
-				f.rest = f.rest[1:]
+			if row := g.adj[v]; int(f.next) < len(row) {
+				w := row[f.next]
+				f.next++
 				if d := disc[w]; d != 0 {
 					// A visited neighbour: the tree edge back to the
 					// parent, which does not count, or an edge to an
@@ -98,7 +100,7 @@ func (g *Graph) BiconnectedComponentsCp(cp *fault.Checkpoint) ([][]int, error) {
 				}
 				timer++
 				disc[w], low[w] = timer, timer
-				frames = append(frames, frame{rest: g.adj[w], v: w})
+				frames = append(frames, frame{v: w})
 				verts = append(verts, w)
 				continue
 			}

@@ -18,9 +18,11 @@ import (
 var errUnknownNodeKind = errors.New("treewidth: unknown nice-decomposition node kind")
 
 // This file is the table-driven realization of the EMSO dynamic program —
-// the hot path behind every tw-mso certify/batch/simulate request. The
-// map-based original survives as solveEMSOReference (reference_test.go); a
-// differential property test keeps the two verdict- and witness-identical.
+// the hot path behind every tw-mso certify/batch/simulate request whose
+// matrix is not valid (a valid one, tw-bound's, holds under every witness,
+// and MSOScheme's prover skips the DP for it). The map-based original
+// survives as solveEMSOReference (reference_test.go); a differential
+// property test keeps the two verdict- and witness-identical.
 //
 // The engine differs from the reference in mechanics only:
 //
@@ -40,8 +42,9 @@ var errUnknownNodeKind = errors.New("treewidth: unknown nice-decomposition node 
 //     bag vertices, so tables are memoized on the compiled sentence and
 //     shared across nodes, decompositions and solver runs; a table's
 //     cliques come from the clique-tuple walk (cliqueTuples) that Verify
-//     and the witness re-check use. A valid matrix (tw-bound's) admits
-//     every state, so it builds no table and skips the witness re-check;
+//     and the witness re-check use. A valid matrix admits every state, so
+//     it builds no table and skips the witness re-check, for the callers
+//     that still run the DP on one;
 //   - the traceback stores one predecessor word per forget-node state
 //     during the bottom-up pass instead of re-probing child tables, so
 //     witness extraction is a walk over binary searches;

@@ -142,11 +142,13 @@ func BenchmarkTWMSOVerifyHub(b *testing.B) {
 
 // TestHeuristicAllocationsPerVertex: the block split decomposes into one
 // builder, whose bags are cut from shared chunks and whose tree rows are
-// laid out once, so HeuristicCtx on a 20,000-vertex partial 4-tree (29
-// blocks, the largest through the min-fill vs min-degree contest) makes
-// at most one allocation per vertex, where one slice per bag or per tree
-// row would make several. Most of what is left is the sparse engine
-// giving a row its own array on its first fill edge.
+// laid out once, and the sparse engine moves a row that outgrows its span
+// into a shared chunk too, so HeuristicCtx on a 20,000-vertex partial
+// 4-tree (29 blocks, the largest through the min-fill vs min-degree
+// contest) makes at most one allocation per 25 vertices (about 640, most
+// of them the set-up of the small blocks: bitset engines, builders and
+// induced copies), where a slice per bag, per tree row or per grown row
+// would make several per vertex.
 func TestHeuristicAllocationsPerVertex(t *testing.T) {
 	g, _ := graphgen.PartialKTree(20_000, 4, 0.85, rand.New(rand.NewSource(1)))
 	if blocks := len(g.BiconnectedComponents()); blocks != 29 {
@@ -158,7 +160,7 @@ func TestHeuristicAllocationsPerVertex(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations for %d vertices", allocs, g.N())
-	if allocs > float64(g.N()) {
-		t.Errorf("HeuristicCtx made %.0f allocations on %d vertices, want at most one per vertex", allocs, g.N())
+	if allocs > float64(g.N()/25) {
+		t.Errorf("HeuristicCtx made %.0f allocations on %d vertices, want at most one per 25 vertices", allocs, g.N())
 	}
 }

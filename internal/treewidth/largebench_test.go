@@ -121,19 +121,41 @@ func BenchmarkLargeTWMSOProveVerify1M(b *testing.B) {
 // BenchmarkLargeTWMSOProve100k measures the tw-mso prove alone on the
 // certbench instance — a 10⁵-vertex partial 4-tree, tw-bound, t=6 —
 // with its heuristic decomposition computed before the timer and handed
-// over through DecompFunc: validation, the nice conversion, the EMSO DP,
-// payload assembly and encoding, the layers certify-large's prove runs.
+// over through DecompFunc: validation and the encode pass, the layers
+// certify-large's prove runs. tw-bound's matrix is valid, so the prove
+// takes no nice conversion and no DP (BenchmarkLargeTWMSOProve3Colorable20k
+// keeps a prove-level number for that path).
 func BenchmarkLargeTWMSOProve100k(b *testing.B) {
 	g := largeKTree(b, 100_000)
 	d, _, err := HeuristicCtx(context.Background(), g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	prop, ok := PropertyByName("tw-bound")
-	if !ok {
-		b.Fatal("tw-bound property missing")
+	benchProve(b, g, d, 6, "tw-bound")
+}
+
+// BenchmarkLargeTWMSOProve3Colorable20k measures a prove that runs the
+// nice conversion and the EMSO DP: 3-colorable at t=2 on a 2·10⁴-vertex
+// partial 2-tree, its heuristic decomposition (width 2) computed before
+// the timer — validation, nice conversion, DP, witness re-check and the
+// encode pass, which writes the witness bits.
+func BenchmarkLargeTWMSOProve3Colorable20k(b *testing.B) {
+	g, _ := graphgen.PartialKTree(20_000, 2, 0.85, rand.New(rand.NewSource(9)))
+	d, _, err := HeuristicCtx(context.Background(), g)
+	if err != nil {
+		b.Fatal(err)
 	}
-	s := &MSOScheme{T: 6, Prop: prop, Decomps: DecompFunc(func(*graph.Graph) (*Decomposition, error) {
+	benchProve(b, g, d, 2, "3-colorable")
+}
+
+// benchProve times ProveCtx on g under the named property and width
+// bound t, with d handed over through DecompFunc.
+func benchProve(b *testing.B, g *graph.Graph, d *Decomposition, t int, property string) {
+	prop, ok := PropertyByName(property)
+	if !ok {
+		b.Fatalf("%s property missing", property)
+	}
+	s := &MSOScheme{T: t, Prop: prop, Decomps: DecompFunc(func(*graph.Graph) (*Decomposition, error) {
 		return d, nil
 	})}
 	b.ReportAllocs()

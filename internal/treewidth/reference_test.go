@@ -1,11 +1,13 @@
 package treewidth
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
 
 	"repro/internal/cert"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/logic"
 )
@@ -1007,4 +1009,92 @@ func verifyReference(s *MSOScheme, v cert.View) bool {
 	}
 	member := func(set, point int) bool { return words[point]>>uint(set)&1 == 1 }
 	return allTuplesOKReference(phi, points, adj, member, -1)
+}
+
+// proveReference is MSOScheme.ProveCtx as it stood before certificates
+// were written straight from the decomposition: the nice conversion and
+// the EMSO DP on every prove, a valid matrix included, then one Payload
+// per vertex from buildPayloadsReference, encoded in a second loop. The
+// differential tests hold ProveCtx to its certificates byte for byte.
+func proveReference(s *MSOScheme, g *graph.Graph) (cert.Assignment, error) {
+	ctx := context.Background()
+	if g.N() == 0 || !g.Connected() {
+		return nil, fmt.Errorf("treewidth: %s: graph must be connected and non-empty", s.Name())
+	}
+	d, r, err := s.decomposition(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	var cp fault.Checkpoint
+	nice, err := makeNice(&cp, d, r)
+	if err != nil {
+		return nil, err
+	}
+	words, ok, err := SolveEMSOCtx(ctx, g, nice, s.phi())
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("treewidth: tw-mso[%s]: property does not hold (nothing to certify)", s.Prop.Name)
+	}
+	payloads := buildPayloadsReference(g, d, r, words)
+	a := make(cert.Assignment, len(payloads))
+	setBits := s.phi().NumSets()
+	for v, p := range payloads {
+		a[v] = EncodePayload(p, g.IDOf(v), setBits)
+	}
+	return a, nil
+}
+
+// buildPayloadsReference assembles the per-vertex payloads from a
+// validated decomposition, its rooting at bag 0 and the DP's witness
+// words: prune bags that are nobody's home, name each remaining bag after
+// its smallest homed vertex id, and attach each vertex's adjacency row
+// over its home bag (binary searches through IndexOf and HasEdge) and its
+// witness word.
+func buildPayloadsReference(g *graph.Graph, d *Decomposition, r rooting, words []uint8) []Payload {
+	owner := make([]graph.ID, d.NumBags())
+	for v, b := range r.home {
+		id := g.IDOf(v)
+		if owner[b] == 0 || id < owner[b] {
+			owner[b] = id
+		}
+	}
+	hanc := make([]int32, d.NumBags())
+	pruned := make([]uint64, d.NumBags())
+	for _, b := range r.order {
+		pb := r.parent[b]
+		anc := int32(-1)
+		if pb >= 0 {
+			anc = hanc[pb]
+			if owner[pb] != 0 {
+				anc = pb
+			}
+		}
+		hanc[b] = anc
+		if owner[b] != 0 && anc >= 0 {
+			pruned[b] = pruned[anc] + 1
+		}
+	}
+	bagIDs := make([][]graph.ID, d.NumBags())
+	payloads := make([]Payload, g.N())
+	for v := range payloads {
+		b := r.home[v]
+		ids := bagIDs[b]
+		if ids == nil {
+			for _, u := range d.Bags[b] {
+				ids = append(ids, g.IDOf(u))
+			}
+			slices.Sort(ids)
+			bagIDs[b] = ids
+		}
+		row := make([]bool, len(ids))
+		for i, id := range ids {
+			if u, exists := g.IndexOf(id); exists && u != v {
+				row[i] = g.HasEdge(v, u)
+			}
+		}
+		payloads[v] = Payload{BagID: owner[b], Depth: pruned[b], Bag: ids, Row: row, State: uint64(words[v])}
+	}
+	return payloads
 }

@@ -72,6 +72,9 @@ func PropertyFromFormula(f logic.Formula) (Property, error) {
 // its trace as home bag, and hands each vertex its home bag id, the bag
 // contents, its adjacency row over the bag, and the EMSO DP's witness word
 // (the vertex's membership in each existentially quantified set). The
+// certificate is the decomposition; the DP only searches for a witness, so
+// a valid matrix (tw-bound's), which any witness satisfies, runs no nice
+// conversion and no DP and certifies with all-zero words. The
 // verification is purely radius-1, against the neighbouring bags:
 //
 //   - membership and width: the vertex and the bag's canonical owner are
@@ -408,7 +411,8 @@ func guardTables() (p8 uint64, step [2][256]uint64) {
 
 // Holds implements cert.Scheme: the graph admits a tree decomposition of
 // width at most T and satisfies the property (decided by the EMSO DP over
-// a nice decomposition). It runs Prove's solve path, except that a proven
+// a nice decomposition, or by the validated decomposition alone when the
+// matrix is valid). It runs Prove's solve path, except that a proven
 // too-wide graph answers false instead of erroring; only graphs the
 // solvers cannot decide report an error.
 func (s *MSOScheme) Holds(g *graph.Graph) (bool, error) {
@@ -425,9 +429,17 @@ func (s *MSOScheme) Holds(g *graph.Graph) (bool, error) {
 var errTooWide = errors.New("treewidth exceeds the certified bound")
 
 // solve is the one path Prove and Holds share: the validated width-<=T
-// decomposition and its rooting at bag 0, the nice conversion on that
-// rooting, and the EMSO DP. It returns the DP's per-vertex membership
+// decomposition and its rooting at bag 0, then the nice conversion on
+// that rooting and the EMSO DP. It returns the DP's per-vertex membership
 // words and whether the property holds (nil words when it does not).
+//
+// A valid matrix (EMSO.valid, such as tw-bound's x = x) holds under every
+// witness, so the property holds once the decomposition is validated and
+// solve returns there: no nice conversion, no DP, nil words. Nil words
+// encode as all-zero ones, which is exactly the witness the DP's
+// traceback would pick, since its forget pass keeps the smallest
+// forgotten word. The short cut also spares a valid sentence with set
+// variables the DP's MaxDPStates bound.
 func (s *MSOScheme) solve(ctx context.Context, g *graph.Graph) (*Decomposition, rooting, []uint8, bool, error) {
 	if g.N() == 0 || !g.Connected() {
 		return nil, rooting{}, nil, false, fmt.Errorf("treewidth: %s: graph must be connected and non-empty", s.Name())
@@ -436,12 +448,16 @@ func (s *MSOScheme) solve(ctx context.Context, g *graph.Graph) (*Decomposition, 
 	if err != nil {
 		return nil, rooting{}, nil, false, err
 	}
+	phi := s.phi()
+	if phi.valid {
+		return d, r, nil, true, nil
+	}
 	cp := fault.NewCheckpoint(ctx, "decompose")
 	nice, err := makeNice(&cp, d, r)
 	if err != nil {
 		return nil, rooting{}, nil, false, err
 	}
-	words, ok, err := SolveEMSOCtx(ctx, g, nice, s.phi())
+	words, ok, err := SolveEMSOCtx(ctx, g, nice, phi)
 	return d, r, words, ok, err
 }
 
@@ -506,9 +522,19 @@ func (s *MSOScheme) Prove(g *graph.Graph) (cert.Assignment, error) {
 }
 
 // ProveCtx implements cert.CtxProver: the full prove path — resolving
-// the decomposition, making it nice, the EMSO DP, the encode loop —
-// runs under cooperative cancellation and returns a
-// *fault.CancelledError once ctx is done.
+// and validating the decomposition, the nice conversion and the EMSO DP
+// unless the matrix is valid (see solve), the encode pass — runs under
+// cooperative cancellation and returns a *fault.CancelledError once ctx
+// is done.
+//
+// The certificates are written straight from the decomposition in one
+// pass over the vertices. Bags that are nobody's home are pruned (safe:
+// such a bag's contents reappear in its parent), each remaining bag is
+// named after its smallest homed vertex id, and each vertex's home bag is
+// mapped to identifiers in a scratch sorted by id, its row over that bag
+// read off one stamp pass over its own neighbour row, and the lot encoded
+// through one stack Payload over the scratch: nothing per vertex outlives
+// its certificate.
 func (s *MSOScheme) ProveCtx(ctx context.Context, g *graph.Graph) (cert.Assignment, error) {
 	d, r, words, ok, err := s.solve(ctx, g)
 	if err != nil {
@@ -517,10 +543,7 @@ func (s *MSOScheme) ProveCtx(ctx context.Context, g *graph.Graph) (cert.Assignme
 	if !ok {
 		return nil, fmt.Errorf("treewidth: tw-mso[%s]: property does not hold (nothing to certify)", s.Prop.Name)
 	}
-	payloads, err := buildPayloads(ctx, g, d, r, words)
-	if err != nil {
-		return nil, err
-	}
+	owner, pruned := homeBagNames(g, d, r)
 	// Certificates are cut from shared byte blocks sized for the
 	// vertices still to encode at the current certificate's length,
 	// capped: a tiny prove allocates a tiny block.
@@ -529,7 +552,34 @@ func (s *MSOScheme) ProveCtx(ctx context.Context, g *graph.Graph) (cert.Assignme
 	var w bitio.Writer
 	var slab []byte
 	setBits := s.phi().NumSets()
-	for v, p := range payloads {
+	// mark[u] == v+1 while v's row is written: u is a neighbour of v.
+	mark := make([]int32, n)
+	var members []int // v's home bag, by identifier
+	var ids []graph.ID
+	var row []bool
+	cp := fault.NewCheckpoint(ctx, "prove")
+	for v := 0; v < n; v++ {
+		if err := cp.Check(); err != nil {
+			return nil, err
+		}
+		b := r.home[v]
+		members = append(members[:0], d.Bags[b]...)
+		if !g.IDsAscending() {
+			slices.SortFunc(members, func(x, y int) int { return cmp.Compare(g.IDOf(x), g.IDOf(y)) })
+		}
+		stamp := int32(v + 1)
+		for _, u := range g.Neighbors(v) {
+			mark[u] = stamp
+		}
+		ids, row = ids[:0], row[:0]
+		for _, u := range members {
+			ids = append(ids, g.IDOf(u))
+			row = append(row, mark[u] == stamp)
+		}
+		p := Payload{BagID: owner[b], Depth: pruned[b], Bag: ids, Row: row}
+		if words != nil {
+			p.State = uint64(words[v])
+		}
 		encodePayloadTo(&w, p, g.IDOf(v), setBits)
 		bits := w.Bits()
 		a[v] = carve(&slab, bits, min((n-v)*len(bits), maxCertSlab))
@@ -540,17 +590,12 @@ func (s *MSOScheme) ProveCtx(ctx context.Context, g *graph.Graph) (cert.Assignme
 // maxCertSlab caps the byte blocks ProveCtx cuts certificates from.
 const maxCertSlab = 1 << 20
 
-// buildPayloads assembles the per-vertex certificates from a validated
-// decomposition of sufficient width, its rooting at bag 0 and the EMSO
-// DP's witness words: prune bags that are nobody's home (safe: such a
-// bag's contents reappear in its parent), name each remaining bag after
-// its smallest homed vertex id, and attach each vertex's adjacency row
-// over its home bag and its witness word. The assembly loop checkpoints
-// ctx.
-func buildPayloads(ctx context.Context, g *graph.Graph, d *Decomposition, r rooting, words []uint8) ([]Payload, error) {
-	n := g.N()
-	// Canonical owner id per home bag.
-	owner := make([]graph.ID, d.NumBags())
+// homeBagNames returns, per bag of a validated decomposition rooted at
+// bag 0, the canonical name of a home bag (its smallest homed vertex id,
+// 0 for a bag that is nobody's home) and its depth in the pruned tree,
+// which counts home-bag ancestors only.
+func homeBagNames(g *graph.Graph, d *Decomposition, r rooting) (owner []graph.ID, pruned []uint64) {
+	owner = make([]graph.ID, d.NumBags())
 	for v, b := range r.home {
 		id := g.IDOf(v)
 		if owner[b] == 0 || id < owner[b] {
@@ -560,7 +605,7 @@ func buildPayloads(ctx context.Context, g *graph.Graph, d *Decomposition, r root
 	// Pruned depth: count only home-bag ancestors. Top-down over the BFS
 	// order, tracking each bag's nearest home ancestor.
 	hanc := make([]int32, d.NumBags())
-	pruned := make([]uint64, d.NumBags())
+	pruned = make([]uint64, d.NumBags())
 	for _, b := range r.order {
 		pb := r.parent[b]
 		anc := int32(-1)
@@ -575,53 +620,7 @@ func buildPayloads(ctx context.Context, g *graph.Graph, d *Decomposition, r root
 			pruned[b] = pruned[anc] + 1
 		}
 	}
-	// Home bags' sorted ID lists, dense by bag and cut from one arena,
-	// and every vertex's row, cut from one slab: both sized exactly.
-	idEntries, rowEntries := 0, 0
-	for b, bag := range d.Bags {
-		if owner[b] != 0 {
-			idEntries += len(bag)
-		}
-	}
-	for _, b := range r.home {
-		rowEntries += len(d.Bags[b])
-	}
-	bagIDs := make([][]graph.ID, d.NumBags())
-	idArena := make([]graph.ID, 0, idEntries)
-	rows := make([]bool, rowEntries)
-	payloads := make([]Payload, n)
-	cp := fault.NewCheckpoint(ctx, "prove")
-	for v := 0; v < n; v++ {
-		if err := cp.Check(); err != nil {
-			return nil, err
-		}
-		b := r.home[v]
-		ids := bagIDs[b]
-		if ids == nil {
-			lo := len(idArena)
-			for _, u := range d.Bags[b] {
-				idArena = append(idArena, g.IDOf(u))
-			}
-			ids = idArena[lo:len(idArena):len(idArena)]
-			slices.Sort(ids)
-			bagIDs[b] = ids
-		}
-		row := rows[:len(ids):len(ids)]
-		rows = rows[len(ids):]
-		for i, id := range ids {
-			if u, exists := g.IndexOf(id); exists && u != v {
-				row[i] = g.HasEdge(v, u)
-			}
-		}
-		payloads[v] = Payload{
-			BagID: owner[b],
-			Depth: pruned[b],
-			Bag:   ids,
-			Row:   row,
-			State: uint64(words[v]),
-		}
-	}
-	return payloads, nil
+	return owner, pruned
 }
 
 // ParseRange implements cert.Parser: it decodes the certificates of

@@ -54,6 +54,9 @@ type elimSparse struct {
 	touched []int32
 	stamp   []int32
 	epoch   int32
+	// spare is the unused tail of the chunk a row moves into when it
+	// outgrows its span (see insert).
+	spare []int32
 }
 
 // newElimSparseCp builds the sparse elimination state of g, probing the
@@ -76,8 +79,8 @@ func newElimSparseCp(cp *fault.Checkpoint, g *graph.Graph, counts bool) (*elimSp
 		epoch:  1,
 	}
 	// Rows copied out of the graph into one flat mutable array with
-	// exact capacities: compaction shrinks a row in place, the first
-	// insertion into a row reallocates just that row.
+	// exact capacities: compaction shrinks a row in place, and the first
+	// insertion into a row moves it into a chunk (see insert).
 	flat := make([]int32, 0, 2*g.M())
 	for v := 0; v < n; v++ {
 		if err := cp.Check(); err != nil {
@@ -149,10 +152,29 @@ func containsSorted(a []int32, x int32) bool {
 	return lo < len(a) && a[lo] == x
 }
 
-// insertSorted32 inserts x into ascending slice a (x must not be present).
+// maxRowChunk caps, in entries, the chunks rows move into as they grow.
+const maxRowChunk = 1 << 16
+
+// insert adds x, which must not be present, to v's ascending row. A row
+// with no room left first moves into a span of twice its length cut from
+// spare, a chunk the engine allocates at up to maxRowChunk entries at a
+// time, so growing a row costs a copy instead of an allocation of its
+// own. The span it leaves behind is not reused. Spans are capped at
+// their end, so an insertion never spills into the next row.
 //
 //certlint:hotpath
-func insertSorted32(a []int32, x int32) []int32 {
+func (st *elimSparse) insert(v, x int32) {
+	a := st.nbr[v]
+	if len(a) == cap(a) {
+		c := 2 * max(len(a), 2)
+		if len(st.spare) < c {
+			st.spare = make([]int32, max(c, min(2*st.n, maxRowChunk)))
+		}
+		grown := st.spare[:len(a):c]
+		copy(grown, a)
+		st.spare = st.spare[c:]
+		a = grown
+	}
 	lo, hi := 0, len(a)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -165,7 +187,7 @@ func insertSorted32(a []int32, x int32) []int32 {
 	a = append(a, 0)
 	copy(a[lo+1:], a[lo:])
 	a[lo] = x
-	return a
+	st.nbr[v] = a
 }
 
 // touch marks v's score as possibly changed in the current epoch.
@@ -233,8 +255,8 @@ func (st *elimSparse) eliminate(v int) int {
 			if st.counts {
 				st.countFillEdge(v, a, b)
 			}
-			st.nbr[a] = insertSorted32(st.nbr[a], b)
-			st.nbr[b] = insertSorted32(st.nbr[b], a)
+			st.insert(a, b)
+			st.insert(b, a)
 			st.deg[a]++
 			st.deg[b]++
 		}

@@ -470,6 +470,39 @@ func TestNiceDPBytesPerNode(t *testing.T) {
 	}
 }
 
+// TestProveBytesPerVertex pins the memory of a tw-bound prove with its
+// decomposition handed over: validation, the per-bag names and the
+// certificates themselves (one byte per bit, about 140 per vertex here)
+// are all it allocates, at most 300 bytes per vertex. A Payload per
+// vertex plus the nice conversion and the DP, which a valid matrix does
+// not need, cost 665.
+func TestProveBytesPerVertex(t *testing.T) {
+	ctx := context.Background()
+	g, _ := graphgen.PartialKTree(20_000, 4, 0.85, rand.New(rand.NewSource(1)))
+	d, _, err := HeuristicCtx(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prop, _ := PropertyByName("tw-bound")
+	s := &MSOScheme{T: 6, Prop: prop, Decomps: DecompFunc(func(*graph.Graph) (*Decomposition, error) { return d, nil })}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, err := s.ProveCtx(ctx, g)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := 0
+	for _, c := range a {
+		bits += len(c)
+	}
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.N())
+	t.Logf("%d vertices: %.1f bytes allocated per vertex, %.1f of them certificate bits", g.N(), per, float64(bits)/float64(g.N()))
+	if per > 300 {
+		t.Errorf("a tw-bound prove allocates %.1f bytes per vertex, want at most 300", per)
+	}
+}
+
 func TestColorGraph(t *testing.T) {
 	cases := []struct {
 		name      string

@@ -179,27 +179,32 @@ func TestVerifyMatchesReference(t *testing.T) {
 	}
 }
 
+// validFlagCases are sentences with whether CompileEMSO must mark their
+// matrix valid (EMSO.valid): TestEMSOValidFlag checks the flag on each,
+// and TestValidMatrixSkipsDP solves the valid ones.
+var validFlagCases = []struct {
+	src   string
+	valid bool
+}{
+	{"forall x. x = x", true},
+	{"forall x. !(x ~ x)", true},
+	{"forall x. forall y. x ~ y -> y ~ x", true},
+	{"existsset S. forall x. x in S | !(x in S)", true},
+	{"existsset S. forall x. forall y. x = y -> (x in S -> y in S)", true},
+	{"forall x. forall y. forall z. (x ~ y & y ~ z) -> x ~ y", true},
+	{"forall x. x ~ x", false},
+	{"forall x. forall y. !(x ~ y)", false},
+	{"existsset S. forall x. x in S", false},
+	{logic.TwoColorable().String(), false},
+	{logic.ThreeColorable().String(), false},
+	{logic.TriangleFree().String(), false},
+	{hitTriangles, false},
+}
+
 // TestEMSOValidFlag: CompileEMSO marks exactly the valid sentences of a
 // fixed list, those whose matrix no tuple of any graph falsifies.
 func TestEMSOValidFlag(t *testing.T) {
-	for _, c := range []struct {
-		src   string
-		valid bool
-	}{
-		{"forall x. x = x", true},
-		{"forall x. !(x ~ x)", true},
-		{"forall x. forall y. x ~ y -> y ~ x", true},
-		{"existsset S. forall x. x in S | !(x in S)", true},
-		{"existsset S. forall x. forall y. x = y -> (x in S -> y in S)", true},
-		{"forall x. forall y. forall z. (x ~ y & y ~ z) -> x ~ y", true},
-		{"forall x. x ~ x", false},
-		{"forall x. forall y. !(x ~ y)", false},
-		{"existsset S. forall x. x in S", false},
-		{logic.TwoColorable().String(), false},
-		{logic.ThreeColorable().String(), false},
-		{logic.TriangleFree().String(), false},
-		{hitTriangles, false},
-	} {
+	for _, c := range validFlagCases {
 		phi, err := CompileEMSO(logic.MustParse(c.src))
 		if err != nil {
 			t.Fatalf("%s: %v", c.src, err)
@@ -210,6 +215,83 @@ func TestEMSOValidFlag(t *testing.T) {
 	}
 	if tw, _ := PropertyByName("tw-bound"); !tw.Phi.valid {
 		t.Error("tw-bound's sentence is not marked valid")
+	}
+}
+
+// TestValidMatrixSkipsDP: on a valid matrix, solve returns as soon as the
+// decomposition is validated, with the property holding and nil words,
+// which encode as all-zero words. For every valid sentence of
+// validFlagCases, over the decomposition corpus, the nice conversion and
+// the EMSO DP that solve skips must give the same answer: the property
+// holds and every witness word is zero. A valid sentence with a set
+// variable, on K22 at width 21, is past the DP's MaxDPStates bound (2²²
+// states per bag), where the DP errors; it now certifies.
+func TestValidMatrixSkipsDP(t *testing.T) {
+	ctx := context.Background()
+	corpus := decompCorpus(t)
+	solved := 0
+	for _, c := range validFlagCases {
+		if !c.valid {
+			continue
+		}
+		phi, err := CompileEMSO(logic.MustParse(c.src))
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		for _, dc := range corpus {
+			nice, err := MakeNiceCtx(ctx, dc.d, 0)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", c.src, dc.name, err)
+			}
+			words, ok, err := SolveEMSOCtx(ctx, dc.g, nice, phi)
+			if err != nil || !ok {
+				t.Fatalf("%s on %s: DP ok=%v err=%v", c.src, dc.name, ok, err)
+			}
+			for v, w := range words {
+				if w != 0 {
+					t.Fatalf("%s on %s: DP witness word %#x at vertex %d, want 0", c.src, dc.name, w, v)
+				}
+			}
+			if !dc.g.Connected() {
+				continue // the scheme certifies connected graphs only
+			}
+			s := &MSOScheme{T: dc.d.Width(), Prop: Property{Name: c.src, Phi: phi},
+				Decomps: DecompFunc(func(*graph.Graph) (*Decomposition, error) { return dc.d, nil })}
+			d, _, got, ok, err := s.solve(ctx, dc.g)
+			if err != nil || !ok || got != nil || d != dc.d {
+				t.Fatalf("%s on %s: solve ok=%v err=%v words=%v, own decomposition %v; want the source's, holding, nil words",
+					c.src, dc.name, ok, err, got, d == dc.d)
+			}
+			solved++
+		}
+	}
+	if solved == 0 {
+		t.Fatal("no connected corpus graph: the comparison is vacuous")
+	}
+
+	g := graphgen.Clique(22)
+	phi, err := CompileEMSO(logic.MustParse("existsset S. forall x. x in S | !(x in S)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := HeuristicCtx(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nice, err := MakeNiceCtx(ctx, d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := SolveEMSOCtx(ctx, g, nice, phi); err == nil {
+		t.Fatal("the DP solved K22 with a set variable: the case no longer reaches past its state bound")
+	}
+	s := &MSOScheme{T: 21, Prop: Property{Name: "wide", Phi: phi}}
+	a, err := s.ProveCtx(ctx, g)
+	if err != nil {
+		t.Fatalf("K22, valid sentence with a set variable: %v", err)
+	}
+	if res, err := cert.RunSequential(g, s, a); err != nil || !res.Accepted {
+		t.Fatalf("K22: honest certificates rejected: %v %v", err, res.Rejecters)
 	}
 }
 
