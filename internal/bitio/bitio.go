@@ -9,13 +9,14 @@
 // The layout is one byte per bit (0 or 1; readers take any non-zero byte
 // as 1), which keeps a certificate indexable bit by bit: tampers flip
 // single bits in place. Multi-bit fields are still read and written
-// whole: ReadUint and ReadUvarint check bounds once per field and read
-// its bytes in one loop, and WriteUint and WriteUvarint grow the buffer
-// once per field.
+// whole: ReadUint and ReadUvarint check bounds once per field and fold
+// its bytes eight per step, and WriteUint and WriteUvarint grow the
+// buffer once per field.
 package bitio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -171,8 +172,21 @@ func (r *Reader) outOfBits() (uint64, error) {
 	return 0, ErrOutOfBits
 }
 
-// getUint folds the bits of field into v, most significant first.
+// getUint folds the bits of field into v, most significant first, eight
+// bit-bytes per step: each non-zero byte of a big-endian word becomes a
+// 1 in bit 0 of its byte, and one multiply gathers those eight bits into
+// the top byte, the first bit highest. The bytes past the last full step
+// fold one by one.
 func getUint(v uint64, field []byte) uint64 {
+	for len(field) >= 8 {
+		x := binary.BigEndian.Uint64(field)
+		// The high bit of a byte of nz is set exactly when the byte of x
+		// is non-zero: its low seven bits plus 0x7f carry into it unless
+		// they are all zero, and the OR keeps a set high bit.
+		nz := ((x&lowBits7 + lowBits7) | x) & highBits
+		v = v<<8 | (nz>>7)*gatherBits>>56
+		field = field[8:]
+	}
 	for _, b := range field {
 		v <<= 1
 		if b != 0 {
@@ -181,6 +195,15 @@ func getUint(v uint64, field []byte) uint64 {
 	}
 	return v
 }
+
+// The constants of getUint's eight-byte step: the low seven and the high
+// bit of every byte, and the multiplier that moves bit 0 of byte k of a
+// word to bit 56+k.
+const (
+	lowBits7   = 0x7f7f7f7f7f7f7f7f
+	highBits   = 0x8080808080808080
+	gatherBits = 0x0102040810204080
+)
 
 // ReadUint reads width bits, most significant first.
 func (r *Reader) ReadUint(width int) (uint64, error) {

@@ -69,6 +69,48 @@ func TestWriteReadUint(t *testing.T) {
 	}
 }
 
+// TestReadNonZeroBytesAsOnes: every non-zero byte reads as a 1 bit, on
+// the eight-byte steps of ReadUint and ReadUvarint as on the byte-by-byte
+// tail. Each row is a field of some width after a prefix of offset bits,
+// so fields straddle eight-byte steps at every alignment; the field's
+// bytes are arbitrary non-zero values and must read as all ones.
+func TestReadNonZeroBytesAsOnes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	nonZero := func(n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = byte(1 + rng.Intn(255))
+		}
+		return out
+	}
+	for _, width := range []int{8, 9, 16, 17, 64} {
+		for offset := 0; offset < 8; offset++ {
+			data := append(make([]byte, offset), nonZero(width)...)
+			r := NewReader(data)
+			if _, err := r.ReadUint(offset); err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(math.MaxUint64) >> (64 - width)
+			if got, err := r.ReadUint(width); err != nil || got != want {
+				t.Errorf("width %d after %d bits: ReadUint = (%#x, %v), want %#x", width, offset, got, err, want)
+			}
+			// A uvarint of width-1 prefix bits, all non-zero bytes, then a
+			// zero and width-1 non-zero value bits reads as 2^width - 2.
+			if width < 64 {
+				data = append(append(make([]byte, offset), nonZero(width-1)...), 0)
+				data = append(data, nonZero(width-1)...)
+				r = NewReader(data)
+				if _, err := r.ReadUint(offset); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := r.ReadUvarint(); err != nil || got != 1<<width-2 {
+					t.Errorf("width %d after %d bits: ReadUvarint = (%d, %v), want %d", width, offset, got, err, uint64(1)<<width-2)
+				}
+			}
+		}
+	}
+}
+
 func TestWriteUintPanicsOnOverflow(t *testing.T) {
 	defer func() {
 		if recover() == nil {

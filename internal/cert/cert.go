@@ -15,11 +15,15 @@
 //
 // A scheme whose certificates are costly to decode may also implement
 // Parser: the runners then parse each certificate once per round instead
-// of once per view it appears in (1 + deg(v) times), and attach the parse
-// to the views as View.Parsed and NeighborView.Parsed. An entry is a
-// function of that vertex's identifier and certificate alone — exactly
-// what the view already carries — so parsing changes the cost of a round,
-// never what a vertex can see: locality is unchanged.
+// of once per view it appears in (1 + deg(v) times). The round's parse is
+// one value for the whole graph, which every view carries as View.Round,
+// and each vertex of a view carries its slot in it (View.Slot,
+// NeighborView.Slot). The slot's parse is a function of that vertex's
+// identifier and certificate alone — exactly what the view already
+// carries — and Verify may read the round only at its own view's slots,
+// so parsing changes the cost of a round, never what a vertex can see.
+// The types do not enforce that: Round holds every vertex's parse, and a
+// scheme's tests hold its Verify to the contract.
 package cert
 
 import (
@@ -70,27 +74,30 @@ func (a Assignment) TotalBits() int {
 }
 
 // NeighborView is the part of a neighbour a vertex can see: identifier and
-// certificate, nothing else. Parsed is the round's parse of that pair, as
-// in View.
+// certificate, nothing else. Slot is the neighbour's slot in the view's
+// Round, as in View.
 type NeighborView struct {
-	ID     graph.ID
-	Cert   Certificate
-	Parsed any
+	ID   graph.ID
+	Cert Certificate
+	Slot int32
 }
 
 // View is the radius-1 view of a vertex: everything the local verification
 // algorithm may read. Consistent with the paper's model, it contains no
 // information about edges among the neighbours and no global quantities.
 //
-// Parsed, when non-nil, is the scheme's own parse of (ID, Cert), made once
-// per round by a runner (see Parser). It holds nothing but that vertex's
-// parse of its identifier and certificate, so it adds no information to
-// the view; a nil Parsed — hand-built views, schemes without a parser —
-// means Verify decodes Cert itself.
+// Round, when non-nil, is the scheme's own parse of the round, made once
+// by a runner (see Parser), and Slot and each NeighborView.Slot address
+// the view's vertices in it. Verify may read Round at those slots only:
+// each holds nothing but that vertex's parse of its identifier and
+// certificate, so reading them adds no information to the view. A nil
+// Round — hand-built views, schemes without a parser — means Verify
+// decodes the certificates itself, and the slots mean nothing.
 type View struct {
 	ID        graph.ID
 	Cert      Certificate
-	Parsed    any
+	Round     any
+	Slot      int32
 	Neighbors []NeighborView
 }
 
@@ -142,36 +149,39 @@ func ProveWithContext(ctx context.Context, s Scheme, g *graph.Graph) (Assignment
 }
 
 // Parser is the optional batch-shaped side of a Scheme. A runner that
-// finds it parses every certificate of a round once, into a table of n
-// entries, before any vertex verifies; each view then carries its
-// vertex's and its neighbours' entries. The table lives for one round
-// only: callers may change certificates between rounds.
+// finds it creates one round of parse storage with n slots, parses every
+// certificate into it once before any vertex verifies, and hands the
+// round to every view, whose vertices carry their slots (vertex v's slot
+// is v). Verify reads the round at its own view's slots only. A round
+// lives for one verification pass: callers may change certificates
+// between rounds.
 type Parser interface {
-	// ParseRange sets table[v], for every v in [lo, hi), to the parse of
-	// (g.IDOf(v), a[v]). The entry must depend on that pair and the
-	// scheme's own parameters alone, Verify must give the same verdict
-	// with and without it, and a nil entry means "decode from the
-	// certificate". Calls on disjoint ranges of one table may run
-	// concurrently.
-	ParseRange(g *graph.Graph, a Assignment, lo, hi int, table []any)
+	// NewRound returns the parse storage of a round over n vertices,
+	// slots 0..n-1, for ParseRange to fill.
+	NewRound(n int) any
+	// ParseRange parses (g.IDOf(v), a[v]) into slot v of round, for every
+	// v in [lo, hi). A slot's parse must depend on that pair and the
+	// scheme's own parameters alone, and Verify must give the same
+	// verdict on a view with the round as on the same view without one.
+	// Calls on disjoint ranges of one round may run concurrently.
+	ParseRange(g *graph.Graph, a Assignment, lo, hi int, round any)
 }
 
 // parseChunk is how many vertices ParsePass hands the parser between
 // cancellation probes: one probe per checkpoint stride of work.
 const parseChunk = fault.CheckStride
 
-// ParsePass runs p over the vertex range [lo, hi) of a round's table,
-// probing cp before every chunk of parseChunk vertices, so a cancelled
-// round stops within one chunk with cp's *fault.CancelledError. The
-// sequential referee runs it over the whole graph; the simulator once
-// per shard.
-func ParsePass(cp *fault.Checkpoint, p Parser, g *graph.Graph, a Assignment, lo, hi int, table []any) error {
+// ParsePass runs p over the vertex range [lo, hi) of a round, probing cp
+// before every chunk of parseChunk vertices, so a cancelled round stops
+// within one chunk with cp's *fault.CancelledError. The sequential
+// referee runs it over the whole graph; the simulator once per shard.
+func ParsePass(cp *fault.Checkpoint, p Parser, g *graph.Graph, a Assignment, lo, hi int, round any) error {
 	for lo < hi {
 		if err := cp.Now(); err != nil {
 			return err
 		}
 		next := min(lo+parseChunk, hi)
-		p.ParseRange(g, a, lo, next, table)
+		p.ParseRange(g, a, lo, next, round)
 		lo = next
 	}
 	return nil
@@ -182,25 +192,18 @@ func ParsePass(cp *fault.Checkpoint, p Parser, g *graph.Graph, a Assignment, lo,
 // identifier so no verifier can depend on adjacency-list order. Rows are
 // sorted by index, so when g's identifiers ascend with the index
 // (g.IDsAscending) the neighbours arrive in identifier order and are not
-// sorted again. table,
-// when non-nil, is the round's parse table, whose entries the view
-// carries as Parsed. The neighbour list is built in buf's storage and
-// returned as the view's Neighbors, so a runner that passes each view's
-// Neighbors back as the next buf assembles a whole round without
-// allocating; the view is valid until buf is reused.
+// sorted again. round, when non-nil, is the round's parse (see Parser),
+// which the view carries once; every vertex of the view carries its index
+// as its slot. The neighbour list is built in buf's storage and returned
+// as the view's Neighbors, so a runner that passes each view's Neighbors
+// back as the next buf assembles a whole round without allocating; the
+// view is valid until buf is reused.
 //
 //certlint:hotpath
-func AssembleView(g *graph.Graph, a Assignment, table []any, v int, buf []NeighborView) View {
-	view := View{ID: g.IDOf(v), Cert: a[v], Neighbors: buf[:0]}
-	if table != nil {
-		view.Parsed = table[v]
-	}
+func AssembleView(g *graph.Graph, a Assignment, round any, v int, buf []NeighborView) View {
+	view := View{ID: g.IDOf(v), Cert: a[v], Round: round, Slot: int32(v), Neighbors: buf[:0]}
 	for _, u := range g.Neighbors(v) {
-		nb := NeighborView{ID: g.IDOf(int(u)), Cert: a[u]}
-		if table != nil {
-			nb.Parsed = table[u]
-		}
-		view.Neighbors = append(view.Neighbors, nb)
+		view.Neighbors = append(view.Neighbors, NeighborView{ID: g.IDOf(int(u)), Cert: a[u], Slot: u})
 	}
 	if !g.IDsAscending() {
 		slices.SortFunc(view.Neighbors, byID)
@@ -239,10 +242,10 @@ func RunSequentialCtx(ctx context.Context, g *graph.Graph, s Scheme, a Assignmen
 		return Result{}, fmt.Errorf("cert: assignment has %d certificates for %d vertices", len(a), g.N())
 	}
 	cp := fault.NewCheckpoint(ctx, "verify")
-	var table []any
+	var round any
 	if p, ok := s.(Parser); ok {
-		table = make([]any, g.N())
-		if err := ParsePass(&cp, p, g, a, 0, g.N(), table); err != nil {
+		round = p.NewRound(g.N())
+		if err := ParsePass(&cp, p, g, a, 0, g.N(), round); err != nil {
 			return Result{}, err
 		}
 	}
@@ -252,7 +255,7 @@ func RunSequentialCtx(ctx context.Context, g *graph.Graph, s Scheme, a Assignmen
 		if err := cp.Check(); err != nil {
 			return Result{}, err
 		}
-		view := AssembleView(g, a, table, v, buf)
+		view := AssembleView(g, a, round, v, buf)
 		buf = view.Neighbors
 		if !s.Verify(view) {
 			res.Accepted = false

@@ -252,25 +252,27 @@ func TestAssembleViewSortedByID(t *testing.T) {
 			t.Fatalf("%s: IDsAscending = %v", c.name, g.IDsAscending())
 		}
 		a := make(Assignment, n)
-		table := make([]any, n)
 		for v := range a {
 			a[v] = Certificate{byte(v & 1), byte(v >> 1 & 1)}
-			table[v] = v
 		}
+		round := new(int) // any non-nil round: the view must carry it as is
 		var buf []NeighborView
 		for v := 0; v < n; v++ {
-			view := AssembleView(g, a, table, v, buf)
+			view := AssembleView(g, a, round, v, buf)
 			buf = view.Neighbors
+			if view.Round != any(round) || view.Slot != int32(v) {
+				t.Fatalf("%s vertex %d: round %v slot %d, want the runner's round and slot %d", c.name, v, view.Round, view.Slot, v)
+			}
 			var want []NeighborView
 			for _, u := range g.Neighbors(v) {
-				want = append(want, NeighborView{ID: g.IDOf(int(u)), Cert: a[u], Parsed: table[u]})
+				want = append(want, NeighborView{ID: g.IDOf(int(u)), Cert: a[u], Slot: u})
 			}
 			sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
 			if len(view.Neighbors) != len(want) {
 				t.Fatalf("%s vertex %d: %d neighbours, want %d", c.name, v, len(view.Neighbors), len(want))
 			}
 			for i := range want {
-				if got := view.Neighbors[i]; got.ID != want[i].ID || got.Parsed != want[i].Parsed || !slices.Equal(got.Cert, want[i].Cert) {
+				if got := view.Neighbors[i]; got.ID != want[i].ID || got.Slot != want[i].Slot || !slices.Equal(got.Cert, want[i].Cert) {
 					t.Fatalf("%s vertex %d: neighbour %d is %v, want %v", c.name, v, i, got, want[i])
 				}
 			}

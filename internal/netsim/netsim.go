@@ -15,12 +15,14 @@
 //
 // For a scheme that implements cert.Parser a round runs in two passes
 // over the same shards: a parse pass, in which each worker parses its
-// own vertices' certificates into the round's table, and — after every
-// shard is parsed — the verify pass, whose views carry the table's
-// entries. Each certificate is then decoded once per round instead of
-// once per view it appears in. The table and the parser's storage are
-// the round's only allocations proportional to n; nothing of them
-// outlives the round.
+// own vertices' certificates into their slots of the round (created once
+// through the scheme's NewRound), and — after every shard is parsed — the
+// verify pass, whose views carry the round and their vertices' slots.
+// Each certificate is then decoded once per round instead of once per
+// view it appears in, and a vertex's Verify reads the round at its own
+// view's slots only: its own and its neighbours', what the exchange
+// delivered to it. The round is the only allocation proportional to n;
+// nothing of it outlives the round.
 //
 // This is the "self-stabilization" deployment story of the paper: the
 // verification round is what a network would run periodically to detect
@@ -71,8 +73,8 @@ type Engine struct {
 
 	// pool recycles per-shard scratch buffers (neighbour views and
 	// rejecter lists) across runs, so a warmed-up engine assembles every
-	// view without allocating. A parsing scheme's table and parsed
-	// entries are allocated per round (see Run), never per view.
+	// view without allocating. A parsing scheme's round is allocated per
+	// round (see Run), never per view.
 	pool sync.Pool
 
 	metricsOnce sync.Once
@@ -133,13 +135,13 @@ func (e *Engine) getScratch() *shardScratch {
 //
 // Vertices are partitioned into one contiguous shard per worker. When s
 // is a cert.Parser the round has two passes: the workers first parse
-// their shards' certificates into the round's table — each certificate
-// once, not once per view it appears in — and, once every shard is
-// parsed, verify. Each worker assembles views (carrying the table's
-// entries) in a pooled scratch buffer that is reused from vertex to
-// vertex and returned to the engine pool when the shard is done.
-// Consequently Verify implementations must not retain the view's
-// Neighbors slice, or the parsed entries, past the call — none of the
+// their shards' certificates into the round s.NewRound created — each
+// certificate once, not once per view it appears in — and, once every
+// shard is parsed, verify. Each worker assembles views (carrying the
+// round and their vertices' slots) in a pooled scratch buffer that is
+// reused from vertex to vertex and returned to the engine pool when the
+// shard is done. Consequently Verify implementations must not retain the
+// view's Neighbors slice, or the round, past the call — none of the
 // schemes in this module do.
 //
 // The verdict is identical to cert.RunSequential: same Accepted flag, same
@@ -176,13 +178,13 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 	// busy accumulates each shard's time across both passes, observed
 	// once per shard as its latency.
 	busy := make([]time.Duration, workers)
-	var table []any
+	var round any
 	if p, ok := s.(cert.Parser); ok {
-		table = make([]any, n)
+		round = p.NewRound(n)
 		err := e.fanOut(ctx, m, start, workers, n, func(w, lo, hi int) bool {
 			t0 := time.Now()
 			cp := fault.NewCheckpoint(ctx, "verify")
-			err := cert.ParsePass(&cp, p, g, a, lo, hi, table)
+			err := cert.ParsePass(&cp, p, g, a, lo, hi, round)
 			busy[w] = time.Since(t0)
 			return err == nil
 		})
@@ -197,7 +199,7 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 		// Clock reads and the atomic metric flush stay out here so the
 		// annotated shard body is pure verification work.
 		t0 := time.Now()
-		rej, bits, msgs, aborted := e.runShard(ctx, g, s, a, table, lo, hi)
+		rej, bits, msgs, aborted := e.runShard(ctx, g, s, a, round, lo, hi)
 		rejecters[w] = rej
 		m.shardSeconds.Observe(busy[w] + time.Since(t0))
 		m.bits.Add(int64(bits))
@@ -281,7 +283,7 @@ func (e *Engine) fanOut(ctx context.Context, m *simMetrics, start time.Time, wor
 // its memory (the scratch returns to the pool before it is published).
 //
 //certlint:hotpath
-func (e *Engine) runShard(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.Assignment, table []any, lo, hi int) (rejOut []int, bits, msgs int, aborted bool) {
+func (e *Engine) runShard(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.Assignment, round any, lo, hi int) (rejOut []int, bits, msgs int, aborted bool) {
 	sc := e.getScratch()
 	rej := sc.rej[:0]
 	views := sc.views
@@ -292,7 +294,7 @@ func (e *Engine) runShard(ctx context.Context, g *graph.Graph, s cert.Scheme, a 
 		}
 		// The exchange round for v: (id, certificate) from every
 		// neighbour, assembled in the reused view buffer.
-		view := cert.AssembleView(g, a, table, v, views)
+		view := cert.AssembleView(g, a, round, v, views)
 		views = view.Neighbors // keep grown capacity for the next vertex
 		for _, nb := range view.Neighbors {
 			bits += len(nb.Cert)
@@ -305,8 +307,8 @@ func (e *Engine) runShard(ctx context.Context, g *graph.Graph, s cert.Scheme, a 
 	if len(rej) > 0 && !aborted {
 		rejOut = append([]int(nil), rej...)
 	}
-	// The pooled buffer must not keep this round's certificates or parse
-	// table alive: clear every slot it ever filled.
+	// The pooled buffer must not keep this round's certificates alive:
+	// clear every slot it ever filled.
 	clear(views[:cap(views)])
 	sc.views = views[:0]
 	sc.rej = rej[:0]

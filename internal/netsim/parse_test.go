@@ -16,10 +16,10 @@ import (
 	"repro/internal/obs"
 )
 
-// parsingScheme is a cert.Parser probe: its table entries are the
-// vertices' own identifiers, Verify accepts a vertex whose view carries
-// exactly those entries, and the hooks let a test cancel or panic inside
-// either pass.
+// parsingScheme is a cert.Parser probe: its round holds the vertices' own
+// identifiers, one per slot, Verify accepts a vertex whose view's slots
+// address exactly those entries, and the hooks let a test cancel or panic
+// inside either pass.
 type parsingScheme struct {
 	onParse  func(lo, hi int)
 	onVerify func(v cert.View)
@@ -32,12 +32,15 @@ func (s *parsingScheme) Prove(g *graph.Graph) (cert.Assignment, error) {
 	return make(cert.Assignment, g.N()), nil
 }
 
-func (s *parsingScheme) ParseRange(g *graph.Graph, a cert.Assignment, lo, hi int, table []any) {
+func (s *parsingScheme) NewRound(n int) any { return make([]graph.ID, n) }
+
+func (s *parsingScheme) ParseRange(g *graph.Graph, a cert.Assignment, lo, hi int, round any) {
 	if s.onParse != nil {
 		s.onParse(lo, hi)
 	}
+	ids := round.([]graph.ID)
 	for v := lo; v < hi; v++ {
-		table[v] = g.IDOf(v)
+		ids[v] = g.IDOf(v)
 	}
 }
 
@@ -46,18 +49,20 @@ func (s *parsingScheme) Verify(v cert.View) bool {
 	if s.onVerify != nil {
 		s.onVerify(v)
 	}
-	if v.Parsed != v.ID {
+	ids, ok := v.Round.([]graph.ID)
+	if !ok || ids[v.Slot] != v.ID {
 		return false
 	}
 	for _, nb := range v.Neighbors {
-		if nb.Parsed != nb.ID {
+		if ids[nb.Slot] != nb.ID {
 			return false
 		}
 	}
 	return true
 }
 
-// Both runners hand every view its vertex's and its neighbours' parse.
+// Both runners hand every view the round, with slots addressing its
+// vertex's and its neighbours' parse.
 func TestParsedEntriesReachEveryView(t *testing.T) {
 	g := graphgen.Grid(40, 40)
 	s := &parsingScheme{}

@@ -45,15 +45,19 @@ func TestDecodePayloadRejectsWrappedIDs(t *testing.T) {
 	}
 }
 
-// FuzzDecodePayload hammers the tw-mso certificate decoder, which /verify
-// and /simulate feed client-supplied bits into. Each input byte is one
-// bit (b&1) of a certificate body; the target seals the body with the
-// owner's guard, so the fuzzer explores the body decoder instead of
-// colliding a 16-bit hash. setBits%4 is the property's set count. A
+// FuzzDecodePayload hammers the tw-mso certificate decoders: the round
+// parse (parseRound.parse), which /verify and /simulate feed
+// client-supplied bits into, and the reference DecodePayload. Each input
+// byte is one bit (b&1) of a certificate body; the target seals the body
+// with the owner's guard, so the fuzzer explores the body decoder instead
+// of colliding a 16-bit hash. setBits%4 is the property's set count. A
 // successful decode must yield a positive bag id and a positive, strictly
-// increasing bag, and must re-encode to exactly the same bits. The seeds
-// are honest certificate bodies of a small partial 2-tree plus the
-// wrapped bag.
+// increasing bag, and must re-encode to exactly the same bits. The parse
+// must agree with it: at T=2 and at a T whose bags spill, a one-slot
+// round is well-formed exactly when the payload decodes with at most T+1
+// bag entries including the owner, and then holds the same fields. The
+// seeds are honest certificate bodies of a small partial 2-tree, the
+// wrapped bag and a bag that spills.
 func FuzzDecodePayload(f *testing.F) {
 	const owner = graph.ID(7)
 	g, attach := graphgen.PartialKTree(16, 2, 0.6, rand.New(rand.NewSource(5)))
@@ -73,6 +77,16 @@ func FuzzDecodePayload(f *testing.F) {
 	var w bitio.Writer
 	encodeBody(&w, wrappedBag, 0)
 	f.Add(w.Clone(), uint8(0))
+	// A bag of recordBag+2 entries holding the owner: it spills at T =
+	// recordBag+1 and is too wide at T=2.
+	wide := Payload{BagID: 1, Depth: 3, State: 2}
+	for id := graph.ID(1); len(wide.Bag) < recordBag+2; id++ {
+		wide.Bag = append(wide.Bag, id)
+		wide.Row = append(wide.Row, id%3 == 0)
+	}
+	w.Reset()
+	encodeBody(&w, wide, 2)
+	f.Add(w.Clone(), uint8(2))
 
 	f.Fuzz(func(t *testing.T, data []byte, setBits uint8) {
 		m := int(setBits % 4)
@@ -83,6 +97,27 @@ func FuzzDecodePayload(f *testing.F) {
 		w.WriteUint(guardOf(owner, w.Bits()), guardBits)
 		c := cert.Certificate(w.Clone())
 		p, ok := DecodePayload(c, owner, m)
+		for _, width := range []int{2, recordBag + 1} {
+			var rd parseRound
+			rd.init(width, m, 1)
+			rd.parse(0, owner, c)
+			rec, bag, row := rd.entry(0)
+			wellFormed := ok && len(p.Bag) <= width+1 && slices.Contains(p.Bag, owner)
+			if (rec[recBagID] != 0) != wellFormed {
+				t.Fatalf("T=%d: round record bag id %d, decoded payload %+v (ok=%v)", width, rec[recBagID], p, ok)
+			}
+			if !wellFormed {
+				continue
+			}
+			if rec[recBagID] != p.BagID || uint64(rec[recDepth]) != p.Depth || !slices.Equal(bag, p.Bag) || rd.word(0) != p.State {
+				t.Fatalf("T=%d: round record %v (bag %v, word %d), payload %+v", width, rec[:recBag], bag, rd.word(0), p)
+			}
+			for k, b := range p.Row {
+				if rowBit(row, k) != b {
+					t.Fatalf("T=%d: row bit %d is %v, payload row %v", width, k, rowBit(row, k), p.Row)
+				}
+			}
+		}
 		if !ok {
 			return
 		}

@@ -49,17 +49,13 @@ func TestCliqueTuplesHubProbes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %s: %v", c.name, c.prop.Name, err)
 		}
-		table := make([]any, c.g.N())
-		s.ParseRange(c.g, a, 0, c.g.N(), table)
-		hub := cert.AssembleView(c.g, a, table, 0, nil)
+		round := s.NewRound(c.g.N())
+		s.ParseRange(c.g, a, 0, c.g.N(), round)
+		hub := cert.AssembleView(c.g, a, round, 0, nil)
 		if len(hub.Neighbors) != d {
 			t.Fatalf("%s: hub degree %d, want %d", c.name, len(hub.Neighbors), d)
 		}
-		sc := &verifyScratch{}
-		for _, nb := range hub.Neighbors {
-			sc.neighbors = append(sc.neighbors, nb.Parsed.(*Payload))
-		}
-		ok, probes := sc.tuplesOK(c.prop.Phi, &hub, table[0].(*Payload))
+		ok, probes := tuplesOK(c.prop.Phi, round.(*parseRound), &hub, &verifyScratch{})
 		if !ok {
 			t.Fatalf("%s %s: hub rejects its honest view", c.name, c.prop.Name)
 		}

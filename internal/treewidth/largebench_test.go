@@ -202,12 +202,27 @@ func BenchmarkLargeNiceDP100k(b *testing.B) {
 // happens before the timer: this is the read path alone, the layer the
 // parse-once round (MSOScheme.ParseRange) moves.
 func BenchmarkLargeTWMSOVerify100k(b *testing.B) {
-	g := largeKTree(b, 100_000)
-	prop, ok := PropertyByName("tw-bound")
+	benchVerify(b, largeKTree(b, 100_000), 6, "tw-bound")
+}
+
+// BenchmarkLargeTWMSOVerify3Colorable20k measures a verification round
+// that runs the clique-tuple check: 3-colorable at t=2 on a 2·10⁴-vertex
+// partial 2-tree, whose views read their neighbours' rows and witness
+// words from the round's records to build the evidence adjacency.
+func BenchmarkLargeTWMSOVerify3Colorable20k(b *testing.B) {
+	g, _ := graphgen.PartialKTree(20_000, 2, 0.85, rand.New(rand.NewSource(9)))
+	benchVerify(b, g, 2, "3-colorable")
+}
+
+// benchVerify proves g under the named property and width bound t
+// before the timer, then times one verification round of the honest
+// certificates on the sequential referee and on the sharded simulator.
+func benchVerify(b *testing.B, g *graph.Graph, t int, property string) {
+	prop, ok := PropertyByName(property)
 	if !ok {
-		b.Fatal("tw-bound property missing")
+		b.Fatalf("%s property missing", property)
 	}
-	s := &MSOScheme{T: 6, Prop: prop}
+	s := &MSOScheme{T: t, Prop: prop}
 	a, err := s.ProveCtx(context.Background(), g)
 	if err != nil {
 		b.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/bitio"
 	"repro/internal/cert"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -925,8 +926,7 @@ next:
 func verifyReference(s *MSOScheme, v cert.View) bool {
 	phi := s.phi()
 	m := phi.NumSets()
-	var ownBuf Payload
-	own, ok := payloadOf(v.ID, v.Cert, v.Parsed, m, &ownBuf)
+	own, ok := DecodePayload(v.Cert, v.ID, m)
 	if !ok {
 		return false
 	}
@@ -952,9 +952,9 @@ func verifyReference(s *MSOScheme, v cert.View) bool {
 			return false
 		}
 	}
-	neighbors := make([]*Payload, len(v.Neighbors))
+	neighbors := make([]Payload, len(v.Neighbors))
 	for i, nb := range v.Neighbors {
-		pu, ok := payloadOf(nb.ID, nb.Cert, nb.Parsed, m, new(Payload))
+		pu, ok := DecodePayload(nb.Cert, nb.ID, m)
 		if !ok {
 			return false
 		}
@@ -1097,4 +1097,49 @@ func buildPayloadsReference(g *graph.Graph, d *Decomposition, r rooting, words [
 		payloads[v] = Payload{BagID: owner[b], Depth: pruned[b], Bag: ids, Row: row, State: uint64(words[v])}
 	}
 	return payloads
+}
+
+// DecodePayload parses a certificate into a Payload and checks its guard
+// against the claimed owner; the whole certificate must be consumed. It
+// is the decoder Verify used before the round parse (parseRound.parse),
+// kept as the reference FuzzDecodePayload holds the parse to and as the
+// tests' way to read honest certificates.
+func DecodePayload(c cert.Certificate, owner graph.ID, setBits int) (Payload, bool) {
+	var p Payload
+	if !decodePayloadInto(c, owner, setBits, &p) {
+		return Payload{}, false
+	}
+	return p, true
+}
+
+// decodePayloadInto is DecodePayload into caller-owned storage, reusing
+// p's Bag and Row capacity. On failure p is left with truncated slices and
+// must not be used.
+func decodePayloadInto(c cert.Certificate, owner graph.ID, setBits int, p *Payload) bool {
+	body, guard, ok := unseal(c)
+	if !ok || guard != guardOf(owner, body) {
+		return false
+	}
+	tail, ok := decodePrefixInto(body, p)
+	if !ok {
+		return false
+	}
+	br := bitio.NewReader(tail)
+	p.Row = p.Row[:0]
+	for i := 0; i < len(p.Bag); i++ {
+		b, err := br.ReadBool()
+		if err != nil {
+			return false
+		}
+		p.Row = append(p.Row, b)
+	}
+	p.State = 0
+	if setBits > 0 {
+		state, err := br.ReadUint(setBits)
+		if err != nil {
+			return false
+		}
+		p.State = state
+	}
+	return br.Remaining() == 0
 }

@@ -114,6 +114,14 @@ func PropertyFromFormula(f logic.Formula) (Property, error) {
 // row bits and m witness bits — plus a 16-bit guard binding certs to their
 // vertex, so flips/replays/truncations are caught in one round (the
 // self-stabilization deployment; semantic soundness never relies on it).
+//
+// The scheme is a cert.Parser: a runner parses each certificate once per
+// round into one fixed-stride record (parseRound), and Verify reads the
+// records of its view's slots in place. The membership-and-width
+// condition on a certificate (it decodes, its bag has at most T+1
+// entries and holds its owner) is decided once, at parse time; a
+// certificate failing it is malformed, and the owner and every neighbour
+// reject it, as each did when it decoded the certificate itself.
 type MSOScheme struct {
 	// T is the certified width bound.
 	T int
@@ -262,70 +270,45 @@ func unseal(c cert.Certificate) (body []byte, guard uint64, ok bool) {
 	return c[:len(c)-guardBits], guard, err == nil
 }
 
-// DecodePayload parses a certificate and checks its guard against the
-// claimed owner; the whole certificate must be consumed.
-func DecodePayload(c cert.Certificate, owner graph.ID, setBits int) (Payload, bool) {
-	var p Payload
-	if !decodePayloadInto(c, owner, setBits, &p) {
-		return Payload{}, false
-	}
-	return p, true
-}
-
-// decodePayloadInto is DecodePayload into caller-owned storage: p's Bag
-// and Row capacity is reused, which keeps the verifier — decoding one
-// certificate per visible vertex per round — allocation-free in steady
-// state. On failure p is left with truncated slices and must not be used.
-func decodePayloadInto(c cert.Certificate, owner graph.ID, setBits int, p *Payload) bool {
-	body, guard, ok := unseal(c)
-	if !ok || guard != guardOf(owner, body) {
-		return false
-	}
-	tail, ok := decodePrefixInto(body, p)
-	if !ok {
-		return false
-	}
-	br := bitio.NewReader(tail)
-	p.Row = p.Row[:0]
-	for i := 0; i < len(p.Bag); i++ {
-		b, err := br.ReadBool()
-		if err != nil {
-			return false
-		}
-		p.Row = append(p.Row, b)
-	}
-	p.State = 0
-	if setBits > 0 {
-		state, err := br.ReadUint(setBits)
-		if err != nil {
-			return false
-		}
-		p.State = state
-	}
-	return br.Remaining() == 0
-}
-
 // decodePrefixInto parses the self-delimiting decomposition fields (bag
 // id, depth, bag contents) off the body into p, reusing p.Bag's capacity,
 // and returns the unparsed tail bits — the row and property payload,
 // which decomposition-aware tampers carry through unchanged.
 func decodePrefixInto(body []byte, p *Payload) ([]byte, bool) {
 	r := bitio.NewReader(body)
-	bagID, err := r.ReadUvarint()
-	if err != nil || bagID == 0 || bagID > maxID {
+	var size int
+	var ok bool
+	if p.BagID, p.Depth, size, ok = readHeader(r); !ok {
 		return nil, false
 	}
-	p.BagID = graph.ID(bagID)
-	if p.Depth, err = r.ReadUvarint(); err != nil {
+	if p.Bag, ok = readBag(r, size, p.Bag[:0]); !ok {
 		return nil, false
 	}
-	size, err := r.ReadUvarint()
-	if err != nil || size == 0 || size > maxBagEntries {
-		return nil, false
+	return body[len(body)-r.Remaining():], true
+}
+
+// readHeader reads the fields that open a certificate body: the bag id
+// (positive), the depth and the bag size (1 to maxBagEntries). Payload
+// decoding and the round parse share it and readBag.
+func readHeader(r *bitio.Reader) (bagID graph.ID, depth uint64, size int, ok bool) {
+	id, err := r.ReadUvarint()
+	if err != nil || id == 0 || id > maxID {
+		return 0, 0, 0, false
 	}
-	p.Bag = p.Bag[:0]
+	if depth, err = r.ReadUvarint(); err != nil {
+		return 0, 0, 0, false
+	}
+	n, err := r.ReadUvarint()
+	if err != nil || n == 0 || n > maxBagEntries {
+		return 0, 0, 0, false
+	}
+	return graph.ID(id), depth, int(n), true
+}
+
+// readBag reads size delta-encoded bag entries and appends them to bag.
+func readBag(r *bitio.Reader, size int, bag []graph.ID) ([]graph.ID, bool) {
 	prev := uint64(0)
-	for i := 0; i < int(size); i++ {
+	for i := 0; i < size; i++ {
 		v, err := r.ReadUvarint()
 		if err != nil {
 			return nil, false
@@ -344,9 +327,9 @@ func decodePrefixInto(body []byte, p *Payload) ([]byte, bool) {
 			}
 			prev += v + 1
 		}
-		p.Bag = append(p.Bag, graph.ID(prev))
+		bag = append(bag, graph.ID(prev))
 	}
-	return body[len(body)-r.Remaining():], true
+	return bag, true
 }
 
 // FNV-1a's 64-bit offset basis and prime.
@@ -623,155 +606,121 @@ func homeBagNames(g *graph.Graph, d *Decomposition, r rooting) (owner []graph.ID
 	return owner, pruned
 }
 
-// ParseRange implements cert.Parser: it decodes the certificates of
-// vertices [lo, hi) once for the whole round, so Verify reads every
-// neighbour's payload from the table instead of decoding it again in
-// each of the deg+1 views it appears in. The range's payloads come from
-// one slab and their bags and rows from shared blocks, so the pass does
-// not allocate per vertex. An undecodable certificate gets the
-// unparsable marker, which every view containing it rejects — as the
-// decode inside Verify would.
-func (s *MSOScheme) ParseRange(g *graph.Graph, a cert.Assignment, lo, hi int, table []any) {
-	m := s.phi().NumSets()
-	payloads := make([]Payload, hi-lo)
-	// Honest bags hold at most T+1 ids; the block size only has to make
-	// the block allocations rare, not bound the bags.
-	block := min((hi-lo)*(s.T+1), maxSlabBlock)
-	var ids []graph.ID
-	var rows []bool
-	var buf Payload
-	for v := lo; v < hi; v++ {
-		if !decodePayloadInto(a[v], g.IDOf(v), m, &buf) {
-			table[v] = unparsable{}
-			continue
-		}
-		p := &payloads[v-lo]
-		*p = Payload{
-			BagID: buf.BagID,
-			Depth: buf.Depth,
-			Bag:   carve(&ids, buf.Bag, block),
-			Row:   carve(&rows, buf.Row, block),
-			State: buf.State,
-		}
-		table[v] = p
-	}
-}
-
-// maxSlabBlock caps the shared bag and row blocks ParseRange carves
-// from, in entries.
-const maxSlabBlock = 1 << 16
-
 // carve copies src into the free tail of *slab, starting a new block of
-// at least block entries when the tail is too short, and returns the
-// copy capped at its length (an append to it cannot spill into the next
-// payload's entries).
-func carve[T any](slab *[]T, src []T, block int) []T {
+// at least block bytes when the tail is too short, and returns the copy
+// capped at its length (an append to it cannot spill into the next
+// certificate's bits).
+func carve(slab *[]byte, src []byte, block int) []byte {
 	if cap(*slab)-len(*slab) < len(src) {
-		*slab = make([]T, 0, max(block, len(src)))
+		*slab = make([]byte, 0, max(block, len(src)))
 	}
 	lo := len(*slab)
 	*slab = append(*slab, src...)
 	return (*slab)[lo:len(*slab):len(*slab)]
 }
 
-// unparsable is the parse-table entry of a certificate that does not
-// decode.
-type unparsable struct{}
-
-// payloadOf resolves one vertex's payload for Verify: the round's parse
-// when the runner supplied one, otherwise a decode of c into buf.
-func payloadOf(id graph.ID, c cert.Certificate, parsed any, setBits int, buf *Payload) (*Payload, bool) {
-	switch p := parsed.(type) {
-	case *Payload:
-		return p, true
-	case nil:
-		return buf, decodePayloadInto(c, id, setBits, buf)
-	default:
-		return nil, false
-	}
-}
-
 // verifyScratch is the recycled working memory of one Verify call: the
-// payloads decoded when the view carries no parse, the resolved
-// neighbour payloads and the view's evidence adjacency. Verify runs once
-// per vertex per round — and concurrently under the sharded simulator —
-// so each call checks a scratch out of the pool and every buffer is
+// view-local round of a view that came without one, and the view's
+// evidence adjacency and witness words. Verify runs once per vertex per
+// round — and concurrently under the sharded simulator — so each call
+// that needs a scratch checks one out of the pool, and every buffer is
 // reused across calls instead of reallocated.
 type verifyScratch struct {
-	own       Payload
-	decoded   []Payload
-	neighbors []*Payload
+	// round and neighbors are a view-local round and the view's
+	// neighbours renumbered into it (slot i+1 for neighbour i). The round
+	// owns its storage: it never aliases a runner's round.
+	round     parseRound
+	neighbors []cert.NeighborView
 	// order lists the neighbour indices by identifier; start and out are
-	// the out-lists of the clique-tuple check (see evidence).
+	// the out-lists of the clique-tuple check (see evidence), and words
+	// the witness words by point.
 	order      []int32
 	start, out []int32
+	words      []uint64
 }
 
 var verifyScratchPool = sync.Pool{New: func() any { return &verifyScratch{} }}
 
-// release returns the scratch to the pool without the round's parsed
-// payloads: a pooled scratch must not keep a parse table alive.
+// release returns the scratch to the pool without the view's
+// certificates: a pooled scratch holds no runner's data.
 func (sc *verifyScratch) release() {
 	clear(sc.neighbors)
+	sc.neighbors = sc.neighbors[:0]
 	verifyScratchPool.Put(sc)
 }
 
+// parseView parses v's own certificate into slot 0 of the scratch round
+// and neighbour i's into slot i+1, with the parse ParseRange runs, and
+// renumbers v's slots to match.
+func (sc *verifyScratch) parseView(t, setBits int, v *cert.View) *parseRound {
+	rd := &sc.round
+	rd.init(t, setBits, 1+len(v.Neighbors))
+	rd.parse(0, v.ID, v.Cert)
+	sc.neighbors = append(sc.neighbors[:0], v.Neighbors...)
+	for i := range sc.neighbors {
+		nb := &sc.neighbors[i]
+		nb.Slot = int32(i + 1)
+		rd.parse(nb.Slot, nb.ID, nb.Cert)
+	}
+	v.Round, v.Slot, v.Neighbors = rd, 0, sc.neighbors
+	return rd
+}
+
 // Verify implements cert.Scheme; see the type comment for the check list.
-// Payloads come from the view's Parsed entries when a runner parsed the
-// round (ParseRange) and are decoded from the certificates otherwise:
-// the checks below are the same either way.
+// It reads the view's records from the runner's round (ParseRange) at the
+// view's slots only; a view without a round of this scheme's parameters
+// is parsed into a view-local round first, and check runs the same
+// checks either way.
 func (s *MSOScheme) Verify(v cert.View) bool {
 	phi := s.phi()
 	m := phi.NumSets()
+	if rd, ok := v.Round.(*parseRound); ok && rd.t == s.T && rd.setBits == m {
+		return check(phi, rd, &v, nil)
+	}
 	sc := verifyScratchPool.Get().(*verifyScratch)
 	defer sc.release()
-	own, ok := payloadOf(v.ID, v.Cert, v.Parsed, m, &sc.own)
-	if !ok {
-		return false
-	}
-	if len(own.Bag) > s.T+1 {
-		return false
-	}
-	if !containsID(own.Bag, v.ID) || !containsID(own.Bag, own.BagID) {
-		return false
-	}
-	// The bag is named after its smallest homed vertex, so no member homed
-	// at it has a smaller id.
-	if own.BagID > v.ID {
+	return check(phi, sc.parseView(s.T, m, &v), &v, sc)
+}
+
+// check is Verify's one check path over the records of v's slots in rd.
+// sc is the checked-out scratch when there is one (the view-local round
+// lives in it); a view that needs a scratch only for the property check
+// (evidence adjacency, witness words) checks one out here, so a valid
+// matrix's check over a runner's round never touches the pool.
+func check(phi *EMSO, rd *parseRound, v *cert.View, sc *verifyScratch) bool {
+	own, ownBag, ownRow := rd.entry(v.Slot)
+	ownID, ownDepth := own[recBagID], uint64(own[recDepth])
+	// A malformed record (bag id 0) rejects. The bag is named after its
+	// smallest homed vertex, a member, so no member homed at it has a
+	// smaller id.
+	if ownID == 0 || ownID > v.ID || !containsID(ownBag, ownID) {
 		return false
 	}
 	// The adjacency row must match the vertex's actual neighbourhood —
 	// fully checkable locally, which is what lets everyone else trust it.
-	for i, id := range own.Bag {
+	for i, id := range ownBag {
 		_, isNb := v.NeighborByID(id)
 		if id == v.ID {
 			isNb = false
 		}
-		if own.Row[i] != isNb {
+		if rowBit(ownRow, i) != isNb {
 			return false
 		}
 	}
-	for len(sc.decoded) < len(v.Neighbors) {
-		sc.decoded = append(sc.decoded, Payload{})
-	}
-	sc.neighbors = sc.neighbors[:0]
-	for i, nb := range v.Neighbors {
-		pu, ok := payloadOf(nb.ID, nb.Cert, nb.Parsed, m, &sc.decoded[i])
-		if !ok {
-			return false
+	for _, nb := range v.Neighbors {
+		rec, bag, _ := rd.entry(nb.Slot)
+		bagID, depth := rec[recBagID], uint64(rec[recDepth])
+		if bagID == 0 {
+			return false // malformed: undecodable, too wide or not its owner's
 		}
-		sc.neighbors = append(sc.neighbors, pu)
-		if len(pu.Bag) > s.T+1 || !containsID(pu.Bag, nb.ID) {
-			return false
-		}
-		uIn := containsID(own.Bag, nb.ID)
-		vIn := containsID(pu.Bag, v.ID)
+		uIn := containsID(ownBag, nb.ID)
+		vIn := containsID(bag, v.ID)
 		if !uIn && !vIn {
 			return false // edge covered by no claimed bag
 		}
-		if own.BagID == pu.BagID {
+		if ownID == bagID {
 			// Same home bag: full agreement on the bag.
-			if own.Depth != pu.Depth || !slices.Equal(own.Bag, pu.Bag) {
+			if ownDepth != depth || !slices.Equal(ownBag, bag) {
 				return false
 			}
 		} else {
@@ -781,15 +730,22 @@ func (s *MSOScheme) Verify(v cert.View) bool {
 			if uIn && vIn {
 				return false
 			}
-			if uIn && pu.Depth >= own.Depth {
+			if uIn && depth >= ownDepth {
 				return false
 			}
-			if vIn && own.Depth >= pu.Depth {
+			if vIn && ownDepth >= depth {
 				return false
 			}
 		}
 	}
-	ok, _ = sc.tuplesOK(phi, &v, own)
+	if phi.valid {
+		return true // no tuple falsifies a valid matrix
+	}
+	if sc == nil && (len(phi.Vars) >= 2 || phi.NumSets() > 0) {
+		sc = verifyScratchPool.Get().(*verifyScratch)
+		defer sc.release()
+	}
+	ok, _ := tuplesOK(phi, rd, v, sc)
 	return ok
 }
 
@@ -800,15 +756,25 @@ func (s *MSOScheme) Verify(v cert.View) bool {
 // their self-verified rows through the trace-root rule: the deeper-homed
 // endpoint of any real edge carries the other in its bag, so an accepted
 // run exposes every real edge among the candidates and claims no fake
-// ones it would need. sc.neighbors holds the neighbours' payloads. The
-// second result is the check's adjacency probes, bag entries read
+// ones it would need. Rows are read from the view's records in rd, and
+// the points' witness words gathered from it once; sc holds both (nil
+// only for a sentence of one variable and no set, which reads neither).
+// The second result is the check's adjacency probes, bag entries read
 // included.
-func (sc *verifyScratch) tuplesOK(phi *EMSO, v *cert.View, own *Payload) (bool, int) {
-	neighbors := sc.neighbors
-	ct := cliqueTuples{phi: phi, n: 1 + len(neighbors)}
+func tuplesOK(phi *EMSO, rd *parseRound, v *cert.View, sc *verifyScratch) (bool, int) {
+	nbs := v.Neighbors
+	ct := cliqueTuples{phi: phi, n: 1 + len(nbs)}
 	if len(phi.Vars) >= 2 && !phi.valid {
-		ct.probes = sc.evidence(v)
+		ct.probes = sc.evidence(rd, v)
 		ct.start, ct.out = sc.start, sc.out
+	}
+	var words []uint64
+	if phi.NumSets() > 0 {
+		words = append(sc.words[:0], rd.word(v.Slot))
+		for _, nb := range nbs {
+			words = append(words, rd.word(nb.Slot))
+		}
+		sc.words = words
 	}
 	start, out := ct.start, ct.out
 	has := func(a, b int) bool { return slices.Contains(out[start[a]:start[a+1]], int32(b)) }
@@ -821,13 +787,7 @@ func (sc *verifyScratch) tuplesOK(phi *EMSO, v *cert.View, own *Payload) (bool, 
 		}
 		return has(a, b) || has(b, a)
 	}
-	ct.member = func(set, p int) bool {
-		w := own.State
-		if p > 0 {
-			w = neighbors[p-1].State
-		}
-		return w>>uint(set)&1 == 1
-	}
+	ct.member = func(set, p int) bool { return words[p]>>uint(set)&1 == 1 }
 	return ct.allTuplesOK(), ct.probes
 }
 
@@ -835,11 +795,11 @@ func (sc *verifyScratch) tuplesOK(phi *EMSO, v *cert.View, own *Payload) (bool, 
 // of the clique-tuple check: neighbour i (point i+1) lists the points its
 // row marks adjacent, skipping its own entry, v's (v is adjacent to
 // every point anyway) and identifiers outside the view. Every list has
-// at most T+1 entries, since Verify checked the bags' sizes; identifiers
-// resolve to points by binary search over the neighbours in identifier
-// order, which runner-built views already are. It returns the number of
-// bag entries read.
-func (sc *verifyScratch) evidence(v *cert.View) int {
+// at most T+1 entries, since parsing marked longer bags malformed;
+// identifiers resolve to points by binary search over the neighbours in
+// identifier order, which runner-built views already are. It returns the
+// number of bag entries read.
+func (sc *verifyScratch) evidence(rd *parseRound, v *cert.View) int {
 	nbs := v.Neighbors
 	sc.order = sc.order[:0]
 	for i := range nbs {
@@ -851,10 +811,11 @@ func (sc *verifyScratch) evidence(v *cert.View) int {
 	probes := 0
 	sc.start = append(sc.start[:0], 0, 0)
 	sc.out = sc.out[:0]
-	for i, pu := range sc.neighbors {
-		probes += len(pu.Bag)
-		for k, id := range pu.Bag {
-			if !pu.Row[k] || id == v.ID || id == nbs[i].ID {
+	for _, nb := range nbs {
+		_, bag, row := rd.entry(nb.Slot)
+		probes += len(bag)
+		for k, id := range bag {
+			if !rowBit(row, k) || id == v.ID || id == nb.ID {
 				continue
 			}
 			j, found := slices.BinarySearchFunc(sc.order, id, func(x int32, id graph.ID) int { return cmp.Compare(nbs[x].ID, id) })

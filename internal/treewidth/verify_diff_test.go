@@ -36,6 +36,30 @@ func hubPath(t testing.TB, l int) *graph.Graph {
 	return g
 }
 
+// cliquePendants returns a k-clique on vertices 0..k-1 with a path of l
+// further vertices hanging off each clique vertex: treewidth k-1, one
+// bag of k entries.
+func cliquePendants(t testing.TB, k, l int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(k + k*l)
+	for u := 0; u < k; u++ {
+		for w := u + 1; w < k; w++ {
+			b.MustAddEdge(u, w)
+		}
+		prev := u
+		for i := 0; i < l; i++ {
+			next := k + u*l + i
+			b.MustAddEdge(prev, next)
+			prev = next
+		}
+	}
+	g, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // withWitness re-encodes every certificate of a proof whose property has
 // no set variables under m set variables, each vertex drawing a random
 // witness word, sealed for its owner.
@@ -82,23 +106,30 @@ func resealedFlip(g *graph.Graph, a cert.Assignment, rng *rand.Rand) cert.Assign
 // identifier), decoded from the certificates, and with their neighbours
 // shuffled, as a hand-built view may be. The properties span one to
 // three variables and zero to two sets; the graphs are partial k-trees,
-// a star and a hub joined to a path.
+// a star, a hub joined to a path, and two whose honest bags are longer
+// than a round record holds inline (recordBag), so their records spill:
+// a (recordBag+2)-clique with pendant paths and a partial
+// (recordBag+1)-tree.
 func TestVerifyMatchesReference(t *testing.T) {
 	type graphCase struct {
 		name string
 		g    *graph.Graph
 		t    int
+		k    int     // the k-tree width of kt
 		kt   [][]int // k-tree attachments, when the witness decomposition is known
 	}
 	var graphs []graphCase
 	for seed := int64(1); seed <= 3; seed++ {
 		k := 2 + int(seed/3)
 		g, attach := graphgen.PartialKTree(50+5*int(seed), k, 0.8, rand.New(rand.NewSource(seed)))
-		graphs = append(graphs, graphCase{fmt.Sprintf("partial-%d-tree/%d", k, seed), g, k, attach})
+		graphs = append(graphs, graphCase{fmt.Sprintf("partial-%d-tree/%d", k, seed), g, k, k, attach})
 	}
+	wide, attach := graphgen.PartialKTree(24, recordBag+1, 0.8, rand.New(rand.NewSource(4)))
 	graphs = append(graphs,
 		graphCase{name: "star", g: graphgen.Star(60), t: 1},
 		graphCase{name: "hub-path", g: hubPath(t, 45), t: 2},
+		graphCase{name: "clique-pendants", g: cliquePendants(t, recordBag+2, 2), t: recordBag + 1},
+		graphCase{name: "partial-wide-tree", g: wide, t: recordBag + 2, k: recordBag + 1, kt: attach},
 	)
 	var props []Property
 	for _, name := range []string{"tw-bound", "2-colorable", "3-colorable"} {
@@ -117,7 +148,7 @@ func TestVerifyMatchesReference(t *testing.T) {
 	for _, gc := range graphs {
 		var decomps DecompSource
 		if gc.kt != nil {
-			d, err := FromKTree(gc.g.N(), gc.t, gc.kt)
+			d, err := FromKTree(gc.g.N(), gc.k, gc.kt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,6 +157,16 @@ func TestVerifyMatchesReference(t *testing.T) {
 		base, err := (&MSOScheme{T: gc.t, Decomps: decomps}).Prove(gc.g)
 		if err != nil {
 			t.Fatalf("%s: tw-bound proof: %v", gc.name, err)
+		}
+		if gc.t >= recordBag {
+			longest := 0
+			for v, c := range base {
+				p, _ := DecodePayload(c, gc.g.IDOf(v), 0)
+				longest = max(longest, len(p.Bag))
+			}
+			if longest <= recordBag {
+				t.Fatalf("%s: longest honest bag has %d entries, want more than recordBag = %d", gc.name, longest, recordBag)
+			}
 		}
 		for pi, prop := range props {
 			s := &MSOScheme{T: gc.t, Prop: prop, Decomps: decomps}
@@ -150,11 +191,11 @@ func TestVerifyMatchesReference(t *testing.T) {
 			}
 			for ri, a := range rounds {
 				n := gc.g.N()
-				table := make([]any, n)
-				s.ParseRange(gc.g, a, 0, n, table)
+				round := s.NewRound(n)
+				s.ParseRange(gc.g, a, 0, n, round)
 				for v := 0; v < n; v++ {
 					want := verifyReference(s, cert.ViewOf(gc.g, a, v))
-					parsed := cert.AssembleView(gc.g, a, table, v, nil)
+					parsed := cert.AssembleView(gc.g, a, round, v, nil)
 					shuffled := cert.ViewOf(gc.g, a, v)
 					rng.Shuffle(len(shuffled.Neighbors), func(i, j int) {
 						shuffled.Neighbors[i], shuffled.Neighbors[j] = shuffled.Neighbors[j], shuffled.Neighbors[i]
