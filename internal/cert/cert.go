@@ -250,7 +250,9 @@ func RunSequentialCtx(ctx context.Context, g *graph.Graph, s Scheme, a Assignmen
 		}
 	}
 	res := Result{Accepted: true}
-	var buf []NeighborView
+	// One view buffer for the whole round, sized for the largest
+	// neighbourhood so that no view grows it.
+	buf := make([]NeighborView, 0, g.MaxDegree())
 	for v := 0; v < g.N(); v++ {
 		if err := cp.Check(); err != nil {
 			return Result{}, err

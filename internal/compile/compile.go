@@ -140,19 +140,32 @@ func AliasFormula(kind, name string) (logic.Formula, bool) {
 	return nil, false
 }
 
+// aliasKey names one enum value of one scheme kind.
+type aliasKey struct{ kind, name string }
+
+// aliasCacheKeys maps every tree-mso and tw-mso enum value to the
+// canonical form of its alias sentence. The sentences are constants, so
+// the map is built once, at package initialisation, and the engine's
+// lookup on every compile-cache request neither lists the aliases nor
+// canonicalises a sentence.
+var aliasCacheKeys = func() map[aliasKey]string {
+	keys := map[aliasKey]string{}
+	for _, kind := range []string{"tree-mso", "tw-mso"} {
+		for _, a := range Aliases(kind) {
+			keys[aliasKey{kind, a.Name}] = logic.CanonicalString(a.Formula)
+		}
+	}
+	return keys
+}()
+
 // PropertyCacheKey returns the canonical sentence an enum value compiles
 // through, for scheme kinds whose enum path is the formula path (tree-mso,
 // tw-mso). The engine uses it to give an enum request and an equivalent
 // formula request the same compile-cache key. Universal enum names keep
 // native predicates distinct from the formula path and report false.
 func PropertyCacheKey(kind, name string) (string, bool) {
-	switch kind {
-	case "tree-mso", "tw-mso":
-		if f, ok := AliasFormula(kind, name); ok {
-			return logic.CanonicalString(f), true
-		}
-	}
-	return "", false
+	key, ok := aliasCacheKeys[aliasKey{kind, name}]
+	return key, ok
 }
 
 // Tree lowers a sentence to a Theorem 2.2 certification scheme on trees:

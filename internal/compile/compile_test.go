@@ -237,6 +237,35 @@ func TestPropertyCacheKeyUnifiesEnumAndFormula(t *testing.T) {
 	}
 }
 
+// TestPropertyCacheKeyPerAlias: the key of every tree-mso and tw-mso
+// enum value, computed once at package initialisation, is the canonical
+// form of its alias sentence.
+func TestPropertyCacheKeyPerAlias(t *testing.T) {
+	for _, kind := range []string{"tree-mso", "tw-mso"} {
+		names := AliasNames(kind)
+		if len(names) == 0 {
+			t.Fatalf("%s: no aliases", kind)
+		}
+		for _, name := range names {
+			f, _ := AliasFormula(kind, name)
+			key, ok := PropertyCacheKey(kind, name)
+			if want := logic.CanonicalString(f); !ok || key != want {
+				t.Errorf("%s %s: key %q (ok=%v), want %q", kind, name, key, ok, want)
+			}
+		}
+	}
+}
+
+// TestPropertyCacheKeyAllocationFree: the engine looks a key up on every
+// enum compile-cache request, so a lookup must allocate nothing.
+func TestPropertyCacheKeyAllocationFree(t *testing.T) {
+	for _, c := range [][2]string{{"tw-mso", "3-colorable"}, {"tree-mso", "perfect-matching"}, {"universal", "connected"}} {
+		if allocs := testing.AllocsPerRun(100, func() { PropertyCacheKey(c[0], c[1]) }); allocs != 0 {
+			t.Errorf("%s %s: %v allocations per lookup, want 0", c[0], c[1], allocs)
+		}
+	}
+}
+
 // TestUniversalFormulaRefusesExplosiveEvaluation pins the model-checking
 // cost cap: a tiny hostile sentence with a deep set-quantifier prefix
 // must error out immediately instead of evaluating 2^(s*n) subsets.

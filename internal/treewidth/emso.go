@@ -2,6 +2,7 @@ package treewidth
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -44,6 +45,23 @@ const (
 	MaxEMSOVars = 3
 )
 
+// cliqueTableWords is the length of one clique-table row: 2^(m·k) bits
+// for a clique of k points, at most 2⁹ = 512.
+const cliqueTableWords = (1 << (MaxEMSOVars * MaxEMSOSetVars)) / 64
+
+// cliqueTable is the matrix tabled on cliques. Row k−1 holds one bit per
+// combination of k points' m-bit membership words (point i's word at
+// bits m·i): whether the matrix holds on every r-tuple that uses all k of
+// k distinct, pairwise adjacent points. Inside a clique two distinct
+// points are adjacent and equality is by point, so the bit is the
+// matrix's whole verdict on the clique.
+type cliqueTable [MaxEMSOVars][cliqueTableWords]uint64
+
+// holds reads the bit of a k-point clique whose words are packed in w.
+func (t *cliqueTable) holds(k int, w uint64) bool {
+	return t[k-1][w>>6]>>(w&63)&1 == 1
+}
+
 // EMSO is a compiled sentence of the fragment; build one with CompileEMSO.
 type EMSO struct {
 	// Source is the original sentence.
@@ -62,6 +80,10 @@ type EMSO struct {
 	// graph does: checkCliqueLocal visits every such world and tuple.
 	// The clique-tuple check then has nothing to look for.
 	valid bool
+	// cliques is the matrix tabled once per clique size and word
+	// combination (tableCliques): Verify, the DP's transition tables and
+	// its witness re-check read one bit per clique from it.
+	cliques cliqueTable
 
 	// The intro memo caches the introduce-node transition tables of the
 	// table-driven solver, keyed by bag configuration (size, introduced
@@ -144,7 +166,40 @@ func CompileEMSO(f logic.Formula) (*EMSO, error) {
 	if err := phi.checkCliqueLocal(); err != nil {
 		return nil, err
 	}
+	phi.tableCliques()
 	return phi, nil
+}
+
+// tableCliques fills phi.cliques: for every clique size k ≤ r and every
+// combination of the k points' words, it evaluates the matrix on each
+// r-tuple over points 0..k−1 that uses all k, distinct points adjacent.
+func (phi *EMSO) tableCliques() {
+	r, m := len(phi.Vars), len(phi.Sets)
+	adj := func(a, b int) bool { return a != b }
+	var tuple [MaxEMSOVars]int
+	for k := 1; k <= r; k++ {
+		tuples := 1
+		for i := 0; i < r; i++ {
+			tuples *= k
+		}
+		for w := 0; w < 1<<(m*k); w++ {
+			member := func(set, p int) bool { return w>>(m*p+set)&1 == 1 }
+			holds := true
+			for enc := 0; enc < tuples && holds; enc++ {
+				used := 0
+				for i, e := 0, enc; i < r; i, e = i+1, e/k {
+					tuple[i] = e % k
+					used |= 1 << tuple[i]
+				}
+				if used == 1<<k-1 {
+					holds = phi.EvalTuple(tuple[:r], adj, member)
+				}
+			}
+			if holds {
+				phi.cliques[k-1][w>>6] |= 1 << (w & 63)
+			}
+		}
+	}
 }
 
 // MustCompileEMSO is CompileEMSO for the static property library.
@@ -330,19 +385,17 @@ func lowerMatrix(f logic.Formula, varIdx map[logic.Var]int, setIdx map[logic.Set
 
 // EvalTuple evaluates the matrix with the i-th variable bound to the
 // abstract point tuple[i]; adjacency and set membership are supplied by
-// oracles over points. The verifier's tuple checks (certificate-evidenced
-// adjacency), the DP's transition tables and the prover's witness
-// re-check (real graph adjacency) all evaluate through this single entry
-// point, so they can never drift apart.
+// oracles over points. It is the one evaluator at compile time: the
+// clique-locality check runs it on every small world and tableCliques on
+// every clique, so Verify, the DP's transition tables and its witness
+// re-check, which read that table, judge a clique exactly as it does.
 func (phi *EMSO) EvalTuple(tuple []int, adj func(a, b int) bool, member func(set, point int) bool) bool {
 	ev := matrixEval{nodes: phi.matrix, tuple: tuple, adj: adj, member: member}
 	return ev.eval(0)
 }
 
 // matrixEval walks the compiled matrix without allocating: a method on a
-// stack-held struct instead of a recursive closure, which keeps EvalTuple
-// cheap enough for the verifier's per-tuple checks and the DP's witness
-// guard.
+// stack-held struct instead of a recursive closure.
 type matrixEval struct {
 	nodes  []matrixNode
 	tuple  []int
@@ -395,12 +448,13 @@ func forgetWord(s uint64, pos, m int) uint64 {
 // property check, the EMSO DP's witness re-check and the DP's transition
 // tables all draw their cliques from it. It runs over points 0..n-1
 // shaped like a radius-1 view: point 0, the centre, is adjacent to every
-// other point, and every edge among points 1..n-1 is listed in the
-// out-list of at least one of its endpoints. Verify's centre is the
-// verifying vertex and a neighbour's out-list holds the neighbours its
-// self-verified row marks adjacent, at most T+1 of them; the DP's centre
-// is an introduce node's vertex, the other points its neighbours in the
-// bag (centredWalk lays them out).
+// other point, and two other points are adjacent exactly when one lists
+// the other in its out-list. Verify's centre is the verifying vertex and
+// a neighbour's out-list holds the neighbours its self-verified row marks
+// adjacent, at most T+1 of them; the DP's centre is an introduce node's
+// vertex, the other points its neighbours in the bag (centredWalk lays
+// them out). A clique is judged by one read of the sentence's clique
+// table at its points' membership words.
 type cliqueTuples struct {
 	phi *EMSO
 	n   int
@@ -410,18 +464,14 @@ type cliqueTuples struct {
 	// third points only at three), and the centre's is implicit.
 	start []int32
 	out   []int32
-	// adj and member are the adjacency and membership oracles over
-	// points that EvalTuple reads; adj must be symmetric and agree with
-	// the out-lists.
-	adj    func(a, b int) bool
-	member func(set, point int) bool
+	// words holds each point's m-bit membership word; nil when the
+	// sentence has no set variable, whose words are all 0.
+	words []uint64
 	// centred restricts the check to tuples containing the centre.
 	centred bool
 	// probes counts the adjacency questions the enumeration asks:
-	// out-list entries drawn and adj calls made to close a triangle.
+	// out-list entries drawn and out-list scans made to close a triangle.
 	probes int
-	pts    [MaxEMSOVars]int
-	tuple  [MaxEMSOVars]int
 }
 
 // allTuplesOK reports whether the matrix holds on every tuple whose
@@ -474,7 +524,7 @@ func (ct *cliqueTuples) eachClique(visit func(k, p0, p1, p2 int) bool) bool {
 					}
 					if a > 0 {
 						ct.probes++
-						if !ct.adj(a, int(c)) {
+						if !ct.linked(a, int(c)) {
 							continue
 						}
 					}
@@ -491,25 +541,24 @@ func (ct *cliqueTuples) eachClique(visit func(k, p0, p1, p2 int) bool) bool {
 	return true
 }
 
-// clique evaluates the matrix on every r-tuple whose distinct points are
-// exactly the k given ones.
-func (ct *cliqueTuples) clique(k, p0, p1, p2 int) bool {
-	ct.pts = [MaxEMSOVars]int{p0, p1, p2}
-	return ct.fill(0, k, 0)
+// linked reports whether points a and b, neither the centre, are
+// adjacent: whether either lists the other.
+func (ct *cliqueTuples) linked(a, b int) bool {
+	return slices.Contains(ct.out[ct.start[a]:ct.start[a+1]], int32(b)) ||
+		slices.Contains(ct.out[ct.start[b]:ct.start[b+1]], int32(a))
 }
 
-// fill assigns tuple positions i.. from the clique's k points; used marks
-// the points placed so far, and only tuples using all k are evaluated.
-func (ct *cliqueTuples) fill(i, k int, used uint) bool {
-	r := len(ct.phi.Vars)
-	if i == r {
-		return used != 1<<k-1 || ct.phi.EvalTuple(ct.tuple[:r], ct.adj, ct.member)
-	}
-	for j := 0; j < k; j++ {
-		ct.tuple[i] = ct.pts[j]
-		if !ct.fill(i+1, k, used|1<<j) {
-			return false
+// clique reports whether the matrix holds on every r-tuple whose distinct
+// points are exactly the k given ones: the clique table's bit at their
+// words, point i's at bits m·i.
+func (ct *cliqueTuples) clique(k, p0, p1, p2 int) bool {
+	var w uint64
+	if ct.words != nil {
+		m := len(ct.phi.Sets)
+		pts := [MaxEMSOVars]int{p0, p1, p2}
+		for i, p := range pts[:k] {
+			w |= ct.words[p] << uint(m*i)
 		}
 	}
-	return true
+	return ct.phi.cliques.holds(k, w)
 }

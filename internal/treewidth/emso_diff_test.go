@@ -164,7 +164,7 @@ func TestIntroTablesMatchReference(t *testing.T) {
 					tb := sv.tablesFor(bag32, pos)
 					for s := uint64(0); s < 1<<uint(m*k); s++ {
 						want := introduceOK(g, phi, bag, pos, s)
-						if got := tb.admits(s, m); got != want {
+						if got := tb.admitted(forgetWord(s, pos, m), m)>>wordAt(s, pos, m)&1 == 1; got != want {
 							t.Fatalf("%s: bag size %d, edges %v, position %d, state %#x: tables %v, reference %v",
 								f, k, g.Edges(), pos, s, got, want)
 						}

@@ -35,15 +35,19 @@ var errUnknownNodeKind = errors.New("treewidth: unknown nice-decomposition node 
 //     through one int32 slot per node: a table list, presized from the
 //     forget-node count, holds every forget table and the few others
 //     still waiting for their parent;
-//   - the matrix is evaluated once per (bag configuration, word
-//     combination) instead of once per (state, word) pair: each introduce
-//     node's admissible-word transition table depends only on the bag
-//     size, the introduced position and the adjacency pattern among the
-//     bag vertices, so tables are memoized on the compiled sentence and
-//     shared across nodes, decompositions and solver runs; a table's
-//     cliques come from the clique-tuple walk (cliqueTuples) that Verify
-//     and the witness re-check use. A valid matrix admits every state, so
-//     it builds no table and skips the witness re-check, for the callers
+//   - the matrix is not evaluated at all: it was tabled once per clique
+//     size and word combination when the sentence compiled (the clique
+//     table, EMSO.cliques), and each introduce node's transition table
+//     is the list of its cliques through the introduced position, so a
+//     child state costs one table read per clique, which answers for
+//     all 2^m words the introduced vertex may take. That list
+//     depends only on the bag size, the introduced position and the
+//     adjacency pattern among the bag vertices, so it is memoized on the
+//     compiled sentence and shared across nodes, decompositions and
+//     solver runs; its cliques come from the clique-tuple walk
+//     (cliqueTuples) that Verify and the witness re-check use, and both
+//     read the same table. A valid matrix admits every state, so it
+//     builds no table and skips the witness re-check, for the callers
 //     that still run the DP on one;
 //   - the traceback stores one predecessor word per forget-node state
 //     during the bottom-up pass instead of re-probing child tables, so
@@ -76,71 +80,66 @@ func (e *TracebackError) Error() string {
 // the smallest forgotten word first — the reference traceback's choice.
 const emsoWordShift = MaxEMSOSetVars
 
-// introGroup is one clique of an introduce node's configuration: the bag
-// positions of its points, the introduced one first, and the table of
-// their word combinations (m bits per point, in pos order) under which
-// every var-tuple over exactly these points satisfies the matrix.
+// introGroup is one clique of an introduce node's configuration through
+// the introduced position: the positions of its other k−1 points in the
+// child bag (the bag without the introduced vertex).
 type introGroup struct {
-	pos []int
-	ok  []uint64
+	k   int
+	pos [MaxEMSOVars - 1]int
 }
 
 // introTables is the full transition table of one introduce-node
-// configuration. A state admits the introduced word iff every group
-// admits the state's word combination; tuples outside the groups are
-// either clique tuples not involving the introduced position (checked at
-// their own introduce nodes) or non-clique tuples (vacuously true by the
-// compile-time clique-locality check).
+// configuration: its cliques through the introduced position, read
+// against the sentence's clique table. A child state admits an
+// introduced word iff the table holds at every group's word combination;
+// tuples outside the groups are either clique tuples not involving the
+// introduced position (checked at their own introduce nodes) or
+// non-clique tuples (vacuously true by the compile-time clique-locality
+// check).
 type introTables struct {
-	groups []introGroup
+	cliques *cliqueTable
+	groups  []introGroup
 }
 
-// admits reports whether the packed bag state s passes every group table.
-func (tb *introTables) admits(s uint64, m int) bool {
+// admitted returns the introduced words child state cs admits, bit w for
+// word w. A group's combination holds the introduced word at bits
+// 0..m−1 and its other points' words, read from cs, above them, so the
+// table bits of all 2^m introduced words are consecutive in one table
+// word (2^m divides 64): one shift per group.
+func (tb *introTables) admitted(cs uint64, m int) uint64 {
+	ok := uint64(1)<<(1<<m) - 1
 	for gi := range tb.groups {
 		g := &tb.groups[gi]
-		idx := 0
-		for k, p := range g.pos {
-			idx |= int(wordAt(s, p, m)) << uint(m*k)
+		var w uint64
+		for i, p := range g.pos[:g.k-1] {
+			w |= wordAt(cs, p, m) << uint(m*(i+1))
 		}
-		if g.ok[idx>>6]>>(uint(idx)&63)&1 == 0 {
-			return false
-		}
+		ok &= tb.cliques[g.k-1][w>>6] >> (w & 63)
 	}
-	return true
+	return ok
 }
 
-// buildIntroTables evaluates the matrix once per (clique, word
-// combination) of the configuration: n bag positions, introduced position
-// pos, adjacency among positions given by adj. Its cliques are the ones
-// the witness re-check walks around pos, every clique through pos once,
-// and each clique's table answers "do all var-tuples over exactly these
-// points satisfy the matrix under these memberships" with one bit probe.
-// A valid matrix has no tuple to fail and gets no groups.
+// buildIntroTables collects the cliques of a configuration: n bag
+// positions, introduced position pos, adjacency among positions given by
+// adj. They are the ones the witness re-check walks around pos, every
+// clique through pos once, each kept as its other points' child-bag
+// positions; the matrix is not evaluated here, admitted reads the
+// sentence's clique table. A valid matrix has no tuple to fail and gets
+// no groups.
 func buildIntroTables(phi *EMSO, n, pos int, adj func(i, j int) bool) *introTables {
-	tb := &introTables{}
+	tb := &introTables{cliques: &phi.cliques}
 	if phi.valid {
 		return tb
 	}
 	var w centredWalk
 	ct := w.layout(phi, n, pos, adj)
-	pts := w.pts
-	m := len(phi.Sets)
-	var clq [MaxEMSOVars]int // the clique being tabled: its first k points
-	k, combo := 0, 0
-	ct.adj = func(a, b int) bool { return a != b && (a == 0 || b == 0 || adj(pts[a], pts[b])) }
-	ct.member = func(set, p int) bool {
-		return combo>>uint(m*slices.Index(clq[:k], p)+set)&1 == 1
-	}
-	ct.eachClique(func(kk, p0, p1, p2 int) bool {
-		k, clq = kk, [MaxEMSOVars]int{p0, p1, p2}
-		g := introGroup{pos: make([]int, k), ok: make([]uint64, (1<<uint(m*k)+63)/64)}
-		for i := range g.pos {
-			g.pos[i] = pts[clq[i]]
-		}
-		for combo = 0; combo < 1<<uint(m*k); combo++ {
-			if ct.clique(k, p0, p1, p2) {
-				g.ok[combo>>6] |= 1 << uint(combo&63)
+	ct.eachClique(func(k, _, p1, p2 int) bool {
+		g := introGroup{k: k}
+		others := [MaxEMSOVars - 1]int{p1, p2}
+		for i, p := range others[:k-1] {
+			g.pos[i] = w.pts[p]
+			if g.pos[i] > pos {
+				g.pos[i]-- // the child bag lacks the introduced position
 			}
 		}
 		tb.groups = append(tb.groups, g)
@@ -287,16 +286,17 @@ func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([
 		out[v] = uint8(w)
 	}
 	// The DP guarantees the checks below; assert them, so that a bug in the
-	// table packing (the group positions and combination bits admits
-	// reads), the memo (a key that misses a pair the table reads), the
-	// bottom-up pass or the traceback cannot leak a bogus witness. The
-	// cliques come from the walk the tables were built from, but the
-	// matrix is evaluated on the witness words themselves. Checking the
-	// introduce nodes alone covers every constrained tuple: a violating
-	// tuple is a clique (clique-locality), every clique is contained in
-	// some nice bag, and the bottom-most such bag is an introduce node
-	// whose introduced vertex belongs to the clique (its child bag is one
-	// vertex short). A valid matrix constrains no tuple.
+	// state packing (the group positions and word bits admitted reads), the
+	// memo (a key that misses a pair the table reads), the bottom-up pass
+	// or the traceback cannot leak a bogus witness. The cliques come from
+	// the walk the tables were built from, over the graph's own
+	// adjacency, and the clique table is read at the witness words
+	// themselves. Checking the introduce nodes alone covers every
+	// constrained tuple: a violating tuple is a clique (clique-locality),
+	// every clique is contained in some nice bag, and the bottom-most
+	// such bag is an introduce node whose introduced vertex belongs to
+	// the clique (its child bag is one vertex short). A valid matrix
+	// constrains no tuple.
 	if phi.valid {
 		return out, true, nil
 	}
@@ -320,12 +320,13 @@ func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([
 type centredWalk struct {
 	pts        []int // the bag position of each point
 	start, out []int32
+	words      []uint64 // the witness re-check's word of each point
 }
 
 // layout lays the walk out around position pos of an n-position bag
 // whose adjacency adj reports, reading only pairs through pos for two
 // variables and no pair for one, and returns the centred clique-tuple
-// check over it, still without its oracles.
+// check over it, still without its points' words.
 func (w *centredWalk) layout(phi *EMSO, n, pos int, adj func(i, j int) bool) cliqueTuples {
 	r := len(phi.Vars)
 	w.pts = append(w.pts[:0], pos)
@@ -359,11 +360,13 @@ func (w *centredWalk) witnessOK(g *graph.Graph, phi *EMSO, bag []int32, pos int,
 		return true
 	}
 	ct := w.layout(phi, len(bag), pos, func(i, j int) bool { return g.HasEdge(int(bag[i]), int(bag[j])) })
-	pts := w.pts
-	ct.adj = func(a, b int) bool {
-		return a != b && (a == 0 || b == 0 || g.HasEdge(int(bag[pts[a]]), int(bag[pts[b]])))
+	if phi.NumSets() > 0 {
+		w.words = w.words[:0]
+		for _, p := range w.pts {
+			w.words = append(w.words, uint64(words[bag[p]]))
+		}
+		ct.words = w.words
 	}
-	ct.member = func(set, p int) bool { return words[bag[pts[p]]]>>uint(set)&1 == 1 }
 	return ct.allTuplesOK()
 }
 
@@ -492,13 +495,12 @@ func (sv *emsoSolver) up() (bool, error) {
 			if !sv.phi.valid {
 				admit = sv.tablesFor(sv.nice.Bag(t), pos)
 			}
-			nw := uint64(1) << uint(m)
 			out := sc.getStates()
 			for _, cs := range sc.tables[sc.slot[c]].states {
-				for w := uint64(0); w < nw; w++ {
-					s := expandWord(cs, pos, m, w)
-					if admit.admits(s, m) {
-						out = append(out, s)
+				ok := admit.admitted(cs, m)
+				for w := uint64(0); ok != 0; w, ok = w+1, ok>>1 {
+					if ok&1 == 1 {
+						out = append(out, expandWord(cs, pos, m, w))
 					}
 				}
 			}

@@ -43,23 +43,26 @@ func TestCompileEMSOFragment(t *testing.T) {
 	}
 }
 
+// astSentences are the sentences the EMSO tests compile plus label
+// atoms; TestCompiledMatrixMatchesAST and TestCliqueTableMatchesAST hold
+// the compiled forms of each to the reference AST walker.
+var astSentences = []logic.Formula{
+	logic.TrueSentence(),
+	logic.TwoColorable(),
+	logic.ThreeColorable(),
+	logic.TriangleFree(),
+	logic.MustParse("forall x. forall y. !(x ~ y)"),
+	logic.MustParse("existsset S. forall x. x in S | !(x in S)"),
+	logic.MustParse("existsset S. forall x. forall y. x ~ y -> !(x in S & y in S)"),
+	logic.MustParse("existsset S. forall x. label(x, 0) & (label(x, 1) -> x in S)"),
+}
+
 // TestCompiledMatrixMatchesAST holds EvalTuple's compiled matrix to the
-// reference AST walker, on the sentences the EMSO tests compile plus
-// label atoms: every world of at most 3 points, every membership
-// assignment and every variable tuple.
+// reference AST walker, on astSentences: every world of at most 3
+// points, every membership assignment and every variable tuple.
 func TestCompiledMatrixMatchesAST(t *testing.T) {
-	sentences := []logic.Formula{
-		logic.TrueSentence(),
-		logic.TwoColorable(),
-		logic.ThreeColorable(),
-		logic.TriangleFree(),
-		logic.MustParse("forall x. forall y. !(x ~ y)"),
-		logic.MustParse("existsset S. forall x. x in S | !(x in S)"),
-		logic.MustParse("existsset S. forall x. forall y. x ~ y -> !(x in S & y in S)"),
-		logic.MustParse("existsset S. forall x. label(x, 0) & (label(x, 1) -> x in S)"),
-	}
 	checked := 0
-	for _, f := range sentences {
+	for _, f := range astSentences {
 		phi := MustCompileEMSO(f)
 		r, m := len(phi.Vars), len(phi.Sets)
 		for p := 1; p <= 3; p++ {
@@ -100,6 +103,100 @@ func TestCompiledMatrixMatchesAST(t *testing.T) {
 	if checked < 1000 {
 		t.Fatalf("only %d evaluations compared", checked)
 	}
+}
+
+// subCliqueOnly constrains only tuples that repeat a point: its 2-clique
+// bit is 1 under every pair of words, while a tuple (x, x) fails when x
+// is outside S.
+const subCliqueOnly = "existsset S. forall x. forall y. x = y -> x in S"
+
+// checkCliqueTable holds phi's clique table to the reference AST walker:
+// for every clique size k ≤ r and every combination of the k points'
+// words, the table bit must be the AND of evalTupleReference over every
+// r-tuple that uses all k points of a k-clique (distinct points
+// adjacent). It returns the number of bits compared.
+func checkCliqueTable(t testing.TB, phi *EMSO) int {
+	t.Helper()
+	r, m := len(phi.Vars), len(phi.Sets)
+	adj := func(a, b int) bool { return a != b }
+	tuple := make([]int, r)
+	checked := 0
+	for k := 1; k <= r; k++ {
+		for w := 0; w < 1<<(m*k); w++ {
+			member := func(set, p int) bool { return w>>(m*p+set)&1 == 1 }
+			want := true
+			var walk func(i int, used uint)
+			walk = func(i int, used uint) {
+				if i == r {
+					if used == 1<<k-1 && !evalTupleReference(phi, tuple, adj, member) {
+						want = false
+					}
+					return
+				}
+				for p := 0; p < k; p++ {
+					tuple[i] = p
+					walk(i+1, used|1<<p)
+				}
+			}
+			walk(0, 0)
+			if got := phi.cliques.holds(k, uint64(w)); got != want {
+				t.Fatalf("%s: %d-clique, words %#x: table %v, AST %v", phi, k, w, got, want)
+			}
+			checked++
+		}
+	}
+	return checked
+}
+
+// TestCliqueTableMatchesAST holds every sentence's clique table, which
+// Verify, the DP's transition tables and its witness re-check read, to
+// the reference AST walker: astSentences, the validFlagCases, the
+// one-set three-variable sentence "every triangle meets S" and
+// subCliqueOnly. On the others a tuple that repeats a point never fails
+// where the clique's other tuples hold, so they cannot tell whether the
+// table keeps to the tuples that use all k points.
+func TestCliqueTableMatchesAST(t *testing.T) {
+	sentences := append([]logic.Formula(nil), astSentences...)
+	for _, c := range validFlagCases {
+		sentences = append(sentences, logic.MustParse(c.src))
+	}
+	sentences = append(sentences, logic.MustParse(hitTriangles), logic.MustParse(subCliqueOnly))
+	checked := 0
+	for _, f := range sentences {
+		checked += checkCliqueTable(t, MustCompileEMSO(f))
+	}
+	if checked < 100 {
+		t.Fatalf("only %d table bits compared", checked)
+	}
+}
+
+// FuzzCliqueTable compiles arbitrary formula text and, when it is a
+// sentence of the fragment, holds its clique table to the reference AST
+// walker on every clique of at most 3 points. The seeds are the property
+// library's sentences and the sentences the tests above compile.
+func FuzzCliqueTable(f *testing.F) {
+	for _, p := range propertyLibrary {
+		f.Add(p.Phi.Source.String())
+	}
+	for _, s := range astSentences {
+		f.Add(s.String())
+	}
+	for _, c := range validFlagCases {
+		f.Add(c.src)
+	}
+	f.Add(hitTriangles)
+	f.Add(subCliqueOnly)
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := logic.Parse(src)
+		if err != nil {
+			return
+		}
+		phi, err := CompileEMSO(g)
+		if err != nil {
+			return
+		}
+		checkCliqueTable(t, phi)
+	})
 }
 
 // TestSolveEMSOAgreesWithColorDP cross-checks the generalized DP against

@@ -95,20 +95,22 @@ func PropertyFromFormula(f logic.Formula) (Property, error) {
 //   - adjacency rows: each vertex checks its own row against its actual
 //     neighbourhood (it sees exactly its neighbours' identifiers), so an
 //     accepted run's rows are ground truth for everyone who reads them;
-//   - property: the verifier re-evaluates the compiled matrix on every
-//     variable tuple drawn from the vertex and its neighbours. The
-//     fragment's clique-locality means a violating tuple is always a
-//     clique; its members are then mutual neighbours, the trace-root rule
-//     pins each pair's adjacency inside some home bag, and the
-//     self-verified rows expose it — so some member of the violating
-//     clique evaluates the matrix on genuine adjacency values and rejects.
-//     The tuples come from the clique-tuple walk the DP's transition
-//     tables and witness re-check share (cliqueTuples): the view's
-//     evidence adjacency is built once from the neighbours' rows, at most
-//     T+1 entries each, and every next tuple point is drawn from it, so a
-//     vertex of degree d costs O((d+1)·(T+1)^(r−1)) adjacency probes for
-//     r variables. A valid matrix, such as tw-bound's x = x, has no tuple
-//     to find, and the check returns at once.
+//   - property: the verifier checks the compiled matrix on every
+//     variable tuple drawn from the vertex and its neighbours whose
+//     points are pairwise equal or adjacent. The fragment's
+//     clique-locality means a violating tuple is always a clique; its
+//     members are then mutual neighbours, the trace-root rule pins each
+//     pair's adjacency inside some home bag, and the self-verified rows
+//     expose it — so some member of the violating clique sees it with
+//     its genuine adjacency and rejects. The cliques come from the
+//     clique-tuple walk the DP's transition tables and witness re-check
+//     share (cliqueTuples): the view's evidence adjacency is built once
+//     from the neighbours' rows, at most T+1 entries each, and every next
+//     clique point is drawn from it, so a vertex of degree d costs
+//     O((d+1)·(T+1)^(r−1)) adjacency probes for r variables. Each clique
+//     is judged by one read of the sentence's clique table at its points'
+//     witness words. A valid matrix, such as tw-bound's x = x, has no
+//     tuple to find, and the check returns at once.
 //
 // Certificates are O(t log n) bits — bag id, up to t+1 identifiers, t+1
 // row bits and m witness bits — plus a 16-bit guard binding certs to their
@@ -749,18 +751,18 @@ func check(phi *EMSO, rd *parseRound, v *cert.View, sc *verifyScratch) bool {
 	return ok
 }
 
-// tuplesOK is Verify's property check: the matrix re-evaluated on every
+// tuplesOK is Verify's property check: the matrix judged on every
 // clique tuple over {v} ∪ N(v), through the shared clique-tuple check.
 // Point 0 is v itself, the centre, adjacent to every other point; point
 // i+1 is its i-th neighbour. Adjacency between two neighbours is read off
 // their self-verified rows through the trace-root rule: the deeper-homed
 // endpoint of any real edge carries the other in its bag, so an accepted
 // run exposes every real edge among the candidates and claims no fake
-// ones it would need. Rows are read from the view's records in rd, and
-// the points' witness words gathered from it once; sc holds both (nil
-// only for a sentence of one variable and no set, which reads neither).
-// The second result is the check's adjacency probes, bag entries read
-// included.
+// ones it would need. Rows are read from the view's records in rd into
+// out-lists, and the points' witness words gathered from it once; sc
+// holds both (nil only for a sentence of one variable and no set, which
+// reads neither). The second result is the check's adjacency probes, bag
+// entries read included.
 func tuplesOK(phi *EMSO, rd *parseRound, v *cert.View, sc *verifyScratch) (bool, int) {
 	nbs := v.Neighbors
 	ct := cliqueTuples{phi: phi, n: 1 + len(nbs)}
@@ -768,26 +770,13 @@ func tuplesOK(phi *EMSO, rd *parseRound, v *cert.View, sc *verifyScratch) (bool,
 		ct.probes = sc.evidence(rd, v)
 		ct.start, ct.out = sc.start, sc.out
 	}
-	var words []uint64
 	if phi.NumSets() > 0 {
-		words = append(sc.words[:0], rd.word(v.Slot))
+		words := append(sc.words[:0], rd.word(v.Slot))
 		for _, nb := range nbs {
 			words = append(words, rd.word(nb.Slot))
 		}
-		sc.words = words
+		sc.words, ct.words = words, words
 	}
-	start, out := ct.start, ct.out
-	has := func(a, b int) bool { return slices.Contains(out[start[a]:start[a+1]], int32(b)) }
-	ct.adj = func(a, b int) bool {
-		if a == b {
-			return false
-		}
-		if a == 0 || b == 0 {
-			return true // every candidate but v itself is a neighbour of v
-		}
-		return has(a, b) || has(b, a)
-	}
-	ct.member = func(set, p int) bool { return words[p]>>uint(set)&1 == 1 }
 	return ct.allTuplesOK(), ct.probes
 }
 
