@@ -53,9 +53,11 @@ test-race:
 # owners. FuzzCliqueTable compiles arbitrary formula text and holds each
 # compiled sentence's clique table, which the tw-mso verifier and the
 # EMSO DP read instead of evaluating the matrix, to the reference AST
-# walker on every clique of at most 3 points. Every ci run hammers each
-# for a few seconds on top of the committed regression corpora (which
-# plain `go test` replays).
+# walker on every clique of at most 3 points. FuzzSolveEMSO compiles
+# arbitrary formula text, decodes a graph on at most 8 vertices and holds
+# the EMSO DP's verdict and witness words to its reference solver. Every
+# ci run hammers each for a few seconds on top of the committed
+# regression corpora (which plain `go test` replays).
 fuzz-short:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=5s ./internal/logic
 	$(GO) test -run=FuzzDecodeGraphStream -fuzz=FuzzDecodeGraphStream -fuzztime=5s ./internal/wire
@@ -70,6 +72,7 @@ fuzz-short:
 	$(GO) test -run=FuzzReader -fuzz=FuzzReader -fuzztime=5s ./internal/bitio
 	$(GO) test -run=FuzzGuard -fuzz=FuzzGuard -fuzztime=5s ./internal/treewidth
 	$(GO) test -run=FuzzCliqueTable -fuzz=FuzzCliqueTable -fuzztime=5s ./internal/treewidth
+	$(GO) test -run=FuzzSolveEMSO -fuzz=FuzzSolveEMSO -fuzztime=5s ./internal/treewidth
 
 # bench-smoke compiles and runs every benchmark exactly once: benchmarks
 # are the perf PRs' acceptance instruments, so they must not bit-rot

@@ -27,9 +27,11 @@ var compileBuild = fault.NewPoint("engine.compile.build")
 // Cache memoizes compiled schemes by (kind, parameters). Concurrent
 // requests for the same key block on a single in-flight compilation
 // (singleflight), so a burst of identical requests compiles the type
-// automaton once and shares it — the compiled schemes in this module
-// guard their internal memo tables with mutexes, which is what makes the
-// sharing sound.
+// automaton once and shares it. The sharing is sound because every
+// compiled scheme in this module is safe for concurrent use: a tw-mso
+// scheme's compiled sentence is immutable once compiled, and the schemes
+// that grow memo tables as they prove (tree-fo's type compiler,
+// kernel-mso and the minor schemes built on it) guard them with a mutex.
 //
 // Schemes built from params carrying closures (witness providers, ad-hoc
 // predicates) are graph-specific; the cache compiles those fresh on every
@@ -94,10 +96,11 @@ func NewCacheObs(reg *registry.Registry, r *obs.Registry) *Cache {
 
 // maxCompileEntries bounds the compiled schemes the cache pins: keys are
 // client-controlled (every width bound t and every canonical formula is a
-// fresh one), and a tw-mso formula brings its own transition-table memo,
+// fresh one), and each entry pins its compiled sentence or automaton
+// (tree-fo's and kernel-mso's with the type tables they have memoized),
 // so without a cap a client iterating over them would grow the server's
-// memory monotonically. Eviction is arbitrary, like the decomp cache;
-// holders of an evicted scheme keep it, later requests recompile.
+// memory monotonically. Eviction is arbitrary, like the decomp cache; holders of
+// an evicted scheme keep it, later requests recompile.
 const maxCompileEntries = 256
 
 // maxCanonEntries bounds the formula canonicalization memo: raw spellings

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cert"
@@ -192,6 +193,46 @@ func BenchmarkEMSODP(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := ColorGraph(g, nice, 3); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkEMSODPParallel solves 64 partial 2-trees shaped like
+// batch-small's jobs (n = 32–128, keep 0.6) under 3-colorable from
+// GOMAXPROCS goroutines at once, all on one compiled sentence, as a
+// server's workers share a library sentence: it reads what concurrent
+// solves cost one another.
+func BenchmarkEMSODPParallel(b *testing.B) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(17))
+	type instance struct {
+		g    *graph.Graph
+		nice *Nice
+	}
+	insts := make([]instance, 64)
+	for i := range insts {
+		g, _ := graphgen.PartialKTree(32+rng.Intn(97), 2, 0.6, rng)
+		d, _, err := HeuristicCtx(ctx, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nice, err := MakeNiceCtx(ctx, d, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts[i] = instance{g, nice}
+	}
+	phi := MustCompileEMSO(logic.ThreeColorable())
+	var next atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			in := &insts[next.Add(1)%uint64(len(insts))]
+			if _, ok, err := SolveEMSOCtx(ctx, in.g, in.nice, phi); err != nil || !ok {
+				b.Errorf("solve: ok=%v err=%v", ok, err)
+				return
 			}
 		}
 	})

@@ -3,7 +3,6 @@ package treewidth
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/logic"
@@ -63,6 +62,10 @@ func (t *cliqueTable) holds(k int, w uint64) bool {
 }
 
 // EMSO is a compiled sentence of the fragment; build one with CompileEMSO.
+// It is immutable once compiled: the DP builds its transition tables in
+// each run's own scratch, so one compiled sentence (the property
+// library's, the compile cache's) is safe to share across goroutines
+// with no lock, and nothing a graph brings is ever stored on it.
 type EMSO struct {
 	// Source is the original sentence.
 	Source logic.Formula
@@ -84,17 +87,6 @@ type EMSO struct {
 	// combination (tableCliques): Verify, the DP's transition tables and
 	// its witness re-check read one bit per clique from it.
 	cliques cliqueTable
-
-	// The intro memo caches the introduce-node transition tables of the
-	// table-driven solver, keyed by bag configuration (size, introduced
-	// position, adjacency of the bag pairs the table reads; see
-	// tablesFor). Library sentences are compiled once and shared
-	// process-wide, so the memo amortizes table construction across every
-	// decomposition the sentence is ever solved on. A typed map under an
-	// RWMutex (instead of a sync.Map) keeps the read path free of
-	// interface boxing — the lookup runs once per introduce node.
-	introMu sync.RWMutex
-	intro   map[string]*introTables
 }
 
 // NumSets returns the number of existentially quantified sets (the

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cert"
@@ -102,24 +103,7 @@ func TestSolveEMSODifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range sentences {
-			phi := MustCompileEMSO(f)
-			wantWords, wantOK, wantErr := solveEMSOReference(inst.g, nice, phi)
-			gotWords, gotOK, gotErr := SolveEMSOCtx(context.Background(), inst.g, nice, phi)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s / %s: reference err=%v, engine err=%v", inst.name, f, wantErr, gotErr)
-			}
-			if wantOK != gotOK {
-				t.Fatalf("%s / %s: reference ok=%v, engine ok=%v", inst.name, f, wantOK, gotOK)
-			}
-			if len(wantWords) != len(gotWords) {
-				t.Fatalf("%s / %s: witness lengths differ: %d vs %d", inst.name, f, len(wantWords), len(gotWords))
-			}
-			for v := range wantWords {
-				if wantWords[v] != gotWords[v] {
-					t.Fatalf("%s / %s: witness word of vertex %d differs: reference %#x, engine %#x",
-						inst.name, f, v, wantWords[v], gotWords[v])
-				}
-			}
+			checkSolveMatchesReference(t, inst.name, inst.g, nice, MustCompileEMSO(f))
 			triples++
 		}
 	}
@@ -128,12 +112,125 @@ func TestSolveEMSODifferential(t *testing.T) {
 	}
 }
 
+// checkSolveMatchesReference solves g over nice with the engine and with
+// solveEMSOReference and fails unless both fail alike or reach the same
+// verdict with the same witness words.
+func checkSolveMatchesReference(t testing.TB, name string, g *graph.Graph, nice *Nice, phi *EMSO) {
+	t.Helper()
+	wantWords, wantOK, wantErr := solveEMSOReference(g, nice, phi)
+	gotWords, gotOK, gotErr := SolveEMSOCtx(context.Background(), g, nice, phi)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s / %s: reference err=%v, engine err=%v", name, phi, wantErr, gotErr)
+	}
+	if wantOK != gotOK {
+		t.Fatalf("%s / %s: reference ok=%v, engine ok=%v", name, phi, wantOK, gotOK)
+	}
+	if len(wantWords) != len(gotWords) {
+		t.Fatalf("%s / %s: witness lengths differ: %d vs %d", name, phi, len(wantWords), len(gotWords))
+	}
+	for v := range wantWords {
+		if wantWords[v] != gotWords[v] {
+			t.Fatalf("%s / %s: witness word of vertex %d differs: reference %#x, engine %#x",
+				name, phi, v, wantWords[v], gotWords[v])
+		}
+	}
+}
+
+// FuzzSolveEMSO holds the engine to solveEMSOReference on arbitrary
+// sentences and small graphs: the formula text goes through logic.Parse
+// and CompileEMSO as in FuzzCliqueTable, and the bytes decode into a
+// graph on at most 8 vertices (fuzzGraph). Whenever the sentence compiles
+// and the heuristic decomposes the graph, both solvers run over its nice
+// decomposition and must fail alike or agree on the verdict and the
+// witness words. The seeds pair the property library's sentences and
+// hitTriangles with the shapes of TestSolveEMSODifferential cut to 8
+// vertices: a single vertex, books and partial k-trees.
+func FuzzSolveEMSO(f *testing.F) {
+	srcs := []string{hitTriangles}
+	for _, p := range propertyLibrary {
+		srcs = append(srcs, p.Phi.Source.String())
+	}
+	graphs := []*graph.Graph{graph.New(1)}
+	for _, k := range []int{2, 4, 6} {
+		g, _ := bookGraph(k)
+		graphs = append(graphs, g)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 1; k <= 3; k++ {
+		g, _ := graphgen.PartialKTree(8, k, 0.6, rng)
+		graphs = append(graphs, g)
+	}
+	for _, src := range srcs {
+		for _, g := range graphs {
+			f.Add(src, fuzzGraphBytes(g))
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string, data []byte) {
+		fm, err := logic.Parse(src)
+		if err != nil {
+			return
+		}
+		phi, err := CompileEMSO(fm)
+		if err != nil {
+			return
+		}
+		g := fuzzGraph(data)
+		d, _, err := HeuristicCtx(context.Background(), g)
+		if err != nil {
+			return
+		}
+		nice, err := MakeNiceCtx(context.Background(), d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSolveMatchesReference(t, fmt.Sprintf("%d vertices, edges %v", g.N(), g.Edges()), g, nice, phi)
+	})
+}
+
+// fuzzGraph decodes fuzz bytes into a graph on at most 8 vertices: the
+// first byte gives the vertex count, 1 + byte mod 8, and the bits of the
+// rest, least significant first, mark the pairs i<j in row order.
+func fuzzGraph(data []byte) *graph.Graph {
+	n := 1
+	if len(data) > 0 {
+		n += int(data[0] % 8)
+		data = data[1:]
+	}
+	g := graph.New(n)
+	bit := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if bit/8 < len(data) && data[bit/8]>>(bit%8)&1 == 1 {
+				g.MustAddEdge(i, j)
+			}
+			bit++
+		}
+	}
+	return g
+}
+
+// fuzzGraphBytes encodes a graph on 1–8 vertices as fuzzGraph reads it.
+func fuzzGraphBytes(g *graph.Graph) []byte {
+	n := g.N()
+	data := make([]byte, 1+(n*(n-1)/2+7)/8)
+	data[0] = byte(n - 1)
+	bit := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if g.HasEdge(i, j) {
+				data[1+bit/8] |= 1 << (bit % 8)
+			}
+			bit++
+		}
+	}
+	return data
+}
+
 // TestIntroTablesMatchReference holds the DP's transition tables to the
 // reference introduce check on every state of every configuration:
 // random adjacency on bags of 1–6 positions, each position in turn the
 // introduced one. The differential solve only reads the entries a DP
-// happens to reach; this reads them all. One compiled sentence serves
-// every configuration, so later lookups also go through the memo.
+// happens to reach; this reads them all.
 func TestIntroTablesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, f := range []logic.Formula{
@@ -159,9 +256,9 @@ func TestIntroTablesMatchReference(t *testing.T) {
 				for i := range bag {
 					bag[i], bag32[i] = i, int32(i)
 				}
-				sv := &emsoSolver{g: g, phi: phi, m: m}
+				var w centredWalk
 				for pos := 0; pos < k; pos++ {
-					tb := sv.tablesFor(bag32, pos)
+					tb := w.introCliques(g, phi, bag32, pos)
 					for s := uint64(0); s < 1<<uint(m*k); s++ {
 						want := introduceOK(g, phi, bag, pos, s)
 						if got := tb.admitted(forgetWord(s, pos, m), m)>>wordAt(s, pos, m)&1 == 1; got != want {
@@ -243,102 +340,114 @@ func TestTableListPresized(t *testing.T) {
 	}
 }
 
-// TestIntroMemoBounded pins the transition-table memo's eviction: the
-// configurations are graph-controlled, so the memo must stay bounded no
-// matter how many distinct bag adjacency patterns a long-lived process
-// meets.
-func TestIntroMemoBounded(t *testing.T) {
-	// 2-colourability: a valid matrix (tw-bound) would build no table.
-	phi := MustCompileEMSO(logic.TwoColorable())
-	phi.introMu.Lock()
-	phi.intro = map[string]*introTables{}
-	for i := 0; i < maxIntroMemoEntries; i++ {
-		phi.intro[fmt.Sprint("synthetic-", i)] = &introTables{}
-	}
-	phi.introMu.Unlock()
-	// The next solve needs a table for some configuration not in the
-	// synthetic fill; storing it must evict instead of growing.
-	g := graphgen.Cycle(8)
-	d, _, err := HeuristicCtx(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nice, err := MakeNiceCtx(context.Background(), d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := SolveEMSOCtx(context.Background(), g, nice, phi); err != nil || !ok {
-		t.Fatalf("solve on full memo: ok=%v err=%v", ok, err)
-	}
-	phi.introMu.Lock()
-	total, built := len(phi.intro), 0
-	for k := range phi.intro {
-		if !strings.HasPrefix(k, "synthetic-") {
-			built++
-		}
-	}
-	phi.introMu.Unlock()
-	if total > maxIntroMemoEntries || built == 0 {
-		t.Fatalf("memo holds %d entries (cap %d), %d of them built by the solve", total, maxIntroMemoEntries, built)
-	}
-}
-
-// TestIntroMemoKeyedOnReadPairs pins the memo key to the bag pairs a
-// transition table reads: a one-variable sentence reads no pair, so
-// solving a 5,000-vertex partial 4-tree must leave at most one memo entry
-// per (bag size, introduced position), however many adjacency patterns
-// its bags show. The sentence has a set variable, so its matrix is not
-// valid; tw-bound's valid one must leave no entry at all.
-func TestIntroMemoKeyedOnReadPairs(t *testing.T) {
-	g, _ := graphgen.PartialKTree(5000, 4, 0.85, rand.New(rand.NewSource(3)))
-	d, _, err := HeuristicCtx(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nice, err := MakeNiceCtx(context.Background(), d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	configs := map[[2]int]bool{}
-	for i, nd := range nice.Nodes {
-		if nd.Kind == KindIntroduce {
-			configs[[2]int{len(nice.Bag(i)), int(nd.Pos)}] = true
-		}
-	}
-	entries := func(f logic.Formula) int {
-		phi := MustCompileEMSO(f)
-		if _, ok, err := SolveEMSOCtx(context.Background(), g, nice, phi); err != nil || !ok {
-			t.Fatalf("%s: solve: ok=%v err=%v", f, ok, err)
-		}
-		phi.introMu.Lock()
-		defer phi.introMu.Unlock()
-		return len(phi.intro)
-	}
-	if n := entries(logic.MustParse("existsset S. forall x. x in S")); n == 0 || n > len(configs) {
-		t.Fatalf("%d memo entries for %d (bag size, position) configurations", n, len(configs))
-	}
-	if n := entries(logic.TrueSentence()); n != 0 {
-		t.Fatalf("tw-bound's valid matrix left %d memo entries, want none", n)
-	}
-}
-
-// TestIntroMemoHitAllocationFree: tablesFor runs once per introduce
-// node, so a memo hit must not allocate. A key buffer or adjacency
-// closure that escapes to the heap would cost one allocation per node,
+// TestIntroCliquesAllocationFree: the DP builds every introduce node's
+// transition table in its pooled walk, so once the walk's buffers have
+// grown the build must not allocate. An adjacency read or clique visitor
+// that escapes to the heap would cost an allocation per introduce node,
 // 10⁵ and more on a large prove.
-func TestIntroMemoHitAllocationFree(t *testing.T) {
+func TestIntroCliquesAllocationFree(t *testing.T) {
 	g := hubPath(t, 5) // a hub joined to a path: every position sees triangles
 	bag := []int32{0, 1, 2, 3, 4, 5}
 	for _, f := range []logic.Formula{logic.TrueSentence(), logic.ThreeColorable(), logic.MustParse(hitTriangles)} {
 		phi := MustCompileEMSO(f)
-		sv := &emsoSolver{g: g, phi: phi, m: phi.NumSets()}
+		var w centredWalk
 		for pos := range bag {
-			sv.tablesFor(bag, pos)
-			if allocs := testing.AllocsPerRun(50, func() { sv.tablesFor(bag, pos) }); allocs != 0 {
-				t.Errorf("%s: a memo hit at position %d allocates %v times", f, pos, allocs)
+			w.introCliques(g, phi, bag, pos)
+			if allocs := testing.AllocsPerRun(50, func() { w.introCliques(g, phi, bag, pos) }); allocs != 0 {
+				t.Errorf("%s: building position %d's cliques allocates %v times", f, pos, allocs)
 			}
 		}
 	}
+}
+
+// TestSolveEMSOAllocations: a warm solve allocates only what it returns
+// or hands the traceback, the output words and the traceback's words.
+// Every other buffer, the introduce nodes' clique lists and the witness
+// re-check's walk included, comes from the pooled scratch.
+func TestSolveEMSOAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
+	ctx := context.Background()
+	g, _ := graphgen.PartialKTree(96, 2, 0.6, rand.New(rand.NewSource(5)))
+	d, _, err := HeuristicCtx(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nice, err := MakeNiceCtx(ctx, d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi := MustCompileEMSO(logic.ThreeColorable())
+	solve := func() {
+		if _, ok, err := SolveEMSOCtx(ctx, g, nice, phi); err != nil || !ok {
+			t.Fatalf("solve: ok=%v err=%v", ok, err)
+		}
+	}
+	solve()
+	if allocs := testing.AllocsPerRun(20, solve); allocs > 2 {
+		t.Fatalf("a warm 3-colorable solve allocates %v times, want at most 2", allocs)
+	}
+}
+
+// TestSolveEMSOConcurrentSharedSentence: one compiled sentence serves
+// solves from several goroutines at once, as a library sentence does on a
+// server's workers, and each solve must return exactly what it returns
+// alone: the sentence holds nothing a solve writes, and every run works in
+// its own scratch.
+func TestSolveEMSOConcurrentSharedSentence(t *testing.T) {
+	ctx := context.Background()
+	phi := MustCompileEMSO(logic.ThreeColorable())
+	type instance struct {
+		g     *graph.Graph
+		nice  *Nice
+		words []uint8
+		ok    bool
+	}
+	rng := rand.New(rand.NewSource(13))
+	insts := make([]instance, 16)
+	accepted := 0
+	for i := range insts {
+		// Partial 2-trees are 3-colourable; partial 3-trees may not be.
+		g, _ := graphgen.PartialKTree(20+rng.Intn(40), 2+i%2, 0.7, rng)
+		d, _, err := HeuristicCtx(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nice, err := MakeNiceCtx(ctx, d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words, ok, err := SolveEMSOCtx(ctx, g, nice, phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts[i] = instance{g, nice, words, ok}
+		if ok {
+			accepted++
+		}
+	}
+	if accepted == 0 || accepted == len(insts) {
+		t.Fatalf("%d of %d instances accepted: the comparison is one-sided", accepted, len(insts))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 8; r++ {
+				for i := range insts {
+					in := &insts[(i+w)%len(insts)]
+					words, ok, err := SolveEMSOCtx(ctx, in.g, in.nice, phi)
+					if err != nil || ok != in.ok || !slices.Equal(words, in.words) {
+						t.Errorf("worker %d, instance %d: ok=%v err=%v, alone ok=%v", w, (i+w)%len(insts), ok, err, in.ok)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestHeuristicMatchesReference drives the bitset elimination engine

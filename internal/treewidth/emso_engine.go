@@ -40,15 +40,14 @@ var errUnknownNodeKind = errors.New("treewidth: unknown nice-decomposition node 
 //     table, EMSO.cliques), and each introduce node's transition table
 //     is the list of its cliques through the introduced position, so a
 //     child state costs one table read per clique, which answers for
-//     all 2^m words the introduced vertex may take. That list
-//     depends only on the bag size, the introduced position and the
-//     adjacency pattern among the bag vertices, so it is memoized on the
-//     compiled sentence and shared across nodes, decompositions and
-//     solver runs; its cliques come from the clique-tuple walk
-//     (cliqueTuples) that Verify and the witness re-check use, and both
-//     read the same table. A valid matrix admits every state, so it
-//     builds no table and skips the witness re-check, for the callers
-//     that still run the DP on one;
+//     all 2^m words the introduced vertex may take. The list is built at
+//     every introduce node, in the run's pooled scratch, by walking the
+//     graph's adjacency among the bag vertices with the centred walk
+//     (centredWalk over cliqueTuples) that Verify and the witness
+//     re-check use, and all of them read the same table; the compiled
+//     sentence holds nothing a graph can grow. A valid matrix admits
+//     every state, so it builds no list and skips the witness re-check,
+//     for the callers that still run the DP on one;
 //   - the traceback stores one predecessor word per forget-node state
 //     during the bottom-up pass instead of re-probing child tables, so
 //     witness extraction is a walk over binary searches;
@@ -88,14 +87,14 @@ type introGroup struct {
 	pos [MaxEMSOVars - 1]int
 }
 
-// introTables is the full transition table of one introduce-node
-// configuration: its cliques through the introduced position, read
-// against the sentence's clique table. A child state admits an
-// introduced word iff the table holds at every group's word combination;
-// tuples outside the groups are either clique tuples not involving the
-// introduced position (checked at their own introduce nodes) or
-// non-clique tuples (vacuously true by the compile-time clique-locality
-// check).
+// introTables is the full transition table of one introduce node
+// (centredWalk.introCliques builds it): its cliques through the
+// introduced position, read against the sentence's clique table. A child
+// state admits an introduced word iff the table holds at every group's
+// word combination; tuples outside the groups are either clique tuples
+// not involving the introduced position (checked at their own introduce
+// nodes) or non-clique tuples (vacuously true by the compile-time
+// clique-locality check).
 type introTables struct {
 	cliques *cliqueTable
 	groups  []introGroup
@@ -119,39 +118,10 @@ func (tb *introTables) admitted(cs uint64, m int) uint64 {
 	return ok
 }
 
-// buildIntroTables collects the cliques of a configuration: n bag
-// positions, introduced position pos, adjacency among positions given by
-// adj. They are the ones the witness re-check walks around pos, every
-// clique through pos once, each kept as its other points' child-bag
-// positions; the matrix is not evaluated here, admitted reads the
-// sentence's clique table. A valid matrix has no tuple to fail and gets
-// no groups.
-func buildIntroTables(phi *EMSO, n, pos int, adj func(i, j int) bool) *introTables {
-	tb := &introTables{cliques: &phi.cliques}
-	if phi.valid {
-		return tb
-	}
-	var w centredWalk
-	ct := w.layout(phi, n, pos, adj)
-	ct.eachClique(func(k, _, p1, p2 int) bool {
-		g := introGroup{k: k}
-		others := [MaxEMSOVars - 1]int{p1, p2}
-		for i, p := range others[:k-1] {
-			g.pos[i] = w.pts[p]
-			if g.pos[i] > pos {
-				g.pos[i]-- // the child bag lacks the introduced position
-			}
-		}
-		tb.groups = append(tb.groups, g)
-		return true
-	})
-	return tb
-}
-
 // emsoScratch is the recycled working memory of one solver run: state
-// buffers, the table list, the forget-table arenas and the traceback
-// stack. A run checks one scratch out of the pool, so concurrent solves
-// never share buffers.
+// buffers, the table list, the forget-table arenas, the clique walk and
+// the traceback stack. A run checks one scratch out of the pool, so
+// concurrent solves never share buffers.
 type emsoScratch struct {
 	freeStates [][]uint64
 	// slot maps each nice node to the entry of tables holding its state
@@ -170,6 +140,9 @@ type emsoScratch struct {
 	forget      []uint64
 	forgetPreds []uint8
 	stack       []emsoFrame
+	// walk lays out every introduce node's cliques, for its transition
+	// table in the bottom-up pass and for the witness re-check after it.
+	walk centredWalk
 }
 
 // emsoTable is one entry of the table list: a node's sorted states and,
@@ -287,23 +260,21 @@ func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([
 	}
 	// The DP guarantees the checks below; assert them, so that a bug in the
 	// state packing (the group positions and word bits admitted reads), the
-	// memo (a key that misses a pair the table reads), the bottom-up pass
-	// or the traceback cannot leak a bogus witness. The cliques come from
-	// the walk the tables were built from, over the graph's own
-	// adjacency, and the clique table is read at the witness words
-	// themselves. Checking the introduce nodes alone covers every
+	// bottom-up pass or the traceback cannot leak a bogus witness. The
+	// cliques come from the walk the tables were built from, over the
+	// graph's own adjacency, and the clique table is read at the witness
+	// words themselves. Checking the introduce nodes alone covers every
 	// constrained tuple: a violating tuple is a clique (clique-locality),
-	// every clique is contained in some nice bag, and the bottom-most
-	// such bag is an introduce node whose introduced vertex belongs to
-	// the clique (its child bag is one vertex short). A valid matrix
-	// constrains no tuple.
+	// every clique is contained in some nice bag, and the bottom-most such
+	// bag is an introduce node whose introduced vertex belongs to the
+	// clique (its child bag is one vertex short). A valid matrix constrains
+	// no tuple.
 	if phi.valid {
 		return out, true, nil
 	}
-	var wc centredWalk
 	for t := range nice.Nodes {
 		nd := &nice.Nodes[t]
-		if nd.Kind == KindIntroduce && !wc.witnessOK(g, phi, nice.Bag(t), int(nd.Pos), out) {
+		if nd.Kind == KindIntroduce && !sc.walk.witnessOK(g, phi, nice.Bag(t), int(nd.Pos), out) {
 			return nil, false, fmt.Errorf("treewidth: EMSO DP produced a witness violating the matrix in bag %v", nice.Bag(t))
 		}
 	}
@@ -320,19 +291,20 @@ func SolveEMSOCtx(ctx context.Context, g *graph.Graph, nice *Nice, phi *EMSO) ([
 type centredWalk struct {
 	pts        []int // the bag position of each point
 	start, out []int32
-	words      []uint64 // the witness re-check's word of each point
+	words      []uint64     // the witness re-check's word of each point
+	groups     []introGroup // the transition table's cliques
 }
 
-// layout lays the walk out around position pos of an n-position bag
-// whose adjacency adj reports, reading only pairs through pos for two
-// variables and no pair for one, and returns the centred clique-tuple
+// layout lays the walk out around position pos of bag, reading the
+// graph's adjacency among the bag's vertices (only pairs through pos for
+// two variables, no pair for one), and returns the centred clique-tuple
 // check over it, still without its points' words.
-func (w *centredWalk) layout(phi *EMSO, n, pos int, adj func(i, j int) bool) cliqueTuples {
+func (w *centredWalk) layout(g *graph.Graph, phi *EMSO, bag []int32, pos int) cliqueTuples {
 	r := len(phi.Vars)
 	w.pts = append(w.pts[:0], pos)
 	if r >= 2 {
-		for p := 0; p < n; p++ {
-			if p != pos && adj(pos, p) {
+		for p, v := range bag {
+			if p != pos && g.HasEdge(int(bag[pos]), int(v)) {
 				w.pts = append(w.pts, p)
 			}
 		}
@@ -342,7 +314,7 @@ func (w *centredWalk) layout(phi *EMSO, n, pos int, adj func(i, j int) bool) cli
 		w.out = w.out[:0]
 		for i := 1; i < len(w.pts); i++ {
 			for j := i + 1; j < len(w.pts); j++ {
-				if adj(w.pts[i], w.pts[j]) {
+				if g.HasEdge(int(bag[w.pts[i]]), int(bag[w.pts[j]])) {
 					w.out = append(w.out, int32(j))
 				}
 			}
@@ -359,7 +331,7 @@ func (w *centredWalk) witnessOK(g *graph.Graph, phi *EMSO, bag []int32, pos int,
 	if phi.valid {
 		return true
 	}
-	ct := w.layout(phi, len(bag), pos, func(i, j int) bool { return g.HasEdge(int(bag[i]), int(bag[j])) })
+	ct := w.layout(g, phi, bag, pos)
 	if phi.NumSets() > 0 {
 		w.words = w.words[:0]
 		for _, p := range w.pts {
@@ -370,105 +342,31 @@ func (w *centredWalk) witnessOK(g *graph.Graph, phi *EMSO, bag []int32, pos int,
 	return ct.allTuplesOK()
 }
 
-// tablesFor returns the memoized transition tables of an introduce node,
-// building them on first sight of the node's configuration.
-func (sv *emsoSolver) tablesFor(bag []int32, pos int) *introTables {
-	// The configuration's key: bag size and introduced position, two
-	// bytes each, then the adjacency bits of exactly the bag pairs the
-	// walk around pos reads (see pairBit). Bags can be arbitrarily large
-	// when the sentence has no set variables (the state count stays 1
-	// regardless of width, so the MaxDPStates bound never trips), so a
-	// wide bag's key outgrows the stack buffer.
-	n, r := len(bag), len(sv.phi.Vars)
-	pairs := 0
-	switch {
-	case r == 2:
-		pairs = n - 1
-	case r > 2:
-		pairs = n * (n - 1) / 2
-	}
-	var small [40]byte
-	var key []byte
-	if need := 4 + (pairs+7)/8; need <= len(small) {
-		key = small[:need]
-	} else {
-		key = make([]byte, need)
-	}
-	key[0], key[1], key[2], key[3] = byte(n), byte(n>>8), byte(pos), byte(pos>>8)
-	if pairs > 0 {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if b := pairBit(r, n, pos, i, j); b >= 0 && sv.g.HasEdge(int(bag[i]), int(bag[j])) {
-					key[4+b/8] |= 1 << uint(b%8)
+// introCliques builds the transition table of the introduce node that
+// brings in position pos of bag: the cliques through pos that the witness
+// re-check walks, each once, kept as its other points' child-bag
+// positions in the walk's buffers, so the table lasts until the next
+// layout. Nothing is evaluated; admitted reads the sentence's clique
+// table. A valid matrix has no tuple to fail and gets no groups.
+func (w *centredWalk) introCliques(g *graph.Graph, phi *EMSO, bag []int32, pos int) introTables {
+	w.groups = w.groups[:0]
+	if !phi.valid {
+		ct := w.layout(g, phi, bag, pos)
+		ct.eachClique(func(k, _, p1, p2 int) bool {
+			gr := introGroup{k: k}
+			others := [MaxEMSOVars - 1]int{p1, p2}
+			for i, p := range others[:k-1] {
+				gr.pos[i] = w.pts[p]
+				if gr.pos[i] > pos {
+					gr.pos[i]-- // the child bag lacks the introduced position
 				}
 			}
-		}
+			w.groups = append(w.groups, gr)
+			return true
+		})
 	}
-	phi := sv.phi
-	phi.introMu.RLock()
-	tb := phi.intro[string(key)]
-	phi.introMu.RUnlock()
-	if tb != nil {
-		return tb
-	}
-	// The build's adjacency reads the miss path's own copy of the key, so
-	// the lookup above stays on the stack.
-	k := string(key)
-	tb = buildIntroTables(phi, n, pos, func(i, j int) bool {
-		b := pairBit(r, n, pos, i, j)
-		return b >= 0 && k[4+b/8]>>uint(b%8)&1 == 1
-	})
-	phi.introMu.Lock()
-	if prev := phi.intro[k]; prev != nil {
-		tb = prev // a concurrent solver won the build; share its tables
-	} else {
-		if phi.intro == nil {
-			phi.intro = map[string]*introTables{}
-		}
-		if len(phi.intro) >= maxIntroMemoEntries {
-			for old := range phi.intro {
-				delete(phi.intro, old)
-				break
-			}
-		}
-		phi.intro[k] = tb
-	}
-	phi.introMu.Unlock()
-	return tb
+	return introTables{cliques: &phi.cliques, groups: w.groups}
 }
-
-// pairBit is the key bit of bag pair (i,j) in an n-position configuration
-// with introduced position pos and r variables, or -1 for a pair the
-// walk around pos never reads: none for one variable, the pairs through
-// pos for two, every pair (in i<j order) for three.
-func pairBit(r, n, pos, i, j int) int {
-	if i > j {
-		i, j = j, i
-	}
-	switch {
-	case r > 2:
-		// Pair (i,j) sits at offset sum of the first i row lengths plus
-		// (j-i-1): rows have n-1, n-2, ... entries.
-		return i*(2*n-i-1)/2 + (j - i - 1)
-	case r == 2 && i == pos:
-		return j - 1
-	case r == 2 && j == pos:
-		return i
-	}
-	return -1
-}
-
-// maxIntroMemoEntries bounds the per-sentence transition-table memo:
-// configurations are graph-controlled (every distinct bag adjacency
-// pattern is a fresh key), so a long-lived server solving hostile graphs
-// would otherwise grow the memo monotonically. On overflow an arbitrary
-// entry is evicted, mirroring the engine's decomposition cache; solvers
-// already holding a table keep their pointer and later runs recompute.
-const maxIntroMemoEntries = 4096
-
-// admitAll is the transition table of a valid matrix: no groups, so it
-// admits every state.
-var admitAll introTables
 
 // up runs the bottom-up pass in node index order — a post-order, since
 // MakeNiceCtx stores children first — giving each node's sorted state
@@ -491,10 +389,7 @@ func (sv *emsoSolver) up() (bool, error) {
 			tb.states = append(sc.getStates(), 0)
 		case KindIntroduce:
 			c, pos := node.Child[0], int(node.Pos)
-			admit := &admitAll
-			if !sv.phi.valid {
-				admit = sv.tablesFor(sv.nice.Bag(t), pos)
-			}
+			admit := sc.walk.introCliques(sv.g, sv.phi, sv.nice.Bag(t), pos)
 			out := sc.getStates()
 			for _, cs := range sc.tables[sc.slot[c]].states {
 				ok := admit.admitted(cs, m)

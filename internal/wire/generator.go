@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/graphgen"
@@ -94,8 +95,15 @@ func (s GeneratorSpec) Validate() error {
 	}
 }
 
+// randPool recycles the random sources of the random kinds: a math/rand
+// source is a 4.9 KB state, and one reseeded with Seed yields exactly the
+// sequence of a fresh rand.NewSource(seed).
+var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Build materializes the spec together with the witness structure the
-// generator knows; the witness parts are nil for kinds without one.
+// generator knows; the witness parts are nil for kinds without one. The
+// random kinds draw from a pooled source reseeded with s.Seed, returned
+// once the graph is built: no witness keeps it.
 func (s GeneratorSpec) Build() (*graph.Graph, Witness, error) {
 	if err := s.Validate(); err != nil {
 		return nil, Witness{}, err
@@ -107,22 +115,24 @@ func (s GeneratorSpec) Build() (*graph.Graph, Witness, error) {
 		return graphgen.Cycle(s.N), Witness{}, nil
 	case "star":
 		return graphgen.Star(s.N), Witness{}, nil
+	}
+	rng := randPool.Get().(*rand.Rand)
+	defer randPool.Put(rng)
+	rng.Seed(s.Seed)
+	switch s.Kind {
 	case "random-tree":
-		rng := rand.New(rand.NewSource(s.Seed))
 		return graphgen.RandomTree(s.N, rng), Witness{}, nil
 	case "random-td":
 		density := s.Density
 		if density == 0 {
 			density = 0.3
 		}
-		rng := rand.New(rand.NewSource(s.Seed))
 		g, parents := graphgen.BoundedTreedepth(s.N, s.T, density, rng)
 		w := Witness{Model: func(gg *graph.Graph) (*rooted.Tree, error) {
 			return treedepth.FromParentSlice(gg, parents)
 		}}
 		return g, w, nil
 	case "k-tree", "partial-k-tree":
-		rng := rand.New(rand.NewSource(s.Seed))
 		var g *graph.Graph
 		var attach [][]int
 		if s.Kind == "k-tree" {
