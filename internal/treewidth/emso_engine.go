@@ -293,13 +293,15 @@ type centredWalk struct {
 	start, out []int32
 	words      []uint64     // the witness re-check's word of each point
 	groups     []introGroup // the transition table's cliques
+	ct         cliqueTuples // the check layout returns
 }
 
 // layout lays the walk out around position pos of bag, reading the
 // graph's adjacency among the bag's vertices (only pairs through pos for
 // two variables, no pair for one), and returns the centred clique-tuple
-// check over it, still without its points' words.
-func (w *centredWalk) layout(g *graph.Graph, phi *EMSO, bag []int32, pos int) cliqueTuples {
+// check over it, still without its points' words. The check lives in the
+// walk, so no caller copies it, and lasts until the next layout.
+func (w *centredWalk) layout(g *graph.Graph, phi *EMSO, bag []int32, pos int) *cliqueTuples {
 	r := len(phi.Vars)
 	w.pts = append(w.pts[:0], pos)
 	if r >= 2 {
@@ -321,7 +323,12 @@ func (w *centredWalk) layout(g *graph.Graph, phi *EMSO, bag []int32, pos int) cl
 			w.start = append(w.start, int32(len(w.out)))
 		}
 	}
-	return cliqueTuples{phi: phi, n: len(w.pts), start: w.start, out: w.out, centred: true}
+	// Field by field: a composite literal is built on the stack and
+	// copied in whole.
+	ct := &w.ct
+	ct.phi, ct.n, ct.start, ct.out, ct.centred = phi, len(w.pts), w.start, w.out, true
+	ct.words, ct.probes = nil, 0
+	return ct
 }
 
 // witnessOK reports whether every clique tuple through position pos of

@@ -12,10 +12,12 @@ import (
 // TestProveGolden pins the tw-mso prover's certificates, bit for bit, on
 // heuristic decompositions of partial 2-trees: FNV-64a over every
 // certificate's bytes (one byte per bit, as cert.Certificate stores
-// them), each followed by one 0x09 byte. The constants were recorded
-// before the validator, the nice conversion, the DP scratch and the
-// payload assembly were rewritten for speed, so a change to any of them
-// that moves a single certificate bit fails here. 2-colorable is left
+// them), each followed by one 0x09 byte. The constants are in the
+// fixed-width layout (see encodePrefixTo); the payloads they encode —
+// bags, depths, rows and witness words — are the ones recorded before the
+// validator, the nice conversion, the DP scratch and the payload assembly
+// were rewritten for speed, so a change to any of them that moves a
+// single certificate bit fails here. 2-colorable is left
 // out: partial 2-trees contain triangles, so it has nothing to certify.
 // n=10⁵ is skipped under -short.
 func TestProveGolden(t *testing.T) {
@@ -25,16 +27,16 @@ func TestProveGolden(t *testing.T) {
 		prop string
 		hash uint64
 	}{
-		{300, 1, "tw-bound", 0x425cd49e01e5d0fa},
-		{300, 1, "3-colorable", 0x9d7633b0bdb98959},
-		{300, 2, "tw-bound", 0x814220506ff8d014},
-		{300, 2, "3-colorable", 0xd677eb5239ed788f},
-		{5_000, 1, "tw-bound", 0xd480d0cbc783a960},
-		{5_000, 1, "3-colorable", 0x7bc91edc100b26fc},
-		{5_000, 2, "tw-bound", 0x8ff728680b8dbbd5},
-		{5_000, 2, "3-colorable", 0xeaa153322dbea819},
-		{100_000, 1, "tw-bound", 0x441364032553ee38},
-		{100_000, 1, "3-colorable", 0x75db6351444797cd},
+		{300, 1, "tw-bound", 0xb3340920fe24ef2a},
+		{300, 1, "3-colorable", 0xcd0e9b54754cd87c},
+		{300, 2, "tw-bound", 0x76fb5e162268b406},
+		{300, 2, "3-colorable", 0xc02bc7743202a41d},
+		{5_000, 1, "tw-bound", 0x4afc6f5fa4ef9220},
+		{5_000, 1, "3-colorable", 0x5f5721bb97b5e1b2},
+		{5_000, 2, "tw-bound", 0xb7005da4941fbd12},
+		{5_000, 2, "3-colorable", 0xc174525467c3e2a7},
+		{100_000, 1, "tw-bound", 0xdb358fb8bfbc5b5b},
+		{100_000, 1, "3-colorable", 0x3283c7ff28588b30},
 	} {
 		if c.n > 5_000 && testing.Short() {
 			continue

@@ -117,11 +117,11 @@ func (rd *parseRound) decode(rec []graph.ID, s int32, owner graph.ID, c cert.Cer
 		return false
 	}
 	r := bitio.NewReader(body)
-	bagID, depth, size, ok := readHeader(r)
-	// Every entry takes a bit and a row bit, so a bag longer than half
-	// the rest cannot decode; checking first bounds the spill by the
-	// certificate's length.
-	if !ok || size-1 > rd.t || 2*size > r.Remaining() {
+	size, width, ok := readHeader(r)
+	// Every entry takes width bits and a row bit, so a bag whose
+	// size·(width+1) exceeds the rest cannot decode; checking first
+	// bounds the spill by the certificate's length.
+	if !ok || size-1 > rd.t || size*(width+1) > r.Remaining() {
 		return false
 	}
 	rowWords := (size + 63) / 64
@@ -131,7 +131,11 @@ func (rd *parseRound) decode(rec []graph.ID, s int32, owner graph.ID, c cert.Cer
 	} else {
 		bag = resize(rd.spill[s], size+rowWords)[:0]
 	}
-	if bag, ok = readBag(r, size, bag); !ok || !containsID(bag, owner) {
+	if bag, ok = readBag(r, size, width, bag); !ok || !containsID(bag, owner) {
+		return false
+	}
+	bagID, depth, ok := readPlace(r, bag)
+	if !ok {
 		return false
 	}
 	// The row, entry k at bit k, read up to 64 entries per field.

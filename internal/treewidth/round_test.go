@@ -125,7 +125,8 @@ func roundBytes(t *testing.T, g *graph.Graph, s *MSOScheme, a cert.Assignment) u
 // which certserver takes from the request. A tw-bound round at T = 2³⁰
 // over a 200-vertex partial 2-tree accepts and allocates at most the same
 // round at T=2 plus 96 bytes per vertex: the record stride is capped at
-// 3 + recordBag words, and the spill adds one slice header per slot.
+// 3 + recordBag words, and the spill adds one slice header per slot. A
+// hostile header cannot size a spill past its certificate's length.
 func TestVerifyRoundHugeT(t *testing.T) {
 	g, attach := graphgen.PartialKTree(200, 2, 0.8, rand.New(rand.NewSource(5)))
 	d, err := FromKTree(g.N(), 2, attach)
@@ -144,6 +145,20 @@ func TestVerifyRoundHugeT(t *testing.T) {
 	t.Logf("round bytes: %d at T=2, %d at T=2^30", small, huge)
 	if limit := small + 96*uint64(g.N()); huge > limit {
 		t.Fatalf("a round at T=2^30 allocates %d bytes, above T=2's %d plus 96 per vertex (%d)", huge, small, limit)
+	}
+	// A header claiming more entries than the certificate has bits for
+	// is refused before the spill is sized, so spill memory stays linear
+	// in certificate length: the body carries two bits per claimed entry,
+	// fewer than its maxIDBits-bit entries and row bits need, and the
+	// parse allocates nothing.
+	var rd parseRound
+	rd.init(1<<30, 0, 1)
+	c := sealed(hostileBodies["header-past-body"], 7)
+	if allocs := testing.AllocsPerRun(10, func() { rd.parse(0, 7, c) }); allocs != 0 {
+		t.Fatalf("parsing a header past its body allocates %.0f times", allocs)
+	}
+	if rec, _, _ := rd.entry(0); rec[recBagID] != 0 {
+		t.Fatal("a header past its body parsed as well-formed")
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -77,8 +77,9 @@ func PropertyFromFormula(f logic.Formula) (Property, error) {
 // conversion and no DP and certifies with all-zero words. The
 // verification is purely radius-1, against the neighbouring bags:
 //
-//   - membership and width: the vertex and the bag's canonical owner are
-//     in the encoded bag, and the bag has at most T+1 entries;
+//   - membership and width: the vertex is in the encoded bag, which
+//     has at most T+1 entries, and the bag's canonical owner, encoded as
+//     an index into it, is one of them;
 //   - edge coverage: for every graph edge, the deeper home bag contains
 //     the other endpoint (the trace-root rule), so one endpoint's id
 //     appears in the other's bag;
@@ -112,10 +113,20 @@ func PropertyFromFormula(f logic.Formula) (Property, error) {
 //     witness words. A valid matrix, such as tw-bound's x = x, has no
 //     tuple to find, and the check returns at once.
 //
-// Certificates are O(t log n) bits — bag id, up to t+1 identifiers, t+1
-// row bits and m witness bits — plus a 16-bit guard binding certs to their
-// vertex, so flips/replays/truncations are caught in one round (the
-// self-stabilization deployment; semantic soundness never relies on it).
+// A certificate holds, in order: the bag size s (Elias gamma); the entry
+// width w, the bit length of the bag's largest identifier (gamma, 1 to
+// 63); the bag as s strictly increasing w-bit fields; the bag id as an
+// index into the bag, bits.Len(s) bits; the depth d (gamma); the row, s
+// bits; the m-bit witness word; and a 16-bit guard binding the
+// certificate to its vertex, so flips, replays and truncations are caught
+// in one round (the self-stabilization deployment; semantic soundness
+// never relies on it). With γ(x) = 2·bits.Len(x+1) − 1 bits for gamma
+// and s ≤ T+1, a certificate takes at most
+//
+//	γ(T+1) + γ(w) + (T+1)(w+1) + bits.Len(T+1) + γ(d) + m + 16
+//
+// bits: O(T log n), one w-bit field per identifier, w at most the bit
+// length of the graph's largest identifier.
 //
 // The scheme is a cert.Parser: a runner parses each certificate once per
 // round into one fixed-stride record (parseRound), and Verify reads the
@@ -178,14 +189,17 @@ const guardBits = 16
 // so a hostile certificate cannot force a large allocation.
 const maxBagEntries = 1 << 12
 
-// maxID is the largest positive graph.ID; decoded identifiers above it
-// would turn negative on conversion.
-const maxID = math.MaxInt64
+// maxIDBits is the bit length of the largest positive graph.ID: a bag
+// entry field this wide or narrower always decodes to a non-negative
+// identifier.
+const maxIDBits = 63
 
 // Payload is the decoded certificate of one vertex.
 type Payload struct {
 	// BagID is the home bag's canonical identifier: the smallest vertex
-	// ID homed at the bag (always a member of Bag).
+	// ID homed at the bag (always a member of Bag). It is encoded as its
+	// index in Bag; a BagID outside Bag encodes as index len(Bag), which
+	// no decoder accepts.
 	BagID graph.ID
 	// Depth is the home bag's depth in the rooted, pruned decomposition.
 	Depth uint64
@@ -201,26 +215,31 @@ type Payload struct {
 	State uint64
 }
 
-// encodePrefixTo writes the self-delimiting decomposition fields (bag id,
-// depth, bag contents) — the exact counterpart of decodePrefixInto, shared by
+// encodePrefixTo writes the self-delimiting decomposition fields — the
+// bag size, the entry width, the bag, the bag id as an index into the bag
+// and the depth — the exact counterpart of decodePrefixInto, shared by
 // the honest encoder and the decomposition-aware tampers so the two can
-// never drift apart.
+// never drift apart. The entry width is the bit length of the bag's
+// largest identifier (of the OR of its entries, so an unsorted bag still
+// encodes, and fails to decode), and the index takes bits.Len(size)
+// bits, so index size is always writable.
 func encodePrefixTo(w *bitio.Writer, p Payload) {
-	w.WriteUvarint(uint64(p.BagID))
-	w.WriteUvarint(p.Depth)
-	w.WriteUvarint(uint64(len(p.Bag)))
-	// Delta encoding enforces strictly increasing ids structurally; with
-	// the decoder's range checks, any decodable bag is sorted,
-	// duplicate-free and positive.
-	prev := uint64(0)
-	for i, id := range p.Bag {
-		if i == 0 {
-			w.WriteUvarint(uint64(id))
-		} else {
-			w.WriteUvarint(uint64(id) - prev - 1)
-		}
-		prev = uint64(id)
+	var or uint64
+	for _, id := range p.Bag {
+		or |= uint64(id)
 	}
+	width := bits.Len64(or)
+	w.WriteUvarint(uint64(len(p.Bag)))
+	w.WriteUvarint(uint64(width))
+	for _, id := range p.Bag {
+		w.WriteUint(uint64(id), width)
+	}
+	index := slices.Index(p.Bag, p.BagID)
+	if index < 0 {
+		index = len(p.Bag)
+	}
+	w.WriteUint(uint64(index), bits.Len(uint(len(p.Bag))))
+	w.WriteUvarint(p.Depth)
 }
 
 // encodeBody writes the guarded part of the payload: the decomposition
@@ -273,65 +292,70 @@ func unseal(c cert.Certificate) (body []byte, guard uint64, ok bool) {
 }
 
 // decodePrefixInto parses the self-delimiting decomposition fields (bag
-// id, depth, bag contents) off the body into p, reusing p.Bag's capacity,
-// and returns the unparsed tail bits — the row and property payload,
-// which decomposition-aware tampers carry through unchanged.
+// size, entry width, bag, bag id index, depth) off the body into p,
+// reusing p.Bag's capacity, and returns the unparsed tail bits — the row
+// and property payload, which decomposition-aware tampers carry through
+// unchanged.
 func decodePrefixInto(body []byte, p *Payload) ([]byte, bool) {
 	r := bitio.NewReader(body)
-	var size int
-	var ok bool
-	if p.BagID, p.Depth, size, ok = readHeader(r); !ok {
+	size, width, ok := readHeader(r)
+	if !ok {
 		return nil, false
 	}
-	if p.Bag, ok = readBag(r, size, p.Bag[:0]); !ok {
+	if p.Bag, ok = readBag(r, size, width, p.Bag[:0]); !ok {
+		return nil, false
+	}
+	if p.BagID, p.Depth, ok = readPlace(r, p.Bag); !ok {
 		return nil, false
 	}
 	return body[len(body)-r.Remaining():], true
 }
 
-// readHeader reads the fields that open a certificate body: the bag id
-// (positive), the depth and the bag size (1 to maxBagEntries). Payload
-// decoding and the round parse share it and readBag.
-func readHeader(r *bitio.Reader) (bagID graph.ID, depth uint64, size int, ok bool) {
-	id, err := r.ReadUvarint()
-	if err != nil || id == 0 || id > maxID {
-		return 0, 0, 0, false
-	}
-	if depth, err = r.ReadUvarint(); err != nil {
-		return 0, 0, 0, false
-	}
+// readHeader reads the fields that open a certificate body: the bag size
+// (1 to maxBagEntries) and the entry width (1 to maxIDBits). Payload
+// decoding and the round parse share it, readBag and readPlace.
+func readHeader(r *bitio.Reader) (size, width int, ok bool) {
 	n, err := r.ReadUvarint()
 	if err != nil || n == 0 || n > maxBagEntries {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
-	return graph.ID(id), depth, int(n), true
+	w, err := r.ReadUvarint()
+	if err != nil || w == 0 || w > maxIDBits {
+		return 0, 0, false
+	}
+	return int(n), int(w), true
 }
 
-// readBag reads size delta-encoded bag entries and appends them to bag.
-func readBag(r *bitio.Reader, size int, bag []graph.ID) ([]graph.ID, bool) {
+// readBag reads size entries of width bits and appends them to bag. No
+// code enforces their order, so it checks it: the entries must be
+// positive and strictly increasing, and the last exactly width bits long
+// (the width encodePrefixTo writes), so every decodable bag is sorted,
+// duplicate-free, positive and encoded one way only.
+func readBag(r *bitio.Reader, size, width int, bag []graph.ID) ([]graph.ID, bool) {
 	prev := uint64(0)
 	for i := 0; i < size; i++ {
-		v, err := r.ReadUvarint()
-		if err != nil {
+		v, err := r.ReadUint(width)
+		if err != nil || v <= prev {
 			return nil, false
 		}
-		if i == 0 {
-			if v == 0 || v > maxID {
-				return nil, false
-			}
-			prev = v
-		} else {
-			// prev+v+1 must stay a positive graph.ID: a delta past
-			// maxID-prev would wrap into the negative IDs (or past
-			// uint64) and unsort the bag.
-			if v >= maxID-prev {
-				return nil, false
-			}
-			prev += v + 1
-		}
-		bag = append(bag, graph.ID(prev))
+		prev = v
+		bag = append(bag, graph.ID(v))
 	}
-	return bag, true
+	return bag, bits.Len64(prev) == width
+}
+
+// readPlace reads the fields that follow the bag: the bag id as an index
+// of bits.Len(len(bag)) bits, below len(bag), and the depth. It returns
+// the bag id, the indexed entry.
+func readPlace(r *bitio.Reader, bag []graph.ID) (bagID graph.ID, depth uint64, ok bool) {
+	i, err := r.ReadUint(bits.Len(uint(len(bag))))
+	if err != nil || i >= uint64(len(bag)) {
+		return 0, 0, false
+	}
+	if depth, err = r.ReadUvarint(); err != nil {
+		return 0, 0, false
+	}
+	return bag[i], depth, true
 }
 
 // FNV-1a's 64-bit offset basis and prime.
@@ -566,8 +590,8 @@ func (s *MSOScheme) ProveCtx(ctx context.Context, g *graph.Graph) (cert.Assignme
 			p.State = uint64(words[v])
 		}
 		encodePayloadTo(&w, p, g.IDOf(v), setBits)
-		bits := w.Bits()
-		a[v] = carve(&slab, bits, min((n-v)*len(bits), maxCertSlab))
+		c := w.Bits()
+		a[v] = carve(&slab, c, min((n-v)*len(c), maxCertSlab))
 	}
 	return a, nil
 }

@@ -71,10 +71,11 @@ func freshID(bag []graph.ID, rng *rand.Rand) graph.ID {
 	return bag[len(bag)-1] + 1 + graph.ID(rng.Intn(4))
 }
 
-// CorruptBagID returns a tamper reassigning one certificate's home bag id
-// to a fresh id outside the encoded bag, with a correctly forged guard.
-// The verifier's "the bag is named after one of its members" check makes
-// this detectable at the corrupted vertex itself.
+// CorruptBagID returns a tamper naming an owner outside one
+// certificate's bag, with a correctly forged guard: the bag id is
+// encoded as an index into the bag, and the tamper writes it at the
+// bag's length, past every entry. The decoder refuses such an index, so
+// the certificate is malformed and the corrupted vertex itself rejects.
 func CorruptBagID() cert.Tamper {
 	return cert.Tamper{
 		Name: "corrupt-bag-id",
@@ -84,7 +85,7 @@ func CorruptBagID() cert.Tamper {
 			if v == -1 {
 				return out, false
 			}
-			p.BagID = freshID(p.Bag, rng)
+			p.BagID = 0 // no member: encodePrefixTo writes index len(p.Bag)
 			out[v] = reencode(p, tail, owner)
 			return out, true
 		},
@@ -92,10 +93,13 @@ func CorruptBagID() cert.Tamper {
 }
 
 // CorruptBagContents returns a tamper replacing the bag's canonical-owner
-// entry in one certificate's encoded bag contents with a fresh id, with a
-// correctly forged guard. The corrupted bag no longer contains its own
-// name (or, when the owner is the vertex itself, the vertex), so the
-// membership checks reject it locally.
+// entry in one certificate's encoded bag contents with a fresh, larger id
+// and pointing the bag id at it, with a correctly forged guard. The
+// certificate still decodes, so detection is local but not the
+// decoder's: when the vertex was not the owner, its bag now claims an
+// owner above the vertex's own id, which the verifier rejects; when it
+// was, its bag no longer holds the vertex, and the certificate is
+// malformed.
 func CorruptBagContents() cert.Tamper {
 	return cert.Tamper{
 		Name: "corrupt-bag-contents",
@@ -113,6 +117,7 @@ func CorruptBagContents() cert.Tamper {
 				}
 			}
 			p.Bag = append(bag, fresh) // fresh exceeds every member: still sorted
+			p.BagID = fresh
 			out[v] = reencode(p, tail, owner)
 			return out, true
 		},
