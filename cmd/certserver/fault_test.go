@@ -16,6 +16,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graphgen"
 	"repro/internal/loadgen"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/wire"
@@ -300,9 +301,12 @@ func TestEndpointTimeoutOverride(t *testing.T) {
 	}
 }
 
-// TestChaosSweep is the seeded fault sweep: eight plans spanning every
+// TestChaosSweep is the seeded fault sweep: nine plans spanning every
 // registered fault point and action drive the standard workload mix
-// against a live in-process server. Invariants, per plan: the process
+// against a live in-process server; the netsim barrier takes both errors
+// and panics, so per-worker containment runs while the other workers of
+// a round are still claiming chunks: a plan that panics the barrier must
+// advance netsim_shard_panics_total. Invariants, per plan: the process
 // survives (a clean probe succeeds afterwards), every non-2xx response
 // carries the JSON error envelope, and no goroutines leak across the
 // sweep.
@@ -319,6 +323,7 @@ func TestChaosSweep(t *testing.T) {
 		"seed=106;netsim.round.barrier:error@0.3",
 		"seed=107;wire.stream.chunk:corrupt@0.5",
 		"seed=108;engine.prove.pre:delay=10ms@0.5;engine.decomp.compute:panic@0.2",
+		"seed=109;netsim.round.barrier:panic@0.2",
 	}
 	mix, err := loadgen.StandardMix()
 	if err != nil {
@@ -331,6 +336,8 @@ func TestChaosSweep(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i, spec := range plans {
 		t.Run(fmt.Sprintf("plan%02d", i+1), func(t *testing.T) {
+			shardPanics := srv.obs.Counter(netsim.MetricShardPanics, "")
+			panicsBefore := shardPanics.Value()
 			armPlan(t, spec)
 			rep, err := loadgen.Run(context.Background(), loadgen.Options{
 				BaseURL:         ts.URL,
@@ -352,6 +359,9 @@ func TestChaosSweep(t *testing.T) {
 				t.Fatalf("plan %q: %d non-2xx response(s) without the error envelope", spec, rep.EnvelopeViolations)
 			}
 			fault.Disarm()
+			if strings.Contains(spec, "netsim.round.barrier:panic") && shardPanics.Value() == panicsBefore {
+				t.Fatalf("plan %q: no netsim worker panicked, so containment never ran", spec)
+			}
 
 			// Liveness probe: the server must still answer cleanly.
 			resp, err := http.Get(ts.URL + "/healthz")

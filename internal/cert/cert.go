@@ -23,7 +23,10 @@
 // carries — and Verify may read the round only at its own view's slots,
 // so parsing changes the cost of a round, never what a vertex can see.
 // The types do not enforce that: Round holds every vertex's parse, and a
-// scheme's tests hold its Verify to the contract.
+// scheme's tests hold its Verify to the contract. A runner owns a round
+// from NewRound until it hands it back through ReleaseRound, once, after
+// the last parse and the last Verify that read it have returned, so a
+// scheme may recycle round storage from one round to the next.
 package cert
 
 import (
@@ -154,11 +157,18 @@ func ProveWithContext(ctx context.Context, s Scheme, g *graph.Graph) (Assignment
 // round to every view, whose vertices carry their slots (vertex v's slot
 // is v). Verify reads the round at its own view's slots only. A round
 // lives for one verification pass: callers may change certificates
-// between rounds.
+// between rounds. When the pass is over — every vertex verified, the
+// pass cancelled, or a parse or Verify panicked — and no goroutine of the
+// runner touches the round any more, the runner hands it back through
+// ReleaseRound, exactly once, and keeps no reference to it.
 type Parser interface {
 	// NewRound returns the parse storage of a round over n vertices,
-	// slots 0..n-1, for ParseRange to fill.
+	// slots 0..n-1, for ParseRange to fill. Its contents before the
+	// parse are unspecified: it may be the storage of a released round.
 	NewRound(n int) any
+	// ReleaseRound takes back a round NewRound returned once its runner
+	// is done with it; the scheme may reuse its storage in a later round.
+	ReleaseRound(round any)
 	// ParseRange parses (g.IDOf(v), a[v]) into slot v of round, for every
 	// v in [lo, hi). A slot's parse must depend on that pair and the
 	// scheme's own parameters alone, and Verify must give the same
@@ -174,7 +184,8 @@ const parseChunk = fault.CheckStride
 // ParsePass runs p over the vertex range [lo, hi) of a round, probing cp
 // before every chunk of parseChunk vertices, so a cancelled round stops
 // within one chunk with cp's *fault.CancelledError. The sequential
-// referee runs it over the whole graph; the simulator once per shard.
+// referee runs it over the whole graph; the simulator over each chunk of
+// vertices a worker claims.
 func ParsePass(cp *fault.Checkpoint, p Parser, g *graph.Graph, a Assignment, lo, hi int, round any) error {
 	for lo < hi {
 		if err := cp.Now(); err != nil {
@@ -236,7 +247,9 @@ func RunSequential(g *graph.Graph, s Scheme, a Assignment) (Result, error) {
 // RunSequentialCtx is RunSequential with cooperative cancellation: the
 // parse pass (when s is a Parser) and the per-vertex loop poll one
 // checkpoint, so abandoning a million-vertex referee costs at most one
-// checkpoint stride. Views are assembled in one reused buffer.
+// checkpoint stride. Views are assembled in one reused buffer. A parsing
+// scheme's round goes back through ReleaseRound when the call returns or
+// unwinds.
 func RunSequentialCtx(ctx context.Context, g *graph.Graph, s Scheme, a Assignment) (Result, error) {
 	if len(a) != g.N() {
 		return Result{}, fmt.Errorf("cert: assignment has %d certificates for %d vertices", len(a), g.N())
@@ -245,6 +258,7 @@ func RunSequentialCtx(ctx context.Context, g *graph.Graph, s Scheme, a Assignmen
 	var round any
 	if p, ok := s.(Parser); ok {
 		round = p.NewRound(g.N())
+		defer p.ReleaseRound(round)
 		if err := ParsePass(&cp, p, g, a, 0, g.N(), round); err != nil {
 			return Result{}, err
 		}

@@ -11,8 +11,10 @@ const (
 	MetricRounds = "netsim_rounds_total"
 	// MetricRoundSeconds is the whole-round latency histogram.
 	MetricRoundSeconds = "netsim_round_seconds"
-	// MetricShardSeconds is the per-shard latency histogram: its spread
-	// against netsim_round_seconds is the shard-imbalance signal.
+	// MetricShardSeconds is the per-worker busy-time histogram: one
+	// observation per worker per round, the time it spent parsing and
+	// verifying the chunks it claimed. Its spread against
+	// netsim_round_seconds is the load-imbalance signal.
 	MetricShardSeconds = "netsim_shard_seconds"
 	// MetricRoundBits counts certificate bits moved across the simulated
 	// wire (each neighbour receives each certificate once).
@@ -22,7 +24,7 @@ const (
 	MetricRoundMessages = "netsim_round_messages_total"
 	// MetricInflightRounds gauges rounds currently executing.
 	MetricInflightRounds = "netsim_inflight_rounds"
-	// MetricShardPanics counts shard workers that panicked and were
+	// MetricShardPanics counts round workers that panicked and were
 	// contained: the round fails with an error, the process survives.
 	MetricShardPanics = "netsim_shard_panics_total"
 	// MetricSweepTrials counts adversarial sweep trials, labeled
@@ -63,11 +65,11 @@ func (e *Engine) metrics() *simMetrics {
 		e.sim = &simMetrics{
 			rounds:          r.Counter(MetricRounds, "completed verification rounds"),
 			roundSeconds:    r.Histogram(MetricRoundSeconds, "verification round latency"),
-			shardSeconds:    r.Histogram(MetricShardSeconds, "per-shard verification latency"),
+			shardSeconds:    r.Histogram(MetricShardSeconds, "per-worker busy time in a verification round"),
 			bits:            r.Counter(MetricRoundBits, "certificate bits exchanged"),
 			messages:        r.Counter(MetricRoundMessages, "simulated messages (one per directed edge)"),
 			inflight:        r.Gauge(MetricInflightRounds, "verification rounds in flight"),
-			shardPanics:     r.Counter(MetricShardPanics, "contained shard worker panics"),
+			shardPanics:     r.Counter(MetricShardPanics, "contained round worker panics"),
 			sweepNoop:       trial("noop"),
 			sweepDetected:   trial("detected"),
 			sweepUndetected: trial("undetected"),

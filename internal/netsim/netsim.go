@@ -5,24 +5,29 @@
 // exactly the verdict of the sequential referee in package cert — an
 // invariant covered by differential and property tests.
 //
-// The engine is sharded: vertices are partitioned into contiguous shards
-// over a bounded worker pool, and the exchange round is realized through
-// preallocated per-shard view buffers reused across runs via sync.Pool.
-// This replaces the original goroutine-per-vertex, channel-per-edge
-// realization (kept in legacy_test.go as a differential baseline), which
-// collapsed under serving load: n goroutines and 2m channels per request
-// versus a constant number of workers here, and no allocation per view.
+// The engine is sharded over a bounded worker pool: each worker claims
+// chunks of consecutive vertices from an atomic counter until none is
+// left, so a worker whose chunks hold few edges takes more of them, and a
+// graph whose edges crowd one end of the index range (a partial k-tree
+// puts most of them on low indices) still keeps every worker busy to the
+// end of the pass. The exchange round is realized through per-worker view
+// buffers reused across runs via sync.Pool. This replaces the original
+// goroutine-per-vertex, channel-per-edge realization (kept in
+// legacy_test.go as a differential baseline), which collapsed under
+// serving load: n goroutines and 2m channels per request versus a
+// constant number of workers here, and no allocation per view.
 //
-// For a scheme that implements cert.Parser a round runs in two passes
-// over the same shards: a parse pass, in which each worker parses its
-// own vertices' certificates into their slots of the round (created once
-// through the scheme's NewRound), and — after every shard is parsed — the
-// verify pass, whose views carry the round and their vertices' slots.
-// Each certificate is then decoded once per round instead of once per
-// view it appears in, and a vertex's Verify reads the round at its own
-// view's slots only: its own and its neighbours', what the exchange
-// delivered to it. The round is the only allocation proportional to n;
-// nothing of it outlives the round.
+// For a scheme that implements cert.Parser a round runs in two passes:
+// a parse pass, in which the workers parse the certificates of the
+// chunks they claim into their slots of the round (created once through
+// the scheme's NewRound), and — after every chunk is parsed — the verify
+// pass, whose views carry the round and their vertices' slots. Each
+// certificate is then decoded once per round instead of once per view it
+// appears in, and a vertex's Verify reads the round at its own view's
+// slots only: its own and its neighbours', what the exchange delivered to
+// it. Once both passes have joined their workers, the round goes back to
+// the scheme through ReleaseRound, which may hand its storage to the next
+// round.
 //
 // This is the "self-stabilization" deployment story of the paper: the
 // verification round is what a network would run periodically to detect
@@ -43,10 +48,10 @@ import (
 	"repro/internal/obs"
 )
 
-// roundBarrier is the fault point at the shard fan-out: each worker passes
-// it before each pass over its vertex range (a parsing scheme's round has
-// two), so an armed plan can fail or panic individual shards and exercise
-// the containment path.
+// roundBarrier is the fault point at the fan-out: each worker passes it
+// once per pass, before claiming its first chunk (a parsing scheme's
+// round has two passes), so an armed plan can fail or panic individual
+// workers and exercise the containment path.
 var roundBarrier = fault.NewPoint("netsim.round.barrier")
 
 // Report is the outcome of a distributed verification round.
@@ -71,10 +76,10 @@ type Engine struct {
 	// are resolved once.
 	Obs *obs.Registry
 
-	// pool recycles per-shard scratch buffers (neighbour views and
+	// pool recycles per-worker scratch buffers (neighbour views and
 	// rejecter lists) across runs, so a warmed-up engine assembles every
-	// view without allocating. A parsing scheme's round is allocated per
-	// round (see Run), never per view.
+	// view without allocating. A parsing scheme's round comes from the
+	// scheme once per round (see Run), never per view.
 	pool sync.Pool
 
 	metricsOnce sync.Once
@@ -133,16 +138,19 @@ func (e *Engine) getScratch() *shardScratch {
 // identifier — exactly what crosses the wire in the paper's model, no
 // adjacency information) and runs the local verification algorithm.
 //
-// Vertices are partitioned into one contiguous shard per worker. When s
-// is a cert.Parser the round has two passes: the workers first parse
-// their shards' certificates into the round s.NewRound created — each
-// certificate once, not once per view it appears in — and, once every
-// shard is parsed, verify. Each worker assembles views (carrying the
-// round and their vertices' slots) in a pooled scratch buffer that is
-// reused from vertex to vertex and returned to the engine pool when the
-// shard is done. Consequently Verify implementations must not retain the
-// view's Neighbors slice, or the round, past the call — none of the
-// schemes in this module do.
+// Each pass deals the vertices out in chunks (see newPass) that the
+// workers claim until none is left. When s is a cert.Parser the round
+// has two passes: the workers first parse their chunks' certificates
+// into the round s.NewRound created — each certificate once, not once
+// per view it appears in — and, once every chunk is parsed, verify. Each
+// worker assembles views (carrying the round and their vertices' slots)
+// in a pooled scratch buffer that is reused from vertex to vertex and
+// returned to the engine pool when the worker runs out of chunks.
+// Consequently Verify implementations must not retain the view's
+// Neighbors slice, or the round, past the call — none of the schemes in
+// this module do. Run hands the round back through s.ReleaseRound exactly
+// once, after both passes have joined their workers, whether the round
+// completed, was cancelled or failed.
 //
 // The verdict is identical to cert.RunSequential: same Accepted flag, same
 // sorted Rejecters. Cancellation via ctx aborts either pass promptly with
@@ -175,32 +183,40 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 		m.roundSeconds.Observe(rsp.Duration())
 	}()
 
-	// busy accumulates each shard's time across both passes, observed
-	// once per shard as its latency.
+	// busy accumulates each worker's time across both passes, observed
+	// once per worker as its latency.
 	busy := make([]time.Duration, workers)
 	var round any
 	if p, ok := s.(cert.Parser); ok {
 		round = p.NewRound(n)
-		err := e.fanOut(ctx, m, start, workers, n, func(w, lo, hi int) bool {
+		// Deferred, so it runs once fanOut has joined every worker of
+		// the last pass that ran, on every way out of Run.
+		defer p.ReleaseRound(round)
+		parse := newPass(n, workers)
+		err := e.fanOut(ctx, m, start, workers, parse, func(w int) bool {
 			t0 := time.Now()
 			cp := fault.NewCheckpoint(ctx, "verify")
-			err := cert.ParsePass(&cp, p, g, a, lo, hi, round)
+			for _, lo, hi, ok := parse.claim(); ok; _, lo, hi, ok = parse.claim() {
+				if cert.ParsePass(&cp, p, g, a, lo, hi, round) != nil {
+					return false
+				}
+			}
 			busy[w] = time.Since(t0)
-			return err == nil
+			return true
 		})
 		if err != nil {
 			return Report{}, err
 		}
 	}
-	// Contiguous shards, processed and concatenated in shard order, keep
-	// the merged rejecter list sorted without a final sort.
-	rejecters := make([][]int, workers)
-	err := e.fanOut(ctx, m, start, workers, n, func(w, lo, hi int) bool {
+	// Rejecters are kept per chunk and joined in chunk order, which keeps
+	// the merged list sorted without a final sort.
+	verify := newPass(n, workers)
+	rejecters := make([][]int, verify.chunks)
+	err := e.fanOut(ctx, m, start, workers, verify, func(w int) bool {
 		// Clock reads and the atomic metric flush stay out here so the
-		// annotated shard body is pure verification work.
+		// annotated body is pure verification work.
 		t0 := time.Now()
-		rej, bits, msgs, aborted := e.runShard(ctx, g, s, a, round, lo, hi)
-		rejecters[w] = rej
+		bits, msgs, aborted := e.verifyChunks(ctx, g, s, a, round, verify, rejecters)
 		m.shardSeconds.Observe(busy[w] + time.Since(t0))
 		m.bits.Add(int64(bits))
 		m.messages.Add(int64(msgs))
@@ -220,51 +236,84 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 	return rep, nil
 }
 
-// fanOut runs one pass of a round: one goroutine per shard, shard w
-// covering its contiguous vertex range [lo, hi), all joined before
-// fanOut returns. Each worker passes roundBarrier before touching its
-// range. body reports false when it stopped early on cancellation; a
-// failed barrier, a panicking body (a buggy parser or Verify, an armed
-// panic fault) or a cancellation fails the pass with an error instead of
-// taking the process down.
-func (e *Engine) fanOut(ctx context.Context, m *simMetrics, start time.Time, workers, n int, body func(w, lo, hi int) bool) error {
-	shardErrs := make([]error, workers)
-	var aborted atomic.Bool
+// pass deals the vertex range [0, n) of one pass of a round out in
+// chunks of consecutive vertices, claimed in index order from an atomic
+// counter. A worker that is done with a chunk claims the next one, so
+// workers whose chunks hold few edges take more of them: a graph whose
+// edges crowd one end of the index range (a partial k-tree puts most of
+// them on low indices) keeps every worker busy to the end of the pass.
+type pass struct {
+	n, size, chunks int
+	next            atomic.Int64
+	// failed is set once a worker fails (barrier error, panic,
+	// cancellation); no chunk is dealt after it.
+	failed atomic.Bool
+}
+
+// newPass returns the pass over n vertices on workers workers. A chunk
+// holds max(⌈n/(8·workers)⌉, min(checkInterval, ⌈n/workers⌉)) vertices:
+// about eight chunks per worker on a large round, so the last chunk to
+// finish is a small share of it, but never fewer than checkInterval
+// vertices unless a worker's share is smaller, so a round over at most
+// workers·checkInterval vertices keeps one chunk per worker.
+func newPass(n, workers int) *pass {
+	size := max(ceilDiv(n, 8*workers), min(checkInterval, ceilDiv(n, workers)))
+	return &pass{n: n, size: size, chunks: ceilDiv(n, size)}
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// claim returns the next unclaimed chunk, its index and its vertex range
+// [lo, hi), or ok = false once every chunk is claimed or a worker of the
+// pass has failed.
+func (p *pass) claim() (c, lo, hi int, ok bool) {
+	if p.failed.Load() {
+		return 0, 0, 0, false
+	}
+	c = int(p.next.Add(1) - 1)
+	if c >= p.chunks {
+		return 0, 0, 0, false
+	}
+	lo = c * p.size
+	return c, lo, min(lo+p.size, p.n), true
+}
+
+// fanOut runs one pass of a round: workers goroutines, all joined before
+// fanOut returns. Each worker passes roundBarrier once and then runs
+// body(w), which claims chunks of ps until none is left. body reports
+// false when it stopped early on cancellation; a failed barrier, a
+// panicking body (a buggy parser or Verify, an armed panic fault) or a
+// cancellation fails the pass with an error instead of taking the
+// process down, and the other workers claim no further chunk.
+func (e *Engine) fanOut(ctx context.Context, m *simMetrics, start time.Time, workers int, ps *pass, body func(w int) bool) error {
+	workerErrs := make([]error, workers)
 	var wg sync.WaitGroup
-	per := n / workers
-	extra := n % workers
-	lo := 0
 	for w := 0; w < workers; w++ {
-		hi := lo + per
-		if w < extra {
-			hi++
-		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					m.shardPanics.Inc()
-					shardErrs[w] = fmt.Errorf("netsim: shard %d panicked: %v", w, r)
-					aborted.Store(true)
+					workerErrs[w] = fmt.Errorf("netsim: worker %d panicked: %v", w, r)
+					ps.failed.Store(true)
 				}
 			}()
 			if err := roundBarrier.Inject(); err != nil {
-				shardErrs[w] = fmt.Errorf("netsim: shard %d: %w", w, err)
-				aborted.Store(true)
+				workerErrs[w] = fmt.Errorf("netsim: worker %d: %w", w, err)
+				ps.failed.Store(true)
 				return
 			}
-			if !body(w, lo, hi) {
-				aborted.Store(true)
+			if !body(w) {
+				ps.failed.Store(true)
 			}
-		}(w, lo, hi)
-		lo = hi
+		}()
 	}
 	wg.Wait()
-	if !aborted.Load() {
+	if !ps.failed.Load() {
 		return nil
 	}
-	for _, err := range shardErrs {
+	for _, err := range workerErrs {
 		if err != nil {
 			return err
 		}
@@ -276,36 +325,42 @@ func (e *Engine) fanOut(ctx context.Context, m *simMetrics, start time.Time, wor
 	}
 }
 
-// runShard verifies the contiguous vertex range [lo, hi): for each vertex
-// it assembles the radius-1 exchange round into the pooled scratch and
-// runs the scheme's local verifier. Traffic accumulates in shard-local
-// ints so the per-view loop stays plain adds. A non-nil rej slice owns
-// its memory (the scratch returns to the pool before it is published).
+// verifyChunks is one worker's verify pass: for each vertex of every
+// chunk of ps it claims, it assembles the radius-1 exchange round into
+// the worker's pooled scratch, checked out once for the pass, and runs
+// the scheme's local verifier. A chunk's rejecters land in its entry of
+// rejecters, in memory of their own (the scratch returns to the pool
+// before they are published). Traffic accumulates in worker-local ints
+// so the per-view loop stays plain adds.
 //
 //certlint:hotpath
-func (e *Engine) runShard(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.Assignment, round any, lo, hi int) (rejOut []int, bits, msgs int, aborted bool) {
+func (e *Engine) verifyChunks(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.Assignment, round any, ps *pass, rejecters [][]int) (bits, msgs int, aborted bool) {
 	sc := e.getScratch()
 	rej := sc.rej[:0]
 	views := sc.views
-	for v := lo; v < hi; v++ {
-		if (v-lo)%checkInterval == 0 && ctx.Err() != nil {
-			aborted = true
-			break
+chunks:
+	for c, lo, hi, ok := ps.claim(); ok; c, lo, hi, ok = ps.claim() {
+		for v := lo; v < hi; v++ {
+			if (v-lo)%checkInterval == 0 && ctx.Err() != nil {
+				aborted = true
+				break chunks
+			}
+			// The exchange round for v: (id, certificate) from every
+			// neighbour, assembled in the reused view buffer.
+			view := cert.AssembleView(g, a, round, v, views)
+			views = view.Neighbors // keep grown capacity for the next vertex
+			for _, nb := range view.Neighbors {
+				bits += len(nb.Cert)
+			}
+			msgs += len(view.Neighbors)
+			if !s.Verify(view) {
+				rej = append(rej, v)
+			}
 		}
-		// The exchange round for v: (id, certificate) from every
-		// neighbour, assembled in the reused view buffer.
-		view := cert.AssembleView(g, a, round, v, views)
-		views = view.Neighbors // keep grown capacity for the next vertex
-		for _, nb := range view.Neighbors {
-			bits += len(nb.Cert)
+		if len(rej) > 0 {
+			rejecters[c] = append([]int(nil), rej...)
+			rej = rej[:0]
 		}
-		msgs += len(view.Neighbors)
-		if !s.Verify(view) {
-			rej = append(rej, v)
-		}
-	}
-	if len(rej) > 0 && !aborted {
-		rejOut = append([]int(nil), rej...)
 	}
 	// The pooled buffer must not keep this round's certificates alive:
 	// clear every slot it ever filled.
@@ -313,7 +368,7 @@ func (e *Engine) runShard(ctx context.Context, g *graph.Graph, s cert.Scheme, a 
 	sc.views = views[:0]
 	sc.rej = rej[:0]
 	e.pool.Put(sc)
-	return rejOut, bits, msgs, aborted
+	return bits, msgs, aborted
 }
 
 // ProveAndRun is the distributed counterpart of cert.ProveAndVerify.

@@ -198,9 +198,10 @@ func BenchmarkLargeNiceDP100k(b *testing.B) {
 // BenchmarkLargeTWMSOVerify100k measures one verification round over
 // honest tw-mso certificates of the certbench graph shape — a 10⁵-vertex
 // partial 4-tree, heuristic decomposition, t=6 — on the sequential
-// referee and on the sharded simulator (GOMAXPROCS workers). Proving
-// happens before the timer: this is the read path alone, the layer the
-// parse-once round (MSOScheme.ParseRange) moves.
+// referee and on the sharded simulator, with GOMAXPROCS workers (netsim)
+// and with one (netsim-1): their ratio is the simulator's scaling over
+// workers. Proving happens before the timer: this is the read path
+// alone, the layer the parse-once round (MSOScheme.ParseRange) moves.
 func BenchmarkLargeTWMSOVerify100k(b *testing.B) {
 	benchVerify(b, largeKTree(b, 100_000), 6, "tw-bound")
 }
@@ -216,7 +217,8 @@ func BenchmarkLargeTWMSOVerify3Colorable20k(b *testing.B) {
 
 // benchVerify proves g under the named property and width bound t
 // before the timer, then times one verification round of the honest
-// certificates on the sequential referee and on the sharded simulator.
+// certificates on the sequential referee and on the sharded simulator
+// with GOMAXPROCS workers and with one.
 func benchVerify(b *testing.B, g *graph.Graph, t int, property string) {
 	prop, ok := PropertyByName(property)
 	if !ok {
@@ -237,14 +239,19 @@ func benchVerify(b *testing.B, g *graph.Graph, t int, property string) {
 			}
 		}
 	})
-	b.Run("netsim", func(b *testing.B) {
-		e := &netsim.Engine{}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rep, err := e.Run(context.Background(), g, s, a)
-			if err != nil || !rep.Accepted {
-				b.Fatalf("rejected: %v %v", err, rep.Rejecters)
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"netsim", 0}, {"netsim-1", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			e := &netsim.Engine{Workers: c.workers}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := e.Run(context.Background(), g, s, a)
+				if err != nil || !rep.Accepted {
+					b.Fatalf("rejected: %v %v", err, rep.Rejecters)
+				}
 			}
-		}
-	})
+		})
+	}
 }

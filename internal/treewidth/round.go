@@ -2,6 +2,7 @@ package treewidth
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/cert"
@@ -134,6 +135,9 @@ func (rd *parseRound) decode(rec []graph.ID, s int32, owner graph.ID, c cert.Cer
 	if bag, ok = readBag(r, size, width, bag); !ok || !containsID(bag, owner) {
 		return false
 	}
+	// readPlace resolves the bag id from an index into bag, so the bag
+	// id of every well-formed record is a member of its bag: check relies
+	// on it and does not look the id up again.
 	bagID, depth, ok := readPlace(r, bag)
 	if !ok {
 		return false
@@ -170,13 +174,32 @@ func (rd *parseRound) decode(rec []graph.ID, s int32, owner graph.ID, c cert.Cer
 	return true
 }
 
+// roundPool holds released rounds (see ReleaseRound) for the next
+// NewRound of any MSOScheme: init resizes a pooled round in place to the
+// new round's parameters, so a warm round allocates nothing that grows
+// with n.
+var roundPool sync.Pool
+
 // NewRound implements cert.Parser: a round of n records of stride
 // 3 + min(T+1, recordBag), a witness word per slot when the property has
-// set variables, and a spill per slot only when T+1 > recordBag.
+// set variables, and a spill per slot only when T+1 > recordBag. It
+// reuses a released round's storage where one is pooled.
 func (s *MSOScheme) NewRound(n int) any {
-	rd := &parseRound{}
+	rd, ok := roundPool.Get().(*parseRound)
+	if !ok {
+		rd = &parseRound{}
+	}
 	rd.init(s.T, s.phi().NumSets(), n)
 	return rd
+}
+
+// ReleaseRound implements cert.Parser: it pools a round NewRound returned
+// for a later NewRound. A round holds no certificate, only what parse
+// decoded from one, so the pool keeps no runner's data alive.
+func (s *MSOScheme) ReleaseRound(round any) {
+	if rd, ok := round.(*parseRound); ok {
+		roundPool.Put(rd)
+	}
 }
 
 // ParseRange implements cert.Parser: it parses the certificates of

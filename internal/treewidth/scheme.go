@@ -717,9 +717,9 @@ func check(phi *EMSO, rd *parseRound, v *cert.View, sc *verifyScratch) bool {
 	own, ownBag, ownRow := rd.entry(v.Slot)
 	ownID, ownDepth := own[recBagID], uint64(own[recDepth])
 	// A malformed record (bag id 0) rejects. The bag is named after its
-	// smallest homed vertex, a member, so no member homed at it has a
-	// smaller id.
-	if ownID == 0 || ownID > v.ID || !containsID(ownBag, ownID) {
+	// smallest homed vertex, so no member homed at it has a smaller id;
+	// that the id is a member of the bag the parse guarantees.
+	if ownID == 0 || ownID > v.ID {
 		return false
 	}
 	// The adjacency row must match the vertex's actual neighbourhood —
